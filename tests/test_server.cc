@@ -300,6 +300,253 @@ TEST(StatusMappingTest, CoversEveryCategory) {
 }
 
 // ---------------------------------------------------------------------
+// Wire format: golden bytes
+// ---------------------------------------------------------------------
+//
+// Literal expected bodies pin the /query response format byte for byte,
+// so a serializer rewrite cannot drift from it unnoticed (the other
+// server tests only compare SerializeResultJson with itself).
+
+Schema AllTypesSchema() {
+  return Schema({{"b", TypeId::kBool},
+                 {"i", TypeId::kInt64},
+                 {"d", TypeId::kDouble},
+                 {"dt", TypeId::kDate},
+                 {"s", TypeId::kString}});
+}
+
+QueryResult MakeResult(Schema schema, Chunk data) {
+  return QueryResult(std::move(schema), std::move(data), ExecStats{});
+}
+
+TEST(WireFormatTest, EveryTypeAndNullInEveryType) {
+  const Schema schema = AllTypesSchema();
+  Chunk data(schema);
+  data.AppendRow({Value::Bool(true), Value::Int64(0), Value::Double(1.5),
+                  Value::Date(MakeDate(1970, 1, 1)), Value::String("plain")});
+  data.AppendRow({Value::Null(TypeId::kBool), Value::Null(TypeId::kInt64),
+                  Value::Null(TypeId::kDouble), Value::Null(TypeId::kDate),
+                  Value::Null(TypeId::kString)});
+  data.AppendRow({Value::Bool(false), Value::Int64(INT64_MIN),
+                  Value::Double(0.1 + 0.2), Value::Date(MakeDate(1992, 2, 29)),
+                  Value::String("")});
+  data.AppendRow({Value::Bool(true), Value::Int64(INT64_MAX),
+                  Value::Double(-0.0), Value::Date(MakeDate(1, 1, 1)),
+                  Value::String("x")});
+  data.AppendRow({Value::Null(TypeId::kBool), Value::Int64(-42),
+                  Value::Double(100.0), Value::Date(MakeDate(9999, 12, 31)),
+                  Value::Null(TypeId::kString)});
+  data.AppendRow({Value::Bool(false), Value::Null(TypeId::kInt64),
+                  Value::Null(TypeId::kDouble),
+                  Value::Date(MakeDate(12345, 6, 7)), Value::String("z")});
+  EXPECT_EQ(QueryHandler::SerializeResultJson(MakeResult(schema, data)),
+            "{\"columns\": [{\"name\": \"b\", \"type\": \"BOOLEAN\"}, "
+            "{\"name\": \"i\", \"type\": \"BIGINT\"}, "
+            "{\"name\": \"d\", \"type\": \"DOUBLE\"}, "
+            "{\"name\": \"dt\", \"type\": \"DATE\"}, "
+            "{\"name\": \"s\", \"type\": \"VARCHAR\"}], \"rows\": [\n"
+            "  [true, 0, 1.5, \"1970-01-01\", \"plain\"],\n"
+            "  [null, null, null, null, null],\n"
+            "  [false, -9223372036854775808, 0.30000000000000004, "
+            "\"1992-02-29\", \"\"],\n"
+            "  [true, 9223372036854775807, -0, \"0001-01-01\", \"x\"],\n"
+            "  [null, -42, 100, \"9999-12-31\", null],\n"
+            "  [false, null, null, \"12345-06-07\", \"z\"]\n"
+            "], \"row_count\": 6}\n");
+}
+
+TEST(WireFormatTest, DoublesUse15DigitsUnlessOnly17RoundTrip) {
+  const Schema schema({{"d", TypeId::kDouble}});
+  Chunk data(schema);
+  for (double v : {0.1, 1e-5, 1e-4, 1e15, 1e16, 1e300, -1e-300, 5e-324,
+                   1.7976931348623157e308, 3.141592653589793,
+                   9007199254740993.0, 123456789012345.0, 0.001, -2.5,
+                   9223372036854775808.0, 1.0 / 3.0}) {
+    data.AppendRow({Value::Double(v)});
+  }
+  EXPECT_EQ(QueryHandler::SerializeResultJson(MakeResult(schema, data)),
+            "{\"columns\": [{\"name\": \"d\", \"type\": \"DOUBLE\"}], "
+            "\"rows\": [\n"
+            "  [0.1],\n"
+            "  [1e-05],\n"
+            "  [0.0001],\n"
+            "  [1e+15],\n"
+            "  [1e+16],\n"
+            "  [1e+300],\n"
+            "  [-1e-300],\n"
+            "  [4.94065645841247e-324],\n"
+            "  [1.7976931348623157e+308],\n"
+            "  [3.1415926535897931],\n"
+            "  [9007199254740992],\n"
+            "  [123456789012345],\n"
+            "  [0.001],\n"
+            "  [-2.5],\n"
+            "  [9.2233720368547758e+18],\n"
+            "  [0.33333333333333331]\n"
+            "], \"row_count\": 16}\n");
+}
+
+TEST(WireFormatTest, StringsEscapeQuotesBackslashesAndEveryControlByte) {
+  const Schema schema({{"s", TypeId::kString}});
+  Chunk data(schema);
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls.push_back(static_cast<char>(c));
+  controls.push_back('\x7f');  // DEL is not a control byte in JSON
+  data.AppendRow({Value::String("say \"hi\" \\ back/slash")});
+  data.AppendRow({Value::String(controls)});
+  data.AppendRow(
+      {Value::String("h\xc3\xa9llo \xe2\x9c\x93 \xe6\x97\xa5\xe6\x9c\xac "
+                     "\xf0\x9f\x98\x80")});
+  data.AppendRow({Value::String(std::string(40, 'a') + "\"" +
+                                std::string(40, 'b'))});
+  EXPECT_EQ(
+      QueryHandler::SerializeResultJson(MakeResult(schema, data)),
+      "{\"columns\": [{\"name\": \"s\", \"type\": \"VARCHAR\"}], "
+      "\"rows\": [\n"
+      "  [\"say \\\"hi\\\" \\\\ back/slash\"],\n"
+      "  [\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\x7f\"],\n"
+      "  [\"h\xc3\xa9llo \xe2\x9c\x93 \xe6\x97\xa5\xe6\x9c\xac "
+      "\xf0\x9f\x98\x80\"],\n"
+      "  [\"" + std::string(40, 'a') + "\\\"" + std::string(40, 'b') +
+      "\"]\n"
+      "], \"row_count\": 4}\n");
+}
+
+TEST(WireFormatTest, ColumnNamesAreEscapedToo) {
+  const Schema schema({{"a \"q\"", TypeId::kInt64}});
+  Chunk data(schema);
+  data.AppendRow({Value::Int64(7)});
+  EXPECT_EQ(QueryHandler::SerializeResultJson(MakeResult(schema, data)),
+            "{\"columns\": [{\"name\": \"a \\\"q\\\"\", \"type\": "
+            "\"BIGINT\"}], \"rows\": [\n"
+            "  [7]\n"
+            "], \"row_count\": 1}\n");
+}
+
+TEST(WireFormatTest, ConstantColumnsSerializeLikeFlatOnes) {
+  const Schema schema({{"c", TypeId::kDouble}, {"s", TypeId::kString},
+                       {"n", TypeId::kInt64}});
+  Chunk data;
+  data.AddColumn(
+      ColumnVector::MakeConstant(TypeId::kDouble, Value::Double(2.5), 3));
+  data.AddColumn(
+      ColumnVector::MakeConstant(TypeId::kString, Value::String("k\n"), 3));
+  data.AddColumn(ColumnVector::MakeConstant(TypeId::kInt64,
+                                            Value::Null(TypeId::kInt64), 3));
+  EXPECT_EQ(QueryHandler::SerializeResultJson(MakeResult(schema, data)),
+            "{\"columns\": [{\"name\": \"c\", \"type\": \"DOUBLE\"}, "
+            "{\"name\": \"s\", \"type\": \"VARCHAR\"}, "
+            "{\"name\": \"n\", \"type\": \"BIGINT\"}], \"rows\": [\n"
+            "  [2.5, \"k\\n\", null],\n"
+            "  [2.5, \"k\\n\", null],\n"
+            "  [2.5, \"k\\n\", null]\n"
+            "], \"row_count\": 3}\n");
+}
+
+TEST(WireFormatTest, EmptyAndZeroColumnResults) {
+  const Schema schema({{"a", TypeId::kInt64}, {"b", TypeId::kString}});
+  EXPECT_EQ(QueryHandler::SerializeResultJson(
+                MakeResult(schema, Chunk(schema))),
+            "{\"columns\": [{\"name\": \"a\", \"type\": \"BIGINT\"}, "
+            "{\"name\": \"b\", \"type\": \"VARCHAR\"}], \"rows\": [], "
+            "\"row_count\": 0}\n");
+  EXPECT_EQ(QueryHandler::SerializeResultJson(MakeResult(Schema(), Chunk())),
+            "{\"columns\": [], \"rows\": [], \"row_count\": 0}\n");
+  Chunk rows_only;
+  rows_only.SetExplicitRowCount(2);
+  EXPECT_EQ(
+      QueryHandler::SerializeResultJson(MakeResult(Schema(), rows_only)),
+      "{\"columns\": [], \"rows\": [\n  [],\n  []\n], \"row_count\": 2}\n");
+}
+
+/// Served bodies over the engine path: QueryHandler routes SQL through
+/// Database::Execute, so collection (single- and multi-chunk, serial and
+/// morsel-parallel) sits between the table and the pinned bytes.
+class WireFormatServedTest : public ::testing::Test {
+ protected:
+  WireFormatServedTest() : handler_(&db_, {}) {}
+
+  std::string Served(const std::string& sql) {
+    HttpRequest request;
+    request.method = "POST";
+    request.target = "/query";
+    request.version = "HTTP/1.1";
+    request.body = "{\"sql\": " + JsonQuote(sql) + "}";
+    HttpResponse response = handler_.Handle(request);
+    EXPECT_EQ(response.status, 200) << response.body;
+    return response.body;
+  }
+
+  Database db_;
+  QueryHandler handler_;
+};
+
+TEST_F(WireFormatServedTest, LiteralAndComputedColumns) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE t (a BIGINT, d DATE, s VARCHAR)")
+                  .ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, DATE '1995-03-15', "
+                          "'x'), (2, NULL, NULL), (3, DATE '2000-01-01', "
+                          "'a\"b')")
+                  .ok());
+  EXPECT_EQ(Served("SELECT a, 2.5 AS c, 'k' AS k, a * 0.1 AS f, d, s, "
+                   "a > 1 AS g FROM t ORDER BY a"),
+            "{\"columns\": [{\"name\": \"a\", \"type\": \"BIGINT\"}, "
+            "{\"name\": \"c\", \"type\": \"DOUBLE\"}, "
+            "{\"name\": \"k\", \"type\": \"VARCHAR\"}, "
+            "{\"name\": \"f\", \"type\": \"DOUBLE\"}, "
+            "{\"name\": \"d\", \"type\": \"DATE\"}, "
+            "{\"name\": \"s\", \"type\": \"VARCHAR\"}, "
+            "{\"name\": \"g\", \"type\": \"BOOLEAN\"}], \"rows\": [\n"
+            "  [1, 2.5, \"k\", 0.1, \"1995-03-15\", \"x\", false],\n"
+            "  [2, 2.5, \"k\", 0.2, null, null, true],\n"
+            "  [3, 2.5, \"k\", 0.30000000000000004, \"2000-01-01\", "
+            "\"a\\\"b\", true]\n"
+            "], \"row_count\": 3}\n");
+  EXPECT_EQ(Served("SELECT a FROM t WHERE a > 10"),
+            "{\"columns\": [{\"name\": \"a\", \"type\": \"BIGINT\"}], "
+            "\"rows\": [], \"row_count\": 0}\n");
+}
+
+TEST_F(WireFormatServedTest, MultiChunkResultsAtOneAndFourThreads) {
+  constexpr int kRows = 5000;  // > 2 * kChunkSize: at least three chunks
+  ASSERT_TRUE(
+      db_.Execute("CREATE TABLE big (k BIGINT, v DOUBLE, s VARCHAR)").ok());
+  for (int start = 0; start < kRows; start += 1000) {
+    std::string insert = "INSERT INTO big VALUES ";
+    for (int i = start; i < start + 1000; ++i) {
+      if (i > start) insert += ", ";
+      insert += "(" + std::to_string(i) + ", " +
+                (i % 7 == 0 ? std::string("NULL")
+                            : std::to_string(i) + ".25") +
+                ", 'row" + std::to_string(i) + "')";
+    }
+    ASSERT_TRUE(db_.Execute(insert).ok());
+  }
+  std::string expected =
+      "{\"columns\": [{\"name\": \"k\", \"type\": \"BIGINT\"}, "
+      "{\"name\": \"v\", \"type\": \"DOUBLE\"}, "
+      "{\"name\": \"s\", \"type\": \"VARCHAR\"}], \"rows\": [";
+  for (int i = 0; i < kRows; ++i) {
+    expected += i == 0 ? "\n  [" : ",\n  [";
+    expected += std::to_string(i) + ", " +
+                (i % 7 == 0 ? std::string("null")
+                            : std::to_string(i) + ".25") +
+                ", \"row" + std::to_string(i) + "\"]";
+  }
+  expected += "\n], \"row_count\": " + std::to_string(kRows) + "}\n";
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    db_.set_execution_threads(threads);
+    EXPECT_EQ(Served("SELECT k, v, s FROM big"), expected);
+    EXPECT_EQ(Served("SELECT k, v, s FROM big WHERE k >= 0"), expected);
+  }
+  db_.set_execution_threads(0);
+}
+
+// ---------------------------------------------------------------------
 // Full server over real sockets
 // ---------------------------------------------------------------------
 
