@@ -46,9 +46,11 @@ cannot express (docs/ANALYSIS.md has the full rationale):
                           mutation reached from a read path breaks the
                           reader/writer contract the HTTP front end
                           relies on for concurrent SELECTs.
-  metrics-doc-drift       Every counter name registered in
-                          src/engine/database.cc must be documented in
-                          docs/METRICS.md (the enforced metric contract).
+  metrics-doc-drift       Every metric name registered in
+                          src/engine/database.cc or src/server/*.cc (the
+                          server_* serving series, gauges included) must be
+                          documented in docs/METRICS.md (the enforced
+                          metric contract).
   env-doc-drift           Every AGORA_* environment knob read via getenv()
                           or an Env* wrapper anywhere in src/ must be
                           documented in docs/OPERATIONS.md (the operator
@@ -146,7 +148,14 @@ LINT_AS_RE = re.compile(r"//\s*lint-as:\s*(\S+)")
 EXPECT_RE = re.compile(r"//\s*expect-violation:\s*([a-z-]+)")
 
 METRIC_NAME_RE = re.compile(
-    r'"([a-z][a-z0-9_]*(?:_total|_seconds|_rows|_threads))"')
+    r'"([a-z][a-z0-9_]*(?:_total|_seconds|_rows|_threads)|server_[a-z0-9_]+)"')
+
+
+def is_metric_source(rel_path):
+    """Files whose string literals register metrics: the engine registry
+    and the server front end (server_* series)."""
+    return (rel_path == "src/engine/database.cc"
+            or (rel_path.startswith("src/server/") and rel_path.endswith(".cc")))
 
 # The knob name is the first argument of getenv() or of an Env* helper
 # that wraps it (EnvInt("AGORA_PORT", ...) in src/server/server.cc).
@@ -375,12 +384,13 @@ def line_findings(rel_path, raw_text):
     return findings
 
 
-def metrics_doc_findings(database_cc_path, database_cc_text, metrics_md_text):
-    """Every counter/gauge name registered in database.cc must appear in
-    docs/METRICS.md (same name set the CI grep and test_metrics enforce)."""
+def metrics_doc_findings(rel_path, text, metrics_md_text):
+    """Every metric name registered in a metric source (is_metric_source)
+    must appear in docs/METRICS.md (the name set the CI grep and
+    test_metrics enforce, plus server_* gauges)."""
     findings = []
     seen = set()
-    for lineno, line in enumerate(database_cc_text.splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         for m in METRIC_NAME_RE.finditer(line):
             name = m.group(1)
             if name in seen:
@@ -389,7 +399,7 @@ def metrics_doc_findings(database_cc_path, database_cc_text, metrics_md_text):
             if f"`{name}`" not in metrics_md_text \
                     and name not in metrics_md_text:
                 findings.append(Finding(
-                    database_cc_path, lineno, "metrics-doc-drift",
+                    rel_path, lineno, "metrics-doc-drift",
                     f"metric '{name}' is registered but undocumented in "
                     "docs/METRICS.md"))
     return findings
@@ -459,25 +469,23 @@ def lint_tree(repo, build_dir):
     if os.path.isfile(operations_md):
         with open(operations_md, encoding="utf-8") as f:
             ops_text = f.read()
+    with open(os.path.join(repo, "docs", "METRICS.md"),
+              encoding="utf-8") as f:
+        md_text = f.read()
     for rel in iter_source_files(repo):
         full = os.path.join(repo, rel)
         with open(full, encoding="utf-8") as f:
             text = f.read()
         findings.extend(line_findings(rel, text))
         findings.extend(env_doc_findings(rel, text, ops_text))
+        if is_metric_source(rel):
+            findings.extend(metrics_doc_findings(rel, text, md_text))
         if (compiled is not None and rel.endswith(".cc")
                 and os.path.realpath(full) not in compiled):
             findings.append(Finding(
                 rel, 0, "compile-commands",
                 "translation unit missing from compile_commands.json "
                 "(stale build tree? re-run cmake)"))
-    database_cc = "src/engine/database.cc"
-    metrics_md = os.path.join(repo, "docs", "METRICS.md")
-    with open(os.path.join(repo, database_cc), encoding="utf-8") as f:
-        db_text = f.read()
-    with open(metrics_md, encoding="utf-8") as f:
-        md_text = f.read()
-    findings.extend(metrics_doc_findings(database_cc, db_text, md_text))
     return findings
 
 
@@ -507,7 +515,7 @@ def self_test(repo):
         expected = sorted(EXPECT_RE.findall(text))
         findings = line_findings(lint_as, text)
         findings.extend(env_doc_findings(lint_as, text, ops_text))
-        if lint_as.endswith("database.cc"):
+        if is_metric_source(lint_as):
             findings.extend(metrics_doc_findings(lint_as, text, md_text))
         got = sorted({f.rule for f in findings})
         missing = [r for r in expected if r not in got]

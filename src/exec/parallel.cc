@@ -188,16 +188,8 @@ Result<Chunk> ParallelCollectAll(PhysicalOperator* op, ExecContext* context) {
       }));
 
   Chunk result(op->schema());
-  for (const std::vector<Chunk>& slot : by_morsel) {
-    for (const Chunk& chunk : slot) {
-      size_t rows = chunk.num_rows();
-      for (size_t r = 0; r < rows; ++r) {
-        result.AppendRowFrom(chunk, r);
-      }
-      if (op->schema().num_fields() == 0) {
-        result.SetExplicitRowCount(result.num_rows() + rows);
-      }
-    }
+  for (std::vector<Chunk>& slot : by_morsel) {
+    for (Chunk& chunk : slot) result.Append(std::move(chunk));
   }
   return result;
 }

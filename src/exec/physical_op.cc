@@ -141,13 +141,7 @@ Result<Chunk> CollectAll(PhysicalOperator* op) {
     if (context != nullptr) {
       AGORA_RETURN_IF_ERROR(context->CheckMemoryBudget("CollectAll"));
     }
-    size_t rows = chunk.num_rows();
-    for (size_t r = 0; r < rows; ++r) {
-      result.AppendRowFrom(chunk, r);
-    }
-    if (op->schema().num_fields() == 0) {
-      result.SetExplicitRowCount(result.num_rows() + rows);
-    }
+    result.Append(std::move(chunk));
   }
   return result;
 }

@@ -78,11 +78,8 @@ Status PhysicalTopK::OpenImpl() {
     // The candidate set is bounded by O(k + offset), but that bound can
     // itself exceed a small budget — check at chunk granularity.
     AGORA_RETURN_IF_ERROR(context_->CheckMemoryBudget("TopK"));
-    size_t rows = input.num_rows();
-    context_->stats.rows_sorted += static_cast<int64_t>(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      heap_data.AppendRowFrom(input, r);
-    }
+    context_->stats.rows_sorted += static_cast<int64_t>(input.num_rows());
+    heap_data.Append(std::move(input));
     // Periodically shrink the candidate set back to the best `cap` rows so
     // memory stays bounded by O(cap).
     if (heap_data.num_rows() > 2 * cap + kChunkSize) {

@@ -46,13 +46,13 @@ Result<AnnotatedRelation> LineageScan(const Table& table,
       sel.resize(rows);
       for (size_t i = 0; i < rows; ++i) sel[i] = static_cast<uint32_t>(i);
     }
-    for (uint32_t i : sel) {
-      out.data.AppendRowFrom(chunk, i);
-      if (capture) {
+    if (capture) {
+      for (uint32_t i : sel) {
         out.lineage.push_back(
             {LineageRef{table.name(), static_cast<int64_t>(start + i)}});
       }
     }
+    out.data.Append(chunk.GatherRows(sel));
   }
   return out;
 }

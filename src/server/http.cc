@@ -58,8 +58,8 @@ std::string_view HttpReasonPhrase(int status) {
   }
 }
 
-std::string SerializeHttpResponse(const HttpResponse& response,
-                                  bool close_connection) {
+std::string SerializeHttpHead(const HttpResponse& response,
+                              bool close_connection) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " ";
   out += HttpReasonPhrase(response.status);
   out += "\r\n";
@@ -72,7 +72,6 @@ std::string SerializeHttpResponse(const HttpResponse& response,
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   if (close_connection) out += "Connection: close\r\n";
   out += "\r\n";
-  out += response.body;
   return out;
 }
 

@@ -2,9 +2,10 @@
 #define AGORA_SERVER_HTTP_H_
 
 // Minimal HTTP/1.1 wire layer for the AgoraDB server: an incremental
-// request parser and a response serializer. Deliberately socket-free —
-// the parser consumes byte ranges and the serializer produces a string,
-// so the whole layer unit-tests without a network (tests/test_server.cc
+// request parser and a response-head serializer. Deliberately
+// socket-free — the parser consumes byte ranges and the serializer
+// produces a string (the server sends the body behind it unchanged), so
+// the whole layer unit-tests without a network (tests/test_server.cc
 // feeds it malformed and truncated frames directly).
 //
 // Scope: the subset the front end needs. Request line + headers +
@@ -32,8 +33,9 @@ struct HttpRequest {
   const std::string* FindHeader(std::string_view name) const;
 };
 
-/// One HTTP response under construction. `Serialize*` renders the status
-/// line, the explicit headers, a computed Content-Length and the body.
+/// One HTTP response under construction. SerializeHttpHead renders the
+/// status line, the explicit headers and a computed Content-Length; the
+/// body goes on the wire behind that head as is.
 struct HttpResponse {
   int status = 200;
   std::vector<std::pair<std::string, std::string>> headers;
@@ -43,10 +45,12 @@ struct HttpResponse {
 /// Standard reason phrase for `status` ("OK", "Bad Request", ...).
 std::string_view HttpReasonPhrase(int status);
 
-/// Renders `response` as an HTTP/1.1 message. Appends Content-Length
-/// always and `Connection: close` when `close_connection` is set.
-std::string SerializeHttpResponse(const HttpResponse& response,
-                                  bool close_connection);
+/// Renders the head of `response` as an HTTP/1.1 message, up to and
+/// including the blank line that ends it; the body follows it on the
+/// wire. Appends Content-Length always and `Connection: close` when
+/// `close_connection` is set.
+std::string SerializeHttpHead(const HttpResponse& response,
+                              bool close_connection);
 
 /// Parser resource limits. Oversized frames fail with 431 (headers) or
 /// 413 (body) instead of buffering without bound.

@@ -1,7 +1,6 @@
 #include "server/json_util.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
 namespace agora {
@@ -232,26 +231,31 @@ Result<JsonValue> ParseJson(std::string_view text) {
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
-  for (const char c : s) {
+  // Bytes that need no escaping are copied in bulk runs; only '"', '\\'
+  // and control bytes break a run.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      case '"': out->append("\\\"", 2); break;
+      case '\\': out->append("\\\\", 2); break;
+      case '\b': out->append("\\b", 2); break;
+      case '\f': out->append("\\f", 2); break;
+      case '\n': out->append("\\n", 2); break;
+      case '\r': out->append("\\r", 2); break;
+      case '\t': out->append("\\t", 2); break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
 }
 

@@ -1,7 +1,9 @@
 #include "server/query_handler.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <system_error>
+#include <vector>
 
 #include "server/json_util.h"
 
@@ -9,39 +11,75 @@ namespace agora {
 
 namespace {
 
-/// Shortest decimal rendering that round-trips the double: %.15g when it
-/// re-parses exactly, else %.17g. Deterministic, so served bytes match
-/// embedded serialization byte for byte.
-void AppendDoubleJson(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  *out += buf;
-}
-
-void AppendValueJson(std::string* out, const Value& v) {
-  if (v.is_null()) {
-    *out += "null";
+/// Appends `v` as a JSON number: printf's %.15g when that re-parses to
+/// exactly `v`, else %.17g (std::to_chars with an explicit precision
+/// writes printf's bytes). Deterministic, so served bytes match embedded
+/// serialization byte for byte. JSON has no token for infinities or NaN,
+/// so non-finite values are written as null.
+void AppendJsonDouble(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    out->append("null", 4);
     return;
   }
-  switch (v.type()) {
+  char buf[32];
+  char* end = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, 15)
+                  .ptr;
+  double parsed = 0.0;
+  const std::from_chars_result back = std::from_chars(buf, end, parsed);
+  if (back.ec != std::errc() || parsed != v) {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        17)
+              .ptr;
+  }
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+/// One result column's typed buffers, read in place by the row loop.
+struct ColumnCursor {
+  TypeId type;
+  const uint8_t* validity;
+  const int64_t* ints;  // kBool, kInt64, kDate
+  const double* doubles;
+  const std::string* strings;
+};
+
+/// Appends row `row` of `col` as a JSON value.
+void AppendCellJson(std::string* out, const ColumnCursor& col, size_t row) {
+  if (col.validity[row] == 0) {
+    out->append("null", 4);
+    return;
+  }
+  char buf[32];
+  switch (col.type) {
     case TypeId::kBool:
-      *out += v.bool_value() ? "true" : "false";
+      if (col.ints[row] != 0) {
+        out->append("true", 4);
+      } else {
+        out->append("false", 5);
+      }
       break;
-    case TypeId::kInt64:
-      *out += std::to_string(v.int64_value());
+    case TypeId::kInt64: {
+      const char* end = std::to_chars(buf, buf + sizeof(buf), col.ints[row]).ptr;
+      out->append(buf, static_cast<size_t>(end - buf));
       break;
+    }
     case TypeId::kDouble:
-      AppendDoubleJson(out, v.double_value());
+      AppendJsonDouble(out, col.doubles[row]);
       break;
-    case TypeId::kDate:
+    case TypeId::kDate: {
+      buf[0] = '"';
+      const size_t len = 1 + FormatDate(col.ints[row], buf + 1);
+      buf[len] = '"';
+      out->append(buf, len + 1);
+      break;
+    }
     case TypeId::kString:
-      AppendJsonString(out, v.ToString());
+      AppendJsonString(out, col.strings[row]);
       break;
-    default:
-      *out += "null";
+    case TypeId::kInvalid:
+      out->append("null", 4);
+      break;
   }
 }
 
@@ -177,17 +215,42 @@ std::string QueryHandler::SerializeResultJson(const QueryResult& result) {
     out += "}";
   }
   out += "], \"rows\": [";
-  for (size_t row = 0; row < result.num_rows(); ++row) {
-    out += row == 0 ? "\n" : ",\n";
-    out += "  [";
-    for (size_t col = 0; col < result.num_columns(); ++col) {
-      if (col > 0) out += ", ";
-      AppendValueJson(&out, result.Get(row, col));
+  // The cursors read each column's typed buffers in place; a constant
+  // column (one physical row) is expanded once so every cursor is flat.
+  const size_t rows = result.num_rows();
+  std::vector<ColumnVector> columns(result.data().columns());
+  std::vector<ColumnCursor> cursors;
+  cursors.reserve(columns.size());
+  for (ColumnVector& col : columns) {
+    col.Flatten();
+    ColumnCursor cursor{col.type(), col.validity_data(), nullptr, nullptr,
+                        nullptr};
+    switch (col.type()) {
+      case TypeId::kDouble:
+        cursor.doubles = col.double_data();
+        break;
+      case TypeId::kString:
+        cursor.strings = col.string_data().data();
+        break;
+      default:
+        cursor.ints = col.int64_data();
+        break;
     }
-    out += "]";
+    cursors.push_back(cursor);
   }
-  if (result.num_rows() > 0) out += "\n";
-  out += "], \"row_count\": " + std::to_string(result.num_rows()) + "}\n";
+  const size_t num_columns = cursors.size();
+  // About ten bytes per cell covers numeric results without regrowth.
+  out.reserve(out.size() + 64 + rows * (6 + num_columns * 10));
+  for (size_t row = 0; row < rows; ++row) {
+    out.append(row == 0 ? "\n  [" : ",\n  [", row == 0 ? 4 : 5);
+    for (size_t col = 0; col < num_columns; ++col) {
+      if (col > 0) out.append(", ", 2);
+      AppendCellJson(&out, cursors[col], row);
+    }
+    out.push_back(']');
+  }
+  if (rows > 0) out.push_back('\n');
+  out += "], \"row_count\": " + std::to_string(rows) + "}\n";
   return out;
 }
 
@@ -338,7 +401,15 @@ HttpResponse QueryHandler::HandleQuery(const HttpRequest& request) {
     return MakeErrorResponse(HttpStatusForStatus(result.status()),
                              result.status());
   }
-  return JsonResponse(200, SerializeResultJson(*result));
+  // server_request_seconds stops before serialization (the handler's own
+  // cost); the writer is observed on its own.
+  const auto serialize_start = std::chrono::steady_clock::now();
+  std::string body = SerializeResultJson(*result);
+  metrics.Observe("server_serialize_seconds",
+                  std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - serialize_start)
+                      .count());
+  return JsonResponse(200, std::move(body));
 }
 
 void QueryHandler::BeginDrain() {

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -26,17 +27,37 @@ int64_t EnvInt(const char* name, int64_t fallback) {
   return v;
 }
 
-/// send() until the whole buffer is on the wire; false on a dead peer.
-bool SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+/// Puts `response` on the wire: its head, then its body straight from
+/// the response (never copied behind the head), gathered by sendmsg()
+/// until every byte is sent. Partial writes and EINTR resume where they
+/// stopped; false on a dead peer.
+bool SendResponse(int fd, const HttpResponse& response,
+                  bool close_connection) {
+  const std::string head = SerializeHttpHead(response, close_connection);
+  iovec parts[2] = {
+      {const_cast<char*>(head.data()), head.size()},
+      {const_cast<char*>(response.body.data()), response.body.size()}};
+  iovec* pending = parts;
+  size_t count = 2;
+  while (count > 0) {
+    msghdr message{};
+    message.msg_iov = pending;
+    message.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    sent += static_cast<size_t>(n);
+    auto sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= pending->iov_len) {
+      sent -= pending->iov_len;
+      ++pending;
+      --count;
+    }
+    if (count > 0) {
+      pending->iov_base = static_cast<char*>(pending->iov_base) + sent;
+      pending->iov_len -= sent;
+    }
   }
   return true;
 }
@@ -138,7 +159,7 @@ void HttpServer::AcceptLoop() {
           503, Status::ResourceExhausted(
                    "connection limit of " +
                    std::to_string(options_.max_connections) + " reached"));
-      SendAll(fd, SerializeHttpResponse(busy, /*close_connection=*/true));
+      SendResponse(fd, busy, /*close_connection=*/true);
       ::close(fd);
       continue;
     }
@@ -191,7 +212,7 @@ void HttpServer::ServeConnection(int fd, ConnThread* self) {
           (request.version == "HTTP/1.0" &&
            !HeaderValueIs(request, "Connection", "keep-alive"));
       const HttpResponse response = handler_.Handle(request);
-      if (!SendAll(fd, SerializeHttpResponse(response, want_close))) {
+      if (!SendResponse(fd, response, want_close)) {
         close_conn = true;
         break;
       }
@@ -203,7 +224,7 @@ void HttpServer::ServeConnection(int fd, ConnThread* self) {
       const HttpResponse response = QueryHandler::MakeErrorResponse(
           parser.error_status(),
           Status::InvalidArgument(parser.error_message()));
-      SendAll(fd, SerializeHttpResponse(response, /*close_connection=*/true));
+      SendResponse(fd, response, /*close_connection=*/true);
       break;
     }
   }

@@ -19,10 +19,21 @@ void Chunk::AppendRow(const std::vector<Value>& row) {
   }
 }
 
-void Chunk::AppendRowFrom(const Chunk& other, size_t row) {
+void Chunk::Append(Chunk other) {
+  const size_t rows = other.num_rows();
+  if (rows == 0) return;
+  if (num_rows() == 0) {
+    *this = std::move(other);
+    for (ColumnVector& col : columns_) col.Flatten();
+    return;
+  }
   AGORA_DCHECK(other.num_columns() == columns_.size());
+  if (columns_.empty()) {
+    explicit_rows_ += rows;
+    return;
+  }
   for (size_t i = 0; i < columns_.size(); ++i) {
-    columns_[i].AppendFrom(other.columns_[i], row);
+    columns_[i].AppendRange(other.columns_[i], 0, rows);
   }
 }
 

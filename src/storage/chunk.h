@@ -40,8 +40,11 @@ class Chunk {
   /// Appends one row of Values (slow path; tests and tiny inserts).
   void AppendRow(const std::vector<Value>& row);
 
-  /// Appends row `row` from `other` (schemas must align).
-  void AppendRowFrom(const Chunk& other, size_t row);
+  /// Appends every row of `other` (schemas must align), one bulk
+  /// ColumnVector::AppendRange per column. While this chunk is still
+  /// empty, `other` is taken over whole instead of copied — a moved-in
+  /// chunk costs O(columns). Either way the result's columns are flat.
+  void Append(Chunk other);
 
   /// Keeps only rows named in `sel` (in order). Applies to every column.
   Chunk GatherRows(const std::vector<uint32_t>& sel) const;

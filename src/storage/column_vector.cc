@@ -1,5 +1,7 @@
 #include "storage/column_vector.h"
 
+#include <cstddef>
+
 #include "common/hash.h"
 
 namespace agora {
@@ -242,6 +244,51 @@ void ColumnVector::AppendFrom(const ColumnVector& other, size_t row) {
     case TypeId::kInvalid:
       break;
   }
+}
+
+void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
+                               size_t count) {
+  AGORA_DCHECK(type_ == src.type_);
+  AGORA_DCHECK(&src != this);
+  AGORA_DCHECK(begin + count <= src.size());
+  if (count == 0) return;
+  // EnsureUnique clones a buffer shared with `src` before it is written,
+  // so `in` below always names src's untouched payload.
+  Rep* out = EnsureUnique();
+  const Rep& in = *src.rep_;
+  const size_t first = src.constant_ ? 0 : begin;
+  const size_t last = src.constant_ ? 1 : begin + count;
+  // Appends [first, last) of `from` to `to`, or `count` copies of the
+  // single physical row of a constant source.
+  auto append = [&](auto& to, const auto& from) {
+    if (src.constant_) {
+      to.insert(to.end(), count, from[0]);
+    } else {
+      to.insert(to.end(), from.begin() + static_cast<std::ptrdiff_t>(first),
+                from.begin() + static_cast<std::ptrdiff_t>(last));
+    }
+  };
+  append(out->validity, in.validity);
+  switch (type_) {
+    case TypeId::kBool:
+    case TypeId::kInt64:
+    case TypeId::kDate:
+      append(out->ints, in.ints);
+      break;
+    case TypeId::kDouble:
+      append(out->doubles, in.doubles);
+      break;
+    case TypeId::kString:
+      append(out->strings, in.strings);
+      for (size_t i = out->strings.size() - count; i < out->strings.size();
+           ++i) {
+        out->string_bytes += StrCost(out->strings[i]);
+      }
+      break;
+    case TypeId::kInvalid:
+      break;
+  }
+  out->Recharge();
 }
 
 Value ColumnVector::GetValue(size_t i) const {

@@ -74,6 +74,11 @@ class ColumnVector {
   void AppendValue(const Value& v);
   /// Appends row `row` of `other` (same type).
   void AppendFrom(const ColumnVector& other, size_t row);
+  /// Appends rows [begin, begin+count) of `src` (same type, not *this)
+  /// with one typed bulk copy per buffer. A constant `src` appends
+  /// `count` copies of its value; `src` itself is never modified, even
+  /// when it shares its buffer with this vector.
+  void AppendRange(const ColumnVector& src, size_t begin, size_t count);
 
   // -- Element access ---------------------------------------------------
   // Constant-transparent: logical row `i` maps to physical row 0 in the

@@ -61,9 +61,7 @@ Status Table::AppendChunk(const Chunk& chunk) {
   }
   size_t rows = chunk.num_rows();
   for (size_t c = 0; c < columns_.size(); ++c) {
-    const ColumnVector& src = chunk.column(c);
-    columns_[c].Reserve(columns_[c].size() + rows);
-    for (size_t r = 0; r < rows; ++r) columns_[c].AppendFrom(src, r);
+    columns_[c].AppendRange(chunk.column(c), 0, rows);
   }
   num_rows_ += rows;
   InvalidateDerived();

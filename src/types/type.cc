@@ -1,6 +1,8 @@
 #include "types/type.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "common/string_util.h"
 
@@ -106,13 +108,34 @@ int MonthOfDate(int64_t days) {
   return static_cast<int>(m);
 }
 
-std::string DateToString(int64_t days) {
+size_t FormatDate(int64_t days, char* buf) {
   int y;
   unsigned m, d;
   CivilFromDays(days, &y, &m, &d);
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02u-%02u", y, m, d);
-  return buf;
+  if (y >= 0 && y <= 9999) {
+    auto two_digits = [](char* out, unsigned v) {
+      out[0] = static_cast<char>('0' + v / 10);
+      out[1] = static_cast<char>('0' + v % 10);
+    };
+    two_digits(buf, static_cast<unsigned>(y) / 100);
+    two_digits(buf + 2, static_cast<unsigned>(y) % 100);
+    buf[4] = '-';
+    two_digits(buf + 5, m);
+    buf[7] = '-';
+    two_digits(buf + 8, d);
+    return 10;
+  }
+  // Years outside 0..9999 keep printf's rendering ("-001", "12345").
+  char wide[kMaxDateChars + 1];
+  const int n = std::snprintf(wide, sizeof(wide), "%04d-%02u-%02u", y, m, d);
+  const size_t len = std::min(static_cast<size_t>(n), kMaxDateChars);
+  std::memcpy(buf, wide, len);
+  return len;
+}
+
+std::string DateToString(int64_t days) {
+  char buf[kMaxDateChars];
+  return std::string(buf, FormatDate(days, buf));
 }
 
 bool ParseDate(std::string_view s, int64_t* days_out) {

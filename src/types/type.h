@@ -1,6 +1,7 @@
 #ifndef AGORA_TYPES_TYPE_H_
 #define AGORA_TYPES_TYPE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -48,6 +49,13 @@ bool ImplicitlyCoercible(TypeId from, TypeId to);
 
 /// Converts days-since-epoch to "YYYY-MM-DD".
 std::string DateToString(int64_t days);
+
+/// Longest rendering FormatDate can produce (excluding a terminator).
+inline constexpr size_t kMaxDateChars = 15;
+
+/// Writes DateToString(days) into `buf` (at least kMaxDateChars bytes,
+/// not NUL-terminated) and returns its length; allocation-free.
+size_t FormatDate(int64_t days, char* buf);
 
 /// Parses "YYYY-MM-DD" into days-since-epoch. Returns false on malformed
 /// input.

@@ -19,6 +19,7 @@
 #include "common/hash.h"
 #include "engine/database.h"
 #include "exec/hash_table.h"
+#include "storage/chunk.h"
 #include "storage/column_vector.h"
 #include "tpch/tpch.h"
 
@@ -460,6 +461,148 @@ TEST_F(KernelsParallelTest, JoinAndAggregateByteIdenticalAcrossThreads) {
     EXPECT_EQ(serial.stats().bloom_filtered_rows,
               parallel.stats().bloom_filtered_rows);
   }
+}
+
+// ---------------------------------------------------------------------
+// Bulk append (ColumnVector::AppendRange, Chunk::Append): the typed
+// per-buffer copies must equal the per-row AppendFrom oracle.
+// ---------------------------------------------------------------------
+
+constexpr TypeId kAllTypes[] = {TypeId::kBool, TypeId::kInt64,
+                                TypeId::kDouble, TypeId::kDate,
+                                TypeId::kString};
+
+Value SampleValue(TypeId type, int i) {
+  if (i % 3 == 1) return Value::Null(type);
+  switch (type) {
+    case TypeId::kBool:
+      return Value::Bool(i % 2 == 0);
+    case TypeId::kInt64:
+      return Value::Int64(i * 1000003 - 7);
+    case TypeId::kDouble:
+      return Value::Double(i * 0.5 - 3.25);
+    case TypeId::kDate:
+      return Value::Date(9000 + i);
+    case TypeId::kString:
+      // Long enough that some strings leave the small-string buffer.
+      return Value::String("s" + std::string(static_cast<size_t>(i * 5), 'x'));
+    default:
+      return Value::Null(type);
+  }
+}
+
+/// `n` rows of `type` with a NULL in every third row.
+ColumnVector SampleColumn(TypeId type, int n, int offset = 0) {
+  ColumnVector col(type);
+  for (int i = 0; i < n; ++i) col.AppendValue(SampleValue(type, offset + i));
+  return col;
+}
+
+void ExpectSameColumn(const ColumnVector& got, const ColumnVector& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.type(), want.type()) << label;
+  ASSERT_EQ(got.size(), want.size()) << label;
+  EXPECT_TRUE(got.CheckConsistency().ok()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.IsNull(i), want.IsNull(i)) << label << " row " << i;
+    if (!want.IsNull(i)) {
+      EXPECT_EQ(got.GetValue(i).Compare(want.GetValue(i)), 0)
+          << label << " row " << i;
+    }
+  }
+}
+
+TEST(BulkAppendTest, FlatRangesMatchRowAppendsInEveryType) {
+  for (TypeId type : kAllTypes) {
+    const std::string label(TypeIdToString(type));
+    const ColumnVector src = SampleColumn(type, 10, 100);
+    ColumnVector bulk = SampleColumn(type, 4);
+    ColumnVector oracle = SampleColumn(type, 4);
+    bulk.AppendRange(src, 2, 7);
+    bulk.AppendRange(src, 9, 0);  // empty range: no-op
+    for (size_t r = 2; r < 9; ++r) oracle.AppendFrom(src, r);
+    ExpectSameColumn(bulk, oracle, label);
+
+    ColumnVector from_empty(type);  // no buffer yet
+    from_empty.AppendRange(src, 0, src.size());
+    ExpectSameColumn(from_empty, src, label + " into empty");
+  }
+}
+
+TEST(BulkAppendTest, ConstantSourcesAppendTheirValueOrNull) {
+  for (TypeId type : kAllTypes) {
+    for (int sample : {0, 1}) {  // sample 1 is NULL
+      const std::string label = std::string(TypeIdToString(type)) +
+                                (sample == 1 ? " NULL" : " value");
+      const Value v = SampleValue(type, sample);
+      const ColumnVector constant = ColumnVector::MakeConstant(type, v, 5);
+      ColumnVector bulk = SampleColumn(type, 3);
+      ColumnVector oracle = SampleColumn(type, 3);
+      bulk.AppendRange(constant, 1, 3);
+      for (int r = 0; r < 3; ++r) oracle.AppendValue(v);
+      EXPECT_FALSE(bulk.is_constant()) << label;
+      ExpectSameColumn(bulk, oracle, label);
+      EXPECT_TRUE(constant.is_constant()) << label;
+      EXPECT_EQ(constant.size(), 5u) << label;
+    }
+  }
+}
+
+TEST(BulkAppendTest, SharedSourceBufferStaysUnmodified) {
+  for (TypeId type : kAllTypes) {
+    const std::string label(TypeIdToString(type));
+    const ColumnVector original = SampleColumn(type, 6);
+    ColumnVector source = original;  // what the reader holds
+    ColumnVector grown = source;     // shares source's buffer (COW)
+    grown.AppendRange(source, 0, source.size());
+    ExpectSameColumn(source, original, label + " source");
+    ColumnVector doubled = SampleColumn(type, 6);
+    for (size_t r = 0; r < 6; ++r) doubled.AppendFrom(original, r);
+    ExpectSameColumn(grown, doubled, label + " grown");
+  }
+}
+
+TEST(BulkAppendTest, ChunkAppendTakesOverTheFirstChunkThenConcatenates) {
+  const Schema schema({{"i", TypeId::kInt64}, {"s", TypeId::kString}});
+  Chunk first;
+  first.AddColumn(SampleColumn(TypeId::kInt64, 4));
+  first.AddColumn(ColumnVector::MakeConstant(TypeId::kString,
+                                             Value::String("k"), 4));
+  Chunk second;
+  second.AddColumn(SampleColumn(TypeId::kInt64, 3, 4));
+  second.AddColumn(SampleColumn(TypeId::kString, 3, 4));
+  const Chunk reader = second;  // shares second's buffers
+
+  Chunk result(schema);
+  result.Append(Chunk(schema));  // empty chunks add nothing
+  result.Append(first);
+  ASSERT_EQ(result.num_rows(), 4u);
+  EXPECT_FALSE(result.column(1).is_constant());  // collected results are flat
+  result.Append(second);
+  ASSERT_EQ(result.num_rows(), 7u);
+
+  ColumnVector want_i = SampleColumn(TypeId::kInt64, 7);
+  ColumnVector want_s(TypeId::kString);
+  for (int r = 0; r < 4; ++r) want_s.AppendString("k");
+  for (int r = 4; r < 7; ++r) {
+    want_s.AppendValue(SampleValue(TypeId::kString, r));
+  }
+  ExpectSameColumn(result.column(0), want_i, "ints");
+  ExpectSameColumn(result.column(1), want_s, "strings");
+  ExpectSameColumn(reader.column(1), SampleColumn(TypeId::kString, 3, 4),
+                   "reader");
+  EXPECT_TRUE(first.column(1).is_constant());  // the source was copied
+
+  // Zero-column chunks carry only a row count.
+  Chunk counts;
+  Chunk three;
+  three.SetExplicitRowCount(3);
+  Chunk two;
+  two.SetExplicitRowCount(2);
+  counts.Append(three);
+  counts.Append(two);
+  EXPECT_EQ(counts.num_rows(), 5u);
+  EXPECT_EQ(counts.num_columns(), 0u);
 }
 
 }  // namespace

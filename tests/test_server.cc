@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,11 +141,12 @@ TEST(HttpParserTest, SerializeRoundTrips) {
   response.status = 404;
   response.headers.emplace_back("Content-Type", "application/json");
   response.body = "{}";
-  const std::string wire = SerializeHttpResponse(response, true);
-  EXPECT_NE(wire.find("HTTP/1.1 404 Not Found\r\n"), std::string::npos);
-  EXPECT_NE(wire.find("Content-Length: 2\r\n"), std::string::npos);
-  EXPECT_NE(wire.find("Connection: close\r\n"), std::string::npos);
-  EXPECT_EQ(wire.substr(wire.size() - 2), "{}");
+  const std::string head = SerializeHttpHead(response, true);
+  EXPECT_EQ(head.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u);
+  EXPECT_NE(head.find("Content-Length: 2\r\n"), std::string::npos);
+  EXPECT_NE(head.find("Connection: close\r\n"), std::string::npos);
+  // The head ends at the blank line; the body is sent behind it as is.
+  EXPECT_EQ(head.substr(head.size() - 4), "\r\n\r\n");
 }
 
 // ---------------------------------------------------------------------
@@ -276,6 +278,16 @@ TEST_F(QueryHandlerTest, MetricsEndpointSpeaksPrometheus) {
       std::string::npos);
   EXPECT_NE(response.body.find("agora_server_request_seconds_bucket"),
             std::string::npos);
+}
+
+TEST_F(QueryHandlerTest, SerializationIsObservedSeparately) {
+  const MetricsRegistry& metrics = db_.metrics();
+  ASSERT_EQ(metrics.HistogramCount("server_serialize_seconds"), 0);
+  Post("/query", R"({"sql": "SELECT a, b FROM t"})");
+  Post("/query", R"({"sql": "SELECT nope FROM t"})");  // 400: no body
+  EXPECT_EQ(metrics.HistogramCount("server_request_seconds"), 2);
+  EXPECT_EQ(metrics.HistogramCount("server_serialize_seconds"), 1);
+  EXPECT_GT(metrics.HistogramSum("server_serialize_seconds"), 0.0);
 }
 
 TEST(StatusMappingTest, CoversEveryCategory) {
@@ -462,6 +474,23 @@ TEST(WireFormatTest, EmptyAndZeroColumnResults) {
       "{\"columns\": [], \"rows\": [\n  [],\n  []\n], \"row_count\": 2}\n");
 }
 
+TEST(WireFormatTest, NonFiniteDoublesAreNull) {
+  const Schema schema({{"d", TypeId::kDouble}});
+  Chunk data(schema);
+  for (double v : {std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(), 1.0}) {
+    data.AppendRow({Value::Double(v)});
+  }
+  const std::string json =
+      QueryHandler::SerializeResultJson(MakeResult(schema, data));
+  EXPECT_EQ(json,
+            "{\"columns\": [{\"name\": \"d\", \"type\": \"DOUBLE\"}], "
+            "\"rows\": [\n  [null],\n  [null],\n  [null],\n  [1]\n], "
+            "\"row_count\": 4}\n");
+  EXPECT_TRUE(ParseJson(json).ok());
+}
+
 /// Served bodies over the engine path: QueryHandler routes SQL through
 /// Database::Execute, so collection (single- and multi-chunk, serial and
 /// morsel-parallel) sits between the table and the pinned bytes.
@@ -508,6 +537,21 @@ TEST_F(WireFormatServedTest, LiteralAndComputedColumns) {
   EXPECT_EQ(Served("SELECT a FROM t WHERE a > 10"),
             "{\"columns\": [{\"name\": \"a\", \"type\": \"BIGINT\"}], "
             "\"rows\": [], \"row_count\": 0}\n");
+}
+
+TEST_F(WireFormatServedTest, OverflowToInfinityServesValidJson) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE t (x DOUBLE)").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1e308), (0)").ok());
+  const std::string body = Served("SELECT x * 10.0 AS y FROM t");
+  EXPECT_EQ(body,
+            "{\"columns\": [{\"name\": \"y\", \"type\": \"DOUBLE\"}], "
+            "\"rows\": [\n  [null],\n  [0]\n], \"row_count\": 2}\n");
+  auto doc = ParseJson(body);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* rows = doc->Find("rows");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->array_items.size(), 2u);
+  EXPECT_TRUE(rows->array_items[0].array_items[0].is_null());
 }
 
 TEST_F(WireFormatServedTest, MultiChunkResultsAtOneAndFourThreads) {
@@ -785,6 +829,36 @@ TEST_F(HttpServerTest, StopIsIdempotentAndEngineOutlivesServer) {
   auto result = db_->Execute("SELECT COUNT(*) AS n FROM t");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->Get(0, 0).int64_value(), 6000);
+}
+
+TEST_F(HttpServerTest, BodiesLargerThanAMebibyteArriveWhole) {
+  StartServer();
+  // 1200 rows of 1000-byte strings: a ~1.2 MiB body, far more than the
+  // socket buffers hold, so it streams out while the client reads.
+  ASSERT_TRUE(db_->Execute("CREATE TABLE wide (k BIGINT, s VARCHAR)").ok());
+  const std::string filler(1000, 'w');
+  for (int start = 0; start < 1200; start += 100) {
+    std::string insert = "INSERT INTO wide VALUES ";
+    for (int i = start; i < start + 100; ++i) {
+      if (i > start) insert += ", ";
+      insert += "(" + std::to_string(i) + ", '" + filler + "')";
+    }
+    ASSERT_TRUE(db_->Execute(insert).ok());
+  }
+  const std::string sql = "SELECT k, s FROM wide";
+  auto embedded = db_->Execute(sql);
+  ASSERT_TRUE(embedded.ok());
+  const std::string expected = QueryHandler::SerializeResultJson(*embedded);
+  ASSERT_GT(expected.size(), size_t{1} << 20);
+
+  HttpClient client("127.0.0.1", server_->port());
+  for (int round = 0; round < 2; ++round) {  // keep-alive reuse after it
+    auto response = client.Post("/query", QueryBody(sql));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200);
+    EXPECT_EQ(response->body.size(), expected.size());
+    EXPECT_TRUE(response->body == expected);
+  }
 }
 
 // ---------------------------------------------------------------------
