@@ -53,14 +53,11 @@ void AppendCellJson(std::string* out, const ColumnCursor& col, size_t row) {
   char buf[32];
   switch (col.type) {
     case TypeId::kBool:
-      if (col.ints[row] != 0) {
-        out->append("true", 4);
-      } else {
-        out->append("false", 5);
-      }
+      out->append(col.ints[row] != 0 ? "true" : "false");
       break;
     case TypeId::kInt64: {
-      const char* end = std::to_chars(buf, buf + sizeof(buf), col.ints[row]).ptr;
+      const char* end =
+          std::to_chars(buf, buf + sizeof(buf), col.ints[row]).ptr;
       out->append(buf, static_cast<size_t>(end - buf));
       break;
     }
