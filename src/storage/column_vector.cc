@@ -256,16 +256,14 @@ void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
   // so `in` below always names src's untouched payload.
   Rep* out = EnsureUnique();
   const Rep& in = *src.rep_;
-  const size_t first = src.constant_ ? 0 : begin;
-  const size_t last = src.constant_ ? 1 : begin + count;
-  // Appends [first, last) of `from` to `to`, or `count` copies of the
-  // single physical row of a constant source.
+  // Appends the range from one of src's buffers, or `count` copies of
+  // the single physical row of a constant source.
   auto append = [&](auto& to, const auto& from) {
     if (src.constant_) {
       to.insert(to.end(), count, from[0]);
     } else {
-      to.insert(to.end(), from.begin() + static_cast<std::ptrdiff_t>(first),
-                from.begin() + static_cast<std::ptrdiff_t>(last));
+      const auto first = from.begin() + static_cast<std::ptrdiff_t>(begin);
+      to.insert(to.end(), first, first + static_cast<std::ptrdiff_t>(count));
     }
   };
   append(out->validity, in.validity);

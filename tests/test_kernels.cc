@@ -551,13 +551,13 @@ TEST(BulkAppendTest, ConstantSourcesAppendTheirValueOrNull) {
 TEST(BulkAppendTest, SharedSourceBufferStaysUnmodified) {
   for (TypeId type : kAllTypes) {
     const std::string label(TypeIdToString(type));
-    const ColumnVector original = SampleColumn(type, 6);
-    ColumnVector source = original;  // what the reader holds
-    ColumnVector grown = source;     // shares source's buffer (COW)
+    const ColumnVector expected = SampleColumn(type, 6);  // own buffer
+    const ColumnVector source = SampleColumn(type, 6);
+    ColumnVector grown = source;  // shares source's buffer (COW)
     grown.AppendRange(source, 0, source.size());
-    ExpectSameColumn(source, original, label + " source");
+    ExpectSameColumn(source, expected, label + " source");
     ColumnVector doubled = SampleColumn(type, 6);
-    for (size_t r = 0; r < 6; ++r) doubled.AppendFrom(original, r);
+    for (size_t r = 0; r < 6; ++r) doubled.AppendFrom(expected, r);
     ExpectSameColumn(grown, doubled, label + " grown");
   }
 }
@@ -589,9 +589,12 @@ TEST(BulkAppendTest, ChunkAppendTakesOverTheFirstChunkThenConcatenates) {
   }
   ExpectSameColumn(result.column(0), want_i, "ints");
   ExpectSameColumn(result.column(1), want_s, "strings");
+  // The appended-to result shared first's buffers; neither source moved.
+  ExpectSameColumn(first.column(0), SampleColumn(TypeId::kInt64, 4),
+                   "first");
+  EXPECT_TRUE(first.column(1).is_constant());
   ExpectSameColumn(reader.column(1), SampleColumn(TypeId::kString, 3, 4),
                    "reader");
-  EXPECT_TRUE(first.column(1).is_constant());  // the source was copied
 
   // Zero-column chunks carry only a row count.
   Chunk counts;
