@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/timer.h"
 #include "exec/parallel.h"
@@ -66,17 +68,19 @@ namespace {
 
 /// Parses a byte-size string: plain bytes with an optional k/m/g suffix
 /// (case-insensitive, powers of 1024). Returns 0 (= unlimited) on empty
-/// or malformed input — a bad knob must never make the engine reject
-/// every query.
+/// or malformed input, including sizes that overflow int64_t — a bad
+/// knob must never make the engine reject every query.
 int64_t ParseByteSize(const char* text) {
   if (text == nullptr || *text == '\0') return 0;
   char* end = nullptr;
+  errno = 0;
   long long value = std::strtoll(text, &end, 10);
-  if (end == text || value < 0) return 0;
+  if (end == text || value < 0 || errno == ERANGE) return 0;
   int64_t scale = 1;
   if (*end == 'k' || *end == 'K') scale = int64_t{1} << 10;
   if (*end == 'm' || *end == 'M') scale = int64_t{1} << 20;
   if (*end == 'g' || *end == 'G') scale = int64_t{1} << 30;
+  if (value > std::numeric_limits<int64_t>::max() / scale) return 0;
   return static_cast<int64_t>(value) * scale;
 }
 
@@ -92,7 +96,6 @@ Database::Database(DatabaseOptions options)
 Result<QueryResult> Database::Execute(const std::string& sql,
                                       const QueryControl* control) {
   AGORA_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  statements_executed_.fetch_add(1, std::memory_order_relaxed);
   metrics_.Add("statements_total", 1.0);
   if (auto* select = std::get_if<SelectStatement>(&stmt.node)) {
     return ExecuteSelect(*select, stmt.explain, stmt.analyze, control);
@@ -192,10 +195,7 @@ Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
   // digging deeper before the first chunk.
   Status admit = memory_root_->CheckBudget("admission");
   if (!admit.ok()) {
-    {
-      MutexLock lock(stats_mu_);
-      cumulative_stats_.mem_budget_rejections += 1;
-    }
+    // Nothing ran, so there are no per-query counters to fold in.
     metrics_.Add("mem_budget_rejections_total", 1.0);
     return admit;
   }
@@ -210,8 +210,8 @@ Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
   }
   // Every execution gets a fresh context, so per-query stats (and the
   // EXPLAIN ANALYZE profile derived from them) start from zero — running
-  // the same analysis back to back reports identical counters. Only the
-  // single Merge below touches the database-wide accumulators.
+  // the same analysis back to back reports identical counters. Exactly
+  // one Record* call below folds them into the engine-wide registry.
   ExecContext context;
   context.control = control;
   // Per-query tracker: a child of the engine root, installed as the
@@ -235,37 +235,25 @@ Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
   // The root collector itself runs through the morsel pipeline when the
   // whole plan is pipeline-shaped (e.g. scan-filter queries).
   Result<Chunk> collected = ParallelCollectAll(root.get(), &context);
+  const double seconds = timer.ElapsedSeconds();
+  context.stats.mem_bytes_reserved_peak =
+      std::max(context.stats.mem_bytes_reserved_peak, query_tracker->peak());
   if (!collected.ok()) {
     // Budget exhaustion is a per-query failure, never a process failure:
-    // count it, fold the partial stats in, and hand the Status back with
-    // the engine fully usable for the next statement.
+    // count it, fold the partial counters in, and hand the Status back
+    // with the engine fully usable for the next statement.
     if (collected.status().code() == StatusCode::kResourceExhausted) {
       context.stats.mem_budget_rejections += 1;
-      metrics_.Add("mem_budget_rejections_total", 1.0);
     }
     if (collected.status().code() == StatusCode::kDeadlineExceeded) {
       metrics_.Add("queries_cancelled_total", 1.0);
     }
-    context.stats.mem_bytes_reserved_peak =
-        std::max(context.stats.mem_bytes_reserved_peak,
-                 query_tracker->peak());
-    {
-      MutexLock lock(stats_mu_);
-      cumulative_stats_.Merge(context.stats);
-    }
+    RecordExecCounters(context.stats);
     return collected.status();
   }
   Chunk data = std::move(collected).value();
-  const double seconds = timer.ElapsedSeconds();
-  context.stats.mem_bytes_reserved_peak = std::max(
-      context.stats.mem_bytes_reserved_peak, query_tracker->peak());
   std::vector<OperatorProfileNode> profile =
       CollectProfile(root.get(), context.stats);
-  // Accumulate into the database-wide counters.
-  {
-    MutexLock lock(stats_mu_);
-    cumulative_stats_.Merge(context.stats);
-  }
   RecordQueryMetrics(context.stats, profile, seconds, data.num_rows());
   return QueryResult(plan->schema(), std::move(data), context.stats,
                      std::move(profile));
@@ -282,53 +270,7 @@ SpillManager* Database::EnsureSpillManager() {
 void Database::RecordQueryMetrics(
     const ExecStats& stats, const std::vector<OperatorProfileNode>& profile,
     double seconds, size_t result_rows) {
-  // One registry counter per ExecStats field (names are the documented
-  // contract — docs/METRICS.md must list every literal below).
-  metrics_.Add("rows_scanned_total", static_cast<double>(stats.rows_scanned));
-  metrics_.Add("blocks_read_total", static_cast<double>(stats.blocks_read));
-  metrics_.Add("blocks_skipped_total",
-               static_cast<double>(stats.blocks_skipped));
-  metrics_.Add("rows_joined_total", static_cast<double>(stats.rows_joined));
-  metrics_.Add("probe_calls_total", static_cast<double>(stats.probe_calls));
-  metrics_.Add("rows_aggregated_total",
-               static_cast<double>(stats.rows_aggregated));
-  metrics_.Add("rows_sorted_total", static_cast<double>(stats.rows_sorted));
-  metrics_.Add("bytes_materialized_total",
-               static_cast<double>(stats.bytes_materialized));
-  metrics_.Add("chunks_emitted_total",
-               static_cast<double>(stats.chunks_emitted));
-  metrics_.Add("hybrid_filter_rows_total",
-               static_cast<double>(stats.hybrid_filter_rows));
-  metrics_.Add("vector_distances_total",
-               static_cast<double>(stats.vector_distances));
-  metrics_.Add("overfetch_retries_total",
-               static_cast<double>(stats.overfetch_retries));
-  metrics_.Add("fusion_candidates_total",
-               static_cast<double>(stats.fusion_candidates));
-  metrics_.Add("hash_table_entries_total",
-               static_cast<double>(stats.hash_table_entries));
-  metrics_.Add("hash_table_slots_total",
-               static_cast<double>(stats.hash_table_slots));
-  metrics_.Add("hash_table_lookups_total",
-               static_cast<double>(stats.hash_table_lookups));
-  metrics_.Add("hash_table_probe_steps_total",
-               static_cast<double>(stats.hash_table_probe_steps));
-  metrics_.Add("bloom_checked_rows_total",
-               static_cast<double>(stats.bloom_checked_rows));
-  metrics_.Add("bloom_filtered_rows_total",
-               static_cast<double>(stats.bloom_filtered_rows));
-  metrics_.Add("expr_rows_evaluated_total",
-               static_cast<double>(stats.expr_rows_evaluated));
-  metrics_.Add("sel_vector_hits_total",
-               static_cast<double>(stats.sel_vector_hits));
-  metrics_.Add("filter_gathers_avoided_total",
-               static_cast<double>(stats.filter_gathers_avoided));
-  metrics_.Add("spill_partitions_total",
-               static_cast<double>(stats.spill_partitions));
-  metrics_.Add("spill_bytes_written_total",
-               static_cast<double>(stats.spill_bytes_written));
-  metrics_.Add("spill_bytes_read_total",
-               static_cast<double>(stats.spill_bytes_read));
+  RecordExecCounters(stats);
   metrics_.Add("queries_total", 1.0);
   metrics_.Add("query_seconds_total", seconds);
   metrics_.Add("joules_proxy_total", stats.JoulesProxy());
@@ -343,10 +285,19 @@ void Database::RecordQueryMetrics(
   }
   metrics_.SetGauge("last_query_seconds", seconds);
   metrics_.SetGauge("last_query_rows", static_cast<double>(result_rows));
-  metrics_.SetGauge("mem_bytes_reserved_peak",
-                    static_cast<double>(stats.mem_bytes_reserved_peak));
   metrics_.SetGauge("execution_threads",
                     static_cast<double>(options_.physical.num_threads));
+}
+
+void Database::RecordExecCounters(const ExecStats& stats) {
+  for (const ExecCounter& c : kExecCounters) {
+    const double value = static_cast<double>(stats.*c.member);
+    if (c.merge == CounterMerge::kMax) {
+      metrics_.SetGauge(c.metric, value);
+    } else {
+      metrics_.Add(c.metric, value);
+    }
+  }
 }
 
 Result<QueryResult> Database::ExecuteSelect(const SelectStatement& select,

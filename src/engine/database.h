@@ -127,28 +127,6 @@ class Database {
   Result<QueryResult> ExecutePlan(const LogicalOpPtr& plan,
                                   const QueryControl* control);
 
-  /// Number of statements executed since construction (the ORM experiment
-  /// counts round trips with this).
-  int64_t statements_executed() const {
-    return statements_executed_.load(std::memory_order_relaxed);
-  }
-
-  /// Cumulative execution stats across all statements, returned as a
-  /// consistent copy (concurrent queries merge under a lock). Kept for
-  /// direct struct access; the MetricsRegistry subsumes these counters
-  /// under stable exported names (see docs/METRICS.md).
-  ExecStats cumulative_stats() const {
-    MutexLock lock(stats_mu_);
-    return cumulative_stats_;
-  }
-  void ResetCumulativeStats() {
-    {
-      MutexLock lock(stats_mu_);
-      cumulative_stats_.Reset();
-    }
-    metrics_.Reset();
-  }
-
   /// True when `sql`'s leading keywords mark a statement that never
   /// mutates engine state: SELECT, bare or wrapped in EXPLAIN [ANALYZE].
   /// EXPLAIN before anything else classifies as a write (Execute()
@@ -159,7 +137,9 @@ class Database {
   static bool IsReadOnlyStatement(const std::string& sql);
 
   /// Engine-wide named counters and gauges, updated once per executed
-  /// query (never double-counted by EXPLAIN ANALYZE re-renders).
+  /// query (never double-counted by EXPLAIN ANALYZE re-renders); the
+  /// one process-lifetime home of the ExecStats counters. Reset() clears
+  /// them.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
@@ -231,6 +211,10 @@ class Database {
                           const std::vector<OperatorProfileNode>& profile,
                           double seconds, size_t result_rows);
 
+  /// Exports every kExecCounters row of `stats` (sum rows as counters,
+  /// max rows as gauges). Failed executions record only this part.
+  void RecordExecCounters(const ExecStats& stats);
+
   /// Returns the (lazily created) spill manager under spill_mu_. The
   /// returned SpillManager is internally synchronized, so only the
   /// pointer slot needs the lock.
@@ -239,9 +223,6 @@ class Database {
   DatabaseOptions options_;
   Catalog catalog_;
   Optimizer optimizer_;
-  std::atomic<int64_t> statements_executed_{0};
-  mutable Mutex stats_mu_;
-  ExecStats cumulative_stats_ AGORA_GUARDED_BY(stats_mu_);
   MetricsRegistry metrics_;
   std::shared_ptr<MemoryTracker> memory_root_;
   Mutex spill_mu_;  // guards lazy spill_ creation + the directory it uses

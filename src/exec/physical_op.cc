@@ -1,5 +1,6 @@
 #include "exec/physical_op.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -8,48 +9,35 @@
 
 namespace agora {
 
+void ExecStats::Merge(const ExecStats& other) {
+  for (const ExecCounter& c : kExecCounters) {
+    if (c.merge == CounterMerge::kMax) {
+      this->*c.member = std::max(this->*c.member, other.*c.member);
+    } else {
+      this->*c.member += other.*c.member;
+    }
+  }
+  if (op_timings.size() < other.op_timings.size()) {
+    op_timings.resize(other.op_timings.size());
+  }
+  for (size_t i = 0; i < other.op_timings.size(); ++i) {
+    op_timings[i].Merge(other.op_timings[i]);
+  }
+}
+
 std::string ExecStats::ToString() const {
+  bool shown[static_cast<int>(CounterGroup::kSpill) + 1] = {};
+  shown[static_cast<int>(CounterGroup::kCore)] = true;
+  for (const ExecCounter& c : kExecCounters) {
+    if (this->*c.member != 0) shown[static_cast<int>(c.group)] = true;
+  }
   std::string out;
-  out += "rows_scanned=" + FormatCount(rows_scanned);
-  out += " blocks_read=" + FormatCount(blocks_read);
-  out += " blocks_skipped=" + FormatCount(blocks_skipped);
-  out += " rows_joined=" + FormatCount(rows_joined);
-  out += " probe_calls=" + FormatCount(probe_calls);
-  out += " rows_aggregated=" + FormatCount(rows_aggregated);
-  out += " rows_sorted=" + FormatCount(rows_sorted);
-  out += " bytes_materialized=" + FormatCount(bytes_materialized);
-  if (hybrid_filter_rows > 0 || vector_distances > 0 ||
-      fusion_candidates > 0) {
-    out += " hybrid_filter_rows=" + FormatCount(hybrid_filter_rows);
-    out += " vector_distances=" + FormatCount(vector_distances);
-    out += " overfetch_retries=" + FormatCount(overfetch_retries);
-    out += " fusion_candidates=" + FormatCount(fusion_candidates);
-  }
-  if (hash_table_entries > 0 || hash_table_lookups > 0 ||
-      bloom_checked_rows > 0) {
-    out += " hash_table_entries=" + FormatCount(hash_table_entries);
-    out += " hash_table_slots=" + FormatCount(hash_table_slots);
-    out += " hash_table_lookups=" + FormatCount(hash_table_lookups);
-    out += " hash_table_probe_steps=" + FormatCount(hash_table_probe_steps);
-    out += " bloom_checked_rows=" + FormatCount(bloom_checked_rows);
-    out += " bloom_filtered_rows=" + FormatCount(bloom_filtered_rows);
-  }
-  if (expr_rows_evaluated > 0 || sel_vector_hits > 0 ||
-      filter_gathers_avoided > 0) {
-    out += " expr_rows_evaluated=" + FormatCount(expr_rows_evaluated);
-    out += " sel_vector_hits=" + FormatCount(sel_vector_hits);
-    out += " filter_gathers_avoided=" + FormatCount(filter_gathers_avoided);
-  }
-  if (mem_bytes_reserved_peak > 0) {
-    out += " mem_bytes_reserved_peak=" + FormatCount(mem_bytes_reserved_peak);
-  }
-  if (mem_budget_rejections > 0) {
-    out += " mem_budget_rejections=" + FormatCount(mem_budget_rejections);
-  }
-  if (spill_partitions > 0 || spill_bytes_written > 0) {
-    out += " spill_partitions=" + FormatCount(spill_partitions);
-    out += " spill_bytes_written=" + FormatCount(spill_bytes_written);
-    out += " spill_bytes_read=" + FormatCount(spill_bytes_read);
+  for (const ExecCounter& c : kExecCounters) {
+    if (!shown[static_cast<int>(c.group)]) continue;
+    if (!out.empty()) out += ' ';
+    out += c.field;
+    out += '=';
+    out += FormatCount(this->*c.member);
   }
   return out;
 }

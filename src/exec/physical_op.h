@@ -18,50 +18,77 @@ namespace agora {
 class SpillManager;
 class ThreadPool;
 
+/// How a counter combines across per-worker blocks: kSum adds them (the
+/// registry exports a counter); kMax keeps the high-water mark (the
+/// registry exports a gauge of the latest query's value).
+enum class CounterMerge { kSum, kMax };
+
+/// ExecStats::ToString prints the kCore counters always and every other
+/// group only when at least one of its counters is nonzero.
+enum class CounterGroup {
+  kCore, kHybrid, kHash, kExpr, kPeak, kReject, kSpill  // kSpill stays last
+};
+
+/// kExact counters are equal at every worker count (the determinism
+/// contract, pinned by tests/test_parallel_exec.cc); kVaries counters
+/// depend on the partition count (= worker count on the join build) or
+/// on scheduling, so they are reported but not compared.
+enum class CounterThreads { kExact, kVaries };
+
+/// The execution counters, one row each, in ToString order:
+///   X(field, "registry name", merge, group, threads)
+/// Every other list of counters (ExecStats members, Merge, ToString, the
+/// registry export in Database, the determinism test) is generated from
+/// or iterates over this table, so adding a counter takes one row plus a
+/// docs/METRICS.md entry, which describes every counter (the
+/// metrics-doc-drift lint rule reads the registry names here).
+///
+/// Groups: kCore = relational operators; kHybrid = PhysicalHybridSearch
+/// (mirrors the legacy HybridQueryStats fields); kHash = vectorized hash
+/// tables (exec/hash_table.h); kExpr = the expression engine's
+/// ExprCounters, folded in by filter/project/scan; kPeak/kReject/kSpill =
+/// memory governance (common/memory_tracker.h, storage/spill.h), where
+/// the spill triple is nonzero only when a budgeted operator actually
+/// parked partitions on disk.
+// clang-format off
+#define AGORA_EXEC_STATS_COUNTERS(X)                                                 \
+  X(rows_scanned,            "rows_scanned_total",           kSum, kCore,   kExact)  \
+  X(blocks_read,             "blocks_read_total",            kSum, kCore,   kExact)  \
+  X(blocks_skipped,          "blocks_skipped_total",         kSum, kCore,   kExact)  \
+  X(rows_joined,             "rows_joined_total",            kSum, kCore,   kExact)  \
+  X(probe_calls,             "probe_calls_total",            kSum, kCore,   kExact)  \
+  X(rows_aggregated,         "rows_aggregated_total",        kSum, kCore,   kExact)  \
+  X(rows_sorted,             "rows_sorted_total",            kSum, kCore,   kExact)  \
+  X(bytes_materialized,      "bytes_materialized_total",     kSum, kCore,   kExact)  \
+  X(chunks_emitted,          "chunks_emitted_total",         kSum, kCore,   kExact)  \
+  X(hybrid_filter_rows,      "hybrid_filter_rows_total",     kSum, kHybrid, kExact)  \
+  X(vector_distances,        "vector_distances_total",       kSum, kHybrid, kExact)  \
+  X(overfetch_retries,       "overfetch_retries_total",      kSum, kHybrid, kExact)  \
+  X(fusion_candidates,       "fusion_candidates_total",      kSum, kHybrid, kExact)  \
+  X(hash_table_entries,      "hash_table_entries_total",     kSum, kHash,   kExact)  \
+  X(hash_table_slots,        "hash_table_slots_total",       kSum, kHash,   kVaries) \
+  X(hash_table_lookups,      "hash_table_lookups_total",     kSum, kHash,   kExact)  \
+  X(hash_table_probe_steps,  "hash_table_probe_steps_total", kSum, kHash,   kVaries) \
+  X(bloom_checked_rows,      "bloom_checked_rows_total",     kSum, kHash,   kExact)  \
+  X(bloom_filtered_rows,     "bloom_filtered_rows_total",    kSum, kHash,   kExact)  \
+  X(expr_rows_evaluated,     "expr_rows_evaluated_total",    kSum, kExpr,   kExact)  \
+  X(sel_vector_hits,         "sel_vector_hits_total",        kSum, kExpr,   kExact)  \
+  X(filter_gathers_avoided,  "filter_gathers_avoided_total", kSum, kExpr,   kExact)  \
+  X(mem_bytes_reserved_peak, "mem_bytes_reserved_peak",      kMax, kPeak,   kVaries) \
+  X(mem_budget_rejections,   "mem_budget_rejections_total",  kSum, kReject, kExact)  \
+  X(spill_partitions,        "spill_partitions_total",       kSum, kSpill,  kExact)  \
+  X(spill_bytes_written,     "spill_bytes_written_total",    kSum, kSpill,  kExact)  \
+  X(spill_bytes_read,        "spill_bytes_read_total",       kSum, kSpill,  kExact)
+// clang-format on
+
 /// Counters collected while a query runs. Also the basis of the
 /// sustainability proxy in experiment E7: `JoulesProxy()` weighs data
 /// movement and materialization, not just wall-clock time.
 struct ExecStats {
-  int64_t rows_scanned = 0;
-  int64_t blocks_read = 0;
-  int64_t blocks_skipped = 0;   // zone-map pruning wins
-  int64_t rows_joined = 0;      // join output rows
-  int64_t probe_calls = 0;      // hash table probes
-  int64_t rows_aggregated = 0;  // aggregate input rows
-  int64_t rows_sorted = 0;
-  int64_t bytes_materialized = 0;
-  int64_t chunks_emitted = 0;
-  // Hybrid-search counters (PhysicalHybridSearch). Mirror the legacy
-  // HybridQueryStats fields so EXPLAIN ANALYZE reports them uniformly.
-  int64_t hybrid_filter_rows = 0;    // rows the attribute predicate touched
-  int64_t vector_distances = 0;      // distance computations
-  int64_t overfetch_retries = 0;     // post-filter fetch doublings
-  int64_t fusion_candidates = 0;     // docs in the final fused ranking
-  // Vectorized hash-table counters (exec/hash_table.h). The bloom pair is
-  // thread-invariant; slots and probe_steps depend on the partition count
-  // (= worker count on the join build), so they are reported but excluded
-  // from the determinism contract.
-  int64_t bloom_checked_rows = 0;        // probe rows tested on the filter
-  int64_t bloom_filtered_rows = 0;       // probe rows rejected pre-table
-  int64_t hash_table_entries = 0;        // keys stored across tables built
-  int64_t hash_table_slots = 0;          // slot-directory capacity built
-  int64_t hash_table_lookups = 0;        // key lookups issued
-  int64_t hash_table_probe_steps = 0;    // slot inspections across lookups
-  // Vectorized expression-engine counters (expr/expr.h ExprCounters,
-  // folded in by filter/project/scan). Thread-invariant: batch sizes
-  // depend only on block layout and the predicate, never worker count.
-  int64_t expr_rows_evaluated = 0;   // rows through non-leaf expr kernels
-  int64_t sel_vector_hits = 0;       // kernel calls under a narrowed selection
-  int64_t filter_gathers_avoided = 0;  // filter outputs reused without gather
-  // Memory-governance counters (common/memory_tracker.h, storage/spill.h).
-  // The peak merges via max (it is a high-water mark, not additive); the
-  // spill triple is additive and nonzero only when a budgeted operator
-  // actually parked partitions on disk.
-  int64_t mem_bytes_reserved_peak = 0;  // query tracker high-water mark
-  int64_t mem_budget_rejections = 0;    // queries failed on budget pressure
-  int64_t spill_partitions = 0;         // partitions parked on disk
-  int64_t spill_bytes_written = 0;      // bytes serialized to spill files
-  int64_t spill_bytes_read = 0;         // bytes read back from spill files
+#define AGORA_EXEC_STATS_MEMBER(field, metric, merge, group, threads) \
+  int64_t field = 0;
+  AGORA_EXEC_STATS_COUNTERS(AGORA_EXEC_STATS_MEMBER)
+#undef AGORA_EXEC_STATS_MEMBER
 
   /// Per-operator self-time slots, indexed by PhysicalOperator::op_id().
   /// Additive like every other counter; per-worker copies merge exactly.
@@ -74,45 +101,10 @@ struct ExecStats {
 
   void Reset() { *this = ExecStats{}; }
 
-  /// Folds another stats block into this one. All counters are additive,
-  /// so merging per-worker slots reproduces the serial totals exactly.
-  void Merge(const ExecStats& other) {
-    rows_scanned += other.rows_scanned;
-    blocks_read += other.blocks_read;
-    blocks_skipped += other.blocks_skipped;
-    rows_joined += other.rows_joined;
-    probe_calls += other.probe_calls;
-    rows_aggregated += other.rows_aggregated;
-    rows_sorted += other.rows_sorted;
-    bytes_materialized += other.bytes_materialized;
-    chunks_emitted += other.chunks_emitted;
-    hybrid_filter_rows += other.hybrid_filter_rows;
-    vector_distances += other.vector_distances;
-    overfetch_retries += other.overfetch_retries;
-    fusion_candidates += other.fusion_candidates;
-    bloom_checked_rows += other.bloom_checked_rows;
-    bloom_filtered_rows += other.bloom_filtered_rows;
-    hash_table_entries += other.hash_table_entries;
-    hash_table_slots += other.hash_table_slots;
-    hash_table_lookups += other.hash_table_lookups;
-    hash_table_probe_steps += other.hash_table_probe_steps;
-    expr_rows_evaluated += other.expr_rows_evaluated;
-    sel_vector_hits += other.sel_vector_hits;
-    filter_gathers_avoided += other.filter_gathers_avoided;
-    if (other.mem_bytes_reserved_peak > mem_bytes_reserved_peak) {
-      mem_bytes_reserved_peak = other.mem_bytes_reserved_peak;
-    }
-    mem_budget_rejections += other.mem_budget_rejections;
-    spill_partitions += other.spill_partitions;
-    spill_bytes_written += other.spill_bytes_written;
-    spill_bytes_read += other.spill_bytes_read;
-    if (op_timings.size() < other.op_timings.size()) {
-      op_timings.resize(other.op_timings.size());
-    }
-    for (size_t i = 0; i < other.op_timings.size(); ++i) {
-      op_timings[i].Merge(other.op_timings[i]);
-    }
-  }
+  /// Folds another stats block into this one, counter by counter as the
+  /// table's merge column says, so merging per-worker slots reproduces
+  /// the serial totals exactly.
+  void Merge(const ExecStats& other);
 
   /// Synthetic energy proxy (arbitrary units): weighted sum of bytes moved
   /// and per-row work. Tracks resource footprint independent of latency.
@@ -123,7 +115,27 @@ struct ExecStats {
            1e-9 * static_cast<double>(probe_calls);
   }
 
+  /// Space-separated `field=count` pairs in table order, grouped as
+  /// CounterGroup describes (the EXPLAIN ANALYZE totals line).
   std::string ToString() const;
+};
+
+/// One row of AGORA_EXEC_STATS_COUNTERS as data.
+struct ExecCounter {
+  const char* field;   // ExecStats member name, as ToString prints it
+  const char* metric;  // MetricsRegistry series name
+  CounterMerge merge;
+  CounterGroup group;
+  CounterThreads threads;
+  int64_t ExecStats::*member;
+};
+
+inline constexpr ExecCounter kExecCounters[] = {
+#define AGORA_EXEC_STATS_ROW(field, metric, merge, group, threads)        \
+  {#field, metric, CounterMerge::merge, CounterGroup::group,              \
+   CounterThreads::threads, &ExecStats::field},
+    AGORA_EXEC_STATS_COUNTERS(AGORA_EXEC_STATS_ROW)
+#undef AGORA_EXEC_STATS_ROW
 };
 
 /// Per-query execution context shared by all operators of one plan.

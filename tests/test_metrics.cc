@@ -298,60 +298,76 @@ std::string StripTimings(const std::string& text) {
 
 /// Regression: every EXPLAIN ANALYZE executes in a fresh per-query
 /// context, so running the same analysis back to back must report
-/// identical counters (no accumulation), while the database-wide
-/// cumulative counters grow exactly linearly (merged exactly once).
+/// identical counters (no accumulation), while the engine-wide registry
+/// counters grow exactly linearly (recorded exactly once).
 TEST_F(MetricsEngineTest, BackToBackExplainAnalyzeDoesNotDoubleCount) {
   const std::string sql = std::string("EXPLAIN ANALYZE ") + kAggSql;
-  const int64_t scanned0 = db_->cumulative_stats().rows_scanned;
+  auto scanned = [] {
+    return db_->metrics().CounterValue("rows_scanned_total");
+  };
+  const double scanned0 = scanned();
   QueryResult first = RunAt(0, sql);
-  const int64_t scanned1 = db_->cumulative_stats().rows_scanned;
+  const double scanned1 = scanned();
   QueryResult second = RunAt(0, sql);
-  const int64_t scanned2 = db_->cumulative_stats().rows_scanned;
+  const double scanned2 = scanned();
 
-  const int64_t delta1 = scanned1 - scanned0;
-  const int64_t delta2 = scanned2 - scanned1;
+  const double delta1 = scanned1 - scanned0;
+  const double delta2 = scanned2 - scanned1;
   EXPECT_GT(delta1, 0);
-  EXPECT_EQ(delta1, delta2);  // merged exactly once per run
+  EXPECT_EQ(delta1, delta2);  // recorded exactly once per run
 
   std::string text1 = StripTimings(first.Get(0, 0).ToString());
   std::string text2 = StripTimings(second.Get(0, 0).ToString());
   EXPECT_EQ(text1, text2);
 }
 
+/// Every row of the counter table is exported under its registry name,
+/// and from an empty registry (as on a fresh Database) one query's
+/// exported values equal that query's own QueryResult::stats().
 TEST_F(MetricsEngineTest, SnapshotCoversAllCountersAndIsResettable) {
-  RunAt(0, kJoinSql);
+  db_->metrics().Reset();
+  QueryResult result = RunAt(0, kJoinSql);
+  const MetricsRegistry& metrics = db_->metrics();
   std::string json = db_->MetricsSnapshot(MetricsFormat::kJson);
   std::string prom = db_->MetricsSnapshot(MetricsFormat::kPrometheus);
-  // Every relational + hybrid ExecStats counter is registered after any
-  // query (zero-valued series still appear in the snapshot).
+  for (const ExecCounter& c : kExecCounters) {
+    const double exported = c.merge == CounterMerge::kMax
+                                ? metrics.GaugeValue(c.metric)
+                                : metrics.CounterValue(c.metric);
+    EXPECT_EQ(exported, static_cast<double>(result.stats().*c.member))
+        << c.metric;
+    EXPECT_NE(json.find(std::string("\"") + c.metric + "\""),
+              std::string::npos)
+        << "JSON missing " << c.metric;
+    EXPECT_NE(prom.find(std::string("agora_") + c.metric), std::string::npos)
+        << "Prometheus missing " << c.metric;
+  }
+  // The per-query series outside the table are registered too.
   for (const char* name :
-       {"rows_scanned_total", "blocks_read_total", "blocks_skipped_total",
-        "rows_joined_total", "probe_calls_total", "rows_aggregated_total",
-        "rows_sorted_total", "bytes_materialized_total",
-        "chunks_emitted_total", "hybrid_filter_rows_total",
-        "vector_distances_total", "overfetch_retries_total",
-        "fusion_candidates_total", "queries_total", "statements_total",
-        "query_seconds_total", "joules_proxy_total",
-        "operator_busy_seconds_total", "operator_rows_total",
-        "operator_invocations_total"}) {
+       {"queries_total", "statements_total", "query_seconds_total",
+        "joules_proxy_total", "operator_busy_seconds_total",
+        "operator_rows_total", "operator_invocations_total"}) {
     EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
         << "JSON missing " << name;
     EXPECT_NE(prom.find(std::string("agora_") + name), std::string::npos)
         << "Prometheus missing " << name;
   }
-  EXPECT_GT(db_->metrics().CounterValue("rows_scanned_total"), 0.0);
-  EXPECT_GT(db_->metrics().CounterValue("operator_rows_total", "Scan"), 0.0);
+  EXPECT_GT(result.stats().rows_scanned, 0);
+  EXPECT_EQ(metrics.CounterValue("queries_total"), 1.0);
+  EXPECT_EQ(metrics.CounterValue("statements_total"), 1.0);
+  EXPECT_EQ(metrics.CounterValue("joules_proxy_total"),
+            result.stats().JoulesProxy());
+  EXPECT_GT(metrics.CounterValue("operator_rows_total", "Scan"), 0.0);
 
-  db_->ResetCumulativeStats();
-  EXPECT_EQ(db_->cumulative_stats().rows_scanned, 0);
-  EXPECT_TRUE(db_->metrics().Names().empty());
+  db_->metrics().Reset();
+  EXPECT_TRUE(metrics.Names().empty());
 }
 
 // ---------------------------------------------------------------------------
 // Docs drift
 
 /// Every metric name the engine registers must appear in docs/METRICS.md
-/// (the CI grep step enforces the same from the shell).
+/// (the metrics-doc-drift lint rule enforces the same from the sources).
 TEST_F(MetricsEngineTest, DocsListEveryRegisteredMetricName) {
   RunAt(0, kJoinSql);
   std::ifstream docs(std::string(AGORA_SOURCE_DIR) + "/docs/METRICS.md");

@@ -66,17 +66,15 @@ class ParallelExecTest : public ::testing::Test {
     }
   }
 
+  /// Every counter the table marks thread-exact must match; the kVaries
+  /// ones (hash-table slots and probe steps, the memory peak) depend on
+  /// the partition count by design.
   static void ExpectStatsIdentical(const ExecStats& a, const ExecStats& b,
                                    const std::string& label) {
-    EXPECT_EQ(a.rows_scanned, b.rows_scanned) << label;
-    EXPECT_EQ(a.blocks_read, b.blocks_read) << label;
-    EXPECT_EQ(a.blocks_skipped, b.blocks_skipped) << label;
-    EXPECT_EQ(a.rows_joined, b.rows_joined) << label;
-    EXPECT_EQ(a.probe_calls, b.probe_calls) << label;
-    EXPECT_EQ(a.rows_aggregated, b.rows_aggregated) << label;
-    EXPECT_EQ(a.rows_sorted, b.rows_sorted) << label;
-    EXPECT_EQ(a.bytes_materialized, b.bytes_materialized) << label;
-    EXPECT_EQ(a.chunks_emitted, b.chunks_emitted) << label;
+    for (const ExecCounter& c : kExecCounters) {
+      if (c.threads == CounterThreads::kVaries) continue;
+      EXPECT_EQ(a.*c.member, b.*c.member) << label << " " << c.field;
+    }
   }
 
   static void ExpectThreadInvariant(const std::string& name,

@@ -98,6 +98,37 @@ TEST(MemoryTrackerTest, ScopedTrackerInstallsAndRestores) {
   EXPECT_EQ(tracker->reserved(), 0);
 }
 
+// AGORA_MEM_BUDGET seeds Database::memory_budget(). Malformed values mean
+// unlimited (0), and a size that overflows int64_t counts as malformed:
+// with or without a suffix it must never reach signed-overflow UB.
+TEST(MemoryBudgetKnobTest, OverflowingSizesMeanUnlimited) {
+  const char* saved = std::getenv("AGORA_MEM_BUDGET");
+  const std::string restore = saved != nullptr ? saved : "";
+  const std::pair<const char*, int64_t> cases[] = {
+      {"4096", 4096},
+      {"64k", int64_t{64} << 10},
+      {"3M", int64_t{3} << 20},
+      {"8589934591g", int64_t{8589934591} * (int64_t{1} << 30)},  // fits
+      {"8589934592g", 0},  // 2^63 bytes: one past INT64_MAX
+      {"99999999999g", 0},
+      {"9223372036854775807k", 0},
+      {"99999999999999999999", 0},  // strtoll ERANGE, no suffix
+      {"99999999999999999999m", 0},
+      {"-5m", 0},
+      {"lots", 0},
+  };
+  for (const auto& [text, want] : cases) {
+    setenv("AGORA_MEM_BUDGET", text, 1);
+    Database db;
+    EXPECT_EQ(db.memory_budget(), want) << "AGORA_MEM_BUDGET=" << text;
+  }
+  if (saved != nullptr) {
+    setenv("AGORA_MEM_BUDGET", restore.c_str(), 1);
+  } else {
+    unsetenv("AGORA_MEM_BUDGET");
+  }
+}
+
 // ---------------------------------------------------------------------
 // Spill-file round trips and cleanup
 // ---------------------------------------------------------------------
@@ -332,7 +363,10 @@ TEST_F(SpillExecTest, InfeasibleBudgetFailsGracefullyAndEngineSurvives) {
   // every partition spilled. The query must fail with a Status — no
   // abort, no crash — and the engine must serve the next query.
   budgeted_->set_memory_budget(16 << 10);
-  int64_t rejections_before = budgeted_->cumulative_stats().mem_budget_rejections;
+  auto rejections = [] {
+    return budgeted_->metrics().CounterValue("mem_budget_rejections_total");
+  };
+  const double rejections_before = rejections();
   auto result = budgeted_->Execute(kGroupHeavyAgg);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
@@ -340,8 +374,9 @@ TEST_F(SpillExecTest, InfeasibleBudgetFailsGracefullyAndEngineSurvives) {
   EXPECT_NE(result.status().ToString().find("memory budget exceeded"),
             std::string::npos)
       << result.status().ToString();
-  EXPECT_GT(budgeted_->cumulative_stats().mem_budget_rejections,
-            rejections_before);
+  // Counted exactly once: the failed execution's own counters carry the
+  // rejection into the registry, nothing else adds it.
+  EXPECT_EQ(rejections(), rejections_before + 1);
   // Same engine, budget lifted: the query runs fine.
   budgeted_->set_memory_budget(0);
   QueryResult ok = Run(budgeted_, kGroupHeavyAgg);
