@@ -147,6 +147,7 @@ struct HashKernelStats {
   int64_t mem_bytes_reserved_peak = 0;  // query tracker high-water mark
   int64_t spill_partitions = 0;         // partitions parked on disk
   int64_t spill_bytes_written = 0;      // spill volume (write side)
+  int64_t bytes_materialized = 0;       // bytes of chunks operators built
 };
 
 HashKernelStats CollectHashStats(Database* db, const std::string& sql,
@@ -160,6 +161,7 @@ HashKernelStats CollectHashStats(Database* db, const std::string& sql,
   h.mem_bytes_reserved_peak = s.mem_bytes_reserved_peak;
   h.spill_partitions = s.spill_partitions;
   h.spill_bytes_written = s.spill_bytes_written;
+  h.bytes_materialized = s.bytes_materialized;
   if (s.hash_table_slots > 0) {
     h.ht_load_factor = static_cast<double>(s.hash_table_entries) /
                        static_cast<double>(s.hash_table_slots);
@@ -231,7 +233,8 @@ void WriteScalingJson(const std::vector<int>& thread_counts,
                      "\"expr_mrows_per_s\": %.2f, "
                      "\"mem_bytes_reserved_peak\": %lld, "
                      "\"spill_partitions\": %lld, "
-                     "\"spill_bytes_written\": %lld}",
+                     "\"spill_bytes_written\": %lld, "
+                     "\"bytes_materialized\": %lld}",
                      QueryName(q), sf, threads, ms,
                      ms > 0.0 ? base_ms / ms : 0.0, hs.ht_load_factor,
                      hs.ht_probes_per_lookup, hs.bloom_hit_rate,
@@ -239,7 +242,8 @@ void WriteScalingJson(const std::vector<int>& thread_counts,
                      expr_mrows_per_s,
                      static_cast<long long>(hs.mem_bytes_reserved_peak),
                      static_cast<long long>(hs.spill_partitions),
-                     static_cast<long long>(hs.spill_bytes_written));
+                     static_cast<long long>(hs.spill_bytes_written),
+                     static_cast<long long>(hs.bytes_materialized));
       }
     }
   }

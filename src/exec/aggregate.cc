@@ -268,12 +268,11 @@ Status PhysicalHashAggregate::ApplyAccumulators(
         if (arg.type() == TypeId::kString) {
           std::vector<std::string>& ms = table->minmax_strings[a];
           ms.resize(num_groups);
-          const std::vector<std::string>& data = arg.string_data();
           for (size_t r = 0; r < rows; ++r) {
             if (valid[r] == 0) continue;
             AggState& st = states[gids[r] * num_aggs + a];
             st.has_value = true;
-            const std::string& s = data[r];
+            const std::string& s = arg.GetString(r);
             std::string& cur = ms[gids[r]];
             if (st.count == 0 || (is_min ? s < cur : s > cur)) cur = s;
             st.count++;

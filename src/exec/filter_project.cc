@@ -58,7 +58,7 @@ Status PhysicalProject::ProcessChunk(const Chunk& input, Chunk* out,
   for (const ExprPtr& expr : exprs_) {
     ColumnVector col;
     AGORA_RETURN_IF_ERROR(expr->EvalBatch(ctx, &col));
-    col.Flatten();
+    col.FlattenConstant();
     result.AddColumn(std::move(col));
   }
   result.SetExplicitRowCount(input.num_rows());

@@ -103,8 +103,9 @@ class Expr {
   virtual Status EvalBatch(const EvalContext& ctx,
                            ColumnVector* out) const = 0;
 
-  /// Evaluates every row of `chunk` into a flat `out` vector. Wrapper
-  /// over EvalBatch for callers that need plain dense output.
+  /// Evaluates every row of `chunk` into a non-constant `out` vector
+  /// (a dictionary column stays encoded). Wrapper over EvalBatch for
+  /// callers that need dense per-row output.
   Status Evaluate(const Chunk& chunk, ColumnVector* out) const;
 
   /// SQL-ish rendering for plans and diagnostics.
@@ -330,7 +331,8 @@ class InListExpr : public Expr {
       : Expr(ExprKind::kInList, TypeId::kBool),
         child_(std::move(child)),
         values_(std::move(values)),
-        negated_(negated) {}
+        negated_(negated),
+        candidates_(PrepareCandidates(values_)) {}
 
   const ExprPtr& child() const { return child_; }
   const std::vector<Value>& values() const { return values_; }
@@ -344,9 +346,21 @@ class InListExpr : public Expr {
   std::vector<ExprPtr> Children() const override { return {child_}; }
 
  private:
+  /// The candidate list split by physical type once per expression, so
+  /// the batch kernel compares unboxed values (Value::Compare semantics:
+  /// numbers match across BIGINT/DOUBLE, strings only strings).
+  struct Candidates {
+    std::vector<int64_t> ints;  // BOOLEAN, BIGINT and DATE candidates
+    std::vector<double> doubles;
+    std::vector<std::string> strings;
+    bool has_null = false;
+  };
+  static Candidates PrepareCandidates(const std::vector<Value>& values);
+
   ExprPtr child_;
   std::vector<Value> values_;
   bool negated_;
+  Candidates candidates_;
 };
 
 /// CAST(child AS type).

@@ -66,7 +66,11 @@ Status BindOperand(const Expr& expr, const EvalContext& ctx, Operand* op) {
 }
 
 // Readers fetch one operand's row values through the operand's
-// indirection. All branches are loop-invariant.
+// indirection. All branches are loop-invariant. The per-row accessors
+// are forced inline: they sit in every kernel's inner loop, and GCC's
+// size heuristics otherwise outline them once enough kernels use a
+// reader, turning each row into a call.
+#define AGORA_ROW_ACCESSOR [[gnu::always_inline]] inline
 
 struct IntReader {
   const uint8_t* validity = nullptr;
@@ -86,11 +90,15 @@ struct IntReader {
       sel = op.sel;
     }
   }
-  size_t Idx(size_t i) const { return sel != nullptr ? sel[i] : i; }
-  bool Null(size_t i) const {
+  AGORA_ROW_ACCESSOR size_t Idx(size_t i) const {
+    return sel != nullptr ? sel[i] : i;
+  }
+  AGORA_ROW_ACCESSOR bool Null(size_t i) const {
     return constant ? const_null : validity[Idx(i)] == 0;
   }
-  int64_t Get(size_t i) const { return constant ? const_val : data[Idx(i)]; }
+  AGORA_ROW_ACCESSOR int64_t Get(size_t i) const {
+    return constant ? const_val : data[Idx(i)];
+  }
 };
 
 struct NumReader {
@@ -118,20 +126,25 @@ struct NumReader {
       sel = op.sel;
     }
   }
-  size_t Idx(size_t i) const { return sel != nullptr ? sel[i] : i; }
-  bool Null(size_t i) const {
+  AGORA_ROW_ACCESSOR size_t Idx(size_t i) const {
+    return sel != nullptr ? sel[i] : i;
+  }
+  AGORA_ROW_ACCESSOR bool Null(size_t i) const {
     return constant ? const_null : validity[Idx(i)] == 0;
   }
-  double Get(size_t i) const {
+  AGORA_ROW_ACCESSOR double Get(size_t i) const {
     if (constant) return const_val;
     size_t p = Idx(i);
     return is_double ? doubles[p] : static_cast<double>(ints[p]);
   }
 };
 
+/// Reads flat strings, or a dictionary column's entries through its
+/// codes (row i is data[codes[Idx(i)]]).
 struct StrReader {
   const uint8_t* validity = nullptr;
-  const std::string* data = nullptr;
+  const std::string* data = nullptr;  // flat strings or dictionary entries
+  const uint32_t* codes = nullptr;    // dictionary form only
   const uint32_t* sel = nullptr;
   bool constant = false;
   bool const_null = false;
@@ -143,18 +156,62 @@ struct StrReader {
       const_val = const_null ? nullptr : &op.vec->GetString(0);
     } else {
       validity = op.vec->validity_data();
-      data = op.vec->string_data().data();
+      if (op.vec->is_dictionary()) {
+        data = op.vec->dictionary().entries().data();
+        codes = op.vec->codes_data();
+      } else {
+        data = op.vec->string_data().data();
+      }
       sel = op.sel;
     }
   }
-  size_t Idx(size_t i) const { return sel != nullptr ? sel[i] : i; }
-  bool Null(size_t i) const {
+  /// Reads `strings` row by row, with `valid` as validity.
+  StrReader(const std::string* strings, const uint8_t* valid)
+      : validity(valid), data(strings) {}
+
+  AGORA_ROW_ACCESSOR size_t Idx(size_t i) const {
+    return sel != nullptr ? sel[i] : i;
+  }
+  AGORA_ROW_ACCESSOR bool Null(size_t i) const {
     return constant ? const_null : validity[Idx(i)] == 0;
   }
-  const std::string& Get(size_t i) const {
-    return constant ? *const_val : data[Idx(i)];
+  AGORA_ROW_ACCESSOR const std::string& Get(size_t i) const {
+    if (constant) return *const_val;
+    size_t p = Idx(i);
+    return data[codes != nullptr ? codes[p] : p];
   }
 };
+
+/// Dictionary path of a string predicate. When `op` is a dictionary
+/// column and the batch has at least as many rows as the dictionary has
+/// entries, runs `entry_kernel(entries, k, ov, ob)` once over the k
+/// entries (a StrReader with every entry valid) and maps the answers
+/// over the rows' codes; a NULL row stays NULL. Returns false, writing
+/// nothing, when the per-row kernel should run instead.
+template <typename EntryKernel>
+bool EvalOverDictionary(const Operand& op, size_t n, uint8_t* ov,
+                        int64_t* ob, const EntryKernel& entry_kernel) {
+  if (op.constant || !op.vec->is_dictionary()) return false;
+  const Dictionary& dict = op.vec->dictionary();
+  const size_t k = dict.size();
+  if (n < k) return false;
+  // One spare slot so the code of a NULL row (0) always indexes safely.
+  std::vector<uint8_t> all_valid(k + 1, 1);
+  std::vector<uint8_t> entry_ov(k + 1, 0);
+  std::vector<int64_t> entry_ob(k + 1, 0);
+  StrReader entries(dict.entries().data(), all_valid.data());
+  entry_kernel(entries, k, entry_ov.data(), entry_ob.data());
+  const uint8_t* validity = op.vec->validity_data();
+  const uint32_t* codes = op.vec->codes_data();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t p = op.sel != nullptr ? op.sel[i] : i;
+    const bool valid = validity[p] != 0;
+    const uint32_t code = valid ? codes[p] : 0;
+    ov[i] = valid ? entry_ov[code] : 0;
+    ob[i] = valid ? entry_ob[code] : 0;
+  }
+  return true;
+}
 
 // Comparison functors reproduce the legacy three-way semantics exactly:
 // cmp = a < b ? -1 : (a > b ? 1 : 0), so a NaN operand compares "equal"
@@ -329,13 +386,60 @@ void DispatchArith(ArithOp op, const Reader& l, const Reader& r, size_t n,
   }
 }
 
+/// Writes a one-physical-row kernel answer as an `n`-row constant.
+ColumnVector BoolConstant(uint8_t ov, int64_t ob, size_t n) {
+  Value v = ov != 0 ? Value::Bool(ob != 0) : Value::Null(TypeId::kBool);
+  return ColumnVector::MakeConstant(TypeId::kBool, v, n);
+}
+
+/// Runs `kernel(k, ov, ob)` over the operand's rows: once into a
+/// constant result for a constant operand, else into a fresh BOOLEAN
+/// vector of `n` rows.
+template <typename Kernel>
+void EvalBoolKernel(const Operand& c, size_t n, ColumnVector* out,
+                    const Kernel& kernel) {
+  if (c.constant) {
+    uint8_t ov = 0;
+    int64_t ob = 0;
+    kernel(1, &ov, &ob);
+    *out = BoolConstant(ov, ob, n);
+    return;
+  }
+  *out = ColumnVector(TypeId::kBool);
+  out->ResizeForOverwrite(n);
+  kernel(n, out->mutable_validity_data(), out->mutable_int64_data());
+}
+
+/// IN-list membership over one operand's rows with Value::Compare
+/// semantics: `found(v)` tests a non-NULL row against the candidates.
+/// A match yields !negated; no match yields NULL when the list holds a
+/// NULL, else `negated`; a NULL row yields NULL.
+template <typename Reader, typename Found>
+void InListLoop(const Reader& r, size_t k, bool has_null, bool negated,
+                const Found& found, uint8_t* ov, int64_t* ob) {
+  for (size_t i = 0; i < k; ++i) {
+    if (r.Null(i)) {
+      ov[i] = 0;
+      ob[i] = 0;
+      continue;
+    }
+    const bool hit = found(r.Get(i));
+    const bool valid = hit || !has_null;
+    ov[i] = valid ? 1 : 0;
+    ob[i] = (valid && hit != negated) ? 1 : 0;
+  }
+}
+
+/// Numeric equality as Value::Compare decides it (NaN equals anything).
+bool NumEqual(double a, double b) { return !(a < b) && !(a > b); }
+
 }  // namespace
 
 Status Expr::Evaluate(const Chunk& chunk, ColumnVector* out) const {
   EvalContext ctx;
   ctx.chunk = &chunk;
   AGORA_RETURN_IF_ERROR(EvalBatch(ctx, out));
-  out->Flatten();
+  out->FlattenConstant();
   return Status::OK();
 }
 
@@ -382,6 +486,25 @@ Status ComparisonExpr::EvalBatch(const EvalContext& ctx,
 
   auto run = [&](size_t k, uint8_t* ov, int64_t* ob) {
     if (l_str) {
+      // A dictionary column against a constant compares each entry once.
+      if (r.constant &&
+          EvalOverDictionary(l, k, ov, ob,
+                             [&](const StrReader& entries, size_t m,
+                                 uint8_t* eov, int64_t* eob) {
+                               DispatchCompareStr(op_, entries, StrReader(r),
+                                                  m, eov, eob);
+                             })) {
+        return;
+      }
+      if (l.constant &&
+          EvalOverDictionary(r, k, ov, ob,
+                             [&](const StrReader& entries, size_t m,
+                                 uint8_t* eov, int64_t* eob) {
+                               DispatchCompareStr(op_, StrReader(l), entries,
+                                                  m, eov, eob);
+                             })) {
+        return;
+      }
       StrReader lr(l), rr(r);
       DispatchCompareStr(op_, lr, rr, k, ov, ob);
     } else if (l.vec->type() == TypeId::kDouble ||
@@ -398,8 +521,7 @@ Status ComparisonExpr::EvalBatch(const EvalContext& ctx,
     uint8_t ov = 0;
     int64_t ob = 0;
     run(1, &ov, &ob);
-    Value v = ov != 0 ? Value::Bool(ob != 0) : Value::Null(TypeId::kBool);
-    *out = ColumnVector::MakeConstant(TypeId::kBool, v, n);
+    *out = BoolConstant(ov, ob, n);
     return Status::OK();
   }
 
@@ -560,87 +682,97 @@ Status IsNullExpr::EvalBatch(const EvalContext& ctx,
 }
 
 Status LikeExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
-  ColumnVector c;
-  AGORA_RETURN_IF_ERROR(child_->EvalBatch(ctx, &c));
-  if (c.type() != TypeId::kString) {
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
+  if (c.vec->type() != TypeId::kString) {
     return Status::TypeError("LIKE operand is not VARCHAR");
   }
-  size_t n = c.size();
+  size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  if (c.is_constant()) {
-    Value v;
-    if (c.IsNull(0)) {
-      v = Value::Null(TypeId::kBool);
-    } else {
-      bool m = LikeMatch(c.GetString(0), pattern_);
-      v = Value::Bool(negated_ ? !m : m);
+  auto like = [this](const StrReader& s, size_t k, uint8_t* ov,
+                     int64_t* ob) {
+    for (size_t i = 0; i < k; ++i) {
+      bool valid = !s.Null(i);
+      ov[i] = valid ? 1 : 0;
+      bool m = valid && LikeMatch(s.Get(i), pattern_);
+      ob[i] = (valid && (negated_ ? !m : m)) ? 1 : 0;
     }
-    *out = ColumnVector::MakeConstant(TypeId::kBool, v, n);
-    return Status::OK();
-  }
-  const uint8_t* cv = c.validity_data();
-  const std::string* strs = c.string_data().data();
-  *out = ColumnVector(TypeId::kBool);
-  out->ResizeForOverwrite(n);
-  uint8_t* ov = out->mutable_validity_data();
-  int64_t* ob = out->mutable_int64_data();
-  for (size_t i = 0; i < n; ++i) {
-    bool valid = cv[i] != 0;
-    ov[i] = valid ? 1 : 0;
-    bool m = valid && LikeMatch(strs[i], pattern_);
-    ob[i] = (valid && (negated_ ? !m : m)) ? 1 : 0;
-  }
+  };
+  EvalBoolKernel(c, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
+    if (!EvalOverDictionary(c, k, ov, ob, like)) like(StrReader(c), k, ov, ob);
+  });
   return Status::OK();
+}
+
+InListExpr::Candidates InListExpr::PrepareCandidates(
+    const std::vector<Value>& values) {
+  Candidates out;
+  for (const Value& v : values) {
+    if (v.is_null()) {
+      out.has_null = true;
+    } else if (v.type() == TypeId::kString) {
+      out.strings.push_back(v.string_value());
+    } else if (v.type() == TypeId::kDouble) {
+      out.doubles.push_back(v.double_value());
+    } else {
+      out.ints.push_back(v.int64_value());
+    }
+  }
+  return out;
 }
 
 Status InListExpr::EvalBatch(const EvalContext& ctx,
                              ColumnVector* out) const {
-  ColumnVector c;
-  AGORA_RETURN_IF_ERROR(child_->EvalBatch(ctx, &c));
-  size_t n = c.size();
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
+  size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  if (c.is_constant() && n == 0) {
+  if (c.constant && n == 0) {
     *out = ColumnVector(TypeId::kBool);
     return Status::OK();
   }
-  size_t rows = c.is_constant() ? 1 : n;
-  ColumnVector result(TypeId::kBool);
-  result.Reserve(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    if (c.IsNull(i)) {
-      result.AppendNull();
-      continue;
-    }
-    // Cold membership probe over boxed literal values; the candidate
-    // list is tiny (IN lists), so no batch kernel is warranted.
-    // agora-lint: allow(expr-per-row-value) boxed IN-list probe, list is tiny
-    Value v = c.GetValue(i);
-    bool found = false;
-    bool saw_null = false;
-    for (const Value& candidate : values_) {
-      if (candidate.is_null()) {
-        saw_null = true;
-        continue;
+  const Candidates& cand = candidates_;
+  auto str_kernel = [&](const StrReader& s, size_t k, uint8_t* ov,
+                        int64_t* ob) {
+    InListLoop(s, k, cand.has_null, negated_,
+               [&](const std::string& v) {
+                 return std::find(cand.strings.begin(), cand.strings.end(),
+                                  v) != cand.strings.end();
+               },
+               ov, ob);
+  };
+  const TypeId type = c.vec->type();
+  EvalBoolKernel(c, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
+    if (type == TypeId::kString) {
+      if (!EvalOverDictionary(c, k, ov, ob, str_kernel)) {
+        str_kernel(StrReader(c), k, ov, ob);
       }
-      if (v.Compare(candidate) == 0) {
-        found = true;
-        break;
-      }
-    }
-    if (found) {
-      result.AppendBool(!negated_);
-    } else if (saw_null) {
-      result.AppendNull();  // x IN (..., NULL) is NULL when not found
+    } else if (type == TypeId::kDouble) {
+      InListLoop(NumReader(c), k, cand.has_null, negated_,
+                 [&](double v) {
+                   for (int64_t x : cand.ints) {
+                     if (NumEqual(v, static_cast<double>(x))) return true;
+                   }
+                   for (double x : cand.doubles) {
+                     if (NumEqual(v, x)) return true;
+                   }
+                   return false;
+                 },
+                 ov, ob);
     } else {
-      result.AppendBool(negated_);
+      InListLoop(IntReader(c), k, cand.has_null, negated_,
+                 [&](int64_t v) {
+                   for (int64_t x : cand.ints) {
+                     if (v == x) return true;
+                   }
+                   for (double x : cand.doubles) {
+                     if (NumEqual(static_cast<double>(v), x)) return true;
+                   }
+                   return false;
+                 },
+                 ov, ob);
     }
-  }
-  if (c.is_constant()) {
-    // agora-lint: allow(expr-per-row-value) one-row constant fold, not a row loop
-    *out = ColumnVector::MakeConstant(TypeId::kBool, result.GetValue(0), n);
-  } else {
-    *out = std::move(result);
-  }
+  });
   return Status::OK();
 }
 

@@ -41,11 +41,15 @@ struct ColumnCursor {
   const uint8_t* validity;
   const int64_t* ints;  // kBool, kInt64, kDate
   const double* doubles;
-  const std::string* strings;
+  const std::string* strings;  // flat strings, or dictionary entries
+  const uint32_t* codes;       // dictionary form: row -> entry
+  /// Dictionary form with at least as many rows as entries: each entry's
+  /// JSON text, escaped on first use. Empty otherwise (escape per row).
+  std::vector<std::string> escaped;
 };
 
 /// Appends row `row` of `col` as a JSON value.
-void AppendCellJson(std::string* out, const ColumnCursor& col, size_t row) {
+void AppendCellJson(std::string* out, ColumnCursor& col, size_t row) {
   if (col.validity[row] == 0) {
     out->append("null", 4);
     return;
@@ -72,7 +76,18 @@ void AppendCellJson(std::string* out, const ColumnCursor& col, size_t row) {
       break;
     }
     case TypeId::kString:
-      AppendJsonString(out, col.strings[row]);
+      if (col.codes == nullptr) {
+        AppendJsonString(out, col.strings[row]);
+      } else if (col.escaped.empty()) {
+        AppendJsonString(out, col.strings[col.codes[row]]);
+      } else {
+        // An entry is never the empty JSON text (it has quotes), so an
+        // empty slot means "not escaped yet".
+        const uint32_t code = col.codes[row];
+        std::string& text = col.escaped[code];
+        if (text.empty()) AppendJsonString(&text, col.strings[code]);
+        out->append(text);
+      }
       break;
     case TypeId::kInvalid:
       out->append("null", 4);
@@ -213,27 +228,36 @@ std::string QueryHandler::SerializeResultJson(const QueryResult& result) {
   }
   out += "], \"rows\": [";
   // The cursors read each column's typed buffers in place; a constant
-  // column (one physical row) is expanded once so every cursor is flat.
+  // column (one physical row) is expanded once so every cursor is flat,
+  // and a dictionary column is decoded once per entry, not per row.
   const size_t rows = result.num_rows();
   std::vector<ColumnVector> columns(result.data().columns());
   std::vector<ColumnCursor> cursors;
   cursors.reserve(columns.size());
   for (ColumnVector& col : columns) {
-    col.Flatten();
+    col.FlattenConstant();
     ColumnCursor cursor{col.type(), col.validity_data(), nullptr, nullptr,
-                        nullptr};
+                        nullptr, nullptr, {}};
     switch (col.type()) {
       case TypeId::kDouble:
         cursor.doubles = col.double_data();
         break;
       case TypeId::kString:
-        cursor.strings = col.string_data().data();
+        if (col.is_dictionary()) {
+          cursor.strings = col.dictionary().entries().data();
+          cursor.codes = col.codes_data();
+          if (rows >= col.dictionary().size()) {
+            cursor.escaped.resize(col.dictionary().size());
+          }
+        } else {
+          cursor.strings = col.string_data().data();
+        }
         break;
       default:
         cursor.ints = col.int64_data();
         break;
     }
-    cursors.push_back(cursor);
+    cursors.push_back(std::move(cursor));
   }
   const size_t num_columns = cursors.size();
   // About ten bytes per cell covers numeric results without regrowth.

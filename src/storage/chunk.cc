@@ -24,7 +24,7 @@ void Chunk::Append(Chunk other) {
   if (rows == 0) return;
   if (num_rows() == 0) {
     *this = std::move(other);
-    for (ColumnVector& col : columns_) col.Flatten();
+    for (ColumnVector& col : columns_) col.FlattenConstant();
     return;
   }
   AGORA_DCHECK(other.num_columns() == columns_.size());

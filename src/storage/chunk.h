@@ -43,7 +43,9 @@ class Chunk {
   /// Appends every row of `other` (schemas must align), one bulk
   /// ColumnVector::AppendRange per column. While this chunk is still
   /// empty, `other` is taken over whole instead of copied — a moved-in
-  /// chunk costs O(columns). Either way the result's columns are flat.
+  /// chunk costs O(columns). Either way no result column is constant;
+  /// dictionary columns stay encoded (codes move when the dictionaries
+  /// match).
   void Append(Chunk other);
 
   /// Keeps only rows named in `sel` (in order). Applies to every column.

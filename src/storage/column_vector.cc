@@ -1,5 +1,6 @@
 #include "storage/column_vector.h"
 
+#include <algorithm>
 #include <cstddef>
 
 #include "common/hash.h"
@@ -16,13 +17,84 @@ inline size_t StrCost(const std::string& s) {
 /// many bytes, so per-row appends pay a compare, not an atomic RMW.
 constexpr size_t kChargeGranularity = 16 * 1024;
 
+/// Row sentinel of AppendGatherPadded / AppendStrings: append NULL.
+constexpr uint32_t kPadRow = UINT32_MAX;
+
+/// Makes room for `n` more elements with the growth a range insert or
+/// push_back would use (at least double), so repeated appends to one
+/// vector (AppendFrom per row, Chunk::Append per chunk) stay amortized
+/// linear; an exact reserve per call would reallocate every time.
+template <typename T>
+void ReserveMore(std::vector<T>* v, size_t n) {
+  const size_t want = v->size() + n;
+  if (want > v->capacity()) v->reserve(std::max(want, 2 * v->size()));
+}
+
+/// Grows `v` by `n` zeroed elements and returns the first, so gather
+/// loops write rows by index instead of calling push_back per row
+/// (callers reserve first; resize then never reallocates a batch).
+template <typename T>
+T* GrowBy(std::vector<T>* v, size_t n) {
+  const size_t old = v->size();
+  v->resize(old + n);
+  return v->data() + old;
+}
+
 }  // namespace
+
+Dictionary::Dictionary(const Dictionary& other)
+    : entries_(other.entries_),
+      hashes_(other.hashes_),
+      slots_(other.slots_),
+      string_bytes_(other.string_bytes_) {
+  charge_.Update(MemoryBytes());
+}
+
+uint32_t Dictionary::Find(std::string_view s, uint64_t h) const {
+  if (slots_.empty()) return kNotFound;
+  const size_t mask = slots_.size() - 1;
+  for (size_t pos = h & mask;; pos = (pos + 1) & mask) {
+    const uint32_t code1 = slots_[pos];
+    if (code1 == 0) return kNotFound;
+    if (hashes_[code1 - 1] == h && entries_[code1 - 1] == s) return code1 - 1;
+  }
+}
+
+uint32_t Dictionary::Insert(std::string_view s, uint64_t h) {
+  const auto code = static_cast<uint32_t>(entries_.size());
+  entries_.emplace_back(s);
+  hashes_.push_back(h);
+  string_bytes_ += StrCost(entries_.back());
+  if (entries_.size() * 2 > slots_.size()) {
+    // Rebuild at twice the size; the new entry is placed with the rest.
+    slots_.assign(std::max<size_t>(16, slots_.size() * 2), 0);
+    for (uint32_t c = 0; c <= code; ++c) PlaceInIndex(c);
+  } else {
+    PlaceInIndex(code);
+  }
+  charge_.Update(MemoryBytes());
+  return code;
+}
+
+void Dictionary::PlaceInIndex(uint32_t code) {
+  const size_t mask = slots_.size() - 1;
+  size_t pos = hashes_[code] & mask;
+  while (slots_[pos] != 0) pos = (pos + 1) & mask;
+  slots_[pos] = code + 1;
+}
+
+size_t Dictionary::MemoryBytes() const {
+  return string_bytes_ + hashes_.capacity() * sizeof(uint64_t) +
+         slots_.capacity() * sizeof(uint32_t);
+}
 
 ColumnVector::Rep::Rep(const Rep& other)
     : validity(other.validity),
       ints(other.ints),
       doubles(other.doubles),
-      strings(other.strings) {
+      strings(other.strings),
+      codes(other.codes),
+      dict(other.dict) {
   // The copies' string capacities may differ from the source's, so the
   // incremental counter is recomputed rather than copied.
   for (const auto& s : strings) string_bytes += StrCost(s);
@@ -32,11 +104,50 @@ ColumnVector::Rep::Rep(const Rep& other)
 void ColumnVector::Rep::Recharge() {
   if (charge.tracker() == nullptr) return;
   size_t now = validity.capacity() + ints.capacity() * sizeof(int64_t) +
-               doubles.capacity() * sizeof(double) + string_bytes;
+               doubles.capacity() * sizeof(double) +
+               codes.capacity() * sizeof(uint32_t) + string_bytes;
   size_t cur = charge.amount();
   if (now > cur + kChargeGranularity || now + kChargeGranularity < cur) {
     charge.Update(now);
   }
+}
+
+uint32_t ColumnVector::Rep::Intern(std::string_view s) {
+  const uint64_t h = HashString(s);
+  const uint32_t code = dict->Find(s, h);
+  if (code != Dictionary::kNotFound) return code;
+  if (dict->size() >= kMaxDictionaryEntries) return Dictionary::kNotFound;
+  if (dict.use_count() > 1) dict = std::make_shared<Dictionary>(*dict);
+  return dict->Insert(s, h);
+}
+
+void ColumnVector::Rep::Decode() {
+  strings.clear();
+  strings.reserve(codes.capacity());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    if (validity[i] != 0) {
+      strings.push_back(dict->entry(codes[i]));
+    } else {
+      strings.emplace_back();
+    }
+    string_bytes += StrCost(strings.back());
+  }
+  codes = std::vector<uint32_t>();
+  dict.reset();
+  Recharge();
+}
+
+void ColumnVector::Rep::PushString(std::string_view s) {
+  if (dict) {
+    const uint32_t code = Intern(s);
+    if (code != Dictionary::kNotFound) {
+      codes.push_back(code);
+      return;
+    }
+    Decode();
+  }
+  strings.emplace_back(s);
+  string_bytes += StrCost(strings.back());
 }
 
 const std::vector<std::string>& ColumnVector::EmptyStrings() {
@@ -50,7 +161,7 @@ ColumnVector::Rep* ColumnVector::EnsureUnique() {
   } else if (rep_.use_count() > 1) {
     rep_ = std::make_shared<Rep>(*rep_);
   }
-  if (constant_) Flatten();
+  if (constant_) FlattenConstant();
   return rep_.get();
 }
 
@@ -63,7 +174,29 @@ ColumnVector ColumnVector::MakeConstant(TypeId type, const Value& v,
   return out;
 }
 
+ColumnVector ColumnVector::MakeDictionary() {
+  ColumnVector out(TypeId::kString);
+  out.rep_ = std::make_shared<Rep>();
+  out.rep_->dict = std::make_shared<Dictionary>();
+  return out;
+}
+
+ColumnVector ColumnVector::EmptyLike() const {
+  if (!is_dictionary()) return ColumnVector(type_);
+  ColumnVector out(type_);
+  out.rep_ = std::make_shared<Rep>();
+  out.rep_->dict = rep_->dict;
+  return out;
+}
+
 void ColumnVector::Flatten() {
+  FlattenConstant();
+  if (!is_dictionary()) return;
+  if (rep_.use_count() > 1) rep_ = std::make_shared<Rep>(*rep_);
+  rep_->Decode();
+}
+
+void ColumnVector::FlattenConstant() {
   if (!constant_) return;
   size_t n = logical_size_;
   auto flat = std::make_shared<Rep>();
@@ -104,7 +237,11 @@ void ColumnVector::Reserve(size_t n) {
       rep->doubles.reserve(n);
       break;
     case TypeId::kString:
-      rep->strings.reserve(n);
+      if (rep->dict) {
+        rep->codes.reserve(n);
+      } else {
+        rep->strings.reserve(n);
+      }
       break;
     case TypeId::kInvalid:
       break;
@@ -130,6 +267,8 @@ void ColumnVector::ResizeForOverwrite(size_t n) {
   rep->doubles.clear();
   rep->strings.clear();
   rep->string_bytes = 0;
+  rep->codes.clear();
+  rep->dict.reset();
   switch (type_) {
     case TypeId::kBool:
     case TypeId::kInt64:
@@ -162,8 +301,12 @@ void ColumnVector::AppendNull() {
       rep->doubles.push_back(0.0);
       break;
     case TypeId::kString:
-      rep->strings.emplace_back();
-      rep->string_bytes += StrCost(rep->strings.back());
+      if (rep->dict) {
+        rep->codes.push_back(0);
+      } else {
+        rep->strings.emplace_back();
+        rep->string_bytes += StrCost(rep->strings.back());
+      }
       break;
     case TypeId::kInvalid:
       break;
@@ -192,8 +335,12 @@ void ColumnVector::AppendString(std::string v) {
   AGORA_DCHECK(type_ == TypeId::kString);
   Rep* rep = EnsureUnique();
   rep->validity.push_back(1);
-  rep->strings.push_back(std::move(v));
-  rep->string_bytes += StrCost(rep->strings.back());
+  if (rep->dict) {
+    rep->PushString(v);
+  } else {
+    rep->strings.push_back(std::move(v));
+    rep->string_bytes += StrCost(rep->strings.back());
+  }
   rep->Recharge();
 }
 
@@ -224,6 +371,11 @@ void ColumnVector::AppendValue(const Value& v) {
 
 void ColumnVector::AppendFrom(const ColumnVector& other, size_t row) {
   AGORA_DCHECK(type_ == other.type_);
+  if (type_ == TypeId::kString) {
+    const auto p = static_cast<uint32_t>(other.PhysRow(row));
+    AppendStrings(other, 1, [p](size_t) { return p; });
+    return;
+  }
   if (other.IsNull(row)) {
     AppendNull();
     return;
@@ -239,8 +391,6 @@ void ColumnVector::AppendFrom(const ColumnVector& other, size_t row) {
       AppendDouble(other.rep_->doubles[p]);
       break;
     case TypeId::kString:
-      AppendString(other.rep_->strings[p]);
-      break;
     case TypeId::kInvalid:
       break;
   }
@@ -252,6 +402,16 @@ void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
   AGORA_DCHECK(&src != this);
   AGORA_DCHECK(begin + count <= src.size());
   if (count == 0) return;
+  if (type_ == TypeId::kString) {
+    if (src.constant_) {
+      AppendStrings(src, count, [](size_t) { return uint32_t{0}; });
+    } else {
+      AppendStrings(src, count, [begin](size_t i) {
+        return static_cast<uint32_t>(begin + i);
+      });
+    }
+    return;
+  }
   // EnsureUnique clones a buffer shared with `src` before it is written,
   // so `in` below always names src's untouched payload.
   Rep* out = EnsureUnique();
@@ -276,13 +436,7 @@ void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
     case TypeId::kDouble:
       append(out->doubles, in.doubles);
       break;
-    case TypeId::kString:
-      append(out->strings, in.strings);
-      for (size_t i = out->strings.size() - count; i < out->strings.size();
-           ++i) {
-        out->string_bytes += StrCost(out->strings[i]);
-      }
-      break;
+    case TypeId::kString:  // AppendStrings above
     case TypeId::kInvalid:
       break;
   }
@@ -302,7 +456,7 @@ Value ColumnVector::GetValue(size_t i) const {
     case TypeId::kDouble:
       return Value::Double(rep_->doubles[p]);
     case TypeId::kString:
-      return Value::String(rep_->strings[p]);
+      return Value::String(rep_->Str(p));
     case TypeId::kInvalid:
       return Value::Null();
   }
@@ -328,6 +482,14 @@ void ColumnVector::SetValue(size_t i, const Value& v) {
                                                     : v.AsDouble();
       break;
     case TypeId::kString:
+      if (rep->dict) {
+        const uint32_t code = rep->Intern(v.string_value());
+        if (code != Dictionary::kNotFound) {
+          rep->codes[i] = code;
+          break;
+        }
+        rep->Decode();
+      }
       rep->string_bytes -= StrCost(rep->strings[i]);
       rep->strings[i] = v.string_value();
       rep->string_bytes += StrCost(rep->strings[i]);
@@ -351,7 +513,8 @@ uint64_t ColumnVector::HashRow(size_t i) const {
   size_t p = PhysRow(i);
   switch (type_) {
     case TypeId::kString:
-      return HashString(rep_->strings[p]);
+      return rep_->dict ? rep_->dict->hashes()[rep_->codes[p]]
+                        : HashString(rep_->strings[p]);
     case TypeId::kDouble: {
       uint64_t bits;
       std::memcpy(&bits, &rep_->doubles[p], sizeof(bits));
@@ -373,6 +536,15 @@ void ColumnVector::HashBatch(uint64_t* hashes, size_t n, bool combine,
   };
   switch (type_) {
     case TypeId::kString:
+      if (rep.dict) {
+        // Each entry was hashed once, when it was interned.
+        const uint64_t* entry_hashes = rep.dict->hashes();
+        for (size_t i = 0; i < n; ++i) {
+          emit(i, rep.validity[i] != 0 ? entry_hashes[rep.codes[i]]
+                                       : kNullHash);
+        }
+        break;
+      }
       for (size_t i = 0; i < n; ++i) {
         emit(i,
              rep.validity[i] != 0 ? HashString(rep.strings[i]) : kNullHash);
@@ -413,12 +585,21 @@ void ColumnVector::BatchEqualRows(const uint32_t* rows,
   const Rep& rhs = *other.rep_;
   switch (type_) {
     case TypeId::kString:
+      if (SharesDictionaryWith(other)) {
+        for (size_t i = 0; i < n; ++i) {
+          if (equal[i] == 0) continue;
+          size_t a = rows[i], b = other_rows[i];
+          bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
+          equal[i] = (an || bn) ? (an && bn)
+                                : (lhs.codes[a] == rhs.codes[b]);
+        }
+        break;
+      }
       for (size_t i = 0; i < n; ++i) {
         if (equal[i] == 0) continue;
         size_t a = rows[i], b = other_rows[i];
         bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
-        equal[i] = (an || bn) ? (an && bn)
-                              : (lhs.strings[a] == rhs.strings[b]);
+        equal[i] = (an || bn) ? (an && bn) : (lhs.Str(a) == rhs.Str(b));
       }
       break;
     case TypeId::kDouble:
@@ -454,53 +635,119 @@ void ColumnVector::BatchEqualRows(const uint32_t* rows,
   }
 }
 
+template <typename RowFn>
+void ColumnVector::AppendStrings(const ColumnVector& src, size_t n,
+                                 RowFn row_of) {
+  if (n == 0) return;
+  if (size() == 0 && !constant_ && src.is_dictionary()) {
+    *this = src.EmptyLike();
+  }
+  Rep* out = EnsureUnique();
+  // An empty src is legal when every row is padding (NULLs from an empty
+  // build side); fall back to an empty Rep so no row can index it.
+  static const Rep kEmptyRep(nullptr);
+  const Rep& in = src.rep_ ? *src.rep_ : kEmptyRep;
+  ReserveMore(&out->validity, n);
+  size_t i = 0;
+  if (out->dict != nullptr && out->dict == in.dict) {
+    // Same dictionary: codes move as they are.
+    ReserveMore(&out->codes, n);
+    uint8_t* valid_out = GrowBy(&out->validity, n);
+    uint32_t* codes_out = GrowBy(&out->codes, n);
+    for (; i < n; ++i) {
+      const uint32_t r = row_of(i);
+      const bool valid = r != kPadRow && in.validity[r] != 0;
+      valid_out[i] = valid ? 1 : 0;
+      codes_out[i] = valid ? in.codes[r] : 0;
+    }
+  } else if (out->dict != nullptr) {
+    // Intern into this dictionary; a dictionary source appending a batch
+    // is translated once per distinct entry, not once per row.
+    std::vector<uint32_t> translated;
+    if (in.dict && n > 1) {
+      translated.assign(in.dict->size(), Dictionary::kNotFound);
+    }
+    ReserveMore(&out->codes, n);
+    for (; i < n; ++i) {
+      const uint32_t r = row_of(i);
+      if (r == kPadRow || in.validity[r] == 0) {
+        out->validity.push_back(0);
+        out->codes.push_back(0);
+        continue;
+      }
+      uint32_t code;
+      if (translated.empty()) {
+        code = out->Intern(in.Str(r));
+      } else {
+        uint32_t& slot = translated[in.codes[r]];
+        if (slot == Dictionary::kNotFound) slot = out->Intern(in.Str(r));
+        code = slot;
+      }
+      if (code == Dictionary::kNotFound) {
+        out->Decode();  // full: this row and the rest go flat
+        break;
+      }
+      out->validity.push_back(1);
+      out->codes.push_back(code);
+    }
+  }
+  if (i < n) {
+    ReserveMore(&out->strings, (n - i));
+    for (; i < n; ++i) {
+      const uint32_t r = row_of(i);
+      const bool valid = r != kPadRow && in.validity[r] != 0;
+      out->validity.push_back(valid ? 1 : 0);
+      if (valid) {
+        out->strings.push_back(in.Str(r));
+      } else {
+        out->strings.emplace_back();
+      }
+      out->string_bytes += StrCost(out->strings.back());
+    }
+  }
+  out->Recharge();
+}
+
 void ColumnVector::AppendGatherPadded(const ColumnVector& src,
                                       const uint32_t* sel, size_t n) {
   AGORA_DCHECK(type_ == src.type_);
   AGORA_DCHECK(!src.constant_);
   if (n == 0) return;
-  constexpr uint32_t kPad = UINT32_MAX;
+  if (type_ == TypeId::kString) {
+    AppendStrings(src, n, [sel](size_t i) { return sel[i]; });
+    return;
+  }
   Rep* out = EnsureUnique();
-  // An empty src is legal when every sel entry is kPad (NULL padding from
-  // an empty build side); fall back to an empty Rep so no entry can index it.
   static const Rep kEmptyRep(nullptr);
   const Rep& in = src.rep_ ? *src.rep_ : kEmptyRep;
   out->validity.reserve(out->validity.size() + n);
+  uint8_t* valid_out = GrowBy(&out->validity, n);
   switch (type_) {
     case TypeId::kBool:
     case TypeId::kInt64:
-    case TypeId::kDate:
+    case TypeId::kDate: {
       out->ints.reserve(out->ints.size() + n);
+      int64_t* ints_out = GrowBy(&out->ints, n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
-        bool valid = s != kPad && in.validity[s] != 0;
-        out->validity.push_back(valid ? 1 : 0);
-        out->ints.push_back(valid ? in.ints[s] : 0);
+        bool valid = s != kPadRow && in.validity[s] != 0;
+        valid_out[i] = valid ? 1 : 0;
+        ints_out[i] = valid ? in.ints[s] : 0;
       }
       break;
-    case TypeId::kDouble:
+    }
+    case TypeId::kDouble: {
       out->doubles.reserve(out->doubles.size() + n);
+      double* doubles_out = GrowBy(&out->doubles, n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
-        bool valid = s != kPad && in.validity[s] != 0;
-        out->validity.push_back(valid ? 1 : 0);
-        out->doubles.push_back(valid ? in.doubles[s] : 0.0);
+        bool valid = s != kPadRow && in.validity[s] != 0;
+        valid_out[i] = valid ? 1 : 0;
+        doubles_out[i] = valid ? in.doubles[s] : 0.0;
       }
       break;
-    case TypeId::kString:
-      out->strings.reserve(out->strings.size() + n);
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t s = sel[i];
-        bool valid = s != kPad && in.validity[s] != 0;
-        out->validity.push_back(valid ? 1 : 0);
-        if (valid) {
-          out->strings.push_back(in.strings[s]);
-        } else {
-          out->strings.emplace_back();
-        }
-        out->string_bytes += StrCost(out->strings.back());
-      }
-      break;
+    }
+    case TypeId::kString:  // AppendStrings above
     case TypeId::kInvalid:
       break;
   }
@@ -518,7 +765,11 @@ int ColumnVector::CompareRows(size_t i, const ColumnVector& other,
   size_t p = PhysRow(i), q = other.PhysRow(j);
   switch (type_) {
     case TypeId::kString: {
-      int c = rep_->strings[p].compare(other.rep_->strings[q]);
+      if (SharesDictionaryWith(other) &&
+          rep_->codes[p] == other.rep_->codes[q]) {
+        return 0;
+      }
+      int c = rep_->Str(p).compare(other.rep_->Str(q));
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case TypeId::kDouble: {
@@ -540,14 +791,13 @@ ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
     if (sel.empty()) out.Clear();
     return out;
   }
-  ColumnVector out(type_);
+  ColumnVector out = EmptyLike();
   out.AppendGatherPadded(*this, sel.data(), sel.size());
   return out;
 }
 
 ColumnVector ColumnVector::Slice(size_t begin, size_t count) const {
-  size_t end = begin + count;
-  AGORA_DCHECK(end <= size());
+  AGORA_DCHECK(begin + count <= size());
   if (begin == 0 && count == size()) return *this;  // zero-copy share
   if (constant_) {
     ColumnVector out = *this;
@@ -555,31 +805,8 @@ ColumnVector ColumnVector::Slice(size_t begin, size_t count) const {
     if (count == 0) out.Clear();
     return out;
   }
-  ColumnVector out(type_);
-  if (count == 0) return out;
-  Rep* dst = out.EnsureUnique();
-  const Rep& src = *rep_;
-  dst->validity.assign(src.validity.begin() + begin,
-                       src.validity.begin() + end);
-  switch (type_) {
-    case TypeId::kBool:
-    case TypeId::kInt64:
-    case TypeId::kDate:
-      dst->ints.assign(src.ints.begin() + begin, src.ints.begin() + end);
-      break;
-    case TypeId::kDouble:
-      dst->doubles.assign(src.doubles.begin() + begin,
-                          src.doubles.begin() + end);
-      break;
-    case TypeId::kString:
-      dst->strings.assign(src.strings.begin() + begin,
-                          src.strings.begin() + end);
-      for (const auto& s : dst->strings) dst->string_bytes += StrCost(s);
-      break;
-    case TypeId::kInvalid:
-      break;
-  }
-  dst->Recharge();
+  ColumnVector out = EmptyLike();
+  out.AppendRange(*this, begin, count);
   return out;
 }
 
@@ -587,7 +814,8 @@ size_t ColumnVector::MemoryBytes() const {
   if (!rep_) return 0;
   const Rep& rep = *rep_;
   return rep.validity.capacity() + rep.ints.capacity() * sizeof(int64_t) +
-         rep.doubles.capacity() * sizeof(double) + rep.string_bytes;
+         rep.doubles.capacity() * sizeof(double) +
+         rep.codes.capacity() * sizeof(uint32_t) + rep.string_bytes;
 }
 
 Status ColumnVector::CheckConsistency() const {
@@ -600,6 +828,7 @@ Status ColumnVector::CheckConsistency() const {
     }
     rows = 1;  // payload check below covers the single physical row
   }
+  if (is_dictionary()) return CheckDictionary(rows);
   size_t payload = 0;
   switch (type_) {
     case TypeId::kBool:
@@ -627,6 +856,39 @@ Status ColumnVector::CheckConsistency() const {
         std::string(TypeIdToString(type_)) + " has " +
         std::to_string(payload) + " payload rows but validity declares " +
         std::to_string(rows));
+  }
+  return Status::OK();
+}
+
+Status ColumnVector::CheckDictionary(size_t rows) const {
+  const Rep& rep = *rep_;
+  if (type_ != TypeId::kString || constant_ || !rep.strings.empty()) {
+    return Status::Internal(
+        "dictionary column vector must be a flat VARCHAR without string "
+        "payload");
+  }
+  if (rep.codes.size() != rows) {
+    return Status::Internal("dictionary column vector has " +
+                            std::to_string(rep.codes.size()) +
+                            " codes but validity declares " +
+                            std::to_string(rows) + " rows");
+  }
+  const Dictionary& dict = *rep.dict;
+  for (size_t r = 0; r < rows; ++r) {
+    if (rep.validity[r] != 0 && rep.codes[r] >= dict.size()) {
+      return Status::Internal("dictionary code " +
+                              std::to_string(rep.codes[r]) + " at row " +
+                              std::to_string(r) + " is out of range (" +
+                              std::to_string(dict.size()) + " entries)");
+    }
+  }
+  for (uint32_t c = 0; c < dict.size(); ++c) {
+    const std::string& e = dict.entry(c);
+    if (dict.hashes()[c] != HashString(e) ||
+        dict.Find(e, dict.hashes()[c]) != c) {
+      return Status::Internal("dictionary entry " + std::to_string(c) +
+                              " is duplicated or mis-indexed");
+    }
   }
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
@@ -14,14 +15,56 @@
 
 namespace agora {
 
+/// Most distinct entries a dictionary-encoded column keeps. The append
+/// that would add one more decodes the column to flat strings for good.
+inline constexpr size_t kMaxDictionaryEntries = 4096;
+
+/// The unique strings of a dictionary-encoded column: entry `code` is the
+/// string every row carrying that u32 code stands for. Entries keep their
+/// first-insertion order, each with its HashString precomputed (hash
+/// kernels read it instead of rehashing), plus a flat open-addressing
+/// index for Find/Insert. Vectors share a Dictionary copy-on-write: one
+/// only inserts into a dictionary it holds alone (see ColumnVector).
+class Dictionary {
+ public:
+  static constexpr uint32_t kNotFound = UINT32_MAX;
+
+  Dictionary() = default;
+  Dictionary(const Dictionary& other);
+  Dictionary& operator=(const Dictionary&) = delete;
+
+  size_t size() const { return entries_.size(); }
+  const std::string& entry(uint32_t code) const { return entries_[code]; }
+  const std::vector<std::string>& entries() const { return entries_; }
+  /// HashString of every entry, indexed by code.
+  const uint64_t* hashes() const { return hashes_.data(); }
+
+  /// Code of `s` (whose HashString is `h`), or kNotFound.
+  uint32_t Find(std::string_view s, uint64_t h) const;
+  /// Adds `s` (absent, HashString `h`) and returns its code.
+  uint32_t Insert(std::string_view s, uint64_t h);
+
+  /// Heap bytes of entries, hashes and index.
+  size_t MemoryBytes() const;
+
+ private:
+  void PlaceInIndex(uint32_t code);
+
+  std::vector<std::string> entries_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> slots_;  // code + 1; 0 = empty; load <= 1/2
+  size_t string_bytes_ = 0;
+  MemoryCharge charge_;  // the creating thread's tracker, like a Rep
+};
+
 /// A typed, nullable column of values in columnar layout.
 ///
 /// Physical storage: kBool/kInt64/kDate share an int64 array; kDouble uses
-/// a double array; kString uses a std::string array. A byte-per-row
-/// validity vector tracks NULLs (1 = valid). This trades some space for
-/// simple, branch-light kernels.
+/// a double array; kString uses a std::string array, or u32 codes in the
+/// dictionary form below. A byte-per-row validity vector tracks NULLs
+/// (1 = valid). This trades some space for simple, branch-light kernels.
 ///
-/// Two representation axes keep the expression engine zero-copy:
+/// Three representation axes keep the engine zero-copy:
 ///
 /// *Shared buffers (copy-on-write).* The payload lives in a refcounted
 /// `Rep`; copying a ColumnVector shares it (O(1)), and every mutating
@@ -33,8 +76,19 @@ namespace agora {
 /// *Constant form.* A vector may represent `n` logical repetitions of a
 /// single physical row (literals, folded expressions). Element accessors
 /// are constant-transparent (they read physical row 0); raw-pointer and
-/// batch-kernel entry points require flat vectors — callers flatten at
-/// the boundary (Expr::Evaluate does this) or DCHECK-fail.
+/// batch-kernel entry points require non-constant vectors — callers
+/// expand at the boundary (Expr::Evaluate does this) or DCHECK-fail.
+///
+/// *Dictionary form* (kString only). Each row holds a u32 code into a
+/// shared, copy-on-write Dictionary instead of a std::string. Table
+/// string columns start in this form and keep it until a
+/// (kMaxDictionaryEntries + 1)-th distinct value decodes them. Element
+/// accessors, hashes and comparisons read through the dictionary, so
+/// every result is byte-identical to the flat form. Appends, gathers and
+/// slices from a vector with the same dictionary move codes; an empty
+/// vector appending from a dictionary vector adopts its dictionary; a
+/// dictionary vector appending foreign strings interns them. Consumers
+/// that need `string_data()` call Flatten(), which decodes.
 class ColumnVector {
  public:
   ColumnVector() : type_(TypeId::kInvalid) {}
@@ -53,9 +107,34 @@ class ColumnVector {
   /// Builds an `n`-row constant vector holding `v` (one physical row).
   static ColumnVector MakeConstant(TypeId type, const Value& v, size_t n);
 
-  /// Expands the constant form into `size()` physical rows. No-op when
-  /// already flat. Required before raw-pointer access or batch kernels.
+  /// Builds an empty kString vector in dictionary form (Table columns).
+  static ColumnVector MakeDictionary();
+
+  /// True for the dictionary form: rows are codes into dictionary().
+  bool is_dictionary() const { return rep_ != nullptr && rep_->dict; }
+  /// True when both vectors are in dictionary form over the same
+  /// Dictionary object, so equal codes mean equal strings.
+  bool SharesDictionaryWith(const ColumnVector& other) const {
+    return is_dictionary() && other.is_dictionary() &&
+           rep_->dict == other.rep_->dict;
+  }
+  const Dictionary& dictionary() const {
+    AGORA_DCHECK(is_dictionary());
+    return *rep_->dict;
+  }
+
+  /// An empty vector of this type, in dictionary form over this vector's
+  /// dictionary when it has one: appends of strings already in the
+  /// dictionary then store their codes.
+  ColumnVector EmptyLike() const;
+
+  /// Expands the constant form into `size()` physical rows and decodes
+  /// the dictionary form into flat strings. No-op when already flat.
+  /// Required before string_data().
   void Flatten();
+  /// Expands the constant form only; a dictionary vector stays encoded.
+  /// Enough for every batch kernel (they accept the dictionary form).
+  void FlattenConstant();
 
   void Reserve(size_t n);
   void Clear();
@@ -88,7 +167,7 @@ class ColumnVector {
   int64_t GetInt64(size_t i) const { return rep_->ints[PhysRow(i)]; }
   double GetDouble(size_t i) const { return rep_->doubles[PhysRow(i)]; }
   const std::string& GetString(size_t i) const {
-    return rep_->strings[PhysRow(i)];
+    return rep_->Str(PhysRow(i));
   }
   bool GetBool(size_t i) const { return rep_->ints[PhysRow(i)] != 0; }
   /// Numeric view of row `i` regardless of int/double/date physical type.
@@ -113,8 +192,14 @@ class ColumnVector {
     return rep_ ? rep_->doubles.data() : nullptr;
   }
   const std::vector<std::string>& string_data() const {
-    AGORA_DCHECK(!constant_);
+    AGORA_DCHECK(!constant_ && !is_dictionary());
     return rep_ ? rep_->strings : EmptyStrings();
+  }
+  /// Per-row dictionary codes (dictionary form only). A NULL row holds
+  /// code 0, which need not name an entry.
+  const uint32_t* codes_data() const {
+    AGORA_DCHECK(is_dictionary());
+    return rep_->codes.data();
   }
   const uint8_t* validity_data() const {
     AGORA_DCHECK(!constant_);
@@ -124,6 +209,10 @@ class ColumnVector {
   double* mutable_double_data() { return EnsureUnique()->doubles.data(); }
   uint8_t* mutable_validity_data() {
     return EnsureUnique()->validity.data();
+  }
+  uint32_t* mutable_codes_data() {
+    AGORA_DCHECK(is_dictionary());
+    return EnsureUnique()->codes.data();
   }
 
   /// True if no row is NULL (fast path for kernels).
@@ -167,21 +256,28 @@ class ColumnVector {
   ColumnVector Gather(const std::vector<uint32_t>& sel) const;
 
   /// Copies rows [begin, begin+count) into a new vector. A whole-vector
-  /// slice of a flat vector shares the buffer (zero copy).
+  /// slice shares the buffer (zero copy); a dictionary slice copies codes
+  /// and shares the dictionary.
   ColumnVector Slice(size_t begin, size_t count) const;
 
   /// Approximate heap bytes used (for resource accounting). Shared
   /// buffers are counted once per referencing vector, matching the
-  /// deep-copy accounting this replaced.
+  /// deep-copy accounting this replaced. A dictionary vector counts its
+  /// codes, not the shared Dictionary (which charges its own tracker and
+  /// reports Dictionary::MemoryBytes).
   size_t MemoryBytes() const;
 
   /// Debug verification (AGORA_VERIFY): checks that the payload array for
   /// the column's physical type covers every row the validity vector
-  /// declares, so element accessors can never read past the payload.
-  /// Returns an Internal status naming the mismatch.
+  /// declares, so element accessors can never read past the payload. In
+  /// the dictionary form it also checks that every valid row's code names
+  /// an entry and that the entries are unique. Returns an Internal status
+  /// naming the mismatch.
   Status CheckConsistency() const;
 
  private:
+  Status CheckDictionary(size_t rows) const;
+
   /// Refcounted payload. A null rep_ means an empty vector; every
   /// accessor that indexes rows may assume rep_ is set because row
   /// indexes only exist once something was appended.
@@ -206,10 +302,27 @@ class ColumnVector {
     /// more than the charge granularity.
     void Recharge();
 
+    /// String of physical row `p` in either string form.
+    const std::string& Str(size_t p) const {
+      return dict ? dict->entry(codes[p]) : strings[p];
+    }
+    /// Code of `s` in `dict`, inserting it (after cloning a shared
+    /// dictionary); Dictionary::kNotFound when the dictionary is full.
+    uint32_t Intern(std::string_view s);
+    /// Converts the dictionary form to flat strings in place.
+    void Decode();
+    /// Appends one valid string in whichever form the rep is in,
+    /// decoding first when the dictionary is full.
+    void PushString(std::string_view s);
+
     std::vector<uint8_t> validity;
     std::vector<int64_t> ints;
     std::vector<double> doubles;
     std::vector<std::string> strings;
+    /// Dictionary form (kString): one code per row into `dict`. A null
+    /// `dict` means the flat form, with the payload in `strings`.
+    std::vector<uint32_t> codes;
+    std::shared_ptr<Dictionary> dict;
     /// Incremental sum over `strings` of sizeof(std::string) +
     /// capacity(), maintained at every string mutation site so
     /// MemoryBytes() and Recharge() are O(1).
@@ -219,9 +332,17 @@ class ColumnVector {
 
   size_t PhysRow(size_t i) const { return constant_ ? 0 : i; }
 
-  /// Clones the rep when shared, creates it when absent, and flattens the
-  /// constant form — after this call mutation is safe.
+  /// Clones the rep when shared, creates it when absent, and expands the
+  /// constant form — after this call mutation is safe. A dictionary stays
+  /// shared until Rep::Intern needs to add to it.
   Rep* EnsureUnique();
+
+  /// Appends `n` kString rows of `src`: physical row `row_of(i)`, or NULL
+  /// where it returns UINT32_MAX. Moves codes when both sides share a
+  /// dictionary, adopts src's dictionary while *this is empty, interns
+  /// into this vector's own dictionary, else copies strings.
+  template <typename RowFn>
+  void AppendStrings(const ColumnVector& src, size_t n, RowFn row_of);
 
   static const std::vector<std::string>& EmptyStrings();
 

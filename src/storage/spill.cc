@@ -62,8 +62,10 @@ Status SpillFile::WriteChunk(const Chunk& chunk) {
   AGORA_RETURN_IF_ERROR(WriteRaw(&ncols, sizeof(ncols)));
   AGORA_RETURN_IF_ERROR(WriteRaw(&nrows, sizeof(nrows)));
   for (size_t c = 0; c < chunk.num_columns(); ++c) {
-    // Copy-flatten so constant columns serialize as their logical rows;
-    // flat columns share the payload (no copy).
+    // Copy-flatten so constant columns serialize as their logical rows
+    // and dictionary columns as decoded strings (the format has one
+    // string encoding); flat columns share the payload (no copy).
+    NoteEncoding(c, chunk.column(c));
     ColumnVector col = chunk.column(c);
     col.Flatten();
     uint8_t type = static_cast<uint8_t>(col.type());
@@ -99,6 +101,17 @@ Status SpillFile::WriteChunk(const Chunk& chunk) {
     }
   }
   return Status::OK();
+}
+
+void SpillFile::NoteEncoding(size_t c, const ColumnVector& col) {
+  if (encodings_.size() <= c) encodings_.resize(c + 1);
+  ColumnVector& seen = encodings_[c];
+  if (seen.type() == TypeId::kInvalid) {  // first chunk at this position
+    seen = col.is_dictionary() ? col.EmptyLike()
+                               : ColumnVector(TypeId::kString);
+  } else if (seen.is_dictionary() && !seen.SharesDictionaryWith(col)) {
+    seen = ColumnVector(TypeId::kString);
+  }
 }
 
 Status SpillFile::WriteBlob(const void* data, size_t size) {
@@ -154,6 +167,9 @@ Status SpillFile::ReadChunk(Chunk* out, bool* eof) {
         std::memcpy(col.mutable_validity_data(), validity.data(), nrows);
         break;
       case TypeId::kString: {
+        if (c < encodings_.size() && encodings_[c].is_dictionary()) {
+          col = encodings_[c];  // appends intern into the written dictionary
+        }
         col.Reserve(nrows);
         std::string value;
         for (uint32_t r = 0; r < nrows; ++r) {
@@ -212,6 +228,7 @@ Result<std::unique_ptr<SpillFile>> SpillManager::Create() {
     file->file_ = reopened;
     file->bytes_written_ = 0;
     file->bytes_read_ = 0;
+    file->encodings_.clear();
     return file;
   }
   std::string path = dir_ + "/agora_spill_" +

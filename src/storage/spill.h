@@ -29,7 +29,11 @@ class SpillManager;
 ///   [u32 kBlobMagic][u64 size][size bytes]
 /// Int64/double payloads are raw arrays (bit-exact round trip — the
 /// byte-identity guarantee for doubles depends on this); string payloads
-/// are u32-length-prefixed bytes, length 0 for NULL rows.
+/// are u32-length-prefixed bytes, length 0 for NULL rows. A dictionary
+/// column is written decoded; when every chunk wrote one column position
+/// from the same dictionary, ReadChunk re-encodes it into that dictionary
+/// (the file keeps it alive), so a reloaded partition is as compact as
+/// the one that was spilled.
 class SpillFile {
  public:
   ~SpillFile();
@@ -59,11 +63,17 @@ class SpillFile {
 
   Status WriteRaw(const void* data, size_t size);
   Status ReadRaw(void* data, size_t size);
+  /// Records how column position `c` was written (see encodings_).
+  void NoteEncoding(size_t c, const ColumnVector& col);
 
   std::string path_;
   std::FILE* file_ = nullptr;
   int64_t bytes_written_ = 0;
   int64_t bytes_read_ = 0;
+  /// Per column position: typeless until a chunk is written there; an
+  /// empty dictionary vector while every chunk wrote that position from
+  /// the same dictionary; a flat VARCHAR vector once any did not.
+  std::vector<ColumnVector> encodings_;
 };
 
 /// Hands out recycled temp files for spilling and guarantees cleanup:

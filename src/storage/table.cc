@@ -16,7 +16,11 @@ Table::Table(std::string name, Schema schema)
       schema_(std::move(schema)) {
   columns_.reserve(schema_.num_fields());
   for (const Field& f : schema_.fields()) {
-    columns_.emplace_back(f.type);
+    // String columns are dictionary-encoded from the first append; they
+    // decode for good past kMaxDictionaryEntries distinct values.
+    columns_.push_back(f.type == TypeId::kString
+                           ? ColumnVector::MakeDictionary()
+                           : ColumnVector(f.type));
   }
 }
 
@@ -248,7 +252,10 @@ std::shared_ptr<Table> Table::SortedCopy(const std::string& new_name,
 
 size_t Table::MemoryBytes() const {
   size_t bytes = 0;
-  for (const auto& col : columns_) bytes += col.MemoryBytes();
+  for (const auto& col : columns_) {
+    bytes += col.MemoryBytes();
+    if (col.is_dictionary()) bytes += col.dictionary().MemoryBytes();
+  }
   return bytes;
 }
 

@@ -160,6 +160,7 @@ class Table {
   std::shared_ptr<Table> SortedCopy(const std::string& new_name,
                                     size_t column) const;
 
+  /// Column payloads plus the dictionaries of encoded columns.
   size_t MemoryBytes() const;
 
  private:

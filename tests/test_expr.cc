@@ -380,6 +380,23 @@ Value OracleEval(const Expr& e, const Chunk& chunk, size_t row) {
       return v.is_null() ? Value::Null(TypeId::kBool)
                          : Value::Bool(!v.bool_value());
     }
+    case ExprKind::kInList: {
+      // SQL: a match is TRUE (FALSE under NOT IN); no match is NULL when
+      // the list holds a NULL, else FALSE (TRUE under NOT IN).
+      const auto& n = static_cast<const InListExpr&>(e);
+      Value v = OracleEval(*n.child(), chunk, row);
+      if (v.is_null()) return Value::Null(TypeId::kBool);
+      bool list_has_null = false;
+      for (const Value& c : n.values()) {
+        if (c.is_null()) {
+          list_has_null = true;
+        } else if (v.Compare(c) == 0) {
+          return Value::Bool(!n.negated());
+        }
+      }
+      if (list_has_null) return Value::Null(TypeId::kBool);
+      return Value::Bool(n.negated());
+    }
     default:
       ADD_FAILURE() << "oracle does not model " << e.ToString();
       return Value::Null();
@@ -471,6 +488,72 @@ TEST(ExprOracleTest, ComparisonsAcrossTypes) {
     ExpectMatchesOracle(
         MakeCompare(op, ColA(), MakeLiteral(Value::Null(TypeId::kInt64))),
         chunk);
+  }
+}
+
+ExprPtr In(ExprPtr child, std::vector<Value> list, bool negated = false) {
+  return std::make_shared<InListExpr>(std::move(child), std::move(list),
+                                      negated);
+}
+
+TEST(ExprOracleTest, InListAcrossTypes) {
+  Chunk chunk = MakeRandomChunk(7);
+  const Value null = Value::Null();
+  for (bool negated : {false, true}) {
+    // Typed kernels: BIGINT, DOUBLE and VARCHAR children.
+    ExpectMatchesOracle(In(ColA(), {Value::Int64(1), Value::Int64(-3)},
+                           negated),
+                        chunk);
+    ExpectMatchesOracle(In(ColS(), {Value::String("cat"),
+                                    Value::String("eel")},
+                           negated),
+                        chunk);
+    ExpectMatchesOracle(In(ColX(), {Value::Double(1.5), Value::Int64(2)},
+                           negated),
+                        chunk);
+    // A NULL in the list turns every non-match NULL.
+    ExpectMatchesOracle(In(ColB(), {Value::Int64(0), null}, negated), chunk);
+    ExpectMatchesOracle(In(ColT(), {null, Value::String("dog")}, negated),
+                        chunk);
+    ExpectMatchesOracle(In(ColA(), {null}, negated), chunk);
+    // Mixed BIGINT/DOUBLE literals compare numerically; a string literal
+    // never matches a number (and vice versa).
+    ExpectMatchesOracle(In(ColB(), {Value::Double(2.0), Value::Double(2.5),
+                                    Value::Int64(-4), Value::String("3")},
+                           negated),
+                        chunk);
+    ExpectMatchesOracle(In(ColS(), {Value::Int64(1), Value::String("ant")},
+                           negated),
+                        chunk);
+    // Constant children fold to one answer for every row.
+    ExpectMatchesOracle(In(MakeLiteral(Value::Int64(2)),
+                           {Value::Double(2.0), null}, negated),
+                        chunk);
+    ExpectMatchesOracle(In(MakeLiteral(Value::String("bee")),
+                           {Value::String("ant"), null}, negated),
+                        chunk);
+    ExpectMatchesOracle(In(MakeLiteral(Value::Null(TypeId::kInt64)),
+                           {Value::Int64(1)}, negated),
+                        chunk);
+  }
+}
+
+TEST(ExprOracleTest, InListDoublesFollowValueCompare) {
+  // Exact, signed-zero and NaN cases: Value::Compare treats -0.0 == 0.0
+  // and a NaN as equal to everything, and the typed kernel must agree.
+  Schema schema({{"x", TypeId::kDouble, true}, {"a", TypeId::kInt64, true}});
+  Chunk chunk(schema);
+  const double xs[] = {0.0, -0.0, 2.0, 2.5, std::nan(""), -7.0};
+  for (double x : xs) chunk.AppendRow({Value::Double(x), Value::Int64(2)});
+  chunk.AppendRow({Value::Null(), Value::Null()});
+  ExprPtr x = MakeColumnRef(0, TypeId::kDouble, "x");
+  ExprPtr a = MakeColumnRef(1, TypeId::kInt64, "a");
+  for (bool negated : {false, true}) {
+    ExpectMatchesOracle(In(x, {Value::Int64(0), Value::Int64(2)}, negated),
+                        chunk);
+    ExpectMatchesOracle(In(x, {Value::Double(-0.0)}, negated), chunk);
+    ExpectMatchesOracle(In(a, {Value::Double(std::nan(""))}, negated), chunk);
+    ExpectMatchesOracle(In(a, {Value::Double(2.0)}, negated), chunk);
   }
 }
 

@@ -349,6 +349,44 @@ TEST_F(SpillExecTest, AggregateSpillsAndStaysByteIdentical) {
                         << " never snapshotted an aggregation partition";
 }
 
+// Keys on dictionary-encoded string columns. The aggregate hashes and
+// compares l_shipmode through its codes; the join matches o_orderstatus
+// against l_linestatus, two columns with different dictionaries. Spill
+// files hold decoded strings that reload re-encodes, so reloaded
+// partitions must meet in-memory ones byte for byte.
+const char kEncodedKeyAgg[] =
+    "SELECT l_orderkey, l_shipmode, COUNT(*), SUM(l_quantity) "
+    "FROM lineitem GROUP BY l_orderkey, l_shipmode";
+const char kEncodedKeyJoin[] =
+    "SELECT COUNT(*), SUM(l_quantity) FROM orders, lineitem "
+    "WHERE o_orderkey = l_orderkey AND o_orderstatus = l_linestatus";
+
+TEST_F(SpillExecTest, EncodedStringKeysSpillAndStayByteIdentical) {
+  auto lineitem = budgeted_->catalog().GetTable("lineitem");
+  ASSERT_TRUE(lineitem.ok());
+  const Schema& schema = (*lineitem)->schema();
+  for (const char* column : {"l_shipmode", "l_linestatus"}) {
+    ASSERT_TRUE(
+        (*lineitem)->column(*schema.FieldIndex(column)).is_dictionary())
+        << column;
+  }
+
+  // The aggregate's result (one row per group, not spillable) is most of
+  // its working set, so its budget is the result plus room for about one
+  // partition; a quarter of the peak would not even hold the result.
+  QueryResult agg = Run(ref_, kEncodedKeyAgg);
+  const int64_t agg_budget =
+      static_cast<int64_t>(agg.data().MemoryBytes()) + (int64_t{192} << 10);
+  QueryResult join = Run(ref_, kEncodedKeyJoin);
+  const int64_t join_budget =
+      std::max<int64_t>(UnlimitedPeak(kEncodedKeyJoin) / 4, 1 << 16);
+
+  EXPECT_GT(SweepAndCompare(kEncodedKeyAgg, agg_budget, agg), 0)
+      << "budget " << agg_budget << " never spilled the aggregate";
+  EXPECT_GT(SweepAndCompare(kEncodedKeyJoin, join_budget, join), 0)
+      << "budget " << join_budget << " never spilled the join";
+}
+
 TEST_F(SpillExecTest, TpchQueriesByteIdenticalUnderBudget) {
   for (const std::string& sql : {TpchQ5(), TpchQ10()}) {
     QueryResult reference = Run(ref_, sql);

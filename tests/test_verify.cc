@@ -129,6 +129,46 @@ TEST(ColumnConsistencyTest, TypedColumnsPass) {
   EXPECT_TRUE(col.CheckConsistency().ok());
 }
 
+/// An id column plus a dictionary-encoded name column ("a", "b", NULL,
+/// "a"): the encoded form Table hands to scans.
+Chunk DictionaryChunk() {
+  Chunk chunk;
+  ColumnVector id(TypeId::kInt64);
+  ColumnVector name = ColumnVector::MakeDictionary();
+  for (int64_t i = 0; i < 4; ++i) id.AppendInt64(i);
+  name.AppendString("a");
+  name.AppendString("b");
+  name.AppendNull();
+  name.AppendString("a");
+  chunk.AddColumn(std::move(id));
+  chunk.AddColumn(std::move(name));
+  return chunk;
+}
+
+TEST(ChunkVerifyTest, DictionaryColumnPasses) {
+  Chunk chunk = DictionaryChunk();
+  ASSERT_TRUE(chunk.column(1).is_dictionary());
+  EXPECT_TRUE(VerifyChunk(chunk, TwoColumnSchema(), "Scan", false).ok());
+}
+
+TEST(ColumnConsistencyTest, OutOfRangeDictionaryCodeFires) {
+  Chunk chunk = DictionaryChunk();
+  // Two entries ("a", "b"): code 7 names nothing.
+  chunk.column(1).mutable_codes_data()[3] = 7;
+  Status s = VerifyChunk(chunk, TwoColumnSchema(), "Scan", false);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("Scan"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("dictionary code 7 at row 3 is out of range"),
+            std::string::npos)
+      << s.message();
+}
+
+TEST(ColumnConsistencyTest, CodeOfNullRowIsNotChecked) {
+  Chunk chunk = DictionaryChunk();
+  chunk.column(1).mutable_codes_data()[2] = 7;  // row 2 is NULL
+  EXPECT_TRUE(chunk.column(1).CheckConsistency().ok());
+}
+
 // -- Selection verification ---------------------------------------------
 
 TEST(SelectionVerifyTest, InRangeSelectionPasses) {
