@@ -7,7 +7,9 @@
 #include <limits>
 
 #include "common/timer.h"
+#include "common/verify.h"
 #include "exec/parallel.h"
+#include "expr/expr_rewrite.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
 #include "storage/csv.h"
@@ -361,6 +363,17 @@ Result<QueryResult> Database::ExecuteDropTable(
   return QueryResult();
 }
 
+namespace {
+
+/// AGORA_VERIFY: the zone maps and indexes a write maintained must equal
+/// a rebuild. Runs after the write, so a mismatch fails the statement
+/// with the data already changed.
+Status VerifyWrite(const Table& table) {
+  return VerificationEnabled() ? table.VerifyDerived() : Status::OK();
+}
+
+}  // namespace
+
 Result<QueryResult> Database::ExecuteInsert(const InsertStatement& stmt) {
   AGORA_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                          catalog_.GetTable(stmt.table));
@@ -377,8 +390,11 @@ Result<QueryResult> Database::ExecuteInsert(const InsertStatement& stmt) {
     }
   }
 
+  // All rows go into one chunk and the table in one append, so a bad
+  // row leaves the table untouched.
   Binder binder(catalog_);
   Schema empty;
+  Chunk rows(schema);
   for (const auto& row_exprs : stmt.rows) {
     if (row_exprs.size() != target_cols.size()) {
       return Status::InvalidArgument(
@@ -400,8 +416,10 @@ Result<QueryResult> Database::ExecuteInsert(const InsertStatement& stmt) {
       }
       row[target_cols[i]] = std::move(v);
     }
-    AGORA_RETURN_IF_ERROR(table->AppendRow(row));
+    rows.AppendRow(row);
   }
+  AGORA_RETURN_IF_ERROR(table->AppendChunk(rows));
+  AGORA_RETURN_IF_ERROR(VerifyWrite(*table));
   return QueryResult();
 }
 
@@ -415,31 +433,30 @@ QueryResult RowsAffected(int64_t n) {
   return QueryResult(std::move(schema), std::move(data), ExecStats{});
 }
 
-/// Binds `where` against `table`'s schema and evaluates it, returning a
-/// row-selection bitmap (nullptr where -> all true).
-Result<std::vector<uint8_t>> EvaluateWhereBitmap(const Catalog& catalog,
-                                                 const Table& table,
-                                                 const ParsedExprPtr& where) {
-  std::vector<uint8_t> bitmap(table.num_rows(), 1);
-  if (where == nullptr) return bitmap;
-  Binder binder(catalog);
-  AGORA_ASSIGN_OR_RETURN(ExprPtr pred,
-                         binder.BindScalarExpr(where, table.schema()));
-  if (pred->result_type() != TypeId::kBool) {
-    return Status::TypeError("WHERE clause must be BOOLEAN");
-  }
-  for (size_t start = 0; start < table.num_rows(); start += kChunkSize) {
-    Chunk chunk = table.GetChunk(start, kChunkSize);
-    ColumnVector mask;
-    AGORA_RETURN_IF_ERROR(pred->Evaluate(chunk, &mask));
-    for (size_t i = 0; i < mask.size(); ++i) {
-      bitmap[start + i] = (!mask.IsNull(i) && mask.GetBool(i)) ? 1 : 0;
-    }
-  }
-  return bitmap;
-}
-
 }  // namespace
+
+Result<std::vector<uint32_t>> Database::FindRows(
+    const std::shared_ptr<Table>& table, const ParsedExprPtr& where) {
+  ExprPtr pred;
+  if (where != nullptr) {
+    Binder binder(catalog_);
+    AGORA_ASSIGN_OR_RETURN(pred, binder.BindScalarExpr(where, table->schema()));
+    if (pred->result_type() != TypeId::kBool) {
+      return Status::TypeError("WHERE clause must be BOOLEAN");
+    }
+    pred = FoldConstants(pred);
+  }
+  ExecContext context;
+  AGORA_ASSIGN_OR_RETURN(
+      PhysicalOpPtr scan,
+      CreateRowIdScan(table, std::move(pred), &context, options_.physical));
+  AGORA_ASSIGN_OR_RETURN(Chunk ids, ParallelCollectAll(scan.get(), &context));
+  std::vector<uint32_t> rows(ids.num_rows());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<uint32_t>(ids.column(0).GetInt64(i));
+  }
+  return rows;
+}
 
 Result<QueryResult> Database::ExecuteUpdate(const UpdateStatement& stmt) {
   AGORA_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
@@ -447,63 +464,59 @@ Result<QueryResult> Database::ExecuteUpdate(const UpdateStatement& stmt) {
   const Schema& schema = table->schema();
   Binder binder(catalog_);
   // Resolve assignment targets and bind their value expressions against
-  // the (pre-update) row.
+  // the (pre-update) row, cast to the column type. A column assigned
+  // twice takes its last assignment.
   std::vector<size_t> target_cols;
   std::vector<ExprPtr> value_exprs;
   for (const auto& [column, parsed] : stmt.assignments) {
     AGORA_ASSIGN_OR_RETURN(size_t idx, schema.FieldIndex(column));
     AGORA_ASSIGN_OR_RETURN(ExprPtr bound,
                            binder.BindScalarExpr(parsed, schema));
+    if (bound->result_type() != schema.field(idx).type) {
+      bound = std::make_shared<CastExpr>(std::move(bound),
+                                         schema.field(idx).type);
+    }
+    auto it = std::find(target_cols.begin(), target_cols.end(), idx);
+    if (it != target_cols.end()) {
+      value_exprs[it - target_cols.begin()] = std::move(bound);
+      continue;
+    }
     target_cols.push_back(idx);
     value_exprs.push_back(std::move(bound));
   }
-  AGORA_ASSIGN_OR_RETURN(std::vector<uint8_t> bitmap,
-                         EvaluateWhereBitmap(catalog_, *table, stmt.where));
-
-  int64_t affected = 0;
-  for (size_t start = 0; start < bitmap.size(); start += kChunkSize) {
-    size_t count = std::min(kChunkSize, bitmap.size() - start);
-    bool any = false;
-    for (size_t i = 0; i < count; ++i) {
-      if (bitmap[start + i] != 0) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) continue;
-    // New values are computed from the pre-update chunk, so multiple
-    // assignments see consistent inputs (standard SQL semantics).
-    Chunk chunk = table->GetChunk(start, count);
-    std::vector<ColumnVector> new_values(value_exprs.size());
-    for (size_t a = 0; a < value_exprs.size(); ++a) {
-      AGORA_RETURN_IF_ERROR(value_exprs[a]->Evaluate(chunk, &new_values[a]));
-    }
-    for (size_t i = 0; i < count; ++i) {
-      if (bitmap[start + i] == 0) continue;
-      for (size_t a = 0; a < target_cols.size(); ++a) {
-        AGORA_RETURN_IF_ERROR(table->SetCell(start + i, target_cols[a],
-                                             new_values[a].GetValue(i)));
-      }
-      ++affected;
-    }
+  AGORA_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                         FindRows(table, stmt.where));
+  if (rows.empty()) return RowsAffected(0);
+  // Every SET expression reads the pre-update values of the matched rows
+  // (standard SQL semantics): all are evaluated before any is written.
+  Chunk matched = table->GetChunkView().GatherRows(rows);
+  std::vector<ColumnVector> new_values(value_exprs.size());
+  for (size_t a = 0; a < value_exprs.size(); ++a) {
+    AGORA_RETURN_IF_ERROR(value_exprs[a]->Evaluate(matched, &new_values[a]));
   }
-  return RowsAffected(affected);
+  AGORA_RETURN_IF_ERROR(table->UpdateRows(rows, target_cols, new_values));
+  AGORA_RETURN_IF_ERROR(VerifyWrite(*table));
+  return RowsAffected(static_cast<int64_t>(rows.size()));
 }
 
 Result<QueryResult> Database::ExecuteDelete(const DeleteStatement& stmt) {
   AGORA_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                          catalog_.GetTable(stmt.table));
-  AGORA_ASSIGN_OR_RETURN(std::vector<uint8_t> bitmap,
-                         EvaluateWhereBitmap(catalog_, *table, stmt.where));
+  AGORA_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                         FindRows(table, stmt.where));
   std::vector<uint32_t> keep;
-  keep.reserve(bitmap.size());
-  for (size_t i = 0; i < bitmap.size(); ++i) {
-    if (bitmap[i] == 0) keep.push_back(static_cast<uint32_t>(i));
+  keep.reserve(table->num_rows() - rows.size());
+  size_t next = 0;
+  for (uint32_t r = 0; r < table->num_rows(); ++r) {
+    if (next < rows.size() && rows[next] == r) {
+      ++next;
+    } else {
+      keep.push_back(r);
+    }
   }
-  int64_t affected =
-      static_cast<int64_t>(bitmap.size()) - static_cast<int64_t>(keep.size());
   AGORA_RETURN_IF_ERROR(table->RetainRows(keep));
-  return RowsAffected(affected);
+  AGORA_RETURN_IF_ERROR(VerifyWrite(*table));
+  return RowsAffected(static_cast<int64_t>(rows.size()));
 }
 
 Result<QueryResult> Database::ExecuteCopy(const CopyStatement& stmt) {
@@ -513,13 +526,9 @@ Result<QueryResult> Database::ExecuteCopy(const CopyStatement& stmt) {
     AGORA_ASSIGN_OR_RETURN(
         std::shared_ptr<Table> imported,
         ReadCsvFile(stmt.path, stmt.table, table->schema()));
-    int64_t rows = static_cast<int64_t>(imported->num_rows());
-    for (size_t start = 0; start < imported->num_rows();
-         start += kChunkSize) {
-      AGORA_RETURN_IF_ERROR(
-          table->AppendChunk(imported->GetChunk(start, kChunkSize)));
-    }
-    return RowsAffected(rows);
+    AGORA_RETURN_IF_ERROR(table->AppendChunk(imported->GetChunkView()));
+    AGORA_RETURN_IF_ERROR(VerifyWrite(*table));
+    return RowsAffected(static_cast<int64_t>(imported->num_rows()));
   }
   AGORA_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                          catalog_.GetTable(stmt.table));

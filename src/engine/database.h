@@ -205,6 +205,12 @@ class Database {
   Result<QueryResult> ExecuteDelete(const DeleteStatement& stmt);
   Result<QueryResult> ExecuteCopy(const CopyStatement& stmt);
 
+  /// The row-finding half of UPDATE/DELETE: binds `where` (null = every
+  /// row) against `table` and runs it as a planned row-id scan (zone
+  /// maps, IndexScan). Returns the matching row ids, ascending.
+  Result<std::vector<uint32_t>> FindRows(const std::shared_ptr<Table>& table,
+                                         const ParsedExprPtr& where);
+
   /// Folds one query's stats + profile into the registry (exactly once
   /// per execution, at the end of ExecutePlan).
   void RecordQueryMetrics(const ExecStats& stats,

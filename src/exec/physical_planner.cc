@@ -1,6 +1,9 @@
 #include "exec/physical_planner.h"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/thread_pool.h"
 #include "exec/aggregate.h"
@@ -17,6 +20,34 @@ namespace agora {
 
 namespace {
 
+/// The point-set constraint of `col IN (literals)` on a numeric column:
+/// the sorted non-NULL literals. NOT IN, string lists and lists holding a
+/// NaN (which Value::Compare finds equal to everything) are not pruned.
+std::optional<ColumnRangeConstraint> InListPoints(
+    const InListExpr& in, const std::vector<size_t>& projection) {
+  if (in.negated() || in.child()->kind() != ExprKind::kColumnRef) {
+    return std::nullopt;
+  }
+  const auto* ref = static_cast<const ColumnRefExpr*>(in.child().get());
+  if (!IsNumeric(ref->result_type()) && ref->result_type() != TypeId::kBool) {
+    return std::nullopt;
+  }
+  ColumnRangeConstraint r;
+  r.column = projection.empty() ? ref->index() : projection[ref->index()];
+  for (const Value& v : in.values()) {
+    if (v.is_null()) continue;
+    if (v.type() == TypeId::kString || std::isnan(v.AsDouble())) {
+      return std::nullopt;
+    }
+    r.points.push_back(v.AsDouble());
+  }
+  if (r.points.empty()) return std::nullopt;
+  std::sort(r.points.begin(), r.points.end());
+  r.lo = r.points.front();
+  r.hi = r.points.back();
+  return r;
+}
+
 /// Extracts [lo, hi] range constraints over base-table columns from the
 /// conjuncts of `predicate` (bound against the scan's projected schema).
 /// `projection` maps projected index -> base column (empty = identity).
@@ -25,6 +56,12 @@ std::vector<ColumnRangeConstraint> ExtractRanges(
   std::vector<ColumnRangeConstraint> ranges;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const ExprPtr& conjunct : SplitConjuncts(predicate)) {
+    if (conjunct->kind() == ExprKind::kInList) {
+      const auto* in = static_cast<const InListExpr*>(conjunct.get());
+      std::optional<ColumnRangeConstraint> r = InListPoints(*in, projection);
+      if (r.has_value()) ranges.push_back(std::move(*r));
+      continue;
+    }
     if (conjunct->kind() != ExprKind::kComparison) continue;
     const auto* cmp = static_cast<const ComparisonExpr*>(conjunct.get());
     const Expr* col_side = cmp->left().get();
@@ -222,19 +259,12 @@ class PlannerImpl {
     return Status::Internal("unhandled logical operator");
   }
 
- private:
-  /// Inserts a Gather exchange below order-insensitive pipeline breakers.
-  /// Never used under Limit (early exit must stay streaming) or as a join
-  /// child (would break the probe pipeline shape). Gather degenerates to
-  /// a pass-through when the child is not an eligible pipeline, so
-  /// wrapping is always safe.
-  PhysicalOpPtr MaybeGather(PhysicalOpPtr op) {
-    if (!options_.enable_parallel) return op;
-    return std::make_unique<PhysicalGather>(std::move(op), context_);
-  }
-
-  Result<PhysicalOpPtr> LowerScan(const LogicalScan& scan) {
+  /// With `emit_row_ids` the scan yields matching row ids (RowIdSchema)
+  /// for UPDATE and DELETE instead of the projected columns.
+  Result<PhysicalOpPtr> LowerScan(const LogicalScan& scan,
+                                  bool emit_row_ids = false) {
     const ExprPtr& pred = scan.pushed_predicate();
+    Schema schema = emit_row_ids ? RowIdSchema() : scan.schema();
     // Index scan for equality predicates with an existing index.
     if (options_.enable_index_scan && pred != nullptr) {
       size_t key_column;
@@ -243,7 +273,7 @@ class PlannerImpl {
                                 &key_column, &key)) {
         return PhysicalOpPtr(std::make_unique<PhysicalIndexScan>(
             scan.table(), scan.projection(), key_column, std::move(key),
-            pred, scan.schema(), context_));
+            pred, emit_row_ids, std::move(schema), context_));
       }
     }
     std::vector<ColumnRangeConstraint> ranges;
@@ -255,7 +285,18 @@ class PlannerImpl {
     }
     return PhysicalOpPtr(std::make_unique<PhysicalScan>(
         scan.table(), scan.projection(), pred, std::move(ranges),
-        use_zone_maps, scan.schema(), context_));
+        use_zone_maps, emit_row_ids, std::move(schema), context_));
+  }
+
+ private:
+  /// Inserts a Gather exchange below order-insensitive pipeline breakers.
+  /// Never used under Limit (early exit must stay streaming) or as a join
+  /// child (would break the probe pipeline shape). Gather degenerates to
+  /// a pass-through when the child is not an eligible pipeline, so
+  /// wrapping is always safe.
+  PhysicalOpPtr MaybeGather(PhysicalOpPtr op) {
+    if (!options_.enable_parallel) return op;
+    return std::make_unique<PhysicalGather>(std::move(op), context_);
   }
 
   Result<PhysicalOpPtr> LowerJoin(const LogicalJoin& join) {
@@ -346,9 +387,11 @@ class PlannerImpl {
 
 }  // namespace
 
-Result<PhysicalOpPtr> CreatePhysicalPlan(
-    const LogicalOpPtr& plan, ExecContext* context,
-    const PhysicalPlannerOptions& options) {
+namespace {
+
+/// Points `context`'s parallel section at `options` before lowering.
+void ConfigureContext(ExecContext* context,
+                      const PhysicalPlannerOptions& options) {
   // Configure the context's parallel section before lowering: eligibility
   // reads enable_parallel/parallel_min_rows only, so the thread count can
   // vary per query without changing plans or results.
@@ -362,8 +405,27 @@ Result<PhysicalOpPtr> CreatePhysicalPlan(
   context->pool =
       (options.enable_parallel && workers > 1) ? ThreadPool::Global()
                                                : nullptr;
+}
+
+}  // namespace
+
+Result<PhysicalOpPtr> CreatePhysicalPlan(
+    const LogicalOpPtr& plan, ExecContext* context,
+    const PhysicalPlannerOptions& options) {
+  ConfigureContext(context, options);
   PlannerImpl planner(context, options);
   return planner.Lower(plan);
+}
+
+Result<PhysicalOpPtr> CreateRowIdScan(std::shared_ptr<Table> table,
+                                      ExprPtr predicate, ExecContext* context,
+                                      const PhysicalPlannerOptions& options) {
+  ConfigureContext(context, options);
+  LogicalScan scan(std::move(table), "");
+  scan.set_pushed_predicate(std::move(predicate));
+  scan.set_use_zone_maps(scan.pushed_predicate() != nullptr);
+  PlannerImpl planner(context, options);
+  return planner.LowerScan(scan, /*emit_row_ids=*/true);
 }
 
 }  // namespace agora

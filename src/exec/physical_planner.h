@@ -36,6 +36,15 @@ Result<PhysicalOpPtr> CreatePhysicalPlan(
     const LogicalOpPtr& plan, ExecContext* context,
     const PhysicalPlannerOptions& options = {});
 
+/// Lowers the row-finding half of UPDATE/DELETE: a scan of `table` with
+/// `predicate` (bound against the table's schema; null = every row)
+/// pushed down, planned like a SELECT's scan — zone-map pruning, or an
+/// IndexScan when an index applies — that emits the ascending row ids of
+/// the matching rows (RowIdSchema).
+Result<PhysicalOpPtr> CreateRowIdScan(std::shared_ptr<Table> table,
+                                      ExprPtr predicate, ExecContext* context,
+                                      const PhysicalPlannerOptions& options);
+
 }  // namespace agora
 
 #endif  // AGORA_EXEC_PHYSICAL_PLANNER_H_

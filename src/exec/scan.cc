@@ -1,6 +1,7 @@
 #include "exec/scan.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace agora {
 
@@ -25,17 +26,38 @@ Result<Chunk> FilterChunk(const Chunk& chunk, const Expr& predicate,
   return chunk.GatherRows(sel.rows);
 }
 
+Schema RowIdSchema() {
+  return Schema({Field{"rowid", TypeId::kInt64, false}});
+}
+
+namespace {
+
+/// A RowIdSchema chunk holding `rows`.
+Chunk RowIdChunk(const std::vector<uint32_t>& rows) {
+  ColumnVector ids(TypeId::kInt64);
+  ids.ResizeForOverwrite(rows.size());
+  int64_t* out = ids.mutable_int64_data();
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = rows[i];
+  std::fill_n(ids.mutable_validity_data(), rows.size(), uint8_t{1});
+  Chunk chunk;
+  chunk.AddColumn(std::move(ids));
+  return chunk;
+}
+
+}  // namespace
+
 PhysicalScan::PhysicalScan(std::shared_ptr<Table> table,
                            std::vector<size_t> projection, ExprPtr predicate,
                            std::vector<ColumnRangeConstraint> ranges,
-                           bool use_zone_maps, Schema schema,
-                           ExecContext* context)
+                           bool use_zone_maps, bool emit_row_ids,
+                           Schema schema, ExecContext* context)
     : PhysicalOperator(std::move(schema), context),
       table_(std::move(table)),
       projection_(std::move(projection)),
       predicate_(std::move(predicate)),
       ranges_(std::move(ranges)),
-      use_zone_maps_(use_zone_maps) {}
+      use_zone_maps_(use_zone_maps),
+      emit_row_ids_(emit_row_ids) {}
 
 Status PhysicalScan::OpenImpl() {
   next_row_ = 0;
@@ -66,7 +88,8 @@ Status PhysicalScan::ScanBlock(size_t start, size_t count, Chunk* out,
       const ZoneMap* zm =
           it == zone_map_snapshot_->end() ? nullptr : &it->second;
       if (zm != nullptr && block < zm->blocks.size() &&
-          !zm->BlockMayMatch(block, r.lo, r.hi)) {
+          !(r.points.empty() ? zm->BlockMayMatch(block, r.lo, r.hi)
+                             : zm->BlockMayMatchAny(block, r.points))) {
         stats->blocks_skipped++;
         *skipped = true;
         return Status::OK();
@@ -95,7 +118,9 @@ Status PhysicalScan::ScanBlock(size_t start, size_t count, Chunk* out,
     stats->expr_rows_evaluated += counters.rows_evaluated;
     stats->sel_vector_hits += counters.sel_hits;
     Chunk res;
-    if (sel.rows.size() == n) {
+    if (emit_row_ids_) {
+      res = RowIdChunk(sel.rows);
+    } else if (sel.rows.size() == n) {
       // Whole block passes: a contiguous slice beats a gather.
       res = table_->GetChunk(start, count, projection_);
       stats->filter_gathers_avoided++;
@@ -107,7 +132,14 @@ Status PhysicalScan::ScanBlock(size_t start, size_t count, Chunk* out,
     return Status::OK();
   }
 
-  Chunk raw = table_->GetChunk(start, count, projection_);
+  Chunk raw;
+  if (emit_row_ids_) {
+    std::vector<uint32_t> rows(n);
+    std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(start));
+    raw = RowIdChunk(rows);
+  } else {
+    raw = table_->GetChunk(start, count, projection_);
+  }
   stats->blocks_read++;
   stats->rows_scanned += static_cast<int64_t>(raw.num_rows());
   stats->bytes_materialized += static_cast<int64_t>(raw.MemoryBytes());
@@ -164,14 +196,16 @@ Status PhysicalScan::ScanMorsel(const Morsel& morsel,
 PhysicalIndexScan::PhysicalIndexScan(std::shared_ptr<Table> table,
                                      std::vector<size_t> projection,
                                      size_t key_column, Value key,
-                                     ExprPtr residual_predicate, Schema schema,
+                                     ExprPtr residual_predicate,
+                                     bool emit_row_ids, Schema schema,
                                      ExecContext* context)
     : PhysicalOperator(std::move(schema), context),
       table_(std::move(table)),
       projection_(std::move(projection)),
       key_column_(key_column),
       key_(std::move(key)),
-      residual_predicate_(std::move(residual_predicate)) {}
+      residual_predicate_(std::move(residual_predicate)),
+      emit_row_ids_(emit_row_ids) {}
 
 Status PhysicalIndexScan::OpenImpl() {
   next_match_ = 0;
@@ -191,10 +225,36 @@ Status PhysicalIndexScan::OpenImpl() {
     }
   }
   std::sort(matches_.begin(), matches_.end());
+  if (emit_row_ids_ && residual_predicate_ != nullptr) {
+    view_ = table_->GetChunkView(projection_);
+  }
   return Status::OK();
 }
 
 Status PhysicalIndexScan::NextImpl(Chunk* chunk, bool* done) {
+  if (emit_row_ids_) {
+    // The residual refines a selection of absolute row ids over the
+    // table view, like the fused scan filter; nothing is gathered.
+    Selection sel;
+    sel.all = false;
+    while (sel.rows.empty() && next_match_ < matches_.size()) {
+      size_t take = std::min(kChunkSize, matches_.size() - next_match_);
+      sel.rows.assign(matches_.begin() + next_match_,
+                      matches_.begin() + next_match_ + take);
+      next_match_ += take;
+      context_->stats.rows_scanned += static_cast<int64_t>(take);
+      if (residual_predicate_ != nullptr) {
+        ExprCounters counters;
+        AGORA_RETURN_IF_ERROR(RefineSelection(*residual_predicate_, view_,
+                                              &sel, &counters));
+        context_->stats.expr_rows_evaluated += counters.rows_evaluated;
+        context_->stats.sel_vector_hits += counters.sel_hits;
+      }
+    }
+    *chunk = sel.rows.empty() ? Chunk(schema_) : RowIdChunk(sel.rows);
+    *done = next_match_ >= matches_.size();
+    return Status::OK();
+  }
   // Batch-gather the next block of matched row ids column-at-a-time,
   // the same columnar path Table::GetChunk uses — one type dispatch per
   // column instead of boxing every cell through Value.

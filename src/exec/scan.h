@@ -27,24 +27,36 @@ struct Morsel {
   size_t index = 0;
 };
 
-/// A [lo, hi] range constraint on a base-table column, derived from the
-/// pushed-down predicate at plan time. Used for zone-map block skipping.
+/// A constraint on a base-table column derived from the pushed-down
+/// predicate at plan time, used for zone-map block skipping: a [lo, hi]
+/// range, or (from `col IN (...)`) a point set, where a block survives
+/// only if one of the points lies in its [min, max].
 struct ColumnRangeConstraint {
   size_t column;  // base-table column index
   double lo;
   double hi;
+  /// The point set, ascending and NaN-free; when non-empty it replaces
+  /// [lo, hi].
+  std::vector<double> points;
 };
+
+/// Output of a scan run for UPDATE/DELETE: one INT64 column holding the
+/// base-table row ids of the matching rows, ascending.
+Schema RowIdSchema();
 
 /// Sequential scan over a base table in kChunkSize blocks.
 ///
 /// Optionally applies a pushed-down predicate during the scan and skips
 /// whole blocks whose zone maps prove no row can satisfy the range
 /// constraints (experiment E4: physical design changes plans, not queries).
+/// With `emit_row_ids`, it emits the row ids of the surviving rows
+/// (RowIdSchema) instead of gathering their columns.
 class PhysicalScan : public PhysicalOperator {
  public:
   PhysicalScan(std::shared_ptr<Table> table, std::vector<size_t> projection,
                ExprPtr predicate, std::vector<ColumnRangeConstraint> ranges,
-               bool use_zone_maps, Schema schema, ExecContext* context);
+               bool use_zone_maps, bool emit_row_ids, Schema schema,
+               ExecContext* context);
 
   Status OpenImpl() override;
   Status NextImpl(Chunk* chunk, bool* done) override;
@@ -82,6 +94,7 @@ class PhysicalScan : public PhysicalOperator {
   ExprPtr predicate_;               // bound against the projected schema
   std::vector<ColumnRangeConstraint> ranges_;  // base-table column indexes
   bool use_zone_maps_;
+  bool emit_row_ids_;
   /// Zone-map snapshot captured once in Open: every block of this scan
   /// prunes against one consistent set even if a concurrent query
   /// rebuilds the table's maps mid-scan.
@@ -97,13 +110,14 @@ class PhysicalScan : public PhysicalOperator {
 
 /// Point-lookup scan through a hash index: emits only rows whose indexed
 /// column equals `key`. Chosen by the physical planner for
-/// `col = constant` predicates when an index exists.
+/// `col = constant` predicates when an index exists. With
+/// `emit_row_ids`, it emits the matching row ids (RowIdSchema).
 class PhysicalIndexScan : public PhysicalOperator {
  public:
   PhysicalIndexScan(std::shared_ptr<Table> table,
                     std::vector<size_t> projection, size_t key_column,
-                    Value key, ExprPtr residual_predicate, Schema schema,
-                    ExecContext* context);
+                    Value key, ExprPtr residual_predicate, bool emit_row_ids,
+                    Schema schema, ExecContext* context);
 
   Status OpenImpl() override;
   Status NextImpl(Chunk* chunk, bool* done) override;
@@ -115,6 +129,8 @@ class PhysicalIndexScan : public PhysicalOperator {
   size_t key_column_;
   Value key_;
   ExprPtr residual_predicate_;
+  bool emit_row_ids_;
+  Chunk view_;  // whole-table view the residual refines in row-id mode
   std::vector<int64_t> matches_;
   size_t next_match_ = 0;
 };

@@ -463,41 +463,84 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
-void ColumnVector::SetValue(size_t i, const Value& v) {
-  AGORA_DCHECK(i < size());
-  Rep* rep = EnsureUnique();
-  if (v.is_null()) {
-    rep->validity[i] = 0;
-    return;
-  }
-  rep->validity[i] = 1;
+void ColumnVector::Scatter(const std::vector<uint32_t>& rows,
+                           const ColumnVector& src) {
+  AGORA_DCHECK(type_ == src.type_);
+  AGORA_DCHECK(rows.size() == src.size());
+  const size_t n = rows.size();
+  if (n == 0) return;
+  Rep* out = EnsureUnique();
+  const Rep& in = *src.rep_;
   switch (type_) {
     case TypeId::kBool:
     case TypeId::kInt64:
     case TypeId::kDate:
-      rep->ints[i] = v.int64_value();
+      for (size_t i = 0; i < n; ++i) {
+        const size_t p = src.PhysRow(i);
+        const bool valid = in.validity[p] != 0;
+        out->validity[rows[i]] = valid ? 1 : 0;
+        out->ints[rows[i]] = valid ? in.ints[p] : 0;
+      }
       break;
     case TypeId::kDouble:
-      rep->doubles[i] = v.type() == TypeId::kDouble ? v.double_value()
-                                                    : v.AsDouble();
-      break;
-    case TypeId::kString:
-      if (rep->dict) {
-        const uint32_t code = rep->Intern(v.string_value());
-        if (code != Dictionary::kNotFound) {
-          rep->codes[i] = code;
-          break;
-        }
-        rep->Decode();
+      for (size_t i = 0; i < n; ++i) {
+        const size_t p = src.PhysRow(i);
+        const bool valid = in.validity[p] != 0;
+        out->validity[rows[i]] = valid ? 1 : 0;
+        out->doubles[rows[i]] = valid ? in.doubles[p] : 0.0;
       }
-      rep->string_bytes -= StrCost(rep->strings[i]);
-      rep->strings[i] = v.string_value();
-      rep->string_bytes += StrCost(rep->strings[i]);
       break;
+    case TypeId::kString: {
+      size_t i = 0;
+      if (out->dict != nullptr) {
+        // Translate each distinct src entry once; a one-row scatter
+        // interns directly instead of sizing a table by src's dictionary.
+        std::vector<uint32_t> translated;
+        if (in.dict && n > 1) {
+          translated.assign(in.dict->size(), Dictionary::kNotFound);
+        }
+        for (; i < n; ++i) {
+          const size_t p = src.PhysRow(i);
+          if (in.validity[p] == 0) {
+            out->validity[rows[i]] = 0;
+            out->codes[rows[i]] = 0;
+            continue;
+          }
+          uint32_t code;
+          if (translated.empty()) {
+            code = out->Intern(in.Str(p));
+          } else {
+            uint32_t& slot = translated[in.codes[p]];
+            if (slot == Dictionary::kNotFound) slot = out->Intern(in.Str(p));
+            code = slot;
+          }
+          if (code == Dictionary::kNotFound) {
+            out->Decode();  // full: this row and the rest go flat
+            break;
+          }
+          out->validity[rows[i]] = 1;
+          out->codes[rows[i]] = code;
+        }
+      }
+      for (; i < n; ++i) {
+        const size_t p = src.PhysRow(i);
+        const bool valid = in.validity[p] != 0;
+        std::string& dst = out->strings[rows[i]];
+        out->string_bytes -= StrCost(dst);
+        if (valid) {
+          dst = in.Str(p);
+        } else {
+          dst.clear();
+        }
+        out->string_bytes += StrCost(dst);
+        out->validity[rows[i]] = valid ? 1 : 0;
+      }
+      break;
+    }
     case TypeId::kInvalid:
       break;
   }
-  rep->Recharge();
+  out->Recharge();
 }
 
 bool ColumnVector::AllValid() const {

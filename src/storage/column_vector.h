@@ -179,8 +179,11 @@ class ColumnVector {
   /// Boxes row `i` as a Value (allocates for strings).
   Value GetValue(size_t i) const;
 
-  /// Mutates row `i` in place (same type; row must exist).
-  void SetValue(size_t i, const Value& v);
+  /// Overwrites row rows[i] with row i of `src` (same type, rows.size()
+  /// rows, may be constant) with one type dispatch per call. A
+  /// dictionary vector interns the new strings — each distinct src entry
+  /// once — and decodes for good when its dictionary fills up.
+  void Scatter(const std::vector<uint32_t>& rows, const ColumnVector& src);
 
   // -- Raw data (hot loops; flat vectors only) ---------------------------
   const int64_t* int64_data() const {

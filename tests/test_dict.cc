@@ -420,8 +420,11 @@ TEST(DictTableTest, CapCrossedMidChunkDecodesTheRest) {
       ASSERT_EQ(table.column(1).GetString(r), Word(r));
     }
   }
-  // SetCell on a flat column stays flat.
-  ASSERT_TRUE(table.SetCell(0, 1, Value::String("z")).ok());
+  // A scatter into a flat column stays flat.
+  ColumnVector z(TypeId::kString);
+  z.AppendString("z");
+  ASSERT_TRUE(table.UpdateRows({0}, {1}, {z}).ok());
+  EXPECT_FALSE(table.column(1).is_dictionary());
   EXPECT_EQ(table.column(1).GetString(0), "z");
 }
 

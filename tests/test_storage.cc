@@ -61,13 +61,39 @@ TEST(ColumnVectorTest, CompareRowsWithNulls) {
   EXPECT_GT(col.CompareRows(2, col, 1), 0);
 }
 
-TEST(ColumnVectorTest, SetValueMutatesInPlace) {
+TEST(ColumnVectorTest, ScatterMutatesInPlace) {
   ColumnVector col(TypeId::kInt64);
-  col.AppendInt64(1);
-  col.SetValue(0, Value::Int64(9));
+  for (int64_t v : {1, 2, 3}) col.AppendInt64(v);
+  ColumnVector shared = col;  // a reader's copy keeps the old values
+  ColumnVector values(TypeId::kInt64);
+  values.AppendInt64(9);
+  values.AppendNull();
+  col.Scatter({0, 2}, values);
   EXPECT_EQ(col.GetInt64(0), 9);
-  col.SetValue(0, Value::Null());
-  EXPECT_TRUE(col.IsNull(0));
+  EXPECT_EQ(col.GetInt64(1), 2);
+  EXPECT_TRUE(col.IsNull(2));
+  EXPECT_EQ(shared.GetInt64(2), 3);
+  // A constant source writes its value to every target row.
+  col.Scatter({1, 2}, ColumnVector::MakeConstant(TypeId::kInt64,
+                                                 Value::Int64(7), 2));
+  EXPECT_EQ(col.GetInt64(1), 7);
+  EXPECT_EQ(col.GetInt64(2), 7);
+
+  // Dictionary column: a dictionary source is translated, NULLs stay
+  // NULL, and the result reads the same as the flat form.
+  ColumnVector strings = ColumnVector::MakeDictionary();
+  for (const char* s : {"a", "b", "a", "c"}) strings.AppendString(s);
+  ColumnVector other = ColumnVector::MakeDictionary();
+  other.AppendString("c");
+  other.AppendNull();
+  other.AppendString("z");
+  strings.Scatter({0, 1, 3}, other);
+  ASSERT_TRUE(strings.is_dictionary());
+  EXPECT_EQ(strings.GetString(0), "c");
+  EXPECT_TRUE(strings.IsNull(1));
+  EXPECT_EQ(strings.GetString(2), "a");
+  EXPECT_EQ(strings.GetString(3), "z");
+  EXPECT_TRUE(strings.CheckConsistency().ok());
 }
 
 TEST(ChunkTest, AppendRowsAndGather) {
@@ -140,12 +166,58 @@ TEST_F(TableTest, ZoneMapsBoundBlocks) {
   EXPECT_EQ(table_->GetZoneMap(1), nullptr);
 }
 
-TEST_F(TableTest, ZoneMapsInvalidatedByAppend) {
+TEST_F(TableTest, ZoneMapsMaintainedByAppend) {
   table_->BuildZoneMaps();
   ASSERT_TRUE(table_->HasZoneMaps());
+  // 5000 rows end in a partial third block (904 rows). One row lands in
+  // it; the chunk then fills it and adds two more blocks.
   ASSERT_TRUE(table_->AppendRow({Value::Int64(-1), Value::Null(),
                                  Value::Null()}).ok());
-  EXPECT_FALSE(table_->HasZoneMaps());
+  Schema schema = table_->schema();
+  Chunk chunk(schema);
+  for (int i = 0; i < 3000; ++i) {
+    chunk.AppendRow({Value::Int64(100000 + i), Value::String("x"),
+                     i % 5 == 0 ? Value::Null() : Value::Double(-i * 0.25)});
+  }
+  ASSERT_TRUE(table_->AppendChunk(chunk).ok());
+  ASSERT_EQ(table_->num_rows(), 8001u);
+
+  std::shared_ptr<const ZoneMapSet> maintained = table_->zone_maps();
+  ASSERT_NE(maintained, nullptr);
+  EXPECT_TRUE(table_->VerifyDerived().ok());
+  table_->BuildZoneMaps();
+  std::shared_ptr<const ZoneMapSet> fresh = table_->zone_maps();
+  ASSERT_EQ(maintained->size(), fresh->size());
+  for (const auto& [column, zm] : *fresh) {
+    const ZoneMap& got = maintained->at(column);
+    ASSERT_EQ(got.blocks.size(), 4u);
+    ASSERT_EQ(got.blocks.size(), zm.blocks.size());
+    for (size_t b = 0; b < zm.blocks.size(); ++b) {
+      EXPECT_EQ(got.blocks[b].has_values, zm.blocks[b].has_values);
+      EXPECT_EQ(got.blocks[b].min, zm.blocks[b].min) << column << "/" << b;
+      EXPECT_EQ(got.blocks[b].max, zm.blocks[b].max) << column << "/" << b;
+    }
+  }
+  // The partial block took both the -1 row and the first chunk rows.
+  EXPECT_EQ(maintained->at(0).blocks[2].min, -1);
+  EXPECT_EQ(maintained->at(0).blocks[3].max, 100000 + 2999);
+}
+
+TEST_F(TableTest, UpdateRowsRejectsBadInputUntouched) {
+  ColumnVector one(TypeId::kInt64);
+  one.AppendInt64(7);
+  ColumnVector two = one;
+  two.AppendInt64(8);
+  EXPECT_FALSE(table_->UpdateRows({5000}, {0}, {one}).ok());  // out of range
+  EXPECT_FALSE(table_->UpdateRows({3, 2}, {0}, {two}).ok());  // descending
+  EXPECT_FALSE(table_->UpdateRows({1, 2}, {0}, {one}).ok());  // row count
+  EXPECT_FALSE(table_->UpdateRows({1}, {2}, {one}).ok());     // type
+  EXPECT_FALSE(table_->UpdateRows({1}, {0, 0}, {one, one}).ok());  // twice
+  EXPECT_EQ(table_->column(0).GetInt64(1), 1);
+  EXPECT_EQ(table_->column(0).GetInt64(2), 2);
+  ASSERT_TRUE(table_->UpdateRows({1, 2}, {0}, {two}).ok());
+  EXPECT_EQ(table_->column(0).GetInt64(1), 7);
+  EXPECT_EQ(table_->column(0).GetInt64(2), 8);
 }
 
 TEST_F(TableTest, HashIndexProbe) {

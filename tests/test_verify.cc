@@ -354,5 +354,85 @@ TEST(VerifyIntegrationTest, RealQueriesPassWithVerificationOn) {
   ASSERT_TRUE(agg.ok()) << agg.status().ToString();
 }
 
+// -- Maintained derived state ---------------------------------------------
+
+/// A table with zone maps and an index on `id`, written through SQL.
+std::shared_ptr<Table> IndexedTable(Database* db) {
+  EXPECT_TRUE(db->Execute("CREATE TABLE w (id BIGINT, v DOUBLE)").ok());
+  std::string sql = "INSERT INTO w VALUES ";
+  for (int i = 0; i < 3000; ++i) {
+    sql += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+           std::to_string(i % 11) + ".5)";
+  }
+  EXPECT_TRUE(db->Execute(sql).ok());
+  EXPECT_TRUE(db->Execute("CREATE INDEX w_id ON w (id)").ok());
+  EXPECT_TRUE(db->Execute("SELECT * FROM w WHERE v > 3").ok());
+  auto table = db->catalog().GetTable("w");
+  EXPECT_TRUE(table.ok());
+  return table.ok() ? *table : nullptr;
+}
+
+TEST(DerivedStateVerifyTest, MaintainedStatePassesAfterEveryWrite) {
+  ScopedVerification verify(true);
+  Database db;
+  std::shared_ptr<Table> table = IndexedTable(&db);
+  ASSERT_NE(table, nullptr);
+  ASSERT_TRUE(table->HasZoneMaps());
+  for (const char* sql :
+       {"INSERT INTO w VALUES (5000, 1.5), (NULL, NULL)",
+        "UPDATE w SET v = v * 2, id = id + 1 WHERE id IN (7, 2100, 5000)",
+        "UPDATE w SET id = NULL WHERE v > 20", "DELETE FROM w WHERE v < 2"}) {
+    auto result = db.Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+  }
+  EXPECT_TRUE(table->VerifyDerived().ok());
+}
+
+TEST(DerivedStateVerifyTest, StaleZoneMapFires) {
+  ScopedVerification verify(true);
+  Database db;
+  std::shared_ptr<Table> table = IndexedTable(&db);
+  ASSERT_NE(table, nullptr);
+  // Corrupt the published set in place (never done outside this test).
+  auto maps = std::const_pointer_cast<ZoneMapSet>(table->zone_maps());
+  ASSERT_NE(maps, nullptr);
+  maps->at(1).blocks[0].max = 1e9;
+  Status s = table->VerifyDerived();
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_NE(s.message().find("column 1 block 0"), std::string::npos)
+      << s.message();
+  // The statement that runs the check fails with the Status; the engine
+  // stays usable.
+  auto insert = db.Execute("INSERT INTO w VALUES (1, 1.0)");
+  ASSERT_FALSE(insert.ok());
+  EXPECT_EQ(insert.status().code(), StatusCode::kInternal);
+  EXPECT_TRUE(db.Execute("SELECT COUNT(*) FROM w").ok());
+}
+
+TEST(DerivedStateVerifyTest, IndexEntryUnderWrongHashFires) {
+  ScopedVerification verify(true);
+  Database db;
+  std::shared_ptr<Table> table = IndexedTable(&db);
+  ASSERT_NE(table, nullptr);
+  auto index = std::const_pointer_cast<HashIndex>(table->GetHashIndex(0));
+  ASSERT_NE(index, nullptr);
+  index->Erase({table->column(0).HashRow(10)}, {10});
+  index->Insert(12345, 10);
+  Status s = table->VerifyDerived();
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_NE(s.message().find("stale hash"), std::string::npos) << s.message();
+
+  index->Erase({12345}, {10});  // now row 10 is missing entirely
+  s = table->VerifyDerived();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("2999 entries for 3000 non-NULL rows"),
+            std::string::npos)
+      << s.message();
+  auto del = db.Execute("DELETE FROM w WHERE id = 3");
+  EXPECT_TRUE(del.ok()) << "DELETE rebuilds the index, so the check passes";
+}
+
 }  // namespace
 }  // namespace agora
