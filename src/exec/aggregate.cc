@@ -12,6 +12,18 @@
 
 namespace agora {
 
+namespace {
+
+/// *sum += v, wrapping modulo 2^64. Returns the wrap: +1 when the true
+/// sum exceeded INT64_MAX, -1 when it fell below INT64_MIN, else 0, so a
+/// BIGINT SUM is exactly sum_i + sum_wraps * 2^64 in any addition order.
+int64_t AddWrapping(int64_t* sum, int64_t v) {
+  const bool wrapped = __builtin_add_overflow(*sum, v, sum);
+  return wrapped ? (v < 0 ? -1 : 1) : 0;
+}
+
+}  // namespace
+
 PhysicalHashAggregate::PhysicalHashAggregate(
     PhysicalOpPtr child, std::vector<ExprPtr> group_by,
     std::vector<AggregateSpec> aggregates, Schema schema,
@@ -33,6 +45,24 @@ PhysicalHashAggregate::PhysicalHashAggregate(
   spill_mode_ = context != nullptr && context->spill != nullptr &&
                 context->memory_limited() && !group_by_.empty() &&
                 !has_distinct;
+
+  std::vector<ExprPtr> args;
+  args.reserve(aggregates_.size());
+  for (const AggregateSpec& spec : aggregates_) args.push_back(spec.arg);
+  arg_plan_ = PlanSharedEvaluation(args, child_->schema().num_fields());
+  acc_of_.resize(aggregates_.size());
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    acc_of_[a] = a;
+    const AggregateSpec& spec = aggregates_[a];
+    if (spec.func != AggFunc::kAvg || spec.distinct) continue;
+    for (size_t b = 0; b < aggregates_.size(); ++b) {
+      if (aggregates_[b].func == AggFunc::kSum && !aggregates_[b].distinct &&
+          arg_plan_.columns[b] == arg_plan_.columns[a]) {
+        acc_of_[a] = b;
+        break;
+      }
+    }
+  }
 }
 
 Status PhysicalHashAggregate::OpenImpl() {
@@ -118,13 +148,8 @@ Status PhysicalHashAggregate::AccumulateInto(const Chunk& input,
   for (size_t g = 0; g < group_by_.size(); ++g) {
     AGORA_RETURN_IF_ERROR(group_by_[g]->Evaluate(input, &key_cols[g]));
   }
-  std::vector<ColumnVector> arg_cols(num_aggs);
-  for (size_t a = 0; a < num_aggs; ++a) {
-    if (aggregates_[a].arg != nullptr) {
-      AGORA_RETURN_IF_ERROR(
-          aggregates_[a].arg->Evaluate(input, &arg_cols[a]));
-    }
-  }
+  std::vector<ColumnVector> arg_cols;
+  AGORA_RETURN_IF_ERROR(EvalArgs(input, &arg_cols));
 
   HashTableStats ht;
   if (group_by_.empty()) {
@@ -135,7 +160,7 @@ Status PhysicalHashAggregate::AccumulateInto(const Chunk& input,
     uint8_t created;
     table->keys.FindOrCreate(key_cols, &h, 1, &gid, &created, &ht);
     table->gid_scratch.assign(rows, 0);
-  } else {
+  } else if (!DirectGroupIds(key_cols, rows, table, &ht)) {
     // Resolve every row to a dense group id in one vectorized pass.
     table->hash_scratch.assign(rows, kHashTableSalt);
     for (const ColumnVector& col : key_cols) {
@@ -155,6 +180,132 @@ Status PhysicalHashAggregate::AccumulateInto(const Chunk& input,
                            stats);
 }
 
+Status PhysicalHashAggregate::EvalArgs(
+    const Chunk& input, std::vector<ColumnVector>* arg_cols) const {
+  if (input.num_columns() != child_->schema().num_fields()) {
+    return Status::Internal("HashAggregate input has " +
+                            std::to_string(input.num_columns()) +
+                            " columns, expected " +
+                            std::to_string(child_->schema().num_fields()));
+  }
+  // Each step reads the input plus the steps before it, so a shared
+  // subexpression is one column evaluated once.
+  Chunk ext = input;
+  for (const ExprPtr& step : arg_plan_.steps) {
+    ColumnVector col;
+    AGORA_RETURN_IF_ERROR(step->Evaluate(ext, &col));
+    ext.AddColumn(std::move(col));
+  }
+  arg_cols->assign(aggregates_.size(), ColumnVector());
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    if (arg_plan_.columns[a] == SIZE_MAX) continue;
+    ColumnVector& col = (*arg_cols)[a];
+    col = ext.column(arg_plan_.columns[a]);
+    col.FlattenConstant();
+  }
+  return Status::OK();
+}
+
+bool PhysicalHashAggregate::DirectGroupIds(
+    const std::vector<ColumnVector>& key_cols, size_t rows, AggTable* table,
+    HashTableStats* ht) const {
+  for (const ColumnVector& col : key_cols) {
+    if (!col.is_dictionary()) return false;
+  }
+  const size_t num_keys = key_cols.size();
+  if (table->direct_dicts.empty()) {
+    size_t slots = 1;
+    std::vector<uint32_t> strides(num_keys);
+    for (size_t k = 0; k < num_keys; ++k) {
+      strides[k] = static_cast<uint32_t>(slots);
+      slots *= key_cols[k].dictionary().size() + 1;
+      if (slots > kMaxDirectGroupSlots) return false;
+    }
+    for (const ColumnVector& col : key_cols) {
+      table->direct_dicts.push_back(col.EmptyLike());
+    }
+    table->direct_strides = std::move(strides);
+    table->direct_gids.assign(slots, 0);
+  }
+  for (size_t k = 0; k < num_keys; ++k) {
+    if (!key_cols[k].SharesDictionaryWith(table->direct_dicts[k])) {
+      return false;
+    }
+  }
+
+  // Combined code per row: the first key writes it, the others add.
+  table->slot_scratch.resize(rows);
+  uint32_t* slot = table->slot_scratch.data();
+  for (size_t k = 0; k < num_keys; ++k) {
+    const uint8_t* valid = key_cols[k].validity_data();
+    const uint32_t* codes = key_cols[k].codes_data();
+    const uint32_t stride = table->direct_strides[k];
+    auto part = [&](size_t r) {
+      return (codes[r] + 1) * static_cast<uint32_t>(valid[r] != 0) * stride;
+    };
+    if (k == 0) {
+      for (size_t r = 0; r < rows; ++r) slot[r] = part(r);
+    } else {
+      for (size_t r = 0; r < rows; ++r) slot[r] += part(r);
+    }
+  }
+
+  // Group ids straight from the array. The first row of each combined
+  // code without a group is collected instead, and those rows resolve
+  // through the key table in row order, exactly as the hash path would.
+  constexpr uint32_t kPending = UINT32_MAX;
+  uint32_t* direct = table->direct_gids.data();
+  table->gid_scratch.resize(rows);
+  uint32_t* gids = table->gid_scratch.data();
+  std::vector<uint32_t> first_rows;
+  for (size_t r = 0; r < rows; ++r) {
+    const uint32_t g = direct[slot[r]];
+    if (g == 0) {
+      direct[slot[r]] = kPending;
+      first_rows.push_back(static_cast<uint32_t>(r));
+    }
+    gids[r] = g - 1;
+  }
+  if (first_rows.empty()) return true;
+  const size_t m = first_rows.size();
+  std::vector<ColumnVector> first_keys;
+  first_keys.reserve(num_keys);
+  for (const ColumnVector& col : key_cols) {
+    first_keys.push_back(col.Gather(first_rows));
+  }
+  std::vector<uint64_t> hashes(m, kHashTableSalt);
+  for (const ColumnVector& col : first_keys) {
+    col.HashBatch(hashes.data(), m, /*combine=*/true,
+                  /*normalize_zero=*/true);
+  }
+  std::vector<uint32_t> new_gids(m);
+  std::vector<uint8_t> created(m);
+  table->keys.FindOrCreate(first_keys, hashes.data(), m, new_gids.data(),
+                           created.data(), ht);
+  for (size_t j = 0; j < m; ++j) {
+    direct[slot[first_rows[j]]] = new_gids[j] + 1;
+  }
+  for (size_t r = first_rows.front(); r < rows; ++r) {
+    gids[r] = direct[slot[r]] - 1;
+  }
+  return true;
+}
+
+void PhysicalHashAggregate::SortRowsByGroup(const uint32_t* gids,
+                                            size_t rows, size_t num_groups,
+                                            AggTable* table) {
+  std::vector<uint32_t>& run = table->run_scratch;
+  run.assign(num_groups + 1, 0);
+  for (size_t r = 0; r < rows; ++r) run[gids[r] + 1]++;
+  for (size_t g = 0; g < num_groups; ++g) run[g + 1] += run[g];
+  std::vector<uint32_t>& cursor = table->gid_cursor_scratch;
+  cursor.assign(run.begin(), run.end() - 1);
+  uint32_t* order = table->order_scratch.data();
+  for (size_t r = 0; r < rows; ++r) {
+    order[cursor[gids[r]]++] = static_cast<uint32_t>(r);
+  }
+}
+
 Status PhysicalHashAggregate::ApplyAccumulators(
     const std::vector<ColumnVector>& arg_cols, const uint32_t* gids,
     size_t rows, AggTable* table, ExecStats* stats) const {
@@ -162,16 +313,49 @@ Status PhysicalHashAggregate::ApplyAccumulators(
   size_t num_groups = table->keys.group_count();
   AggState* states = table->states.data();
 
-  // Column-at-a-time accumulator updates: one type-dispatched loop per
-  // aggregate, never materializing Values. Row order within each loop
-  // matches the seed row-at-a-time path, so floating-point sums and
-  // MIN/MAX tie-breaks are bit-identical.
+  // Column-at-a-time accumulator updates: one type-dispatched fold per
+  // aggregate, never materializing Values. With few groups, a stable
+  // counting sort of the rows by group id (group g's rows are
+  // order[run[g]..run[g+1]), in row order) lets each fold take one
+  // group's rows at a time and accumulate in registers, so no row's
+  // update waits on the store of the row before it; otherwise each row
+  // is folded alone. Either way every group sees its rows in input
+  // order, so floating-point sums and MIN/MAX tie-breaks are
+  // bit-identical.
+  const bool by_group = num_groups <= kMaxGroupRuns;
+  std::vector<uint32_t>& order = table->order_scratch;
+  std::vector<uint32_t>& run = table->run_scratch;
+  order.resize(rows);
+  if (by_group && num_groups > 1) {
+    SortRowsByGroup(gids, rows, num_groups, table);
+  } else {
+    std::iota(order.begin(), order.end(), 0u);
+    run.assign({0, static_cast<uint32_t>(rows)});
+  }
+  auto fold_rows = [&](const auto& fold) {
+    if (by_group) {
+      for (size_t g = 0; g + 1 < run.size(); ++g) {
+        if (run[g] != run[g + 1]) {
+          fold(g, order.data() + run[g], order.data() + run[g + 1]);
+        }
+      }
+    } else {
+      for (size_t r = 0; r < rows; ++r) {
+        fold(size_t{gids[r]}, order.data() + r, order.data() + r + 1);
+      }
+    }
+  };
+
   for (size_t a = 0; a < num_aggs; ++a) {
     const AggregateSpec& spec = aggregates_[a];
+    if (acc_of_[a] != a) continue;  // reads another aggregate's state
+    auto state = [&](size_t g) -> AggState& {
+      return states[g * num_aggs + a];
+    };
     if (spec.func == AggFunc::kCountStar) {
-      for (size_t r = 0; r < rows; ++r) {
-        states[gids[r] * num_aggs + a].count++;
-      }
+      fold_rows([&](size_t g, const uint32_t* it, const uint32_t* end) {
+        state(g).count += end - it;
+      });
       continue;
     }
     const ColumnVector& arg = arg_cols[a];
@@ -220,47 +404,66 @@ Status PhysicalHashAggregate::ApplyAccumulators(
     }
     switch (spec.func) {
       case AggFunc::kCount:
-        for (size_t r = 0; r < rows; ++r) {
-          if (valid[r] == 0) continue;
-          AggState& st = states[gids[r] * num_aggs + a];
-          st.has_value = true;
-          st.count++;
-        }
+        fold_rows([&](size_t g, const uint32_t* it, const uint32_t* end) {
+          int64_t c = 0;
+          for (; it != end; ++it) c += valid[*it] != 0 ? 1 : 0;
+          if (c == 0) return;
+          state(g).has_value = true;
+          state(g).count += c;
+        });
         break;
       case AggFunc::kSum:
       case AggFunc::kAvg:
         if (arg.type() == TypeId::kDouble) {
           const double* data = arg.double_data();
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            st.count++;
-            st.sum_d += data[r];
-          }
+          fold_rows([&](size_t g, const uint32_t* it, const uint32_t* end) {
+            AggState& st = state(g);
+            double sum = st.sum_d;
+            int64_t count = st.count;
+            for (; it != end; ++it) {
+              if (valid[*it] == 0) continue;
+              sum += data[*it];
+              ++count;
+            }
+            st.has_value = st.has_value || count != st.count;
+            st.sum_d = sum;
+            st.count = count;
+          });
         } else {
           const int64_t* data = arg.int64_data();
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            st.count++;
-            st.sum_i += data[r];
-            st.sum_d += static_cast<double>(data[r]);
-          }
+          fold_rows([&](size_t g, const uint32_t* it, const uint32_t* end) {
+            AggState& st = state(g);
+            int64_t sum_i = st.sum_i;
+            int64_t wraps = st.sum_wraps;
+            double sum = st.sum_d;
+            int64_t count = st.count;
+            for (; it != end; ++it) {
+              if (valid[*it] == 0) continue;
+              wraps += AddWrapping(&sum_i, data[*it]);
+              sum += static_cast<double>(data[*it]);
+              ++count;
+            }
+            st.has_value = st.has_value || count != st.count;
+            st.sum_i = sum_i;
+            st.sum_wraps = wraps;
+            st.sum_d = sum;
+            st.count = count;
+          });
         }
         break;
       case AggFunc::kStddev:
       case AggFunc::kVariance:
-        for (size_t r = 0; r < rows; ++r) {
-          if (valid[r] == 0) continue;
-          AggState& st = states[gids[r] * num_aggs + a];
-          double v = arg.GetNumeric(r);
-          st.has_value = true;
-          st.count++;
-          st.sum_d += v;
-          st.sum_sq += v * v;
-        }
+        fold_rows([&](size_t g, const uint32_t* it, const uint32_t* end) {
+          AggState& st = state(g);
+          for (; it != end; ++it) {
+            if (valid[*it] == 0) continue;
+            double v = arg.GetNumeric(*it);
+            st.has_value = true;
+            st.count++;
+            st.sum_d += v;
+            st.sum_sq += v * v;
+          }
+        });
         break;
       case AggFunc::kMin:
       case AggFunc::kMax: {
@@ -268,41 +471,47 @@ Status PhysicalHashAggregate::ApplyAccumulators(
         if (arg.type() == TypeId::kString) {
           std::vector<std::string>& ms = table->minmax_strings[a];
           ms.resize(num_groups);
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            const std::string& s = arg.GetString(r);
-            std::string& cur = ms[gids[r]];
-            if (st.count == 0 || (is_min ? s < cur : s > cur)) cur = s;
-            st.count++;
-          }
+          fold_rows([&](size_t g, const uint32_t* it, const uint32_t* end) {
+            AggState& st = state(g);
+            for (; it != end; ++it) {
+              if (valid[*it] == 0) continue;
+              st.has_value = true;
+              const std::string& s = arg.GetString(*it);
+              std::string& cur = ms[g];
+              if (st.count == 0 || (is_min ? s < cur : s > cur)) cur = s;
+              st.count++;
+            }
+          });
         } else if (arg.type() == TypeId::kDouble) {
           const double* data = arg.double_data();
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            double v = data[r];
-            if (st.count == 0 ||
-                (is_min ? v < st.minmax_d : v > st.minmax_d)) {
-              st.minmax_d = v;
+          fold_rows([&](size_t g, const uint32_t* it, const uint32_t* end) {
+            AggState& st = state(g);
+            for (; it != end; ++it) {
+              if (valid[*it] == 0) continue;
+              st.has_value = true;
+              double v = data[*it];
+              if (st.count == 0 ||
+                  (is_min ? v < st.minmax_d : v > st.minmax_d)) {
+                st.minmax_d = v;
+              }
+              st.count++;
             }
-            st.count++;
-          }
+          });
         } else {
           const int64_t* data = arg.int64_data();
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            int64_t v = data[r];
-            if (st.count == 0 ||
-                (is_min ? v < st.minmax_i : v > st.minmax_i)) {
-              st.minmax_i = v;
+          fold_rows([&](size_t g, const uint32_t* it, const uint32_t* end) {
+            AggState& st = state(g);
+            for (; it != end; ++it) {
+              if (valid[*it] == 0) continue;
+              st.has_value = true;
+              int64_t v = data[*it];
+              if (st.count == 0 ||
+                  (is_min ? v < st.minmax_i : v > st.minmax_i)) {
+                st.minmax_i = v;
+              }
+              st.count++;
             }
-            st.count++;
-          }
+          });
         }
         break;
       }
@@ -314,9 +523,9 @@ Status PhysicalHashAggregate::ApplyAccumulators(
 }
 
 void PhysicalHashAggregate::ApplyRow(const AggregateSpec& spec,
-                                     const ColumnVector& arg, size_t row,
-                                     AggState* state,
-                                     std::string* minmax_str) const {
+                                       const ColumnVector& arg, size_t row,
+                                       AggState* state,
+                                       std::string* minmax_str) const {
   state->has_value = true;
   switch (spec.func) {
     case AggFunc::kCount:
@@ -328,8 +537,9 @@ void PhysicalHashAggregate::ApplyRow(const AggregateSpec& spec,
       if (arg.type() == TypeId::kDouble) {
         state->sum_d += arg.GetDouble(row);
       } else {
-        state->sum_i += arg.GetInt64(row);
-        state->sum_d += static_cast<double>(arg.GetInt64(row));
+        const int64_t v = arg.GetInt64(row);
+        state->sum_wraps += AddWrapping(&state->sum_i, v);
+        state->sum_d += static_cast<double>(v);
       }
       break;
     case AggFunc::kStddev:
@@ -371,7 +581,8 @@ void PhysicalHashAggregate::ApplyRow(const AggregateSpec& spec,
 }
 
 void PhysicalHashAggregate::MergeAggStates(const AggTable& src,
-                                           size_t src_gid, size_t dst_gid) {
+                                             size_t src_gid,
+                                             size_t dst_gid) {
   size_t num_aggs = aggregates_.size();
   for (size_t a = 0; a < num_aggs; ++a) {
     const AggState& s = src.states[src_gid * num_aggs + a];
@@ -406,7 +617,7 @@ void PhysicalHashAggregate::MergeAggStates(const AggTable& src,
     d.count += s.count;
     d.sum_d += s.sum_d;
     d.sum_sq += s.sum_sq;
-    d.sum_i += s.sum_i;
+    d.sum_wraps += s.sum_wraps + AddWrapping(&d.sum_i, s.sum_i);
     d.has_value = d.has_value || s.has_value;
   }
 }
@@ -459,69 +670,87 @@ void PhysicalHashAggregate::MergePartial(AggTable&& partial) {
   }
 }
 
-void PhysicalHashAggregate::FinalizeInto(const AggTable& table, Chunk* out,
-                                         size_t gid) const {
+Status PhysicalHashAggregate::FinalizeInto(const AggTable& table,
+                                           size_t begin, size_t count,
+                                           Chunk* out) const {
   size_t col = 0;
-  const std::vector<ColumnVector>& key_cols = table.keys.keys();
-  for (const ColumnVector& key : key_cols) {
-    out->column(col++).AppendFrom(key, gid);
+  for (const ColumnVector& key : table.keys.keys()) {
+    out->column(col++).AppendRange(key, begin, count);
   }
-  size_t num_aggs = aggregates_.size();
+  const size_t num_aggs = aggregates_.size();
+  const size_t end = begin + count;
   for (size_t a = 0; a < num_aggs; ++a) {
     const AggregateSpec& spec = aggregates_[a];
-    const AggState& state = table.states[gid * num_aggs + a];
+    const AggState* states = table.states.data() + acc_of_[a];
+    auto state = [&](size_t gid) -> const AggState& {
+      return states[gid * num_aggs];
+    };
     ColumnVector& target = out->column(col++);
+    target.Reserve(target.size() + count);
     switch (spec.func) {
       case AggFunc::kCountStar:
       case AggFunc::kCount:
-        target.AppendInt64(state.count);
+        for (size_t g = begin; g < end; ++g) target.AppendInt64(state(g).count);
         break;
       case AggFunc::kSum:
-        if (!state.has_value) {
-          target.AppendNull();
-        } else if (spec.result_type == TypeId::kDouble) {
-          target.AppendDouble(state.sum_d);
-        } else {
-          target.AppendInt64(state.sum_i);
+        for (size_t g = begin; g < end; ++g) {
+          const AggState& st = state(g);
+          if (!st.has_value) {
+            target.AppendNull();
+          } else if (spec.result_type == TypeId::kDouble) {
+            target.AppendDouble(st.sum_d);
+          } else if (st.sum_wraps != 0) {
+            return Status::OutOfRange("BIGINT out of range");
+          } else {
+            target.AppendInt64(st.sum_i);
+          }
         }
         break;
       case AggFunc::kAvg:
-        if (!state.has_value) {
-          target.AppendNull();
-        } else {
-          target.AppendDouble(state.sum_d /
-                              static_cast<double>(state.count));
+        for (size_t g = begin; g < end; ++g) {
+          const AggState& st = state(g);
+          if (!st.has_value) {
+            target.AppendNull();
+          } else {
+            target.AppendDouble(st.sum_d / static_cast<double>(st.count));
+          }
         }
         break;
       case AggFunc::kMin:
       case AggFunc::kMax:
-        if (!state.has_value) {
-          target.AppendNull();
-        } else if (spec.result_type == TypeId::kString) {
-          target.AppendString(table.minmax_strings[a][gid]);
-        } else if (spec.result_type == TypeId::kDouble) {
-          target.AppendDouble(state.minmax_d);
-        } else {
-          target.AppendInt64(state.minmax_i);
+        for (size_t g = begin; g < end; ++g) {
+          const AggState& st = state(g);
+          if (!st.has_value) {
+            target.AppendNull();
+          } else if (spec.result_type == TypeId::kString) {
+            target.AppendString(table.minmax_strings[a][g]);
+          } else if (spec.result_type == TypeId::kDouble) {
+            target.AppendDouble(st.minmax_d);
+          } else {
+            target.AppendInt64(st.minmax_i);
+          }
         }
         break;
       case AggFunc::kStddev:
-      case AggFunc::kVariance: {
-        if (state.count < 2) {
-          target.AppendNull();
-          break;
+      case AggFunc::kVariance:
+        for (size_t g = begin; g < end; ++g) {
+          const AggState& st = state(g);
+          if (st.count < 2) {
+            target.AppendNull();
+            continue;
+          }
+          double n = static_cast<double>(st.count);
+          double mean = st.sum_d / n;
+          double variance =
+              std::max(0.0, (st.sum_sq - n * mean * mean) / (n - 1.0));
+          target.AppendDouble(spec.func == AggFunc::kVariance
+                                  ? variance
+                                  : std::sqrt(variance));
         }
-        double n = static_cast<double>(state.count);
-        double mean = state.sum_d / n;
-        double variance =
-            std::max(0.0, (state.sum_sq - n * mean * mean) / (n - 1.0));
-        target.AppendDouble(spec.func == AggFunc::kVariance
-                                ? variance
-                                : std::sqrt(variance));
         break;
-      }
     }
   }
+  return Status::OK();
 }
 
 Status PhysicalHashAggregate::OpenSpill() {
@@ -612,12 +841,8 @@ Status PhysicalHashAggregate::AccumulatePartitioned(const Chunk& input,
   for (size_t g = 0; g < group_by_.size(); ++g) {
     AGORA_RETURN_IF_ERROR(group_by_[g]->Evaluate(input, &key_cols[g]));
   }
-  std::vector<ColumnVector> arg_cols(num_aggs);
-  for (size_t a = 0; a < num_aggs; ++a) {
-    if (aggregates_[a].arg != nullptr) {
-      AGORA_RETURN_IF_ERROR(aggregates_[a].arg->Evaluate(input, &arg_cols[a]));
-    }
-  }
+  std::vector<ColumnVector> arg_cols;
+  AGORA_RETURN_IF_ERROR(EvalArgs(input, &arg_cols));
   std::vector<uint64_t> hashes(rows, kHashTableSalt);
   for (const ColumnVector& col : key_cols) {
     col.HashBatch(hashes.data(), rows, /*combine=*/true,
@@ -886,9 +1111,10 @@ Status PhysicalHashAggregate::FinalizePartition(
   for (size_t start = 0; start < n; start += batch) {
     size_t count = std::min(batch, n - start);
     Chunk out(schema_);
+    AGORA_RETURN_IF_ERROR(FinalizeInto(table, start, count, &out));
     ColumnVector idx(TypeId::kInt64);
+    idx.Reserve(count);
     for (size_t g = start; g < start + count; ++g) {
-      FinalizeInto(table, &out, g);
       idx.AppendInt64(first_idx[g]);
     }
     out.AddColumn(std::move(idx));
@@ -990,11 +1216,9 @@ Status PhysicalHashAggregate::EmitMerged(Chunk* chunk, bool* done) {
 Status PhysicalHashAggregate::NextImpl(Chunk* chunk, bool* done) {
   if (spill_mode_) return EmitMerged(chunk, done);
   Chunk out(schema_);
-  size_t emitted = 0;
-  while (next_group_ < num_groups_ && emitted < kChunkSize) {
-    FinalizeInto(groups_, &out, next_group_++);
-    ++emitted;
-  }
+  const size_t count = std::min(kChunkSize, num_groups_ - next_group_);
+  AGORA_RETURN_IF_ERROR(FinalizeInto(groups_, next_group_, count, &out));
+  next_group_ += count;
   context_->stats.bytes_materialized += static_cast<int64_t>(out.MemoryBytes());
   *chunk = std::move(out);
   *done = next_group_ >= num_groups_;

@@ -59,10 +59,16 @@ struct ExprCounters {
 /// optional counters. With a selection of k rows, EvalBatch produces a
 /// *dense* k-row output — result row i corresponds to chunk row sel[i].
 /// Without one, all chunk rows are evaluated in order.
+///
+/// `live`, when set, marks which of the NumRows() result rows are used:
+/// a CASE branch is evaluated over every row but only the rows that take
+/// it are kept, so an error a row can raise (BIGINT overflow) is raised
+/// only for rows marked live. Other rows still get a value.
 struct EvalContext {
   const Chunk* chunk = nullptr;
   const std::vector<uint32_t>* sel = nullptr;
   ExprCounters* counters = nullptr;
+  const uint8_t* live = nullptr;
 
   /// Number of rows this evaluation produces.
   size_t NumRows() const { return sel ? sel->size() : chunk->num_rows(); }
@@ -102,6 +108,14 @@ class Expr {
   /// (freshly sized, possibly constant-form or buffer-sharing).
   virtual Status EvalBatch(const EvalContext& ctx,
                            ColumnVector* out) const = 0;
+
+  /// Filter form of EvalBatch for predicates: writes keep[i] = 1 where
+  /// the context's row i is TRUE and 0 where it is FALSE or NULL,
+  /// counting exactly what EvalBatch counts. Returns false, evaluating
+  /// nothing, when the node has no filter kernel; RefineSelection then
+  /// reads EvalBatch's BOOLEAN vector instead.
+  virtual Result<bool> EvalFilter(const EvalContext& ctx,
+                                  uint8_t* keep) const;
 
   /// Evaluates every row of `chunk` into a non-constant `out` vector
   /// (a dictionary column stays encoded). Wrapper over EvalBatch for
@@ -181,6 +195,8 @@ class LiteralExpr : public Expr {
 };
 
 /// Binary comparison producing BOOLEAN (NULL if either side is NULL).
+/// A numeric comparison, as a filter, writes the keep-mask directly
+/// without a BOOLEAN vector.
 class ComparisonExpr : public Expr {
  public:
   ComparisonExpr(CompareOp op, ExprPtr left, ExprPtr right)
@@ -194,6 +210,8 @@ class ComparisonExpr : public Expr {
   const ExprPtr& right() const { return right_; }
 
   Status EvalBatch(const EvalContext& ctx, ColumnVector* out) const override;
+  Result<bool> EvalFilter(const EvalContext& ctx,
+                          uint8_t* keep) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_shared<ComparisonExpr>(op_, left_->Clone(),
@@ -208,7 +226,8 @@ class ComparisonExpr : public Expr {
 };
 
 /// Binary arithmetic. Result type is the common numeric type of the
-/// operands; division by zero yields NULL (SQL-permissive mode).
+/// operands; division by zero yields NULL (SQL-permissive mode). BIGINT
+/// overflow (including INT64_MIN / -1) fails with OutOfRange.
 class ArithmeticExpr : public Expr {
  public:
   ArithmeticExpr(ArithOp op, ExprPtr left, ExprPtr right, TypeId result_type)
@@ -334,18 +353,6 @@ class InListExpr : public Expr {
         negated_(negated),
         candidates_(PrepareCandidates(values_)) {}
 
-  const ExprPtr& child() const { return child_; }
-  const std::vector<Value>& values() const { return values_; }
-  bool negated() const { return negated_; }
-
-  Status EvalBatch(const EvalContext& ctx, ColumnVector* out) const override;
-  std::string ToString() const override;
-  ExprPtr Clone() const override {
-    return std::make_shared<InListExpr>(child_->Clone(), values_, negated_);
-  }
-  std::vector<ExprPtr> Children() const override { return {child_}; }
-
- private:
   /// The candidate list split by physical type once per expression, so
   /// the batch kernel compares unboxed values (Value::Compare semantics:
   /// numbers match across BIGINT/DOUBLE, strings only strings).
@@ -355,6 +362,20 @@ class InListExpr : public Expr {
     std::vector<std::string> strings;
     bool has_null = false;
   };
+
+  const ExprPtr& child() const { return child_; }
+  const std::vector<Value>& values() const { return values_; }
+  bool negated() const { return negated_; }
+  const Candidates& candidates() const { return candidates_; }
+
+  Status EvalBatch(const EvalContext& ctx, ColumnVector* out) const override;
+  std::string ToString() const override;
+  ExprPtr Clone() const override {
+    return std::make_shared<InListExpr>(child_->Clone(), values_, negated_);
+  }
+  std::vector<ExprPtr> Children() const override { return {child_}; }
+
+ private:
   static Candidates PrepareCandidates(const std::vector<Value>& values);
 
   ExprPtr child_;

@@ -1,5 +1,8 @@
 #include "expr/expr_rewrite.h"
 
+#include <cstdint>
+#include <cstring>
+
 namespace agora {
 
 namespace {
@@ -177,6 +180,166 @@ ExprPtr FoldConstants(const ExprPtr& e) {
     return SimplifyLogical(rebuilt);
   }
   return rebuilt;
+}
+
+namespace {
+
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type() || a.is_null() != b.is_null()) return false;
+  if (a.is_null()) return true;
+  if (a.type() == TypeId::kDouble) {
+    const double x = a.double_value();
+    const double y = b.double_value();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  return a.Compare(b) == 0;
+}
+
+/// ExprEquals for the node itself, children aside.
+bool SameNode(const Expr& a, const Expr& b) {
+  if (a.kind() != b.kind() || a.result_type() != b.result_type()) {
+    return false;
+  }
+  switch (a.kind()) {
+    case ExprKind::kColumnRef:
+      return static_cast<const ColumnRefExpr&>(a).index() ==
+             static_cast<const ColumnRefExpr&>(b).index();
+    case ExprKind::kLiteral:
+      return SameValue(static_cast<const LiteralExpr&>(a).value(),
+                       static_cast<const LiteralExpr&>(b).value());
+    case ExprKind::kComparison:
+      return static_cast<const ComparisonExpr&>(a).op() ==
+             static_cast<const ComparisonExpr&>(b).op();
+    case ExprKind::kArithmetic:
+      return static_cast<const ArithmeticExpr&>(a).op() ==
+             static_cast<const ArithmeticExpr&>(b).op();
+    case ExprKind::kLogical:
+      return static_cast<const LogicalExpr&>(a).op() ==
+             static_cast<const LogicalExpr&>(b).op();
+    case ExprKind::kNot:
+    case ExprKind::kCast:
+      return true;
+    case ExprKind::kIsNull:
+      return static_cast<const IsNullExpr&>(a).negated() ==
+             static_cast<const IsNullExpr&>(b).negated();
+    case ExprKind::kLike: {
+      const auto& x = static_cast<const LikeExpr&>(a);
+      const auto& y = static_cast<const LikeExpr&>(b);
+      return x.negated() == y.negated() && x.pattern() == y.pattern();
+    }
+    case ExprKind::kInList: {
+      const auto& x = static_cast<const InListExpr&>(a);
+      const auto& y = static_cast<const InListExpr&>(b);
+      if (x.negated() != y.negated() ||
+          x.values().size() != y.values().size()) {
+        return false;
+      }
+      for (size_t i = 0; i < x.values().size(); ++i) {
+        if (!SameValue(x.values()[i], y.values()[i])) return false;
+      }
+      return true;
+    }
+    case ExprKind::kFunction:
+      return static_cast<const FunctionExpr&>(a).func() ==
+             static_cast<const FunctionExpr&>(b).func();
+    case ExprKind::kCase: {
+      const auto& x = static_cast<const CaseExpr&>(a);
+      const auto& y = static_cast<const CaseExpr&>(b);
+      return x.conditions().size() == y.conditions().size() &&
+             (x.else_result() == nullptr) == (y.else_result() == nullptr);
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool ExprEquals(const Expr& a, const Expr& b) {
+  if (!SameNode(a, b)) return false;
+  const std::vector<ExprPtr> ac = a.Children();
+  const std::vector<ExprPtr> bc = b.Children();
+  if (ac.size() != bc.size()) return false;
+  for (size_t i = 0; i < ac.size(); ++i) {
+    if (!ExprEquals(*ac[i], *bc[i])) return false;
+  }
+  return true;
+}
+
+SharedEvalPlan PlanSharedEvaluation(const std::vector<ExprPtr>& exprs,
+                                    size_t input_width) {
+  // Value numbering: nodes[j] is the first occurrence of each distinct
+  // subtree, in post-order (children first), and uses[j] counts the
+  // parents and top-level expressions that refer to it. A repeated
+  // subtree's children are numbered once, with its first occurrence.
+  // Column refs read the input directly and nested literals are free
+  // constants, so neither is numbered.
+  std::vector<ExprPtr> nodes;
+  std::vector<size_t> uses;
+  std::vector<bool> top;
+  auto find = [&nodes](const Expr& e) {
+    for (size_t j = 0; j < nodes.size(); ++j) {
+      if (ExprEquals(*nodes[j], e)) return j;
+    }
+    return SIZE_MAX;
+  };
+  std::function<size_t(const ExprPtr&)> number = [&](const ExprPtr& e) {
+    size_t j = find(*e);
+    if (j != SIZE_MAX) {
+      uses[j]++;
+      return j;
+    }
+    // A CASE branch only runs for the rows that take it (an error such
+    // as BIGINT overflow is raised for those rows alone), so nothing
+    // inside a CASE is numbered: a step would run it over every row.
+    // The CASE may still read a step the other expressions produce.
+    for (const ExprPtr& child : e->Children()) {
+      if (e->kind() != ExprKind::kCase &&
+          child->kind() != ExprKind::kColumnRef &&
+          child->kind() != ExprKind::kLiteral) {
+        number(child);
+      }
+    }
+    nodes.push_back(e);
+    uses.push_back(1);
+    top.push_back(false);
+    return nodes.size() - 1;
+  };
+
+  SharedEvalPlan plan;
+  plan.columns.assign(exprs.size(), SIZE_MAX);
+  std::vector<size_t> node_of(exprs.size(), SIZE_MAX);
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    if (exprs[i] == nullptr) continue;
+    if (exprs[i]->kind() == ExprKind::kColumnRef) {
+      plan.columns[i] =
+          static_cast<const ColumnRefExpr&>(*exprs[i]).index();
+      continue;
+    }
+    node_of[i] = number(exprs[i]);
+    top[node_of[i]] = true;
+  }
+
+  // Steps in post-order, so a step only refers to earlier steps.
+  std::vector<size_t> column_of(nodes.size(), SIZE_MAX);
+  std::function<ExprPtr(const ExprPtr&)> rewrite = [&](const ExprPtr& e) {
+    if (e->kind() == ExprKind::kColumnRef || e->kind() == ExprKind::kLiteral) {
+      return e;
+    }
+    size_t j = find(*e);
+    if (j != SIZE_MAX && column_of[j] != SIZE_MAX) {
+      return MakeColumnRef(column_of[j], e->result_type());
+    }
+    return Rebuild(e, rewrite);
+  };
+  for (size_t j = 0; j < nodes.size(); ++j) {
+    if (!top[j] && uses[j] < 2) continue;
+    plan.steps.push_back(Rebuild(nodes[j], rewrite));
+    column_of[j] = input_width + plan.steps.size() - 1;
+  }
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    if (node_of[i] != SIZE_MAX) plan.columns[i] = column_of[node_of[i]];
+  }
+  return plan;
 }
 
 }  // namespace agora

@@ -1,6 +1,7 @@
 #ifndef AGORA_EXPR_EXPR_REWRITE_H_
 #define AGORA_EXPR_EXPR_REWRITE_H_
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -28,6 +29,33 @@ bool RefsWithin(const ExprPtr& e, size_t lo, size_t hi);
 /// node when nothing changed or folding failed (e.g. division by zero is
 /// left for runtime NULL semantics).
 ExprPtr FoldConstants(const ExprPtr& e);
+
+/// True if `a` and `b` are the same bound expression: same node kinds,
+/// operators, result types, column indexes and literal values (doubles
+/// compared bit for bit), recursively.
+bool ExprEquals(const Expr& a, const Expr& b);
+
+/// How to evaluate several expressions over one chunk so that each
+/// distinct subexpression is computed once (common-subexpression
+/// elimination by structural equality, ExprEquals).
+struct SharedEvalPlan {
+  /// Evaluated in order over the input columns followed by the results
+  /// of the earlier steps: step i becomes column `input_width + i`, and
+  /// refers to shared subexpressions through those columns.
+  std::vector<ExprPtr> steps;
+  /// The column holding each input expression's value (SIZE_MAX for a
+  /// null expression): an input column for a bare column reference,
+  /// else the column of its step.
+  std::vector<size_t> columns;
+};
+
+/// Plans `exprs` (entries may be null) over an input of `input_width`
+/// columns. Every distinct non-leaf expression that occurs twice, as a
+/// whole expression or inside one (other than inside a CASE, whose
+/// branches run only for the rows that take them), gets a step of its
+/// own.
+SharedEvalPlan PlanSharedEvaluation(const std::vector<ExprPtr>& exprs,
+                                    size_t input_width);
 
 }  // namespace agora
 

@@ -2,8 +2,9 @@
 // The hash join must match the nested-loop oracle (same engine with
 // enable_hash_join=false) cell-for-cell, hash aggregation must match a
 // row-at-a-time reference bit-for-bit, and both must stay byte-identical
-// at every thread count. Runs under `ctest -L kernels` (and in the
-// TSan/ASan CI legs).
+// at every thread count. Direct-indexed group ids (dictionary keys) must
+// match the hashed path group for group. Runs under `ctest -L kernels`
+// (and in the TSan/ASan CI legs).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 
 #include "common/hash.h"
 #include "engine/database.h"
+#include "exec/aggregate.h"
 #include "exec/hash_table.h"
 #include "storage/chunk.h"
 #include "storage/column_vector.h"
@@ -283,6 +285,29 @@ TEST_F(KernelsTest, AggregatesMatchRowAtATimeReference) {
     EXPECT_EQ(r.Get(row, 5).int64_value(), s.sum_i) << "g=" << g;
     ++row;
   }
+}
+
+TEST_F(KernelsTest, AvgReadsTheSumOfItsOwnArgument) {
+  // An AVG shares the accumulator of a SUM over the same argument, and
+  // only that one: AVG(i) must not read SUM(x)'s state, nor AVG(x) SUM(i)'s.
+  ExecBoth("CREATE TABLE t (g VARCHAR, x DOUBLE, i BIGINT)");
+  ExecBoth(
+      "INSERT INTO t VALUES ('a', 1.5, 10), ('a', 2.5, 20), ('b', NULL, 7), "
+      "('b', -4.0, NULL), ('a', 0.25, 30)");
+  QueryResult r = Run(hash_db_.get(),
+                      "SELECT g, SUM(x), AVG(i), SUM(i), AVG(x), AVG(x + 1) "
+                      "FROM t GROUP BY g ORDER BY g");
+  ASSERT_EQ(r.num_rows(), 2u);
+  EXPECT_EQ(r.Get(0, 1).AsDouble(), 4.25);
+  EXPECT_EQ(r.Get(0, 2).AsDouble(), 20.0);
+  EXPECT_EQ(r.Get(0, 3).int64_value(), 60);
+  EXPECT_EQ(r.Get(0, 4).AsDouble(), 4.25 / 3);
+  EXPECT_EQ(r.Get(0, 5).AsDouble(), 7.25 / 3);
+  EXPECT_EQ(r.Get(1, 1).AsDouble(), -4.0);
+  EXPECT_EQ(r.Get(1, 2).AsDouble(), 7.0);
+  EXPECT_EQ(r.Get(1, 3).int64_value(), 7);
+  EXPECT_EQ(r.Get(1, 4).AsDouble(), -4.0);
+  EXPECT_EQ(r.Get(1, 5).AsDouble(), -3.0);
 }
 
 TEST_F(KernelsTest, DistinctAggregatesDedupPerGroup) {
@@ -606,6 +631,165 @@ TEST(BulkAppendTest, ChunkAppendTakesOverTheFirstChunkThenConcatenates) {
   counts.Append(two);
   EXPECT_EQ(counts.num_rows(), 5u);
   EXPECT_EQ(counts.num_columns(), 0u);
+}
+
+// -- Direct-indexed group ids -------------------------------------------
+
+/// Emits the given chunks in order: a stand-in child for operator tests.
+class ChunkSource : public PhysicalOperator {
+ public:
+  ChunkSource(Schema schema, std::vector<Chunk> chunks, ExecContext* context)
+      : PhysicalOperator(std::move(schema), context),
+        chunks_(std::move(chunks)) {}
+  std::string name() const override { return "ChunkSource"; }
+
+ protected:
+  Status OpenImpl() override {
+    next_ = 0;
+    return Status::OK();
+  }
+  Status NextImpl(Chunk* chunk, bool* done) override {
+    *chunk = next_ < chunks_.size() ? chunks_[next_++] : Chunk(schema_);
+    *done = next_ >= chunks_.size();
+    return Status::OK();
+  }
+
+ private:
+  std::vector<Chunk> chunks_;
+  size_t next_ = 0;
+};
+
+/// Runs GROUP BY f, s with a spread of aggregates over `chunks` and
+/// returns every output chunk concatenated, plus the operator's stats.
+Chunk AggregateChunks(const std::vector<Chunk>& chunks, ExecStats* stats) {
+  Schema in({{"f", TypeId::kString, true},
+             {"s", TypeId::kString, true},
+             {"x", TypeId::kDouble, true},
+             {"i", TypeId::kInt64, true}});
+  ExecContext context;
+  auto child = std::make_unique<ChunkSource>(in, chunks, &context);
+  ExprPtr f = MakeColumnRef(0, TypeId::kString, "f");
+  ExprPtr s = MakeColumnRef(1, TypeId::kString, "s");
+  ExprPtr x = MakeColumnRef(2, TypeId::kDouble, "x");
+  ExprPtr i = MakeColumnRef(3, TypeId::kInt64, "i");
+  std::vector<AggregateSpec> aggs = {
+      {AggFunc::kCountStar, nullptr, false, TypeId::kInt64, "n"},
+      {AggFunc::kSum, x, false, TypeId::kDouble, "sx"},
+      {AggFunc::kAvg, x, false, TypeId::kDouble, "ax"},
+      {AggFunc::kSum, i, false, TypeId::kInt64, "si"},
+      {AggFunc::kAvg, i, false, TypeId::kDouble, "ai"},
+      {AggFunc::kMin, x, false, TypeId::kDouble, "mx"},
+      {AggFunc::kMax, s, false, TypeId::kString, "ms"},
+      {AggFunc::kCount, x, false, TypeId::kInt64, "cx"}};
+  Schema out({{"f", TypeId::kString, true},
+              {"s", TypeId::kString, true},
+              {"n", TypeId::kInt64, true},
+              {"sx", TypeId::kDouble, true},
+              {"ax", TypeId::kDouble, true},
+              {"si", TypeId::kInt64, true},
+              {"ai", TypeId::kDouble, true},
+              {"mx", TypeId::kDouble, true},
+              {"ms", TypeId::kString, true},
+              {"cx", TypeId::kInt64, true}});
+  PhysicalHashAggregate agg(std::move(child), {f, s}, std::move(aggs), out,
+                            &context);
+  Chunk all(out);
+  EXPECT_TRUE(agg.Open().ok());
+  bool done = false;
+  while (!done) {
+    Chunk chunk;
+    EXPECT_TRUE(agg.Next(&chunk, &done).ok());
+    all.Append(chunk);
+  }
+  *stats = context.stats;
+  return all;
+}
+
+TEST(DirectGroupIdsTest, MatchesHashedGroupingAcrossDictionaries) {
+  std::mt19937 rng(3);
+  const char* flags[] = {"A", "N", "R"};
+  const char* status[] = {"F", "O"};
+  // Dictionaries: d1 and d2 hold the same strings in different code
+  // orders; `wide` has too many entries for a direct array.
+  ColumnVector d1f = ColumnVector::MakeDictionary();
+  ColumnVector d2f = ColumnVector::MakeDictionary();
+  for (const char* v : {"A", "N", "R"}) d1f.AppendString(v);
+  for (const char* v : {"R", "A", "N"}) d2f.AppendString(v);
+  ColumnVector d1s = ColumnVector::MakeDictionary();
+  for (const char* v : {"F", "O"}) d1s.AppendString(v);
+  auto make_chunk = [&](const ColumnVector& fdict, const ColumnVector& sdict,
+                        size_t rows, bool wide) {
+    ColumnVector f = fdict.EmptyLike();
+    ColumnVector s = wide ? ColumnVector::MakeDictionary() : sdict.EmptyLike();
+    ColumnVector x(TypeId::kDouble), i(TypeId::kInt64);
+    for (size_t r = 0; r < rows; ++r) {
+      if (rng() % 9 == 0) {
+        f.AppendNull();
+      } else {
+        f.AppendString(flags[rng() % 3]);
+      }
+      if (wide) {
+        s.AppendString("w" + std::to_string(rng() % 300));
+      } else if (rng() % 11 == 0) {
+        s.AppendNull();
+      } else {
+        s.AppendString(status[rng() % 2]);
+      }
+      if (rng() % 7 == 0) {
+        x.AppendNull();
+      } else {
+        x.AppendDouble(static_cast<double>(rng() % 20001) / 7.0 - 1000.0);
+      }
+      i.AppendInt64(static_cast<int64_t>(rng() % 1000) - 500);
+    }
+    Chunk chunk;
+    chunk.AddColumn(std::move(f));
+    chunk.AddColumn(std::move(s));
+    chunk.AddColumn(std::move(x));
+    chunk.AddColumn(std::move(i));
+    return chunk;
+  };
+  std::vector<Chunk> chunks;
+  chunks.push_back(make_chunk(d1f, d1s, 300, /*wide=*/true));  // hashed
+  chunks.push_back(make_chunk(d1f, d1s, 2000, false));  // sets the cache
+  chunks.push_back(make_chunk(d2f, d1s, 1500, false));  // other dict: hashed
+  chunks.push_back(make_chunk(d1f, d1s, 2048, false));  // direct again
+  chunks.push_back(make_chunk(d1f, d1s, 7, false));
+  for (size_t c = 1; c < chunks.size(); ++c) {
+    ASSERT_TRUE(chunks[c].column(0).is_dictionary());
+    ASSERT_TRUE(chunks[c].column(1).is_dictionary());
+  }
+  // The reference: the same rows with flat strings (hashed throughout).
+  std::vector<Chunk> flat = chunks;
+  for (Chunk& chunk : flat) {
+    chunk.column(0).Flatten();
+    chunk.column(1).Flatten();
+  }
+
+  ExecStats direct_stats, hashed_stats;
+  Chunk direct = AggregateChunks(chunks, &direct_stats);
+  Chunk hashed = AggregateChunks(flat, &hashed_stats);
+  ASSERT_EQ(direct.num_rows(), hashed.num_rows());
+  ASSERT_GT(direct.num_rows(), 12u);  // the wide chunk's groups too
+  for (size_t c = 0; c < direct.num_columns(); ++c) {
+    for (size_t r = 0; r < direct.num_rows(); ++r) {
+      Value a = direct.column(c).GetValue(r);
+      Value b = hashed.column(c).GetValue(r);
+      ASSERT_EQ(a.is_null(), b.is_null()) << "(" << r << "," << c << ")";
+      if (a.is_null()) continue;
+      if (a.type() == TypeId::kDouble) {
+        ASSERT_EQ(a.AsDouble(), b.AsDouble()) << "(" << r << "," << c << ")";
+      } else {
+        ASSERT_EQ(a.Compare(b), 0) << "(" << r << "," << c << ")";
+      }
+    }
+  }
+  // Only the hashed chunks and the first row of each combined code probe
+  // the key table.
+  EXPECT_LT(direct_stats.hash_table_lookups,
+            hashed_stats.hash_table_lookups / 2);
+  EXPECT_EQ(direct_stats.rows_aggregated, hashed_stats.rows_aggregated);
+  EXPECT_EQ(direct_stats.hash_table_entries, hashed_stats.hash_table_entries);
 }
 
 }  // namespace
