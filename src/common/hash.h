@@ -42,6 +42,15 @@ inline uint64_t HashString(std::string_view s) {
   return HashBytes(s.data(), s.size());
 }
 
+/// Hash of a DOUBLE value. -0.0 hashes as +0.0 because SQL finds them
+/// equal; other values hash by bit pattern.
+inline uint64_t HashDouble(double d) {
+  if (d == 0.0) d = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return HashMix64(bits);
+}
+
 /// Combines two hash values (boost::hash_combine style, 64-bit).
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));

@@ -164,8 +164,7 @@ Status PhysicalHashAggregate::AccumulateInto(const Chunk& input,
     // Resolve every row to a dense group id in one vectorized pass.
     table->hash_scratch.assign(rows, kHashTableSalt);
     for (const ColumnVector& col : key_cols) {
-      col.HashBatch(table->hash_scratch.data(), rows, /*combine=*/true,
-                    /*normalize_zero=*/true);
+      col.HashBatch(table->hash_scratch.data(), rows, /*combine=*/true);
     }
     table->gid_scratch.resize(rows);
     table->created_scratch.resize(rows);
@@ -275,8 +274,7 @@ bool PhysicalHashAggregate::DirectGroupIds(
   }
   std::vector<uint64_t> hashes(m, kHashTableSalt);
   for (const ColumnVector& col : first_keys) {
-    col.HashBatch(hashes.data(), m, /*combine=*/true,
-                  /*normalize_zero=*/true);
+    col.HashBatch(hashes.data(), m, /*combine=*/true);
   }
   std::vector<uint32_t> new_gids(m);
   std::vector<uint8_t> created(m);
@@ -377,8 +375,8 @@ Status PhysicalHashAggregate::ApplyAccumulators(
       }
       dkeys.push_back(arg.Gather(sel));
       std::vector<uint64_t> dhashes(sel.size(), kHashTableSalt);
-      dkeys[0].HashBatch(dhashes.data(), sel.size(), true, true);
-      dkeys[1].HashBatch(dhashes.data(), sel.size(), true, true);
+      dkeys[0].HashBatch(dhashes.data(), sel.size(), true);
+      dkeys[1].HashBatch(dhashes.data(), sel.size(), true);
       if (table->distinct[a] == nullptr) {
         table->distinct[a] = std::make_unique<GroupKeyTable>();
       }
@@ -845,8 +843,7 @@ Status PhysicalHashAggregate::AccumulatePartitioned(const Chunk& input,
   AGORA_RETURN_IF_ERROR(EvalArgs(input, &arg_cols));
   std::vector<uint64_t> hashes(rows, kHashTableSalt);
   for (const ColumnVector& col : key_cols) {
-    col.HashBatch(hashes.data(), rows, /*combine=*/true,
-                  /*normalize_zero=*/true);
+    col.HashBatch(hashes.data(), rows, /*combine=*/true);
   }
   std::vector<std::vector<uint32_t>> psel(num_parts);
   for (size_t r = 0; r < rows; ++r) {

@@ -53,6 +53,7 @@ class PhysicalProject : public PhysicalOperator {
                       ExecStats* stats) const;
 
   PhysicalOperator* child() const { return child_.get(); }
+  const std::vector<ExprPtr>& exprs() const { return exprs_; }
 
  private:
   PhysicalOpPtr child_;

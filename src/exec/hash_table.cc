@@ -83,6 +83,24 @@ Status JoinHashTable::Build(const uint64_t* hashes, const uint8_t* valid,
   return group.Wait();
 }
 
+void HashJoinKeys(const std::vector<ColumnVector>& keys, const uint32_t* sel,
+                  size_t n, std::vector<uint64_t>* hashes,
+                  std::vector<uint8_t>* valid) {
+  hashes->assign(n, kHashTableSalt);
+  valid->assign(n, 1);
+  uint8_t* v = valid->data();
+  for (const ColumnVector& key : keys) {
+    key.HashBatch(hashes->data(), n, /*combine=*/true, sel);
+    if (n == 0) continue;
+    const uint8_t* key_valid = key.validity_data();
+    if (sel == nullptr) {
+      for (size_t i = 0; i < n; ++i) v[i] &= key_valid[i];
+    } else {
+      for (size_t i = 0; i < n; ++i) v[i] &= key_valid[sel[i]];
+    }
+  }
+}
+
 void JoinHashTable::FillPartition(size_t p, const uint64_t* hashes,
                                   const uint8_t* valid, size_t rows) {
   Partition& part = partitions_[p];

@@ -127,6 +127,15 @@ class JoinHashTable {
   int64_t slot_count_ = 0;
 };
 
+/// The join key-hash convention: sets hashes[i] to kHashTableSalt folded
+/// with row i of every key column in order (row sel[i] when `sel` is
+/// given), and valid[i] to 0 when any of those key cells is NULL (NULL
+/// keys never match). Build, probe and the scans' join filters all hash
+/// through here, so a Bloom filter hit means the same thing everywhere.
+void HashJoinKeys(const std::vector<ColumnVector>& keys, const uint32_t* sel,
+                  size_t n, std::vector<uint64_t>* hashes,
+                  std::vector<uint8_t>* valid);
+
 /// Incremental hash table mapping composite group keys to dense group ids
 /// in first-appearance order — the engine-side replacement for the
 /// string-key group map in hash aggregation (and for DISTINCT dedup
@@ -139,7 +148,7 @@ class JoinHashTable {
 /// merges with +0.0, doubles otherwise compare by bit pattern (NaN
 /// groups with bit-identical NaN). Callers must hash with the matching
 /// convention: seed kHashTableSalt, then ColumnVector::HashBatch with
-/// combine = true and normalize_zero = true per key column.
+/// combine = true per key column.
 class GroupKeyTable {
  public:
   /// Resolves rows [0, n) of `key_cols` to group ids, creating unseen

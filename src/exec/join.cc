@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "exec/parallel.h"
 #include "exec/scan.h"
@@ -59,17 +58,21 @@ Status PhysicalHashJoin::OpenImpl() {
   probe_done_ = false;
   build_keys_.clear();
   if (spill_mode_) return OpenSpill();
-  AGORA_RETURN_IF_ERROR(left_->Open());
   // The build side collects through the morsel pipeline when eligible;
   // chunks come back in morsel order, so row ids match the serial layout.
   AGORA_ASSIGN_OR_RETURN(build_data_,
                          ParallelCollectAll(right_.get(), context_));
   context_->stats.bytes_materialized +=
       static_cast<int64_t>(build_data_.MemoryBytes());
-  // The build phase covers hashing + table fill, not the child collection
-  // above (that time belongs to the child operators).
-  MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
-  return BuildTable();
+  {
+    // The build phase covers hashing + table fill, not the child
+    // collection above (that time belongs to the child operators).
+    MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
+    AGORA_RETURN_IF_ERROR(BuildTable());
+  }
+  // The probe side opens only now, so a join filter published to a scan
+  // below it exists before anything there can read.
+  return left_->Open();
 }
 
 Status PhysicalHashJoin::BuildTable() {
@@ -83,14 +86,7 @@ Status PhysicalHashJoin::BuildTable() {
   // Column-at-a-time key hashing. The salt only perturbs slot/Bloom bit
   // choice: both sides fold it in identically, so the match relation is
   // unchanged. NULL keys (any column) never match.
-  build_hashes_.assign(rows, kHashTableSalt);
-  build_valid_.assign(rows, 1);
-  for (const ColumnVector& key : build_keys_) {
-    key.HashBatch(build_hashes_.data(), rows, /*combine=*/true,
-                  /*normalize_zero=*/false);
-    const uint8_t* key_valid = key.validity_data();
-    for (size_t r = 0; r < rows; ++r) build_valid_[r] &= key_valid[r];
-  }
+  HashJoinKeys(build_keys_, nullptr, rows, &build_hashes_, &build_valid_);
 
   // Partition the insertions across workers: worker p owns partition p
   // outright, so no locks are needed and chains stay in ascending row
@@ -158,14 +154,9 @@ Status PhysicalHashJoin::OpenSpill() {
     for (size_t k = 0; k < right_keys_.size(); ++k) {
       AGORA_RETURN_IF_ERROR(right_keys_[k]->Evaluate(chunk, &keys[k]));
     }
-    std::vector<uint64_t> hashes(rows, kHashTableSalt);
-    std::vector<uint8_t> valid(rows, 1);
-    for (const ColumnVector& key : keys) {
-      key.HashBatch(hashes.data(), rows, /*combine=*/true,
-                    /*normalize_zero=*/false);
-      const uint8_t* key_valid = key.validity_data();
-      for (size_t r = 0; r < rows; ++r) valid[r] &= key_valid[r];
-    }
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> valid;
+    HashJoinKeys(keys, nullptr, rows, &hashes, &valid);
     // NULL-key build rows can never match and the probe side supplies all
     // outer-join padding, so they are dropped here — same net effect as
     // the in-memory table, which skips them at insert time.
@@ -412,14 +403,9 @@ Status PhysicalHashJoin::ProbePartitionedChunk(const Chunk& probe,
   for (size_t k = 0; k < left_keys_.size(); ++k) {
     AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
   }
-  std::vector<uint64_t> hashes(rows, kHashTableSalt);
-  std::vector<uint8_t> valid(rows, 1);
-  for (const ColumnVector& key : probe_keys) {
-    key.HashBatch(hashes.data(), rows, /*combine=*/true,
-                  /*normalize_zero=*/false);
-    const uint8_t* key_valid = key.validity_data();
-    for (size_t r = 0; r < rows; ++r) valid[r] &= key_valid[r];
-  }
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> valid;
+  HashJoinKeys(probe_keys, nullptr, rows, &hashes, &valid);
 
   // A probe row belongs to exactly one partition. Rows of spilled
   // partitions divert to that partition's file for the deferred pass;
@@ -619,11 +605,9 @@ Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
     for (size_t k = 0; k < left_keys_.size(); ++k) {
       AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(pc, &probe_keys[k]));
     }
-    std::vector<uint64_t> phashes(rows, kHashTableSalt);
-    for (const ColumnVector& key : probe_keys) {
-      key.HashBatch(phashes.data(), rows, /*combine=*/true,
-                    /*normalize_zero=*/false);
-    }
+    std::vector<uint64_t> phashes;
+    std::vector<uint8_t> pvalid;
+    HashJoinKeys(probe_keys, nullptr, rows, &phashes, &pvalid);
     HashTableStats ht;
     std::vector<uint32_t> pair_l, pair_b;
     for (size_t r = 0; r < rows; ++r) {
@@ -789,27 +773,25 @@ Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
   for (size_t k = 0; k < left_keys_.size(); ++k) {
     AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
   }
-  std::vector<uint64_t> hashes(rows, kHashTableSalt);
-  std::vector<uint8_t> valid(rows, 1);
-  for (const ColumnVector& key : probe_keys) {
-    key.HashBatch(hashes.data(), rows, /*combine=*/true,
-                  /*normalize_zero=*/false);
-    const uint8_t* key_valid = key.validity_data();
-    for (size_t r = 0; r < rows; ++r) valid[r] &= key_valid[r];
-  }
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> valid;
+  HashJoinKeys(probe_keys, nullptr, rows, &hashes, &valid);
 
-  // Gather candidate (probe row, build row) pairs: Bloom filter first,
-  // then the hash-chain walk. Pairs are grouped by probe row in row
-  // order, with chains in ascending build-row order.
+  // Gather candidate (probe row, build row) pairs: Bloom filter first
+  // (unless the probe-side scan already applied it), then the hash-chain
+  // walk. Pairs are grouped by probe row in row order, with chains in
+  // ascending build-row order.
   HashTableStats ht;
   std::vector<uint32_t> pair_l, pair_b;
   for (size_t r = 0; r < rows; ++r) {
     if (valid[r] == 0) continue;
-    stats->bloom_checked_rows++;
     uint64_t h = hashes[r];
-    if (!table_.bloom().MightContain(h)) {
-      stats->bloom_filtered_rows++;
-      continue;
+    if (!filter_pushed_) {
+      stats->bloom_checked_rows++;
+      if (!table_.bloom().MightContain(h)) {
+        stats->bloom_filtered_rows++;
+        continue;
+      }
     }
     for (uint32_t ref = table_.Find(h, &ht); ref != 0;
          ref = table_.Next(ref)) {

@@ -28,6 +28,15 @@ enum class PhysicalJoinKind { kInner, kLeftOuter, kCross };
 /// build-side Bloom filter rejects most matchless probe rows before they
 /// touch the slot directory. Build and probe book their self time into
 /// separate phase slots (EXPLAIN ANALYZE shows HashJoin::build/::probe).
+///
+/// Join filter: outside spill mode, Open() builds the table before it
+/// opens the probe child. The planner may hand build_filter() to the
+/// PhysicalScan that produces every probe key (AddJoinFilter); that scan
+/// then drops Bloom misses and NULL keys before it gathers anything, and
+/// set_filter_pushed() makes the probe skip its own, now redundant, Bloom
+/// check. The filter is immutable once built, so morsel workers read it
+/// without synchronization, and a Bloom filter has no false negatives,
+/// so results do not change. See DESIGN.md, "Join filters".
 class PhysicalHashJoin : public PhysicalOperator {
  public:
   /// `left_keys[i]` (over the left schema) must equal `right_keys[i]`
@@ -51,6 +60,16 @@ class PhysicalHashJoin : public PhysicalOperator {
   Status ProbeChunk(const Chunk& probe, Chunk* out, ExecStats* stats) const;
 
   PhysicalOperator* probe_child() const { return left_.get(); }
+  PhysicalOperator* build_child() const { return right_.get(); }
+  PhysicalJoinKind kind() const { return kind_; }
+  const std::vector<ExprPtr>& left_keys() const { return left_keys_; }
+
+  /// The Bloom filter over the build keys, filled by Open() before the
+  /// probe child opens. The pointer is stable for the join's lifetime.
+  const BloomFilter* build_filter() const { return &table_.bloom(); }
+  /// Called by the planner once the probe-side scan applies
+  /// build_filter(): every probe row then already passed it.
+  void set_filter_pushed() { filter_pushed_ = true; }
 
   /// True when this join runs the budgeted (spill-capable) path. Decided
   /// at construction from the budget configuration alone — never from the
@@ -146,6 +165,7 @@ class PhysicalHashJoin : public PhysicalOperator {
   std::vector<uint64_t> build_hashes_;    // per-row combined key hash
   std::vector<uint8_t> build_valid_;      // 0 = some key was NULL
   JoinHashTable table_;
+  bool filter_pushed_ = false;  // the probe-side scan applies the Bloom
   bool probe_done_ = false;
 };
 
@@ -165,6 +185,7 @@ class PhysicalNestedLoopJoin : public PhysicalOperator {
   std::vector<const PhysicalOperator*> children() const override {
     return {left_.get(), right_.get()};
   }
+  PhysicalJoinKind kind() const { return kind_; }
 
  private:
   PhysicalOpPtr left_;

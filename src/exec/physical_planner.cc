@@ -148,6 +148,86 @@ bool FindIndexableEquality(const ExprPtr& predicate, const Table& table,
   return false;
 }
 
+/// True when `op`'s subtree can drop rows of the tables under it: it
+/// holds a pushed scan predicate, a Filter or an inner join. Only such a
+/// build side is worth a join filter; a bare full-table build matches
+/// (nearly) every probe key, so the filter would only re-hash rows.
+bool CanDropRows(const PhysicalOperator& op) {
+  if (const auto* scan = dynamic_cast<const PhysicalScan*>(&op)) {
+    return scan->has_predicate();
+  }
+  if (dynamic_cast<const PhysicalIndexScan*>(&op) != nullptr ||
+      dynamic_cast<const PhysicalFilter*>(&op) != nullptr) {
+    return true;
+  }
+  if (const auto* join = dynamic_cast<const PhysicalHashJoin*>(&op)) {
+    if (join->kind() == PhysicalJoinKind::kInner) return true;
+  }
+  if (const auto* nl = dynamic_cast<const PhysicalNestedLoopJoin*>(&op)) {
+    if (nl->kind() == PhysicalJoinKind::kInner) return true;
+  }
+  for (const PhysicalOperator* child : op.children()) {
+    if (CanDropRows(*child)) return true;
+  }
+  return false;
+}
+
+/// Follows output column `*column` of `op` down the streaming probe chain
+/// — the shape MorselPipeline::TryBuild walks: Project column refs,
+/// Filter, and the probe side of a hash join — to the PhysicalScan that
+/// produces it, rewriting `*column` to that scan's output column. Returns
+/// null when the column is computed, comes from a build side, or the
+/// chain ends anywhere but a column-emitting PhysicalScan.
+PhysicalScan* TraceToScan(PhysicalOperator* op, size_t* column) {
+  for (;;) {
+    if (auto* scan = dynamic_cast<PhysicalScan*>(op)) {
+      return scan->emit_row_ids() ? nullptr : scan;
+    }
+    if (auto* filter = dynamic_cast<PhysicalFilter*>(op)) {
+      op = filter->child();
+      continue;
+    }
+    if (auto* project = dynamic_cast<PhysicalProject*>(op)) {
+      const ExprPtr& e = project->exprs()[*column];
+      if (e->kind() != ExprKind::kColumnRef) return nullptr;
+      *column = static_cast<const ColumnRefExpr&>(*e).index();
+      op = project->child();
+      continue;
+    }
+    if (auto* join = dynamic_cast<PhysicalHashJoin*>(op)) {
+      if (*column >= join->probe_child()->schema().num_fields()) {
+        return nullptr;  // a build-side column
+      }
+      op = join->probe_child();
+      continue;
+    }
+    return nullptr;
+  }
+}
+
+/// Publishes `join`'s Bloom filter to the scan that produces all of its
+/// probe keys, when there is one and the filter can pay (see DESIGN.md,
+/// "Join filters"). Left joins never publish: their probe side is the
+/// preserved side.
+void MaybePushJoinFilter(PhysicalHashJoin* join) {
+  if (join->kind() != PhysicalJoinKind::kInner || join->spill_mode() ||
+      !CanDropRows(*join->build_child())) {
+    return;
+  }
+  PhysicalScan* target = nullptr;
+  std::vector<size_t> columns;
+  for (const ExprPtr& key : join->left_keys()) {
+    if (key->kind() != ExprKind::kColumnRef) return;  // CAST or computed
+    size_t column = static_cast<const ColumnRefExpr&>(*key).index();
+    PhysicalScan* scan = TraceToScan(join->probe_child(), &column);
+    if (scan == nullptr || (target != nullptr && scan != target)) return;
+    target = scan;
+    columns.push_back(column);
+  }
+  target->AddJoinFilter(join->build_filter(), std::move(columns));
+  join->set_filter_pushed();
+}
+
 class PlannerImpl {
  public:
   PlannerImpl(ExecContext* context, const PhysicalPlannerOptions& options)
@@ -370,10 +450,12 @@ class PlannerImpl {
       // Left-outer joins with residual predicates would need deferred
       // NULL padding; fall back to nested loops for those.
       if (kind != PhysicalJoinKind::kLeftOuter || residual.empty()) {
-        return PhysicalOpPtr(std::make_unique<PhysicalHashJoin>(
+        auto hash_join = std::make_unique<PhysicalHashJoin>(
             std::move(left), std::move(right), std::move(left_keys),
             std::move(right_keys), CombineConjuncts(std::move(residual)),
-            kind, context_));
+            kind, context_);
+        MaybePushJoinFilter(hash_join.get());
+        return PhysicalOpPtr(std::move(hash_join));
       }
     }
     return PhysicalOpPtr(std::make_unique<PhysicalNestedLoopJoin>(

@@ -59,6 +59,12 @@ PhysicalScan::PhysicalScan(std::shared_ptr<Table> table,
       use_zone_maps_(use_zone_maps),
       emit_row_ids_(emit_row_ids) {}
 
+void PhysicalScan::AddJoinFilter(const BloomFilter* bloom,
+                                 std::vector<size_t> columns) {
+  AGORA_CHECK(!emit_row_ids_);
+  join_filters_.push_back(JoinFilter{bloom, std::move(columns)});
+}
+
 Status PhysicalScan::OpenImpl() {
   next_row_ = 0;
   morsel_cursor_.store(0, std::memory_order_relaxed);
@@ -69,8 +75,14 @@ Status PhysicalScan::OpenImpl() {
     table_->BuildZoneMaps();
   }
   zone_map_snapshot_ = use_zone_maps_ ? table_->zone_maps() : nullptr;
-  if (predicate_ != nullptr) {
+  if (predicate_ != nullptr || !join_filters_.empty()) {
     scan_view_ = table_->GetChunkView(projection_);
+  }
+  join_filter_keys_.clear();
+  for (const JoinFilter& filter : join_filters_) {
+    std::vector<ColumnVector> keys;
+    for (size_t c : filter.columns) keys.push_back(scan_view_.column(c));
+    join_filter_keys_.push_back(std::move(keys));
   }
   return Status::OK();
 }
@@ -100,23 +112,46 @@ Status PhysicalScan::ScanBlock(size_t start, size_t count, Chunk* out,
   size_t end = std::min(start + count, table_->num_rows());
   size_t n = end > start ? end - start : 0;
 
-  if (predicate_ != nullptr) {
+  if (predicate_ != nullptr || !join_filters_.empty()) {
     // Fused scan filter: refine a selection of absolute row ids over
-    // the zero-copy table view, then gather survivors once. The raw
-    // block is never materialized.
+    // the zero-copy table view — by the predicate, then by each join
+    // filter — and gather survivors once. The raw block is never
+    // materialized.
     Selection sel;
     sel.all = false;
     sel.rows.resize(n);
     for (size_t i = 0; i < n; ++i) {
       sel.rows[i] = static_cast<uint32_t>(start + i);
     }
-    ExprCounters counters;
-    AGORA_RETURN_IF_ERROR(
-        RefineSelection(*predicate_, scan_view_, &sel, &counters));
+    if (predicate_ != nullptr) {
+      ExprCounters counters;
+      AGORA_RETURN_IF_ERROR(
+          RefineSelection(*predicate_, scan_view_, &sel, &counters));
+      stats->expr_rows_evaluated += counters.rows_evaluated;
+      stats->sel_vector_hits += counters.sel_hits;
+    }
     stats->blocks_read++;
     stats->rows_scanned += static_cast<int64_t>(n);
-    stats->expr_rows_evaluated += counters.rows_evaluated;
-    stats->sel_vector_hits += counters.sel_hits;
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> valid;
+    for (size_t f = 0; f < join_filters_.size() && !sel.rows.empty(); ++f) {
+      const BloomFilter& bloom = *join_filters_[f].bloom;
+      size_t m = sel.rows.size();
+      HashJoinKeys(join_filter_keys_[f], sel.rows.data(), m, &hashes,
+                   &valid);
+      // Branch-free compaction: most rows miss. NULL keys never match and
+      // are not counted as Bloom checks (the probe never checked them).
+      size_t kept = 0;
+      int64_t checked = 0;
+      for (size_t i = 0; i < m; ++i) {
+        sel.rows[kept] = sel.rows[i];
+        kept += valid[i] & static_cast<uint8_t>(bloom.MightContain(hashes[i]));
+        checked += valid[i];
+      }
+      stats->bloom_checked_rows += checked;
+      stats->bloom_filtered_rows += checked - static_cast<int64_t>(kept);
+      sel.rows.resize(kept);
+    }
     Chunk res;
     if (emit_row_ids_) {
       res = RowIdChunk(sel.rows);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "exec/hash_table.h"
 #include "exec/physical_op.h"
 #include "expr/expr.h"
 #include "storage/table.h"
@@ -44,6 +45,15 @@ struct ColumnRangeConstraint {
 /// base-table row ids of the matching rows, ascending.
 Schema RowIdSchema();
 
+/// A hash join's build-side Bloom filter, applied by the scan that
+/// produces the join's probe keys. `columns` are the scan-output columns
+/// holding the keys, in the join's key order. The join owns the scan's
+/// subtree and fills the filter before it opens that subtree.
+struct JoinFilter {
+  const BloomFilter* bloom = nullptr;
+  std::vector<size_t> columns;
+};
+
 /// Sequential scan over a base table in kChunkSize blocks.
 ///
 /// Optionally applies a pushed-down predicate during the scan and skips
@@ -51,6 +61,13 @@ Schema RowIdSchema();
 /// constraints (experiment E4: physical design changes plans, not queries).
 /// With `emit_row_ids`, it emits the row ids of the surviving rows
 /// (RowIdSchema) instead of gathering their columns.
+///
+/// Join filters (AddJoinFilter) refine the same selection after the
+/// predicate: each hashes its key columns straight from the table through
+/// the selection (HashJoinKeys, the join's own convention) and drops NULL
+/// keys and Bloom misses, so a row no join above can match is never
+/// gathered or probed. Filters stack in the order they were added; the
+/// scan counts bloom_checked_rows/bloom_filtered_rows for them.
 class PhysicalScan : public PhysicalOperator {
  public:
   PhysicalScan(std::shared_ptr<Table> table, std::vector<size_t> projection,
@@ -61,6 +78,12 @@ class PhysicalScan : public PhysicalOperator {
   Status OpenImpl() override;
   Status NextImpl(Chunk* chunk, bool* done) override;
   std::string name() const override { return "Scan"; }
+
+  bool emit_row_ids() const { return emit_row_ids_; }
+  bool has_predicate() const { return predicate_ != nullptr; }
+  /// Adds a join filter over scan-output `columns` (planner only; see
+  /// JoinFilter). Not for row-id scans.
+  void AddJoinFilter(const BloomFilter* bloom, std::vector<size_t> columns);
 
   // -- Morsel-source API (parallel path) --------------------------------
   //
@@ -101,11 +124,14 @@ class PhysicalScan : public PhysicalOperator {
   std::shared_ptr<const ZoneMapSet> zone_map_snapshot_;
   size_t next_row_ = 0;                  // serial pull cursor
   std::atomic<size_t> morsel_cursor_{0};  // parallel claim cursor
-  /// Zero-copy whole-table view (built in Open when a predicate is
-  /// pushed down). The fused filter refines a selection of absolute row
-  /// ids against it and gathers once per block; read-only, so safe to
-  /// share across morsel workers.
+  std::vector<JoinFilter> join_filters_;
+  /// Zero-copy whole-table view (built in Open when a predicate or a join
+  /// filter is pushed down). The fused filter refines a selection of
+  /// absolute row ids against it and gathers once per block; read-only,
+  /// so safe to share across morsel workers.
   Chunk scan_view_;
+  /// Per join filter, its key columns of scan_view_ (shared, O(1) copies).
+  std::vector<std::vector<ColumnVector>> join_filter_keys_;
 };
 
 /// Point-lookup scan through a hash index: emits only rows whose indexed

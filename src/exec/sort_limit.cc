@@ -209,8 +209,7 @@ Status PhysicalDistinct::NextImpl(Chunk* chunk, bool* done) {
 
     hash_scratch_.assign(rows, kHashTableSalt);
     for (size_t c = 0; c < input.num_columns(); ++c) {
-      input.column(c).HashBatch(hash_scratch_.data(), rows, /*combine=*/true,
-                                /*normalize_zero=*/true);
+      input.column(c).HashBatch(hash_scratch_.data(), rows, /*combine=*/true);
     }
     gid_scratch_.resize(rows);
     created_scratch_.resize(rows);

@@ -558,61 +558,64 @@ uint64_t ColumnVector::HashRow(size_t i) const {
     case TypeId::kString:
       return rep_->dict ? rep_->dict->hashes()[rep_->codes[p]]
                         : HashString(rep_->strings[p]);
-    case TypeId::kDouble: {
-      uint64_t bits;
-      std::memcpy(&bits, &rep_->doubles[p], sizeof(bits));
-      return HashMix64(bits);
-    }
+    case TypeId::kDouble:
+      return HashDouble(rep_->doubles[p]);
     default:
       return HashMix64(static_cast<uint64_t>(rep_->ints[p]));
   }
 }
 
 void ColumnVector::HashBatch(uint64_t* hashes, size_t n, bool combine,
-                             bool normalize_zero) const {
+                             const uint32_t* sel) const {
   AGORA_DCHECK(!constant_);
-  AGORA_DCHECK(n <= size());
-  if (!rep_) return;  // empty vector: size() == 0, so n == 0
+  AGORA_DCHECK(sel != nullptr || n <= size());
+  if (n == 0) return;
   const Rep& rep = *rep_;
-  auto emit = [&](size_t i, uint64_t h) {
-    hashes[i] = combine ? HashCombine(hashes[i], h) : h;
-  };
-  switch (type_) {
-    case TypeId::kString:
-      if (rep.dict) {
-        // Each entry was hashed once, when it was interned.
-        const uint64_t* entry_hashes = rep.dict->hashes();
+  // One loop per type and per row mapping, so the selection costs one
+  // indexed load and no branch per row.
+  auto hash_rows = [&](auto row_of) {
+    auto emit = [&](size_t i, uint64_t h) {
+      hashes[i] = combine ? HashCombine(hashes[i], h) : h;
+    };
+    switch (type_) {
+      case TypeId::kString:
+        if (rep.dict) {
+          // Each entry was hashed once, when it was interned.
+          const uint64_t* entry_hashes = rep.dict->hashes();
+          for (size_t i = 0; i < n; ++i) {
+            size_t r = row_of(i);
+            emit(i, rep.validity[r] != 0 ? entry_hashes[rep.codes[r]]
+                                         : kNullHash);
+          }
+          break;
+        }
         for (size_t i = 0; i < n; ++i) {
-          emit(i, rep.validity[i] != 0 ? entry_hashes[rep.codes[i]]
+          size_t r = row_of(i);
+          emit(i, rep.validity[r] != 0 ? HashString(rep.strings[r])
                                        : kNullHash);
         }
         break;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        emit(i,
-             rep.validity[i] != 0 ? HashString(rep.strings[i]) : kNullHash);
-      }
-      break;
-    case TypeId::kDouble:
-      for (size_t i = 0; i < n; ++i) {
-        if (rep.validity[i] == 0) {
-          emit(i, kNullHash);
-          continue;
+      case TypeId::kDouble:
+        for (size_t i = 0; i < n; ++i) {
+          size_t r = row_of(i);
+          emit(i, rep.validity[r] != 0 ? HashDouble(rep.doubles[r])
+                                       : kNullHash);
         }
-        double d = rep.doubles[i];
-        if (normalize_zero && d == 0.0) d = 0.0;
-        uint64_t bits;
-        std::memcpy(&bits, &d, sizeof(bits));
-        emit(i, HashMix64(bits));
-      }
-      break;
-    default:
-      for (size_t i = 0; i < n; ++i) {
-        emit(i, rep.validity[i] != 0
-                    ? HashMix64(static_cast<uint64_t>(rep.ints[i]))
-                    : kNullHash);
-      }
-      break;
+        break;
+      default:
+        for (size_t i = 0; i < n; ++i) {
+          size_t r = row_of(i);
+          emit(i, rep.validity[r] != 0
+                      ? HashMix64(static_cast<uint64_t>(rep.ints[r]))
+                      : kNullHash);
+        }
+        break;
+    }
+  };
+  if (sel == nullptr) {
+    hash_rows([](size_t i) { return i; });
+  } else {
+    hash_rows([sel](size_t i) { return static_cast<size_t>(sel[i]); });
   }
 }
 

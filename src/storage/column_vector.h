@@ -221,19 +221,21 @@ class ColumnVector {
   /// True if no row is NULL (fast path for kernels).
   bool AllValid() const;
 
-  /// Hashes row `i` (for hash join/aggregate keys).
+  /// Hashes row `i` (hash indexes, statistics sketches); agrees with
+  /// HashBatch and Value::Hash.
   uint64_t HashRow(size_t i) const;
 
   // -- Batch kernels (exec/hash_table.h consumers) -----------------------
 
-  /// Column-at-a-time hash kernel over rows [0, n). With `combine` false
-  /// writes each row's hash into `hashes[i]`; with `combine` true folds
-  /// it into the existing value via HashCombine (multi-column keys).
-  /// `normalize_zero` hashes -0.0 as +0.0 (aggregate grouping semantics;
-  /// the join path keeps raw bit patterns, matching HashRow). NULL rows
-  /// hash to the fixed kNullHash in both modes.
+  /// Column-at-a-time hash kernel over rows [0, n), or over rows
+  /// `sel[0..n)` when `sel` is given (hashes[i] then belongs to row
+  /// sel[i]). With `combine` false writes each row's hash into
+  /// `hashes[i]`; with `combine` true folds it into the existing value via
+  /// HashCombine (multi-column keys). -0.0 hashes as +0.0, since SQL finds
+  /// them equal; NULL rows hash to the fixed kNullHash. Agrees with
+  /// HashRow and Value::Hash.
   void HashBatch(uint64_t* hashes, size_t n, bool combine,
-                 bool normalize_zero) const;
+                 const uint32_t* sel = nullptr) const;
 
   /// ANDs per-pair key equality into `equal[0..n)`: equal[i] stays 1 only
   /// if row `rows[i]` of *this* equals row `other_rows[i]` of `other`.

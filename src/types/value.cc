@@ -131,13 +131,8 @@ uint64_t Value::Hash() const {
   switch (type_) {
     case TypeId::kString:
       return HashString(std::get<std::string>(data_));
-    case TypeId::kDouble: {
-      double d = std::get<double>(data_);
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      std::memcpy(&bits, &d, sizeof(bits));
-      return HashMix64(bits);
-    }
+    case TypeId::kDouble:
+      return HashDouble(std::get<double>(data_));
     default:
       return HashMix64(static_cast<uint64_t>(std::get<int64_t>(data_)));
   }

@@ -197,6 +197,53 @@ TEST_F(KernelsTest, BloomFiltersNonMatchingProbes) {
   EXPECT_GT(h.stats().hash_table_slots, 0);
 }
 
+TEST_F(KernelsTest, SignedZeroJoinKeysMatch) {
+  // SQL finds -0.0 = 0.0, so the hash join must pair them as the nested
+  // loop does, though their bit patterns differ.
+  ExecBoth("CREATE TABLE a (x DOUBLE, t VARCHAR)");
+  ExecBoth("CREATE TABLE b (y DOUBLE)");
+  ExecBoth("INSERT INTO a VALUES (0.0, 'pos'), (1.0, 'one')");
+  ExecBoth("INSERT INTO b VALUES (1.0), (-0.0)");
+  const std::string sql =
+      "SELECT a.t FROM a JOIN b ON a.x = b.y ORDER BY a.t";
+  QueryResult h = Run(hash_db_.get(), sql);
+  ASSERT_EQ(h.num_rows(), 2u);
+  EXPECT_EQ(h.Get(0, 0).ToString(), "one");
+  EXPECT_EQ(h.Get(1, 0).ToString(), "pos");
+  ExpectOracleMatch(sql);
+  // A filtered build side publishes its Bloom filter to the probe scan,
+  // which must hash the zeros alike too.
+  ExpectOracleMatch(
+      "SELECT a.t FROM a JOIN b ON a.x = b.y WHERE b.y < 5 ORDER BY a.t");
+  ExpectOracleMatch(
+      "SELECT a.t FROM b JOIN a ON a.x = b.y WHERE a.t <> 'x' ORDER BY a.t");
+}
+
+TEST_F(KernelsTest, SignedZeroIndexLookupMatchesScan) {
+  // The hash index stores HashRow and probes with Value::Hash: both must
+  // hash -0.0 as +0.0, or `x = 0.0` misses the -0.0 row once indexed.
+  Database* db = hash_db_.get();
+  Run(db, "CREATE TABLE a (x DOUBLE, t VARCHAR)");
+  Run(db, "INSERT INTO a VALUES (-0.0, 'neg')");
+  const std::string sql = "SELECT t FROM a WHERE x = 0.0 ORDER BY t";
+  QueryResult scanned = Run(db, sql);
+  ASSERT_EQ(scanned.num_rows(), 1u);
+  Run(db, "CREATE INDEX ax ON a (x)");
+  QueryResult indexed = Run(db, sql);
+  bool used_index = false;
+  for (const OperatorProfileNode& node : indexed.profile()) {
+    used_index = used_index || node.name == "IndexScan";
+  }
+  EXPECT_TRUE(used_index);
+  ExpectIdentical(scanned, indexed, sql);
+  // Index maintenance hashes an inserted +0.0 the same way.
+  Run(db, "INSERT INTO a VALUES (0.0, 'pos')");
+  QueryResult both = Run(db, "SELECT t FROM a WHERE x = -0.0 ORDER BY t");
+  ASSERT_EQ(both.num_rows(), 2u);
+  EXPECT_EQ(both.Get(0, 0).ToString(), "neg");
+  EXPECT_EQ(both.Get(1, 0).ToString(), "pos");
+}
+
 TEST_F(KernelsTest, PropertyRandomJoinsMatchOracle) {
   std::mt19937 rng(20260805);
   for (int round = 0; round < 3; ++round) {
@@ -369,7 +416,7 @@ TEST(GroupKeyTableTest, MillionDistinctGroupsExerciseResize) {
     std::vector<ColumnVector> batch_keys;
     batch_keys.push_back(std::move(batch));
     hashes.assign(kBatch, kHashTableSalt);
-    batch_keys[0].HashBatch(hashes.data(), kBatch, true, true);
+    batch_keys[0].HashBatch(hashes.data(), kBatch, true);
     table.FindOrCreate(batch_keys, hashes.data(), kBatch, gids.data(),
                        created.data(), &stats);
     for (size_t i = 0; i < kBatch; ++i) {
@@ -388,7 +435,7 @@ TEST(GroupKeyTableTest, MillionDistinctGroupsExerciseResize) {
   std::vector<ColumnVector> again_keys;
   again_keys.push_back(std::move(again));
   hashes.assign(kBatch, kHashTableSalt);
-  again_keys[0].HashBatch(hashes.data(), kBatch, true, true);
+  again_keys[0].HashBatch(hashes.data(), kBatch, true);
   table.FindOrCreate(again_keys, hashes.data(), kBatch, gids.data(),
                      created.data(), &stats);
   for (size_t i = 0; i < kBatch; ++i) {
