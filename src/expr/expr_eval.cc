@@ -994,7 +994,18 @@ Status CastExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
     // on hot paths (the planner folds constant casts).
     // agora-lint: allow(expr-per-row-value) boxed cast conversion path
     auto v = c.GetValue(i).CastTo(result_type_);
-    if (!v.ok()) return v.status();
+    if (!v.ok()) {
+      // An out-of-range value fails only on a live row, like BIGINT
+      // overflow; a row that is not live gets NULL.
+      const bool live = c.is_constant()
+                            ? AnyLive(ctx, n)
+                            : ctx.live == nullptr || ctx.live[i] != 0;
+      if (live || v.status().code() != StatusCode::kOutOfRange) {
+        return v.status();
+      }
+      result.AppendNull();
+      continue;
+    }
     // agora-lint: allow(expr-per-row-value) boxed cast conversion path
     result.AppendValue(*v);
   }

@@ -1,7 +1,13 @@
 #include "server/json_util.h"
 
+#include <array>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <system_error>
 
 namespace agora {
 
@@ -264,6 +270,153 @@ std::string JsonQuote(std::string_view s) {
   out.reserve(s.size() + 2);
   AppendJsonString(&out, s);
   return out;
+}
+
+namespace {
+
+__extension__ typedef unsigned __int128 Uint128;
+
+constexpr std::array<uint64_t, 20> kPow10 = [] {
+  std::array<uint64_t, 20> pow{};
+  pow[0] = 1;
+  for (size_t i = 1; i < pow.size(); ++i) pow[i] = pow[i - 1] * 10;
+  return pow;
+}();
+
+/// The digits of a double m·2^-q at scale s (s digits after the point),
+/// rounded to nearest, ties to even, as printf rounds the exact binary
+/// value.
+struct ScaledDigits {
+  uint64_t digits;
+  /// digits·10^-s parses back to exactly m·2^-q.
+  bool reads_back;
+};
+
+/// Rounds exact / 2^q, where exact = m·10^s = m·pow, 1 <= q < 128.
+/// `reads_back` tests |n·2^q − m·10^s| < 10^s/2: the decimal lies within
+/// half the gap to the next double. That is exact for 15 digits of a
+/// value in 1e-4 <= |v| < 1e15. No tie arises, since a point halfway
+/// between two doubles has at least 16 significant digits. The half-width
+/// gap below a power of two does not matter either: every power of two
+/// in that range has at most 15 digits, so they are exact.
+ScaledDigits RoundScaled(Uint128 exact, int q, Uint128 pow) {
+  Uint128 n = exact >> q;
+  const Uint128 rem = exact - (n << q);
+  const Uint128 half = Uint128{1} << (q - 1);
+  n += (rem > half) | ((rem == half) & static_cast<bool>(n & 1));
+  const Uint128 scaled = n << q;
+  const Uint128 dist = scaled > exact ? scaled - exact : exact - scaled;
+  return {static_cast<uint64_t>(n), 2 * dist < pow};
+}
+
+/// "00".."99", for writing two digits per division.
+constexpr std::array<char, 200> kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (size_t i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+/// Writes `count` digits of `*digits` from the right (zero-padded) so
+/// that they end just before `end`, and drops them from `*digits`.
+char* WriteDigitsBackward(char* end, uint64_t* digits, int count) {
+  char* p = end;
+  for (; count >= 2; count -= 2) {
+    p -= 2;
+    std::memcpy(p, &kDigitPairs[2 * (*digits % 100)], 2);
+    *digits /= 100;
+  }
+  if (count == 1) {
+    *--p = static_cast<char>('0' + *digits % 10);
+    *digits /= 10;
+  }
+  return p;
+}
+
+/// Writes digits·10^-scale in printf's fixed layout, with trailing zeros
+/// (and a bare point) dropped, so that it ends just before `end`; returns
+/// where the text starts.
+char* WriteFixed(char* end, uint64_t digits, int scale) {
+  while (scale > 0 && digits % 10 == 0) {
+    digits /= 10;
+    --scale;
+  }
+  char* p = end;
+  if (scale > 0) {
+    p = WriteDigitsBackward(p, &digits, scale);
+    *--p = '.';
+  }
+  while (digits >= 100) p = WriteDigitsBackward(p, &digits, 2);
+  return WriteDigitsBackward(p, &digits, digits >= 10 ? 2 : 1);
+}
+
+/// Writes `mag`, 1e-4 <= mag < 1e15, as %.15g, or as %.17g when the 15
+/// digits do not read back, ending just before `end`; returns where the
+/// text starts. In that range both use the fixed layout, so the text is
+/// the rounded digits with the point placed.
+char* WriteFixedRange(char* end, double mag) {
+  // The nearest double to k/10^4 with k < 10^15 (integers, cents, rates):
+  // k/10^4 lies on the 15-digit grid, nearer to mag than half a grid
+  // step, and reads back as mag because the division rounds correctly.
+  const double scaled = mag * 1e4;
+  if (scaled < 1e15) {
+    const auto k = static_cast<int64_t>(scaled + 0.5);
+    if (static_cast<double>(k) / 1e4 == mag) {
+      return WriteFixed(end, static_cast<uint64_t>(k), 4);
+    }
+  }
+
+  uint64_t bits;
+  std::memcpy(&bits, &mag, sizeof(bits));
+  constexpr uint64_t kHiddenBit = uint64_t{1} << 52;
+  const uint64_t m = (bits & (kHiddenBit - 1)) | kHiddenBit;
+  const int q = 1075 - static_cast<int>(bits >> 52);  // mag = m·2^-q
+  // With k10 = floor((52-q)·log10 2), 10^k10 <= 2^(52-q) <= mag <
+  // 10^(k10+2), so the decimal exponent X is k10, or k10+1 when mag has
+  // 16 digits before scale 14-k10. The 15 digits sit at scale s = 14-X,
+  // and m·10^s stays below 2^53·10^19 < 2^117.
+  const int k10 = ((52 - q) * 78913) >> 18;
+  int s = 14 - k10;
+  s -= (Uint128{m} * kPow10[s]) >> q >= kPow10[15];
+  const Uint128 exact = Uint128{m} * kPow10[s];
+  const ScaledDigits d15 = RoundScaled(exact, q, kPow10[s]);
+  if (d15.reads_back) return WriteFixed(end, d15.digits, s);
+  return WriteFixed(
+      end, RoundScaled(exact * 100, q, Uint128{kPow10[s]} * 100).digits,
+      s + 2);
+}
+
+}  // namespace
+
+void AppendJsonDouble(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    out->append("null", 4);
+    return;
+  }
+  char buf[32];
+  const double mag = std::fabs(v);
+  if (mag >= 1e-4 && mag < 1e15) {
+    char* end = buf + sizeof(buf);
+    char* start = WriteFixedRange(end, mag);
+    if (v < 0) *--start = '-';
+    out->append(start, static_cast<size_t>(end - start));
+    return;
+  }
+  // Zeros, subnormals and the exponent layout: std::to_chars with an
+  // explicit precision writes printf's bytes.
+  char* end = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, 15)
+                  .ptr;
+  double parsed = 0.0;
+  const std::from_chars_result back = std::from_chars(buf, end, parsed);
+  if (back.ec != std::errc() || parsed != v) {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        17)
+              .ptr;
+  }
+  out->append(buf, static_cast<size_t>(end - buf));
 }
 
 }  // namespace agora

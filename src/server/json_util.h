@@ -2,7 +2,8 @@
 #define AGORA_SERVER_JSON_UTIL_H_
 
 // Minimal JSON support for the HTTP front end: a recursive-descent
-// parser for request bodies and string escaping for response bodies.
+// parser for request bodies, and string escaping and number formatting
+// for response bodies.
 // The engine has no third-party dependencies, so the server carries its
 // own ~200-line JSON reader rather than pulling one in. Full JSON
 // grammar (RFC 8259) minus \uXXXX surrogate pairs, which the /query
@@ -50,6 +51,12 @@ Result<JsonValue> ParseJson(std::string_view text);
 /// Appends `s` to `*out` as a quoted JSON string, escaping quotes,
 /// backslashes and control characters.
 void AppendJsonString(std::string* out, std::string_view s);
+
+/// Appends `v` as a JSON number with printf's bytes: %.15g when that
+/// reads back as exactly `v`, else %.17g. Deterministic, so served bytes
+/// match embedded serialization byte for byte. JSON has no token for
+/// infinities or NaN, so non-finite values are written as null.
+void AppendJsonDouble(std::string* out, double v);
 
 /// Convenience wrapper around AppendJsonString.
 std::string JsonQuote(std::string_view s);

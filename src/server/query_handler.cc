@@ -1,8 +1,7 @@
 #include "server/query_handler.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cmath>
-#include <system_error>
 #include <vector>
 
 #include "server/json_util.h"
@@ -10,30 +9,6 @@
 namespace agora {
 
 namespace {
-
-/// Appends `v` as a JSON number: printf's %.15g when that re-parses to
-/// exactly `v`, else %.17g (std::to_chars with an explicit precision
-/// writes printf's bytes). Deterministic, so served bytes match embedded
-/// serialization byte for byte. JSON has no token for infinities or NaN,
-/// so non-finite values are written as null.
-void AppendJsonDouble(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null", 4);
-    return;
-  }
-  char buf[32];
-  char* end = std::to_chars(buf, buf + sizeof(buf), v,
-                            std::chars_format::general, 15)
-                  .ptr;
-  double parsed = 0.0;
-  const std::from_chars_result back = std::from_chars(buf, end, parsed);
-  if (back.ec != std::errc() || parsed != v) {
-    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
-                        17)
-              .ptr;
-  }
-  out->append(buf, static_cast<size_t>(end - buf));
-}
 
 /// One result column's typed buffers, read in place by the row loop.
 struct ColumnCursor {
@@ -44,12 +19,12 @@ struct ColumnCursor {
   const std::string* strings;  // flat strings, or dictionary entries
   const uint32_t* codes;       // dictionary form: row -> entry
   /// Dictionary form with at least as many rows as entries: each entry's
-  /// JSON text, escaped on first use. Empty otherwise (escape per row).
+  /// JSON text, escaped once. Empty otherwise (escape per row).
   std::vector<std::string> escaped;
 };
 
 /// Appends row `row` of `col` as a JSON value.
-void AppendCellJson(std::string* out, ColumnCursor& col, size_t row) {
+void AppendCellJson(std::string* out, const ColumnCursor& col, size_t row) {
   if (col.validity[row] == 0) {
     out->append("null", 4);
     return;
@@ -81,12 +56,7 @@ void AppendCellJson(std::string* out, ColumnCursor& col, size_t row) {
       } else if (col.escaped.empty()) {
         AppendJsonString(out, col.strings[col.codes[row]]);
       } else {
-        // An entry is never the empty JSON text (it has quotes), so an
-        // empty slot means "not escaped yet".
-        const uint32_t code = col.codes[row];
-        std::string& text = col.escaped[code];
-        if (text.empty()) AppendJsonString(&text, col.strings[code]);
-        out->append(text);
+        out->append(col.escaped[col.codes[row]]);
       }
       break;
     case TypeId::kInvalid:
@@ -229,39 +199,70 @@ std::string QueryHandler::SerializeResultJson(const QueryResult& result) {
   out += "], \"rows\": [";
   // The cursors read each column's typed buffers in place; a constant
   // column (one physical row) is expanded once so every cursor is flat,
-  // and a dictionary column is decoded once per entry, not per row.
+  // and a dictionary column is escaped once per entry, not per row.
+  // `bytes` sizes the body from the column types so it is not regrown:
+  // row brackets and separators, then each column's widest text (a
+  // string column's actual lengths).
   const size_t rows = result.num_rows();
   std::vector<ColumnVector> columns(result.data().columns());
   std::vector<ColumnCursor> cursors;
   cursors.reserve(columns.size());
+  size_t bytes = 64 + rows * (6 + 2 * columns.size());
   for (ColumnVector& col : columns) {
     col.FlattenConstant();
     ColumnCursor cursor{col.type(), col.validity_data(), nullptr, nullptr,
                         nullptr, nullptr, {}};
+    size_t widest = 5;  // null, true, false
     switch (col.type()) {
       case TypeId::kDouble:
         cursor.doubles = col.double_data();
+        widest = 24;  // -d.dddddddddddddddde-308
         break;
       case TypeId::kString:
+        widest = 0;
         if (col.is_dictionary()) {
-          cursor.strings = col.dictionary().entries().data();
+          const std::vector<std::string>& entries =
+              col.dictionary().entries();
+          cursor.strings = entries.data();
           cursor.codes = col.codes_data();
-          if (rows >= col.dictionary().size()) {
-            cursor.escaped.resize(col.dictionary().size());
+          if (rows >= entries.size()) {
+            cursor.escaped.resize(entries.size());
+            for (size_t e = 0; e < entries.size(); ++e) {
+              AppendJsonString(&cursor.escaped[e], entries[e]);
+              widest = std::max(widest, cursor.escaped[e].size());
+            }
+            widest = std::max<size_t>(widest, 4);
+          } else {
+            for (size_t row = 0; row < rows; ++row) {
+              bytes += cursor.validity[row] != 0
+                           ? entries[cursor.codes[row]].size() + 2
+                           : 4;
+            }
           }
         } else {
           cursor.strings = col.string_data().data();
+          for (size_t row = 0; row < rows; ++row) {
+            bytes += std::max<size_t>(cursor.strings[row].size() + 2, 4);
+          }
         }
+        break;
+      case TypeId::kInt64:
+        cursor.ints = col.int64_data();
+        widest = 20;  // -9223372036854775808
+        break;
+      case TypeId::kDate:
+        cursor.ints = col.int64_data();
+        widest = 12;  // "yyyy-mm-dd" (wider years are rare)
         break;
       default:
         cursor.ints = col.int64_data();
         break;
     }
+    bytes += rows * widest;
     cursors.push_back(std::move(cursor));
   }
   const size_t num_columns = cursors.size();
-  // About ten bytes per cell covers numeric results without regrowth.
-  out.reserve(out.size() + 64 + rows * (6 + num_columns * 10));
+  out.reserve(out.size() + bytes);
   for (size_t row = 0; row < rows; ++row) {
     out.append(row == 0 ? "\n  [" : ",\n  [", row == 0 ? 4 : 5);
     for (size_t col = 0; col < num_columns; ++col) {
@@ -348,10 +349,12 @@ HttpResponse QueryHandler::HandleQuery(const HttpRequest& request) {
   }
   int64_t timeout_ms = options_.default_timeout_ms;
   if (const JsonValue* t = doc->Find("timeout_ms")) {
-    if (!t->is_number() || t->number_value < 0) {
+    if (!t->is_number() || !(t->number_value >= 0) ||
+        t->number_value > static_cast<double>(kMaxRequestTimeoutMs)) {
       return MakeErrorResponse(
           400, Status::InvalidArgument(
-                   "\"timeout_ms\" must be a non-negative number"));
+                   "\"timeout_ms\" must be a number from 0 to " +
+                   std::to_string(kMaxRequestTimeoutMs)));
     }
     timeout_ms = static_cast<int64_t>(t->number_value);
   }

@@ -159,6 +159,11 @@ class AGORA_SCOPED_CAPABILITY DeadlineReadGuard {
 /// Stateless-per-request router over one embedded Database.
 class QueryHandler {
  public:
+  /// Largest "timeout_ms" a request may send (24 hours). Larger values
+  /// are rejected with 400 before any conversion: the cast to an integer
+  /// and the deadline arithmetic would overflow.
+  static constexpr int64_t kMaxRequestTimeoutMs = 86'400'000;
+
   QueryHandler(Database* db, QueryHandlerOptions options)
       : db_(db),
         options_(options),

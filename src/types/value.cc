@@ -27,7 +27,13 @@ Result<Value> Value::CastTo(TypeId target) const {
       break;
     case TypeId::kInt64:
       if (type_ == TypeId::kDouble) {
-        return Value::Int64(static_cast<int64_t>(std::get<double>(data_)));
+        // Truncation fits BIGINT exactly for [-2^63, 2^63); NaN fails both
+        // tests.
+        const double d = std::get<double>(data_);
+        if (!(d >= -0x1p63 && d < 0x1p63)) {
+          return Status::OutOfRange("DOUBLE value out of BIGINT range");
+        }
+        return Value::Int64(static_cast<int64_t>(d));
       }
       if (type_ == TypeId::kBool || type_ == TypeId::kDate) {
         return Value::Int64(std::get<int64_t>(data_));

@@ -1182,6 +1182,68 @@ TEST(ExprTest, BigintSumChecksOnlyTheTotal) {
             StatusCode::kOutOfRange);
 }
 
+TEST(ExprTest, CastDoubleToBigintOutsideTheRangeFails) {
+  // CAST(DOUBLE AS BIGINT) truncates [-2^63, 2^63); NaN, the infinities
+  // and everything else outside used to come back as INT64_MIN.
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id BIGINT, d DOUBLE)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 1e30), (2, -1e30), "
+                         "(3, 1e300), (4, 9223372036854775808.0), "
+                         "(5, -9223372036854775808.0), "
+                         "(6, 9223372036854774784.0), (7, -2.9)")
+                  .ok());
+  // Evaluated per row.
+  for (const char* query :
+       {"SELECT CAST(d AS BIGINT) FROM t WHERE id = 1",
+        "SELECT CAST(d AS BIGINT) FROM t WHERE id = 2",
+        "SELECT CAST(d * d AS BIGINT) FROM t WHERE id = 3",
+        "SELECT CAST(d * d - d * d AS BIGINT) FROM t WHERE id = 3",
+        "SELECT CAST(d AS BIGINT) FROM t WHERE id = 4",
+        "SELECT CAST(d AS BIGINT) FROM t"}) {
+    EXPECT_EQ(db.Execute(query).status().code(), StatusCode::kOutOfRange)
+        << query;
+  }
+  auto fits = db.Execute(
+      "SELECT CAST(d AS BIGINT) FROM t WHERE id >= 5 ORDER BY id");
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->data().column(0).GetInt64(0),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(fits->data().column(0).GetInt64(1), 9223372036854774784);
+  EXPECT_EQ(fits->data().column(0).GetInt64(2), -2);
+  // A CASE branch a row does not take does not fail on that row.
+  auto guarded = db.Execute(
+      "SELECT CASE WHEN ABS(d) < 1e18 THEN CAST(d AS BIGINT) ELSE -1 END "
+      "FROM t ORDER BY id");
+  ASSERT_TRUE(guarded.ok()) << guarded.status().ToString();
+  EXPECT_EQ(guarded->data().column(0).GetInt64(0), -1);
+  EXPECT_EQ(guarded->data().column(0).GetInt64(6), -2);
+
+  // Constant casts: the planner's fold leaves a failing cast unfolded,
+  // and executing it fails the same way.
+  for (const char* query :
+       {"SELECT CAST(1e30 AS BIGINT) FROM t",
+        "SELECT CAST(-1e30 AS BIGINT) FROM t",
+        "SELECT CAST(1e300 * 1e300 AS BIGINT) FROM t",
+        "SELECT CAST(1e300 * 1e300 - 1e300 * 1e300 AS BIGINT) FROM t"}) {
+    EXPECT_EQ(db.Execute(query).status().code(), StatusCode::kOutOfRange)
+        << query;
+  }
+  const auto cast = [](double v) {
+    return std::make_shared<CastExpr>(Lit(Value::Double(v)), TypeId::kInt64);
+  };
+  ExprPtr folded = FoldConstants(cast(-2.9));
+  ASSERT_EQ(folded->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(static_cast<const LiteralExpr&>(*folded).value().int64_value(),
+            -2);
+  for (double bad : {1e30, -1e30, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN(), 0x1p63}) {
+    ExprPtr kept = FoldConstants(cast(bad));
+    EXPECT_EQ(kept->kind(), ExprKind::kCast) << bad;
+    EXPECT_EQ(kept->EvaluateScalar().status().code(), StatusCode::kOutOfRange)
+        << bad;
+  }
+}
+
 TEST(ExprTest, CaseBranchNotTakenDoesNotOverflow) {
   // A CASE branch is computed over every row, but a row that does not
   // take it must not fail on it: only what SQL evaluates for a row can

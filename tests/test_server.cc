@@ -15,8 +15,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,12 +208,17 @@ class QueryHandlerTest : public ::testing::Test {
   }
 
   HttpResponse Post(const std::string& target, const std::string& body) {
+    return PostTo(&handler_, target, body);
+  }
+
+  static HttpResponse PostTo(QueryHandler* handler, const std::string& target,
+                             const std::string& body) {
     HttpRequest request;
     request.method = "POST";
     request.target = target;
     request.version = "HTTP/1.1";
     request.body = body;
-    return handler_.Handle(request);
+    return handler->Handle(request);
   }
 
   HttpResponse Get(const std::string& target) {
@@ -229,6 +241,31 @@ TEST_F(QueryHandlerTest, QueryReturnsRowsMatchingEmbeddedExecution) {
   ASSERT_TRUE(embedded.ok());
   EXPECT_EQ(response.body, QueryHandler::SerializeResultJson(*embedded));
   EXPECT_NE(response.body.find("\"row_count\": 3"), std::string::npos);
+}
+
+TEST_F(QueryHandlerTest, TimeoutAboveTheBoundIs400WithAndWithoutMaxClamp) {
+  // 1e30 used to cast to INT64_MIN and skip the clamp (no deadline);
+  // 1e13 overflowed now() + timeout into a deadline in the past.
+  QueryHandlerOptions clamped_options;
+  clamped_options.max_timeout_ms = 1000;
+  QueryHandler clamped(&db_, clamped_options);
+  for (QueryHandler* handler : {&handler_, &clamped}) {
+    for (const std::string timeout :
+         {"1e30", "1e13", "86400001", "1e400", "-1e30"}) {
+      const HttpResponse response = PostTo(
+          handler, "/query",
+          "{\"sql\": \"SELECT a FROM t\", \"timeout_ms\": " + timeout + "}");
+      EXPECT_EQ(response.status, 400) << timeout;
+      EXPECT_NE(response.body.find("\"InvalidArgument\""), std::string::npos)
+          << response.body;
+    }
+    // The bound itself is a valid deadline.
+    const HttpResponse at_bound = PostTo(
+        handler, "/query",
+        "{\"sql\": \"SELECT a FROM t\", \"timeout_ms\": " +
+            std::to_string(QueryHandler::kMaxRequestTimeoutMs) + "}");
+    EXPECT_EQ(at_bound.status, 200) << at_bound.body;
+  }
 }
 
 TEST_F(QueryHandlerTest, BadJsonBodyIs400) {
@@ -489,6 +526,181 @@ TEST(WireFormatTest, NonFiniteDoublesAreNull) {
             "\"rows\": [\n  [null],\n  [null],\n  [null],\n  [1]\n], "
             "\"row_count\": 4}\n");
   EXPECT_TRUE(ParseJson(json).ok());
+}
+
+// ---------------------------------------------------------------------
+// The double writer against printf, byte for byte
+// ---------------------------------------------------------------------
+
+/// The wire contract spelled with printf: %.15g when it reads back as
+/// exactly `v` through strtod, else %.17g; null when not finite.
+std::string PrintfDouble(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
+  if (std::strtod(buf, nullptr) != v) {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+/// Values per class: enough that every binade and scale of the fixed
+/// layout is hit many times.
+constexpr size_t kSweep = 1'000'000;
+
+/// Feeds `count` values from `next` through AppendJsonDouble and the
+/// printf oracle; returns how many differ (reporting the first few).
+template <typename Next>
+size_t CountPrintfMismatches(size_t count, Next next) {
+  size_t mismatches = 0;
+  std::string got;
+  for (size_t i = 0; i < count; ++i) {
+    const double v = next(i);
+    got.clear();
+    AppendJsonDouble(&got, v);
+    const std::string want = PrintfDouble(v);
+    if (got != want && ++mismatches <= 5) {
+      uint64_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      ADD_FAILURE() << "bits 0x" << std::hex << bits << ": wrote " << got
+                    << ", printf " << want;
+    }
+  }
+  return mismatches;
+}
+
+/// A random double with |v| in the binades of the fixed layout (%g uses
+/// it for 1e-4 <= |v| < 1e15, binary exponents -14..49), random sign.
+double RandomFixedRange(std::mt19937_64& rng) {
+  const uint64_t exponent = 1023 - 14 + rng() % 64;
+  return FromBits((rng() & 0x800fffffffffffffULL) | exponent << 52);
+}
+
+/// Each of `centers` with its `steps` nearest doubles on both sides,
+/// then all of them negated.
+std::vector<double> WithNeighbours(const std::vector<double>& centers,
+                                   int steps) {
+  std::vector<double> values;
+  for (double center : centers) {
+    values.push_back(center);
+    double up = center;
+    double down = center;
+    for (int j = 0; j < steps; ++j) {
+      up = std::nextafter(up, HUGE_VAL);
+      down = std::nextafter(down, 0.0);
+      values.push_back(up);
+      values.push_back(down);
+    }
+  }
+  const size_t positive = values.size();
+  for (size_t i = 0; i < positive; ++i) values.push_back(-values[i]);
+  return values;
+}
+
+TEST(DoubleWriterPropertyTest, RandomBitPatternsMatchPrintf) {
+  std::mt19937_64 rng(20261018);
+  // Every other value is any bit pattern (mostly the exponent layout and
+  // the general path); the rest land in the fixed layout's binades.
+  EXPECT_EQ(CountPrintfMismatches(2 * kSweep,
+                                  [&](size_t i) {
+                                    const uint64_t bits = rng();
+                                    if (i % 2 == 0) return FromBits(bits);
+                                    return RandomFixedRange(rng);
+                                  }),
+            0u);
+}
+
+TEST(DoubleWriterPropertyTest, DecimalsAtEveryScaleMatchPrintf) {
+  std::mt19937_64 rng(7);
+  // k/10^s for s = 0..6 with 1 to 17 digits in k: integers, prices,
+  // rates, and decimals longer than 15 digits.
+  EXPECT_EQ(CountPrintfMismatches(kSweep,
+                                  [&](size_t i) {
+                                    const int scale = static_cast<int>(i % 7);
+                                    const int digits =
+                                        1 + static_cast<int>(rng() % 17);
+                                    const auto k = static_cast<int64_t>(
+                                        rng() % static_cast<uint64_t>(
+                                                    std::pow(10.0, digits)));
+                                    const double v =
+                                        static_cast<double>(k) /
+                                        std::pow(10.0, scale);
+                                    return rng() % 2 == 0 ? v : -v;
+                                  }),
+            0u);
+}
+
+TEST(DoubleWriterPropertyTest, PowersOfTwoAndNeighboursMatchPrintf) {
+  // 2^e for every normal e: at m = 2^52 the gap below is half the gap
+  // above.
+  std::vector<double> powers;
+  for (int e = -1022; e <= 1023; ++e) powers.push_back(std::ldexp(1.0, e));
+  const std::vector<double> values = WithNeighbours(powers, 125);
+  ASSERT_GE(values.size(), kSweep);
+  EXPECT_EQ(CountPrintfMismatches(values.size(),
+                                  [&](size_t i) { return values[i]; }),
+            0u);
+}
+
+TEST(DoubleWriterPropertyTest, FewBitValuesAndExactTiesMatchPrintf) {
+  std::mt19937_64 rng(3);
+  // Significands with at most 12 set bits after the leading one have
+  // short exact decimal expansions, so the 15th or 17th digit is often
+  // an exact tie (round half to even); n + j/2^b with 14-16 integer
+  // digits puts the tie right at the 15th digit.
+  EXPECT_EQ(CountPrintfMismatches(
+                kSweep,
+                [&](size_t i) {
+                  if (i % 2 == 0) {
+                    const uint64_t bits = 1 + rng() % 12;
+                    const uint64_t top = rng() >> (64 - bits);
+                    const double v = FromBits(
+                        (top << (52 - bits)) |
+                        (1023 - 14 + rng() % 64) << 52);
+                    return rng() % 2 == 0 ? v : -v;
+                  }
+                  const int b = 1 + static_cast<int>(rng() % 8);
+                  const double n = static_cast<double>(
+                      10'000'000'000'000 + rng() % 990'000'000'000'000);
+                  return n + std::ldexp(static_cast<double>(
+                                            rng() % (uint64_t{1} << b)),
+                                        -b);
+                }),
+            0u);
+}
+
+TEST(DoubleWriterPropertyTest, LayoutBoundaryNeighboursMatchPrintf) {
+  // 1e-4, 1e15 and every 10^k between them: where the layout and the
+  // digit count change.
+  std::vector<double> powers;
+  for (int k = -4; k <= 15; ++k) {
+    powers.push_back(std::strtod(("1e" + std::to_string(k)).c_str(), nullptr));
+  }
+  const std::vector<double> values = WithNeighbours(powers, 12'500);
+  ASSERT_GE(values.size(), kSweep);
+  EXPECT_EQ(CountPrintfMismatches(values.size(),
+                                  [&](size_t i) { return values[i]; }),
+            0u);
+}
+
+TEST(DoubleWriterPropertyTest, ZerosSubnormalsAndExtremesMatchPrintf) {
+  for (double v : {0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
+                   DBL_TRUE_MIN, -DBL_TRUE_MIN}) {
+    EXPECT_EQ(CountPrintfMismatches(1, [&](size_t) { return v; }), 0u) << v;
+  }
+  std::mt19937_64 rng(11);
+  EXPECT_EQ(CountPrintfMismatches(
+                kSweep,
+                [&](size_t) {
+                  return FromBits(rng() & 0x800fffffffffffffULL);
+                }),
+            0u);
 }
 
 /// Served bodies over the engine path: QueryHandler routes SQL through
