@@ -44,8 +44,8 @@ cannot express (docs/ANALYSIS.md has the full rationale):
                           Insert,Update,Delete,Copy}). The catalog's
                           internal lock makes any single call safe, but a
                           mutation reached from a read path breaks the
-                          reader/writer contract the HTTP front end
-                          relies on for concurrent SELECTs.
+                          reader/writer contract of the engine lock that
+                          concurrent SELECTs rely on.
   metrics-doc-drift       Every metric name registered in
                           src/engine/database.cc, named in the ExecStats
                           counter table (src/exec/physical_op.h), or
@@ -165,7 +165,7 @@ def is_metric_source(rel_path):
 ENV_KNOB_RE = re.compile(r'(?:getenv|\bEnv[A-Z]\w*)\s*\(\s*"(AGORA_[A-Z0-9_]+)"')
 ENV_CALL_RE = re.compile(r"\bgetenv\s*\(|\bEnv[A-Z]\w*\s*\(")
 
-# Statement handlers that run under the server's writer lock and are the
+# Statement handlers that run under the engine's writer lock and are the
 # only legal sites for catalog_ mutation in src/engine/database.cc.
 CATALOG_WRITER_FNS = frozenset((
     "ExecuteCreateTable", "ExecuteDropTable", "ExecuteCreateIndex",
@@ -359,7 +359,7 @@ def line_findings(rel_path, raw_text):
                     f"catalog_.{m.group(1)}() outside the writer-locked "
                     "DDL/DML handlers "
                     f"(in {current_fn or 'file scope'}); concurrent SELECTs "
-                    "rely on catalog mutations staying behind the server's "
+                    "rely on catalog mutations staying behind the engine's "
                     "writer lock")
         if in_src:
             m = MUTEX_MEMBER_RE.match(line)

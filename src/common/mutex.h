@@ -30,6 +30,7 @@
 #include <mutex>
 #include <shared_mutex>
 
+#include "common/deadline.h"
 #include "common/thread_annotations.h"
 
 namespace agora {
@@ -37,7 +38,7 @@ namespace agora {
 /// std::mutex as a thread-safety capability. Prefer MutexLock over the
 /// raw Lock()/Unlock() pair (bare .lock()/.unlock() is lint-banned in
 /// src/ anyway); the raw methods exist for the guard types and for
-/// lock implementations layered on top (DeadlineSharedLock).
+/// DeadlineSharedLock below, which is built from a Mutex + CondVar.
 class AGORA_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -160,6 +161,161 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
+};
+
+/// Reader/writer capability with deadline-bounded acquisition, built
+/// from a Mutex + CondVar (std::shared_mutex has no timed acquisition,
+/// and glibc's timed pthread locks are invisible to some TSan builds).
+/// Writer-preferring: once a writer is waiting, new readers queue behind
+/// it, so a steady stream of readers cannot starve a writer. A waiter
+/// that times out leaves no residue. Not reentrant: a shared holder that
+/// asks again deadlocks behind a waiting writer. Database owns one as
+/// its engine lock. Wait loops are explicit (no lambda predicates) so
+/// the analysis sees mu_ held around every guarded read.
+class AGORA_CAPABILITY("mutex") DeadlineSharedLock {
+ public:
+  /// Exclusive side.
+  void Lock() AGORA_ACQUIRE() {
+    MutexLock lock(mu_);
+    ++writers_waiting_;
+    while (writer_ || readers_ != 0) cv_.Wait(lock);
+    --writers_waiting_;
+    writer_ = true;
+  }
+  /// False iff the deadline passed before exclusivity was available.
+  bool TryLockUntil(std::chrono::steady_clock::time_point deadline)
+      AGORA_TRY_ACQUIRE(true) {
+    MutexLock lock(mu_);
+    ++writers_waiting_;
+    bool timed_out = false;
+    while (writer_ || readers_ != 0) {
+      if (!cv_.WaitUntil(lock, deadline) && (writer_ || readers_ != 0)) {
+        timed_out = true;
+        break;
+      }
+    }
+    --writers_waiting_;
+    if (timed_out) {
+      // This may have been the only waiting writer holding readers back;
+      // re-wake them now that the claim is withdrawn.
+      lock.Unlock();
+      cv_.NotifyAll();
+      return false;
+    }
+    writer_ = true;
+    return true;
+  }
+  void Unlock() AGORA_RELEASE() {
+    {
+      MutexLock lock(mu_);
+      writer_ = false;
+    }
+    cv_.NotifyAll();
+  }
+
+  /// Shared side. Any number of holders; excluded only by a writer
+  /// (held or waiting).
+  void LockShared() AGORA_ACQUIRE_SHARED() {
+    MutexLock lock(mu_);
+    while (writer_ || writers_waiting_ != 0) cv_.Wait(lock);
+    ++readers_;
+  }
+  /// False iff the deadline passed before the shared side was free.
+  bool TryLockSharedUntil(std::chrono::steady_clock::time_point deadline)
+      AGORA_TRY_ACQUIRE_SHARED(true) {
+    MutexLock lock(mu_);
+    while (writer_ || writers_waiting_ != 0) {
+      if (!cv_.WaitUntil(lock, deadline) &&
+          (writer_ || writers_waiting_ != 0)) {
+        return false;
+      }
+    }
+    ++readers_;
+    return true;
+  }
+  void UnlockShared() AGORA_RELEASE_SHARED() {
+    bool last = false;
+    {
+      MutexLock lock(mu_);
+      last = (--readers_ == 0);
+    }
+    // Only the last reader out can unblock a writer.
+    if (last) cv_.NotifyAll();
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  int readers_ AGORA_GUARDED_BY(mu_) = 0;   // active shared holders
+  bool writer_ AGORA_GUARDED_BY(mu_) = false;  // exclusive holder present
+  // Blocks new readers (writer preference).
+  int writers_waiting_ AGORA_GUARDED_BY(mu_) = 0;
+};
+
+/// Scoped exclusive acquisition of a DeadlineSharedLock, bounded by
+/// `control`'s deadline when it has one (a null control or one without
+/// a deadline waits indefinitely). The constructor is annotated as an
+/// unconditional acquire even though a deadline-bounded attempt can
+/// fail, so the analysis cannot tell a failed guard from a held one:
+/// callers must branch on held() before doing any work the lock covers.
+class AGORA_SCOPED_CAPABILITY DeadlineWriteGuard {
+ public:
+  DeadlineWriteGuard(DeadlineSharedLock& mu, const QueryControl* control)
+      AGORA_ACQUIRE(mu)
+      AGORA_TS_SUPPRESS(
+          "conditional deadline-bounded acquisition; held() gates use")
+      : mu_(mu), held_(true) {
+    if (control != nullptr && control->has_deadline()) {
+      held_ = mu_.TryLockUntil(control->deadline());
+    } else {
+      mu_.Lock();
+    }
+  }
+  ~DeadlineWriteGuard() AGORA_RELEASE()
+      AGORA_TS_SUPPRESS("conditional release matching the constructor") {
+    if (held_) mu_.Unlock();
+  }
+
+  DeadlineWriteGuard(const DeadlineWriteGuard&) = delete;
+  DeadlineWriteGuard& operator=(const DeadlineWriteGuard&) = delete;
+
+  /// False iff the deadline expired before exclusivity was available.
+  bool held() const { return held_; }
+
+ private:
+  DeadlineSharedLock& mu_;
+  bool held_;
+};
+
+/// Scoped shared acquisition of a DeadlineSharedLock; see
+/// DeadlineWriteGuard for the deadline and held() contract.
+class AGORA_SCOPED_CAPABILITY DeadlineReadGuard {
+ public:
+  DeadlineReadGuard(DeadlineSharedLock& mu, const QueryControl* control)
+      AGORA_ACQUIRE_SHARED(mu)
+      AGORA_TS_SUPPRESS(
+          "conditional deadline-bounded acquisition; held() gates use")
+      : mu_(mu), held_(true) {
+    if (control != nullptr && control->has_deadline()) {
+      held_ = mu_.TryLockSharedUntil(control->deadline());
+    } else {
+      mu_.LockShared();
+    }
+  }
+  ~DeadlineReadGuard() AGORA_RELEASE_GENERIC()
+      AGORA_TS_SUPPRESS("conditional release matching the constructor") {
+    if (held_) mu_.UnlockShared();
+  }
+
+  DeadlineReadGuard(const DeadlineReadGuard&) = delete;
+  DeadlineReadGuard& operator=(const DeadlineReadGuard&) = delete;
+
+  /// False iff the deadline expired before the shared side was free.
+  bool held() const { return held_; }
+
+ private:
+  DeadlineSharedLock& mu_;
+  bool held_;
 };
 
 }  // namespace agora

@@ -1,7 +1,6 @@
 #include "engine/database.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
@@ -95,21 +94,34 @@ Database::Database(DatabaseOptions options)
   memory_root_->set_budget(ParseByteSize(std::getenv("AGORA_MEM_BUDGET")));
 }
 
+namespace {
+
+Status EngineWaitExpired() {
+  return Status::DeadlineExceeded(
+      "query deadline expired while waiting for the engine");
+}
+
+}  // namespace
+
 Result<QueryResult> Database::Execute(const std::string& sql,
                                       const QueryControl* control) {
   AGORA_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
   metrics_.Add("statements_total", 1.0);
+  // The parsed statement alone picks the side of the engine lock: a
+  // SELECT, bare or explained, only reads and shares it.
   if (auto* select = std::get_if<SelectStatement>(&stmt.node)) {
+    DeadlineReadGuard engine(engine_mu_, control);
+    if (!engine.held()) return EngineWaitExpired();
     return ExecuteSelect(*select, stmt.explain, stmt.analyze, control);
   }
   if (stmt.explain) {
     // The parser accepts EXPLAIN before every statement kind but only the
     // SELECT path implements it. Reject the rest instead of silently
-    // executing the wrapped statement: the server runs EXPLAIN on the
-    // shared side of its reader/writer lock, so "explaining" an INSERT
-    // must never reach a mutating handler.
+    // executing the wrapped statement.
     return Status::InvalidArgument("EXPLAIN supports SELECT only");
   }
+  DeadlineWriteGuard engine(engine_mu_, control);
+  if (!engine.held()) return EngineWaitExpired();
   if (auto* create = std::get_if<CreateTableStatement>(&stmt.node)) {
     return ExecuteCreateTable(*create);
   }
@@ -134,63 +146,38 @@ Result<QueryResult> Database::Execute(const std::string& sql,
   return Status::Internal("unhandled statement kind");
 }
 
-bool Database::IsReadOnlyStatement(const std::string& sql) {
-  // Leading-keyword sniff: skip whitespace and SQL line comments, then
-  // compare tokens case-insensitively. Only SELECT — bare or wrapped in
-  // EXPLAIN [ANALYZE] — classifies as read-only. The parser accepts
-  // EXPLAIN before every statement kind (Execute() rejects the non-SELECT
-  // ones), so "EXPLAIN INSERT ..." must classify as a write here rather
-  // than ride the shared side of the server's engine lock. Anything
-  // unrecognized classifies as a write, which is always safe.
-  size_t i = 0;
-  auto next_keyword = [&sql, &i]() {
-    while (i < sql.size()) {
-      if (std::isspace(static_cast<unsigned char>(sql[i]))) {
-        ++i;
-      } else if (sql.compare(i, 2, "--") == 0) {
-        while (i < sql.size() && sql[i] != '\n') ++i;
-      } else {
-        break;
-      }
-    }
-    size_t end = i;
-    while (end < sql.size() &&
-           std::isalpha(static_cast<unsigned char>(sql[end]))) {
-      ++end;
-    }
-    std::string keyword = sql.substr(i, end - i);
-    i = end;
-    for (char& c : keyword) {
-      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    }
-    return keyword;
-  };
-  std::string keyword = next_keyword();
-  if (keyword == "EXPLAIN") {
-    keyword = next_keyword();
-    if (keyword == "ANALYZE") keyword = next_keyword();
-  }
-  return keyword == "SELECT";
-}
-
 Result<std::string> Database::Explain(const std::string& sql) {
   AGORA_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
   auto* select = std::get_if<SelectStatement>(&stmt.node);
   if (select == nullptr) {
     return Status::InvalidArgument("EXPLAIN supports SELECT only");
   }
-  AGORA_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanSelect(*select));
+  DeadlineReadGuard engine(engine_mu_, nullptr);
+  AGORA_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanSelectLocked(*select));
   return plan->TreeString();
 }
 
 Result<LogicalOpPtr> Database::PlanSelect(const SelectStatement& select) {
+  DeadlineReadGuard engine(engine_mu_, nullptr);
+  return PlanSelectLocked(select);
+}
+
+Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
+                                          const QueryControl* control) {
+  DeadlineReadGuard engine(engine_mu_, control);
+  if (!engine.held()) return EngineWaitExpired();
+  return ExecutePlanLocked(plan, control);
+}
+
+Result<LogicalOpPtr> Database::PlanSelectLocked(
+    const SelectStatement& select) {
   Binder binder(catalog_);
   AGORA_ASSIGN_OR_RETURN(LogicalOpPtr plan, binder.BindSelect(select));
   return optimizer_.Optimize(std::move(plan));
 }
 
-Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
-                                          const QueryControl* control) {
+Result<QueryResult> Database::ExecutePlanLocked(const LogicalOpPtr& plan,
+                                                const QueryControl* control) {
   // Admission: with the engine already over its budget (previous results
   // still pinned), reject up front with the same Status operators return
   // mid-query — a cheap check that keeps an overcommitted engine from
@@ -305,7 +292,7 @@ void Database::RecordExecCounters(const ExecStats& stats) {
 Result<QueryResult> Database::ExecuteSelect(const SelectStatement& select,
                                             bool explain, bool analyze,
                                             const QueryControl* control) {
-  AGORA_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanSelect(select));
+  AGORA_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanSelectLocked(select));
   if (explain) {
     std::string text = plan->TreeString();
     ExecStats stats;
@@ -315,7 +302,7 @@ Result<QueryResult> Database::ExecuteSelect(const SelectStatement& select,
       // per-operator profile and counter totals under the plan text. The
       // result rows themselves are discarded.
       AGORA_ASSIGN_OR_RETURN(QueryResult executed,
-                             ExecutePlan(plan, control));
+                             ExecutePlanLocked(plan, control));
       stats = executed.stats();
       text += "\n[analyze] rows=" + std::to_string(executed.num_rows());
       text += "\n" + RenderProfileTree(executed.profile());
@@ -326,7 +313,7 @@ Result<QueryResult> Database::ExecuteSelect(const SelectStatement& select,
     data.AppendRow({Value::String(std::move(text))});
     return QueryResult(std::move(schema), std::move(data), stats);
   }
-  return ExecutePlan(plan, control);
+  return ExecutePlanLocked(plan, control);
 }
 
 Result<QueryResult> Database::ExecuteCreateTable(

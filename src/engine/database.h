@@ -75,22 +75,21 @@ class QueryResult {
 ///   db.Execute("CREATE TABLE t (a BIGINT, b VARCHAR)");
 ///   auto result = db.Execute("SELECT a, COUNT(*) FROM t GROUP BY a");
 ///
-/// Concurrency model (see docs/SERVER.md "Concurrency" for the server
-/// view):
-///
-///  - Read statements (SELECT, bare or wrapped in EXPLAIN [ANALYZE])
-///    are safe to Execute() from any number of threads concurrently,
-///    including while another thread
-///    runs catalog DDL (CREATE/DROP TABLE, CREATE INDEX). Queries
-///    resolve tables through the catalog's reader lock into shared_ptr
-///    snapshots, so a SELECT racing a DROP TABLE either binds before the
-///    drop (and runs to completion against the pinned snapshot) or fails
-///    cleanly with NotFound — never a crash or a torn read.
-///  - Data-mutating statements (INSERT, UPDATE, DELETE, COPY) mutate
-///    column storage in place and require external writer exclusion:
-///    no reads or writes may overlap them. The HTTP front end provides
-///    this with a reader/writer lock (src/server/query_handler.h);
-///    embedded users running DML from multiple threads must do the same.
+/// Concurrency model (server view: docs/SERVER.md "Concurrency
+/// model"): the public entry points are safe to call from any number of
+/// threads with no lock of the caller's own. Each takes the Database's
+/// writer-preferring reader/writer engine lock once. Execute() picks the
+/// side from the parsed Statement: a SELECT, bare or under EXPLAIN
+/// [ANALYZE], shares it; every other statement writes storage or
+/// indexes in place and takes it exclusively. Explain(), PlanSelect()
+/// and ExecutePlan() share it. A wait ends at the QueryControl deadline
+/// with DeadlineExceeded. The lock is not reentrant: code inside an
+/// entry point calls the private helpers, never another entry point.
+/// Queries resolve tables into shared_ptr snapshots, so a SELECT bound
+/// before a DROP TABLE completes against its snapshot. Mutating tables
+/// directly through catalog() or a Table handle bypasses the engine
+/// lock; callers doing so beside running statements must exclude them
+/// themselves.
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -100,41 +99,38 @@ class Database {
 
   /// Parses and runs one statement. DDL/DML return an empty result;
   /// EXPLAIN returns the plan as a one-column result.
-  Result<QueryResult> Execute(const std::string& sql) {
+  Result<QueryResult> Execute(const std::string& sql)
+      AGORA_EXCLUDES(engine_mu_) {
     return Execute(sql, nullptr);
   }
 
-  /// Execute with cooperative interruption: `control` (may be null) is
-  /// polled at chunk boundaries while a SELECT plan runs; once its
-  /// deadline passes or cancellation is requested, execution unwinds
-  /// with a DeadlineExceeded Status and the engine stays fully usable.
-  /// The HTTP front end (src/server/) arms per-request timeouts here.
+  /// Execute with cooperative interruption: `control` (may be null)
+  /// bounds the wait for the engine lock and is polled at chunk
+  /// boundaries while a SELECT plan runs; once its deadline passes or
+  /// cancellation is requested, execution unwinds with a
+  /// DeadlineExceeded Status and the engine stays fully usable.
   Result<QueryResult> Execute(const std::string& sql,
-                              const QueryControl* control);
+                              const QueryControl* control)
+      AGORA_EXCLUDES(engine_mu_);
 
   /// Returns the optimized logical plan text for a SELECT.
-  Result<std::string> Explain(const std::string& sql);
+  Result<std::string> Explain(const std::string& sql)
+      AGORA_EXCLUDES(engine_mu_);
 
   /// Binds + optimizes a SELECT into a logical plan (benchmark hook).
-  Result<LogicalOpPtr> PlanSelect(const SelectStatement& select);
+  Result<LogicalOpPtr> PlanSelect(const SelectStatement& select)
+      AGORA_EXCLUDES(engine_mu_);
 
   /// Executes a pre-built logical plan (benchmark hook for hand-written
   /// plans and ablations). The two-argument form attaches a cooperative
   /// interruption control (see Execute above).
-  Result<QueryResult> ExecutePlan(const LogicalOpPtr& plan) {
+  Result<QueryResult> ExecutePlan(const LogicalOpPtr& plan)
+      AGORA_EXCLUDES(engine_mu_) {
     return ExecutePlan(plan, nullptr);
   }
   Result<QueryResult> ExecutePlan(const LogicalOpPtr& plan,
-                                  const QueryControl* control);
-
-  /// True when `sql`'s leading keywords mark a statement that never
-  /// mutates engine state: SELECT, bare or wrapped in EXPLAIN [ANALYZE].
-  /// EXPLAIN before anything else classifies as a write (Execute()
-  /// rejects it, but it must not ride the shared lock). The server
-  /// front end uses this to run read statements under the shared side of
-  /// its reader/writer lock. Cheap (no parse); unknown statements
-  /// classify as writes, which is always safe.
-  static bool IsReadOnlyStatement(const std::string& sql);
+                                  const QueryControl* control)
+      AGORA_EXCLUDES(engine_mu_);
 
   /// Engine-wide named counters and gauges, updated once per executed
   /// query (never double-counted by EXPLAIN ANALYZE re-renders); the
@@ -194,22 +190,37 @@ class Database {
   }
 
  private:
+  // Unlocked bodies of the entry points: callers hold engine_mu_.
+  Result<LogicalOpPtr> PlanSelectLocked(const SelectStatement& select)
+      AGORA_REQUIRES_SHARED(engine_mu_);
+  Result<QueryResult> ExecutePlanLocked(const LogicalOpPtr& plan,
+                                        const QueryControl* control)
+      AGORA_REQUIRES_SHARED(engine_mu_);
   Result<QueryResult> ExecuteSelect(const SelectStatement& select,
                                     bool explain, bool analyze,
-                                    const QueryControl* control);
-  Result<QueryResult> ExecuteCreateTable(const CreateTableStatement& stmt);
-  Result<QueryResult> ExecuteDropTable(const DropTableStatement& stmt);
-  Result<QueryResult> ExecuteInsert(const InsertStatement& stmt);
-  Result<QueryResult> ExecuteCreateIndex(const CreateIndexStatement& stmt);
-  Result<QueryResult> ExecuteUpdate(const UpdateStatement& stmt);
-  Result<QueryResult> ExecuteDelete(const DeleteStatement& stmt);
-  Result<QueryResult> ExecuteCopy(const CopyStatement& stmt);
+                                    const QueryControl* control)
+      AGORA_REQUIRES_SHARED(engine_mu_);
+  Result<QueryResult> ExecuteCreateTable(const CreateTableStatement& stmt)
+      AGORA_REQUIRES(engine_mu_);
+  Result<QueryResult> ExecuteDropTable(const DropTableStatement& stmt)
+      AGORA_REQUIRES(engine_mu_);
+  Result<QueryResult> ExecuteInsert(const InsertStatement& stmt)
+      AGORA_REQUIRES(engine_mu_);
+  Result<QueryResult> ExecuteCreateIndex(const CreateIndexStatement& stmt)
+      AGORA_REQUIRES(engine_mu_);
+  Result<QueryResult> ExecuteUpdate(const UpdateStatement& stmt)
+      AGORA_REQUIRES(engine_mu_);
+  Result<QueryResult> ExecuteDelete(const DeleteStatement& stmt)
+      AGORA_REQUIRES(engine_mu_);
+  Result<QueryResult> ExecuteCopy(const CopyStatement& stmt)
+      AGORA_REQUIRES(engine_mu_);
 
   /// The row-finding half of UPDATE/DELETE: binds `where` (null = every
   /// row) against `table` and runs it as a planned row-id scan (zone
   /// maps, IndexScan). Returns the matching row ids, ascending.
   Result<std::vector<uint32_t>> FindRows(const std::shared_ptr<Table>& table,
-                                         const ParsedExprPtr& where);
+                                         const ParsedExprPtr& where)
+      AGORA_REQUIRES_SHARED(engine_mu_);
 
   /// Folds one query's stats + profile into the registry (exactly once
   /// per execution, at the end of ExecutePlan).
@@ -226,6 +237,7 @@ class Database {
   /// pointer slot needs the lock.
   SpillManager* EnsureSpillManager() AGORA_EXCLUDES(spill_mu_);
 
+  DeadlineSharedLock engine_mu_;  // reads shared, writes exclusive
   DatabaseOptions options_;
   Catalog catalog_;
   Optimizer optimizer_;

@@ -57,7 +57,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (ParseFlag(argv[i], "--port", &value)) {
-      options.port = std::atoi(value.c_str());
+      const long port = std::strtol(value.c_str(), nullptr, 10);
+      if (port < 0 || port > 65535) {
+        std::fprintf(stderr, "agora_serve: --port must be 0..65535\n");
+        return 2;
+      }
+      options.port = static_cast<int>(port);
     } else if (ParseFlag(argv[i], "--tpch-sf", &value)) {
       tpch_sf = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "--hybrid-docs", &value)) {

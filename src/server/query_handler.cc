@@ -75,80 +75,6 @@ HttpResponse JsonResponse(int status, std::string body) {
 
 }  // namespace
 
-// Wait loops are written out explicitly (no lambda predicates): the
-// thread-safety analysis treats a lambda as a separate function that
-// holds no capabilities, so guarded reads of writer_/readers_ must stay
-// in the enclosing function where mu_ is visibly held.
-
-void DeadlineSharedLock::Lock() {
-  MutexLock lock(mu_);
-  ++writers_waiting_;
-  while (writer_ || readers_ != 0) cv_.Wait(lock);
-  --writers_waiting_;
-  writer_ = true;
-}
-
-bool DeadlineSharedLock::TryLockUntil(
-    std::chrono::steady_clock::time_point deadline) {
-  MutexLock lock(mu_);
-  ++writers_waiting_;
-  bool timed_out = false;
-  while (writer_ || readers_ != 0) {
-    if (!cv_.WaitUntil(lock, deadline) && (writer_ || readers_ != 0)) {
-      timed_out = true;
-      break;
-    }
-  }
-  --writers_waiting_;
-  if (timed_out) {
-    // This may have been the only waiting writer holding readers back;
-    // re-wake them now that the claim is withdrawn.
-    lock.Unlock();
-    cv_.NotifyAll();
-    return false;
-  }
-  writer_ = true;
-  return true;
-}
-
-void DeadlineSharedLock::Unlock() {
-  {
-    MutexLock lock(mu_);
-    writer_ = false;
-  }
-  cv_.NotifyAll();
-}
-
-void DeadlineSharedLock::LockShared() {
-  MutexLock lock(mu_);
-  while (writer_ || writers_waiting_ != 0) cv_.Wait(lock);
-  ++readers_;
-}
-
-bool DeadlineSharedLock::TryLockSharedUntil(
-    std::chrono::steady_clock::time_point deadline) {
-  MutexLock lock(mu_);
-  while (writer_ || writers_waiting_ != 0) {
-    if (!cv_.WaitUntil(lock, deadline) &&
-        (writer_ || writers_waiting_ != 0)) {
-      return false;
-    }
-  }
-  ++readers_;
-  return true;
-}
-
-void DeadlineSharedLock::UnlockShared() {
-  bool last = false;
-  {
-    MutexLock lock(mu_);
-    last = (--readers_ == 0);
-  }
-  // Only the last reader out can unblock a writer; intermediate exits
-  // change nothing any waiter is watching.
-  if (last) cv_.NotifyAll();
-}
-
 int QueryHandler::HttpStatusForStatus(const Status& status) {
   switch (status.code()) {
     case StatusCode::kParseError:
@@ -358,18 +284,11 @@ HttpResponse QueryHandler::HandleQuery(const HttpRequest& request) {
     }
     timeout_ms = static_cast<int64_t>(t->number_value);
   }
-  if (options_.max_timeout_ms > 0 &&
-      (timeout_ms == 0 || timeout_ms > options_.max_timeout_ms)) {
-    timeout_ms = options_.max_timeout_ms;
-  }
 
   QueryControl control;
   control.set_timeout(std::chrono::milliseconds(timeout_ms));
 
-  const auto admit_deadline = control.has_deadline()
-                                  ? control.deadline()
-                                  : std::chrono::steady_clock::time_point{};
-  switch (admission_.Admit(admit_deadline, control.has_deadline())) {
+  switch (admission_.Admit(control.deadline(), control.has_deadline())) {
     case AdmissionController::Outcome::kAdmitted:
       break;
     case AdmissionController::Outcome::kQueueFull:
@@ -393,23 +312,10 @@ HttpResponse QueryHandler::HandleQuery(const HttpRequest& request) {
   metrics.Add("server_queries_admitted_total", 1.0);
   metrics.SetGauge("server_queries_active", admission_.active());
 
-  // Read statements (SELECT, bare or explained) take the shared side and run
-  // concurrently up to the admission cap; everything else takes the
-  // exclusive side and serializes. Waiters are bounded by their own
-  // deadline, expressed through the scoped guards so the thread-safety
-  // analysis checks the pairing.
-  const bool read_only = Database::IsReadOnlyStatement(sql->string_value);
-  Result<QueryResult> result = Status::DeadlineExceeded(
-      "query deadline expired while waiting for the engine");
-  if (read_only) {
-    DeadlineReadGuard engine(engine_mu_, control.has_deadline(),
-                             admit_deadline);
-    if (engine.held()) result = db_->Execute(sql->string_value, &control);
-  } else {
-    DeadlineWriteGuard engine(engine_mu_, control.has_deadline(),
-                              admit_deadline);
-    if (engine.held()) result = db_->Execute(sql->string_value, &control);
-  }
+  // The engine picks the shared or exclusive side of its lock from the
+  // parsed statement; a wait that outlives the deadline comes back as
+  // DeadlineExceeded like an expired query.
+  Result<QueryResult> result = db_->Execute(sql->string_value, &control);
   admission_.Release();
   metrics.SetGauge("server_queries_active", admission_.active());
 

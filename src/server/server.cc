@@ -10,21 +10,29 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace agora {
 
 namespace {
 
-/// Integer env knob with fallback: unset or malformed values yield
-/// `fallback` so a bad environment degrades to defaults instead of
-/// refusing to boot.
-int64_t EnvInt(const char* name, int64_t fallback) {
+/// Integer env knob in [lo, hi] with fallback: unset, malformed or
+/// out-of-range values yield `fallback` so a bad environment degrades to
+/// defaults instead of refusing to boot (or overflowing later). strtoll
+/// saturates on overflow, which lands outside every range used here.
+int64_t EnvInt(const char* name, int64_t fallback, int64_t lo, int64_t hi) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
   const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
+  if (end == raw || *end != '\0' || v < lo || v > hi) return fallback;
   return v;
+}
+
+/// A count knob: any value an int holds, from 0.
+int EnvCount(const char* name, int fallback) {
+  return static_cast<int>(
+      EnvInt(name, fallback, 0, std::numeric_limits<int>::max()));
 }
 
 /// Puts `response` on the wire: its head, then its body straight from
@@ -79,15 +87,17 @@ bool HeaderValueIs(const HttpRequest& request, std::string_view name,
 
 ServerOptions ServerOptions::FromEnv() {
   ServerOptions options;
-  options.port = static_cast<int>(EnvInt("AGORA_PORT", options.port));
-  options.max_connections = static_cast<int>(
-      EnvInt("AGORA_MAX_CONNECTIONS", options.max_connections));
-  options.max_concurrent_queries = static_cast<int>(
-      EnvInt("AGORA_MAX_CONCURRENT_QUERIES", options.max_concurrent_queries));
-  options.max_queued_queries = static_cast<int>(
-      EnvInt("AGORA_MAX_QUEUED_QUERIES", options.max_queued_queries));
+  options.port =
+      static_cast<int>(EnvInt("AGORA_PORT", options.port, 0, 65535));
+  options.max_connections =
+      EnvCount("AGORA_MAX_CONNECTIONS", options.max_connections);
+  options.max_concurrent_queries =
+      EnvCount("AGORA_MAX_CONCURRENT_QUERIES", options.max_concurrent_queries);
+  options.max_queued_queries =
+      EnvCount("AGORA_MAX_QUEUED_QUERIES", options.max_queued_queries);
   options.query_timeout_ms =
-      EnvInt("AGORA_QUERY_TIMEOUT_MS", options.query_timeout_ms);
+      EnvInt("AGORA_QUERY_TIMEOUT_MS", options.query_timeout_ms, 0,
+             QueryHandler::kMaxRequestTimeoutMs);
   return options;
 }
 

@@ -45,8 +45,9 @@ struct ServerOptions {
   int poll_interval_ms = 200;
 
   /// Options with every AGORA_* server knob applied over the defaults.
-  /// Malformed values fall back to the default (the server must come up
-  /// under a bad env; docs/OPERATIONS.md calls this out).
+  /// Malformed or out-of-range values fall back to the default (the
+  /// server must come up under a bad env; docs/OPERATIONS.md lists the
+  /// ranges).
   static ServerOptions FromEnv();
 
   QueryHandlerOptions handler_options() const {

@@ -1,21 +1,23 @@
 // Inter-query concurrency tests (ctest -L concurrent): N threads of
 // mixed SELECTs byte-compared against serial ground truth, SELECTs
 // racing catalog DDL (DROP/CREATE TABLE, CREATE INDEX rebuilds),
-// metrics-counter consistency under concurrent execution, and unit
-// coverage of the server's deadline-bounded reader/writer lock. The
-// TSan tree race-checks this suite (ctest -L concurrent).
+// metrics-counter consistency under concurrent execution, embedded DML
+// and SELECTs from many threads with no lock of the caller's own, and
+// unit coverage of the engine's deadline-bounded reader/writer lock.
+// The TSan tree race-checks this suite (ctest -L concurrent).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/mutex.h"
 #include "engine/database.h"
-#include "server/query_handler.h"
 
 namespace agora {
 namespace {
@@ -321,37 +323,103 @@ TEST(DeadlineSharedLock, TimedOutWriterLeavesNoResidue) {
   lock.UnlockShared();
 }
 
-// Statement classification driving the shared-vs-exclusive choice.
-TEST(IsReadOnlyStatement, ClassifiesLeadingKeyword) {
-  EXPECT_TRUE(Database::IsReadOnlyStatement("SELECT 1"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement("  select * from t"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement("\n-- comment\nSELECT 1"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement("EXPLAIN SELECT 1"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement("explain analyze select 1"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement(
-      "EXPLAIN ANALYZE\n-- comment\nSELECT 1"));
-  // EXPLAIN wrapping anything but SELECT must classify as a write: the
-  // parser accepts it, and routing it to the shared lock on the EXPLAIN
-  // keyword alone would let the wrapped statement race readers.
-  EXPECT_FALSE(Database::IsReadOnlyStatement("EXPLAIN INSERT INTO t VALUES (1)"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("explain analyze update t SET a = 1"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("EXPLAIN DROP TABLE t"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("EXPLAIN"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("EXPLAIN ANALYZE"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("INSERT INTO t VALUES (1)"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("UPDATE t SET a = 1"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("DELETE FROM t"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("CREATE TABLE t (a BIGINT)"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("DROP TABLE t"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("COPY t FROM 'x.csv'"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement(""));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("   -- only a comment"));
+// ---------------------------------------------------------------------------
+// The engine lock inside Database::Execute.
+
+// Four threads run two-row transfer UPDATEs, INSERTs, SUMs and point
+// reads on one Database with no lock of their own. Each transfer is one
+// statement, so every SUM a reader sees must equal the starting total;
+// transfers only add deltas, so the final table must equal a serial
+// replay of every thread's writes in any order.
+TEST(EngineLock, DmlAndSelectsFromManyThreadsNeedNoCallerLock) {
+  constexpr int kAccounts = 64;
+  constexpr int kStartBalance = 1000;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 60;
+  const std::string total = std::to_string(kAccounts * kStartBalance);
+
+  auto seed = [&](Database* db) {
+    ASSERT_TRUE(
+        db->Execute("CREATE TABLE accounts (id BIGINT, balance BIGINT)").ok());
+    std::string fill = "INSERT INTO accounts VALUES ";
+    for (int i = 0; i < kAccounts; ++i) {
+      if (i > 0) fill += ", ";
+      fill += "(" + std::to_string(i) + ", " +
+              std::to_string(kStartBalance) + ")";
+    }
+    ASSERT_TRUE(db->Execute(fill).ok());
+  };
+  Database db;
+  seed(&db);
+
+  // Every thread's write statements, fixed up front from its seed.
+  std::vector<std::vector<std::string>> writes(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    std::mt19937 rng(static_cast<uint32_t>(t + 1));
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      if (i % 5 == 4) {
+        // New accounts open empty, so the total is unchanged.
+        writes[t].push_back("INSERT INTO accounts VALUES (" +
+                            std::to_string(1000 + t * kOpsPerThread + i) +
+                            ", 0)");
+        continue;
+      }
+      const int from = static_cast<int>(rng() % kAccounts);
+      const int to = (from + 1 + static_cast<int>(rng() % (kAccounts - 1))) %
+                     kAccounts;
+      const std::string amount = std::to_string(1 + rng() % 50);
+      writes[t].push_back(
+          "UPDATE accounts SET balance = balance + CASE WHEN id = " +
+          std::to_string(from) + " THEN -" + amount + " ELSE " + amount +
+          " END WHERE id IN (" + std::to_string(from) + ", " +
+          std::to_string(to) + ")");
+    }
+  }
+
+  std::atomic<int> failures{0};
+  std::atomic<int> bad_sums{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        if (!db.Execute(writes[t][i]).ok()) failures.fetch_add(1);
+        auto sum = db.Execute("SELECT SUM(balance) FROM accounts");
+        if (!sum.ok()) {
+          failures.fetch_add(1);
+        } else if (sum->Get(0, 0).ToString() != total) {
+          bad_sums.fetch_add(1);
+        }
+        auto point = db.Execute("SELECT balance FROM accounts WHERE id = " +
+                                std::to_string((t * 17 + i) % kAccounts));
+        if (!point.ok() || point->num_rows() != 1) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(bad_sums.load(), 0);
+
+  Database serial;
+  seed(&serial);
+  for (const auto& thread_writes : writes) {
+    for (const std::string& sql : thread_writes) {
+      ASSERT_TRUE(serial.Execute(sql).ok()) << sql;
+    }
+  }
+  const std::string final_rows = "SELECT id, balance FROM accounts ORDER BY id";
+  auto got = db.Execute(final_rows);
+  auto want = serial.Execute(final_rows);
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_EQ(got->num_rows(), static_cast<size_t>(kAccounts) +
+                                 kThreads * (kOpsPerThread / 5));
+  EXPECT_EQ(got->ToString(1 << 20), want->ToString(1 << 20));
 }
 
-// EXPLAIN on a non-SELECT must fail without executing the wrapped
-// statement — the engine-side guarantee backing the classification
-// above (an "explained" INSERT must never mutate storage).
-TEST(IsReadOnlyStatement, ExplainNonSelectIsRejectedWithoutExecuting) {
+// The parsed statement, not its leading keyword, picks the side of the
+// engine lock: EXPLAIN wrapping anything but a SELECT is not a read,
+// and it must fail without executing the wrapped statement (an
+// "explained" INSERT must never mutate storage).
+TEST(EngineLock, ExplainNonSelectIsRejectedWithoutExecuting) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE t (a BIGINT)").ok());
   for (const std::string& sql :

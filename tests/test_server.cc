@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -208,17 +209,12 @@ class QueryHandlerTest : public ::testing::Test {
   }
 
   HttpResponse Post(const std::string& target, const std::string& body) {
-    return PostTo(&handler_, target, body);
-  }
-
-  static HttpResponse PostTo(QueryHandler* handler, const std::string& target,
-                             const std::string& body) {
     HttpRequest request;
     request.method = "POST";
     request.target = target;
     request.version = "HTTP/1.1";
     request.body = body;
-    return handler->Handle(request);
+    return handler_.Handle(request);
   }
 
   HttpResponse Get(const std::string& target) {
@@ -243,29 +239,23 @@ TEST_F(QueryHandlerTest, QueryReturnsRowsMatchingEmbeddedExecution) {
   EXPECT_NE(response.body.find("\"row_count\": 3"), std::string::npos);
 }
 
-TEST_F(QueryHandlerTest, TimeoutAboveTheBoundIs400WithAndWithoutMaxClamp) {
-  // 1e30 used to cast to INT64_MIN and skip the clamp (no deadline);
-  // 1e13 overflowed now() + timeout into a deadline in the past.
-  QueryHandlerOptions clamped_options;
-  clamped_options.max_timeout_ms = 1000;
-  QueryHandler clamped(&db_, clamped_options);
-  for (QueryHandler* handler : {&handler_, &clamped}) {
-    for (const std::string timeout :
-         {"1e30", "1e13", "86400001", "1e400", "-1e30"}) {
-      const HttpResponse response = PostTo(
-          handler, "/query",
-          "{\"sql\": \"SELECT a FROM t\", \"timeout_ms\": " + timeout + "}");
-      EXPECT_EQ(response.status, 400) << timeout;
-      EXPECT_NE(response.body.find("\"InvalidArgument\""), std::string::npos)
-          << response.body;
-    }
-    // The bound itself is a valid deadline.
-    const HttpResponse at_bound = PostTo(
-        handler, "/query",
-        "{\"sql\": \"SELECT a FROM t\", \"timeout_ms\": " +
-            std::to_string(QueryHandler::kMaxRequestTimeoutMs) + "}");
-    EXPECT_EQ(at_bound.status, 200) << at_bound.body;
+TEST_F(QueryHandlerTest, TimeoutAboveTheBoundIs400) {
+  // 1e30 used to cast to INT64_MIN (no deadline); 1e13 overflowed
+  // now() + timeout into a deadline in the past.
+  for (const std::string timeout :
+       {"1e30", "1e13", "86400001", "1e400", "-1e30"}) {
+    const HttpResponse response = Post(
+        "/query",
+        "{\"sql\": \"SELECT a FROM t\", \"timeout_ms\": " + timeout + "}");
+    EXPECT_EQ(response.status, 400) << timeout;
+    EXPECT_NE(response.body.find("\"InvalidArgument\""), std::string::npos)
+        << response.body;
   }
+  // The bound itself is a valid deadline.
+  const HttpResponse at_bound = Post(
+      "/query", "{\"sql\": \"SELECT a FROM t\", \"timeout_ms\": " +
+                    std::to_string(QueryHandler::kMaxRequestTimeoutMs) + "}");
+  EXPECT_EQ(at_bound.status, 200) << at_bound.body;
 }
 
 TEST_F(QueryHandlerTest, BadJsonBodyIs400) {
@@ -325,6 +315,61 @@ TEST_F(QueryHandlerTest, SerializationIsObservedSeparately) {
   EXPECT_EQ(metrics.HistogramCount("server_request_seconds"), 2);
   EXPECT_EQ(metrics.HistogramCount("server_serialize_seconds"), 1);
   EXPECT_GT(metrics.HistogramSum("server_serialize_seconds"), 0.0);
+}
+
+/// ServerOptions::FromEnv() with `name` set to `value`; the variable's
+/// previous state is restored before returning.
+ServerOptions FromEnvWith(const char* name, const char* value) {
+  const char* previous = std::getenv(name);
+  const std::string saved = previous != nullptr ? previous : "";
+  setenv(name, value, 1);
+  ServerOptions options = ServerOptions::FromEnv();
+  if (previous != nullptr) {
+    setenv(name, saved.c_str(), 1);
+  } else {
+    unsetenv(name);
+  }
+  return options;
+}
+
+TEST(ServerOptionsTest, OutOfRangeEnvValuesFallBackToDefaults) {
+  const ServerOptions defaults;
+  // 1e13 ms used to overflow now() + timeout on every query without its
+  // own "timeout_ms".
+  for (const char* bad : {"10000000000000", "86400001", "-1",
+                          "99999999999999999999", "30s"}) {
+    EXPECT_EQ(FromEnvWith("AGORA_QUERY_TIMEOUT_MS", bad).query_timeout_ms,
+              defaults.query_timeout_ms)
+        << bad;
+  }
+  EXPECT_EQ(FromEnvWith("AGORA_QUERY_TIMEOUT_MS", "86400000").query_timeout_ms,
+            QueryHandler::kMaxRequestTimeoutMs);
+  EXPECT_EQ(FromEnvWith("AGORA_QUERY_TIMEOUT_MS", "0").query_timeout_ms, 0);
+
+  // 70000 used to be truncated to port 4464 by the uint16_t cast.
+  for (const char* bad : {"70000", "65536", "-1"}) {
+    EXPECT_EQ(FromEnvWith("AGORA_PORT", bad).port, defaults.port) << bad;
+  }
+  EXPECT_EQ(FromEnvWith("AGORA_PORT", "65535").port, 65535);
+
+  struct CountKnob {
+    const char* name;
+    int ServerOptions::*field;
+  };
+  for (const CountKnob& knob :
+       {CountKnob{"AGORA_MAX_CONNECTIONS", &ServerOptions::max_connections},
+        CountKnob{"AGORA_MAX_CONCURRENT_QUERIES",
+                  &ServerOptions::max_concurrent_queries},
+        CountKnob{"AGORA_MAX_QUEUED_QUERIES",
+                  &ServerOptions::max_queued_queries}}) {
+    for (const char* bad : {"2147483648", "-1", "4294967297"}) {
+      EXPECT_EQ(FromEnvWith(knob.name, bad).*knob.field, defaults.*knob.field)
+          << knob.name << "=" << bad;
+    }
+    EXPECT_EQ(FromEnvWith(knob.name, "2147483647").*knob.field,
+              std::numeric_limits<int>::max())
+        << knob.name;
+  }
 }
 
 TEST(StatusMappingTest, CoversEveryCategory) {
@@ -922,6 +967,69 @@ TEST_F(HttpServerTest, TimeoutFiresMidQueryAndEngineSurvives) {
   // And the cancellation is visible in the metrics.
   EXPECT_GE(db_->metrics().CounterValue("server_queries_timed_out_total", ""),
             1.0);
+}
+
+// A write whose deadline passes while a read holds the engine fails
+// before it runs, embedded (DeadlineExceeded) and served (408) alike,
+// while statements the parser classifies as reads keep sharing it.
+TEST_F(HttpServerTest, WriteDeadlineExpiresWhileAReadHoldsTheEngine) {
+  StartServer();
+  const std::string update = "UPDATE t SET v = v + 1 WHERE k = 0";
+  auto sum = [&] {
+    auto result = db_->Execute("SELECT SUM(v) AS s FROM t");
+    return result.ok() ? result->Get(0, 0).ToString() : "error";
+  };
+  auto with_deadline = [](int64_t ms) {
+    auto control = std::make_unique<QueryControl>();
+    control->set_timeout(std::chrono::milliseconds(ms));
+    return control;
+  };
+  HttpClient client("127.0.0.1", server_->port());
+  // The checks only count if the slow join (about 0.3 s in a Release
+  // build) still runs after them; a run that ends sooner is retried.
+  bool conclusive = false;
+  for (int attempt = 0; attempt < 5 && !conclusive; ++attempt) {
+    const std::string sum_before = sum();
+    std::atomic<bool> reader_done{false};
+    std::thread reader([&] {
+      EXPECT_TRUE(db_->Execute(slow_join_sql_).ok());
+      reader_done.store(true);
+    });
+    // The join charges memory only once it runs under the shared side.
+    const int64_t idle = db_->memory_tracker()->reserved();
+    while (db_->memory_tracker()->reserved() == idle && !reader_done.load()) {
+      std::this_thread::yield();
+    }
+    auto embedded = db_->Execute(update, with_deadline(20).get());
+    const double timed_out =
+        db_->metrics().CounterValue("server_queries_timed_out_total", "");
+    auto served = client.Post("/query", QueryBody(update, /*timeout_ms=*/20));
+    const double timed_out_after =
+        db_->metrics().CounterValue("server_queries_timed_out_total", "");
+    // Parsed SELECTs, whatever comes before the keyword, share the
+    // engine with the running read.
+    auto commented = db_->Execute("-- a comment first\nSELECT COUNT(*) FROM t",
+                                  with_deadline(5000).get());
+    auto explained =
+        db_->Execute("EXPLAIN SELECT k FROM t", with_deadline(5000).get());
+    conclusive = !reader_done.load();
+    reader.join();
+    if (!conclusive) continue;
+
+    EXPECT_EQ(embedded.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_NE(embedded.status().message().find("waiting for the engine"),
+              std::string::npos)
+        << embedded.status().ToString();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->status, 408) << served->body;
+    EXPECT_NE(served->body.find("waiting for the engine"), std::string::npos)
+        << served->body;
+    EXPECT_EQ(timed_out_after, timed_out + 1.0);
+    EXPECT_TRUE(commented.ok()) << commented.status().ToString();
+    EXPECT_TRUE(explained.ok()) << explained.status().ToString();
+    EXPECT_EQ(sum(), sum_before);
+  }
+  EXPECT_TRUE(conclusive) << "the slow join never outlasted the checks";
 }
 
 TEST_F(HttpServerTest, AdmissionRejectsBeyondQueueWith503) {
