@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -20,6 +21,26 @@ namespace {
 int64_t AddWrapping(int64_t* sum, int64_t v) {
   const bool wrapped = __builtin_add_overflow(*sum, v, sum);
   return wrapped ? (v < 0 ? -1 : 1) : 0;
+}
+
+/// The least and greatest valid value among rows [0, n) of an integer
+/// column. Returns false when none of the rows is valid.
+bool ValidMinMax(const ColumnVector& col, size_t n, int64_t* lo,
+                 int64_t* hi) {
+  const int64_t* x = col.int64_data();
+  const uint8_t* valid = col.validity_data();
+  int64_t mn = std::numeric_limits<int64_t>::max();
+  int64_t mx = std::numeric_limits<int64_t>::min();
+  size_t count = 0;
+  for (size_t r = 0; r < n; ++r) {
+    const bool ok = valid[r] != 0;
+    mn = ok && x[r] < mn ? x[r] : mn;
+    mx = ok && x[r] > mx ? x[r] : mx;
+    count += ok;
+  }
+  *lo = mn;
+  *hi = mx;
+  return count != 0;
 }
 
 }  // namespace
@@ -208,49 +229,89 @@ Status PhysicalHashAggregate::EvalArgs(
 bool PhysicalHashAggregate::DirectGroupIds(
     const std::vector<ColumnVector>& key_cols, size_t rows, AggTable* table,
     HashTableStats* ht) const {
+  if (table->direct_off) return false;
   for (const ColumnVector& col : key_cols) {
-    if (!col.is_dictionary()) return false;
-  }
-  const size_t num_keys = key_cols.size();
-  if (table->direct_dicts.empty()) {
-    size_t slots = 1;
-    std::vector<uint32_t> strides(num_keys);
-    for (size_t k = 0; k < num_keys; ++k) {
-      strides[k] = static_cast<uint32_t>(slots);
-      slots *= key_cols[k].dictionary().size() + 1;
-      if (slots > kMaxDirectGroupSlots) return false;
-    }
-    for (const ColumnVector& col : key_cols) {
-      table->direct_dicts.push_back(col.EmptyLike());
-    }
-    table->direct_strides = std::move(strides);
-    table->direct_gids.assign(slots, 0);
-  }
-  for (size_t k = 0; k < num_keys; ++k) {
-    if (!key_cols[k].SharesDictionaryWith(table->direct_dicts[k])) {
+    // Keys arrive flat from Expr::Evaluate (a literal key too); a
+    // constant column would hold one physical row, not `rows`.
+    if (col.is_constant() ||
+        (!col.is_dictionary() && col.type() != TypeId::kInt64 &&
+         col.type() != TypeId::kDate)) {
       return false;
     }
   }
+  const size_t num_keys = key_cols.size();
+  if (table->direct_keys.empty()) {
+    // Fix each key's slots from this chunk: a dictionary's entries, an
+    // integer key's span between its least and greatest valid value.
+    std::vector<DirectKey> keys(num_keys);
+    uint64_t slots = 1;
+    for (size_t k = 0; k < num_keys; ++k) {
+      const ColumnVector& col = key_cols[k];
+      DirectKey& key = keys[k];
+      key.stride = static_cast<uint32_t>(slots);
+      if (col.is_dictionary()) {
+        key.dict = col.EmptyLike();
+        slots *= col.dictionary().size() + 1;
+      } else {
+        int64_t lo = 0;
+        int64_t hi = 0;
+        if (!ValidMinMax(col, rows, &lo, &hi)) return false;
+        const uint64_t span = static_cast<uint64_t>(hi) -
+                              static_cast<uint64_t>(lo);
+        if (span >= kMaxDirectGroupSlots) return false;
+        key.base = lo;
+        key.values = span + 1;
+        slots *= key.values + 1;
+      }
+      if (slots > kMaxDirectGroupSlots) return false;
+    }
+    table->direct_keys = std::move(keys);
+    table->direct_gids.assign(slots, 0);
+  }
 
-  // Combined code per row: the first key writes it, the others add.
+  // Combined slot per row: the first key writes it, the others add. A
+  // key outside the table's cached dictionary or span sends the whole
+  // chunk down the hash path; one outside the span, the table too.
   table->slot_scratch.resize(rows);
   uint32_t* slot = table->slot_scratch.data();
   for (size_t k = 0; k < num_keys; ++k) {
-    const uint8_t* valid = key_cols[k].validity_data();
-    const uint32_t* codes = key_cols[k].codes_data();
-    const uint32_t stride = table->direct_strides[k];
-    auto part = [&](size_t r) {
-      return (codes[r] + 1) * static_cast<uint32_t>(valid[r] != 0) * stride;
+    const ColumnVector& col = key_cols[k];
+    const DirectKey& key = table->direct_keys[k];
+    const uint8_t* valid = col.validity_data();
+    const uint32_t stride = key.stride;
+    auto fill = [&](const auto& part) {
+      if (k == 0) {
+        for (size_t r = 0; r < rows; ++r) slot[r] = part(r);
+      } else {
+        for (size_t r = 0; r < rows; ++r) slot[r] += part(r);
+      }
     };
-    if (k == 0) {
-      for (size_t r = 0; r < rows; ++r) slot[r] = part(r);
+    if (col.is_dictionary()) {
+      if (!col.SharesDictionaryWith(key.dict)) return false;
+      const uint32_t* codes = col.codes_data();
+      fill([&](size_t r) {
+        return (codes[r] + 1) * static_cast<uint32_t>(valid[r] != 0) * stride;
+      });
     } else {
-      for (size_t r = 0; r < rows; ++r) slot[r] += part(r);
+      const int64_t* x = col.int64_data();
+      const auto base = static_cast<uint64_t>(key.base);
+      const uint64_t values = key.values;
+      uint8_t outside = 0;
+      fill([&](size_t r) {
+        const uint64_t offset = static_cast<uint64_t>(x[r]) - base;
+        const auto ok = static_cast<uint32_t>(valid[r] != 0);
+        outside |= static_cast<uint8_t>(ok & (offset >= values));
+        return static_cast<uint32_t>(offset + 1) * ok * stride;
+      });
+      if (outside != 0) {
+        table->direct_off = true;
+        return false;
+      }
     }
   }
 
   // Group ids straight from the array. The first row of each combined
-  // code without a group is collected instead, and those rows resolve
+  // slot without a group is collected instead, and those rows resolve
   // through the key table in row order, exactly as the hash path would.
   constexpr uint32_t kPending = UINT32_MAX;
   uint32_t* direct = table->direct_gids.data();

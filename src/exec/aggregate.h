@@ -44,11 +44,15 @@ namespace agora {
 ///    is computed once, and an AVG(x) next to a SUM(x) reads the SUM's
 ///    accumulator (the two fold identical fields in identical order).
 ///  * Direct-indexed group ids. When every key of a chunk is a dictionary
-///    column and the combined code space is small, the combined code
-///    indexes a per-table array of group ids; only the first row of each
-///    combined code goes through GroupKeyTable::FindOrCreate, so group
-///    ids, stored keys and hashes stay exactly as the hash path makes
-///    them, and merge and spill are unchanged.
+///    column or a BIGINT/DATE column and the combined slot space is
+///    small, the combined slot indexes a per-table array of group ids;
+///    only the first row of each slot goes through
+///    GroupKeyTable::FindOrCreate, so group ids, stored keys and hashes
+///    stay exactly as the hash path makes them, and merge and spill are
+///    unchanged. An integer key's span of values is fixed by the first
+///    chunk that fits; a chunk with a value outside it takes the hash
+///    path, and so does every later chunk of that table. A literal key
+///    arrives flattened and is an integer key of span 1.
 class PhysicalHashAggregate : public PhysicalOperator {
  public:
   PhysicalHashAggregate(PhysicalOpPtr child, std::vector<ExprPtr> group_by,
@@ -75,6 +79,17 @@ class PhysicalHashAggregate : public PhysicalOperator {
     bool has_value = false;  // any non-null input seen
   };
 
+  /// How one group key maps to its direct-indexed slot: 0 for NULL,
+  /// else code + 1 for a dictionary key over `dict`'s dictionary, or
+  /// value - base + 1 (in uint64) for a BIGINT/DATE key whose value lies
+  /// in [base, base + values).
+  struct DirectKey {
+    ColumnVector dict;  // dictionary keys: empty, sharing the dictionary
+    int64_t base = 0;
+    uint64_t values = 0;  // integer keys: slots other than NULL's
+    uint32_t stride = 0;
+  };
+
   /// One aggregation table: the key table plus group-major accumulators
   /// (`states[g * num_aggs + a]`). Per-morsel partials and the global
   /// table share this shape, so merging is a FindOrCreate over the
@@ -88,15 +103,18 @@ class PhysicalHashAggregate : public PhysicalOperator {
     /// DISTINCT dedup tables keyed on (group id, argument value); only
     /// allocated for DISTINCT aggregates (serial path only).
     std::vector<std::unique_ptr<GroupKeyTable>> distinct;
-    /// Direct-indexed group ids, set up by the first chunk whose keys are
-    /// all dictionary columns with a small combined code space: an empty
-    /// vector sharing each key's dictionary, the per-key stride, and
-    /// group id + 1 per combined code (0 = no group yet). The combined
-    /// code of a row is the sum over keys of (code + 1, or 0 for NULL)
-    /// times the key's stride.
-    std::vector<ColumnVector> direct_dicts;
-    std::vector<uint32_t> direct_strides;
+    /// Direct-indexed group ids, set up by the first chunk whose keys
+    /// all fit (see DirectKey) in kMaxDirectGroupSlots combined slots:
+    /// per key its slot rule, and group id + 1 per combined slot (0 = no
+    /// group yet). The combined slot of a row is the sum over keys of
+    /// the key's slot times its stride.
+    std::vector<DirectKey> direct_keys;
     std::vector<uint32_t> direct_gids;
+    /// Set once an integer key falls outside its span: the keys are
+    /// clustered or wider than the first chunk showed, so later chunks
+    /// would mostly fill slots only to hash anyway. The table hashes from
+    /// then on.
+    bool direct_off = false;
     // Scratch reused across chunks.
     std::vector<uint64_t> hash_scratch;
     std::vector<uint32_t> gid_scratch;
@@ -107,7 +125,7 @@ class PhysicalHashAggregate : public PhysicalOperator {
     std::vector<uint32_t> gid_cursor_scratch;
   };
 
-  /// Most combined codes a direct-indexed group-id array may have: 1 KiB
+  /// Most combined slots a direct-indexed group-id array may have: 1 KiB
   /// of group ids per table, which stays in L1. It equals kMaxGroupRuns,
   /// so a table the array serves alone also folds group by group.
   static constexpr size_t kMaxDirectGroupSlots = 256;
@@ -129,9 +147,10 @@ class PhysicalHashAggregate : public PhysicalOperator {
   Status EvalArgs(const Chunk& input,
                   std::vector<ColumnVector>* arg_cols) const;
   /// Resolves rows [0, rows) to group ids in `table->gid_scratch` through
-  /// the direct-indexed array. Returns false, doing nothing, when some
-  /// key is not a dictionary column over the table's cached dictionary
-  /// or the combined code space is too large; the hash path runs then.
+  /// the direct-indexed array. Returns false, creating no group, when
+  /// some key is constant or neither a dictionary column over the
+  /// table's cached dictionary nor an integer column inside its span, or
+  /// the combined slot space is too large; the hash path runs then.
   bool DirectGroupIds(const std::vector<ColumnVector>& key_cols, size_t rows,
                       AggTable* table, HashTableStats* ht) const;
   /// The columnar accumulator kernels: applies rows [0, n) of the already-

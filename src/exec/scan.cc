@@ -1,7 +1,10 @@
 #include "exec/scan.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+
+#include "expr/expr_rewrite.h"
 
 namespace agora {
 
@@ -44,6 +47,104 @@ Chunk RowIdChunk(const std::vector<uint32_t>& rows) {
   return chunk;
 }
 
+/// Folds a `column op literal` comparison (in either operand order) on a
+/// BIGINT or DATE column, whose literal is a non-NULL value of the
+/// column's type, into the inclusive range [*lo, *hi] of values it
+/// accepts; *lo > *hi when it accepts none. Returns false for any other
+/// conjunct (`<>`, a DOUBLE literal, a string, an expression).
+bool FoldRangeConjunct(const Expr& conjunct, size_t* column, int64_t* lo,
+                       int64_t* hi) {
+  if (conjunct.kind() != ExprKind::kComparison) return false;
+  const auto& cmp = static_cast<const ComparisonExpr&>(conjunct);
+  const Expr* col = cmp.left().get();
+  const Expr* lit = cmp.right().get();
+  CompareOp op = cmp.op();
+  if (col->kind() == ExprKind::kLiteral) {
+    std::swap(col, lit);
+    op = SwapCompareOp(op);
+  }
+  if (col->kind() != ExprKind::kColumnRef ||
+      lit->kind() != ExprKind::kLiteral) {
+    return false;
+  }
+  const TypeId type = col->result_type();
+  const Value& v = static_cast<const LiteralExpr*>(lit)->value();
+  if ((type != TypeId::kInt64 && type != TypeId::kDate) || v.is_null() ||
+      v.type() != type) {
+    return false;
+  }
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t c = v.int64_value();
+  *lo = kMin;
+  *hi = kMax;
+  switch (op) {
+    case CompareOp::kEq:
+      *lo = c;
+      *hi = c;
+      break;
+    case CompareOp::kLt:
+      if (c == kMin) std::swap(*lo, *hi);  // nothing is below INT64_MIN
+      else *hi = c - 1;
+      break;
+    case CompareOp::kLe:
+      *hi = c;
+      break;
+    case CompareOp::kGt:
+      if (c == kMax) std::swap(*lo, *hi);  // nothing is above INT64_MAX
+      else *lo = c + 1;
+      break;
+    case CompareOp::kGe:
+      *lo = c;
+      break;
+    case CompareOp::kNe:
+      return false;
+  }
+  *column = static_cast<const ColumnRefExpr*>(col)->index();
+  return true;
+}
+
+/// lo <= x <= lo + span as one unsigned compare (lo and span as uint64).
+bool InRange(int64_t x, uint64_t lo, uint64_t span) {
+  return static_cast<uint64_t>(x) - lo <= span;
+}
+
+/// Writes base + i for each valid row i of [0, n) with inner_lo <= x[i]
+/// <= inner_hi to `out`, ascending, and returns how many; sets *in_outer
+/// to the number of valid rows in [outer_lo, outer_hi], which holds the
+/// inner range (both non-empty). One branch-free pass: each range costs
+/// a compare a row.
+size_t SelectInRange(const int64_t* x, const uint8_t* valid, size_t n,
+                     int64_t inner_lo, int64_t inner_hi, int64_t outer_lo,
+                     int64_t outer_hi, uint32_t base, uint32_t* out,
+                     size_t* in_outer) {
+  const auto ilo = static_cast<uint64_t>(inner_lo);
+  const uint64_t ispan = static_cast<uint64_t>(inner_hi) - ilo;
+  const auto olo = static_cast<uint64_t>(outer_lo);
+  const uint64_t ospan = static_cast<uint64_t>(outer_hi) - olo;
+  size_t k = 0;
+  size_t outer = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[k] = base + static_cast<uint32_t>(i);
+    k += valid[i] & static_cast<uint8_t>(InRange(x[i], ilo, ispan));
+    outer += valid[i] & static_cast<uint8_t>(InRange(x[i], olo, ospan));
+  }
+  *in_outer = outer;
+  return k;
+}
+
+/// The number of valid rows of [0, n) with lo <= x[i] <= hi (lo <= hi).
+size_t CountInRange(const int64_t* x, const uint8_t* valid, size_t n,
+                    int64_t lo, int64_t hi) {
+  const auto ulo = static_cast<uint64_t>(lo);
+  const uint64_t span = static_cast<uint64_t>(hi) - ulo;
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    k += valid[i] & static_cast<uint8_t>(InRange(x[i], ulo, span));
+  }
+  return k;
+}
+
 }  // namespace
 
 PhysicalScan::PhysicalScan(std::shared_ptr<Table> table,
@@ -57,7 +158,38 @@ PhysicalScan::PhysicalScan(std::shared_ptr<Table> table,
       predicate_(std::move(predicate)),
       ranges_(std::move(ranges)),
       use_zone_maps_(use_zone_maps),
-      emit_row_ids_(emit_row_ids) {}
+      emit_row_ids_(emit_row_ids) {
+  PlanLeadingRange();
+}
+
+void PhysicalScan::PlanLeadingRange() {
+  rest_predicate_ = predicate_;
+  if (predicate_ == nullptr) return;
+  std::vector<ExprPtr> conjuncts = SplitConjuncts(predicate_);
+  size_t folded = 0;
+  IntRange range;
+  for (; folded < conjuncts.size(); ++folded) {
+    size_t column = 0;
+    int64_t lo = 0;
+    int64_t hi = 0;
+    if (!FoldRangeConjunct(*conjuncts[folded], &column, &lo, &hi) ||
+        (folded > 0 && column != range_column_)) {
+      break;
+    }
+    range_column_ = column;
+    range.lo = std::max(range.lo, lo);
+    range.hi = std::min(range.hi, hi);
+    range_prefixes_.push_back(range);
+  }
+  if (folded == 0) return;
+  conjuncts.erase(conjuncts.begin(), conjuncts.begin() + folded);
+  // The rest stays an AND, so a non-BOOLEAN conjunct fails as the
+  // operand of a logical expression, exactly as inside the whole one.
+  rest_predicate_ =
+      conjuncts.empty()
+          ? nullptr
+          : std::make_shared<LogicalExpr>(LogicalOp::kAnd, std::move(conjuncts));
+}
 
 void PhysicalScan::AddJoinFilter(const BloomFilter* bloom,
                                  std::vector<size_t> columns) {
@@ -66,7 +198,8 @@ void PhysicalScan::AddJoinFilter(const BloomFilter* bloom,
 }
 
 Status PhysicalScan::OpenImpl() {
-  next_row_ = 0;
+  cursor_ = ScanCursor{};
+  cursor_.end = table_->num_rows();
   morsel_cursor_.store(0, std::memory_order_relaxed);
   if (use_zone_maps_ && !table_->HasZoneMaps()) {
     // Zone maps were requested by the planner but not built yet; build
@@ -87,118 +220,163 @@ Status PhysicalScan::OpenImpl() {
   return Status::OK();
 }
 
-Status PhysicalScan::ScanBlock(size_t start, size_t count, Chunk* out,
-                               bool* skipped, ExecStats* stats) const {
-  *skipped = false;
-  size_t block = start / kChunkSize;
-
-  // Zone-map pruning: skip the block if any range constraint proves it
-  // empty of matches.
-  if (use_zone_maps_ && !ranges_.empty() && zone_map_snapshot_ != nullptr) {
-    for (const ColumnRangeConstraint& r : ranges_) {
-      auto it = zone_map_snapshot_->find(r.column);
-      const ZoneMap* zm =
-          it == zone_map_snapshot_->end() ? nullptr : &it->second;
-      if (zm != nullptr && block < zm->blocks.size() &&
-          !(r.points.empty() ? zm->BlockMayMatch(block, r.lo, r.hi)
-                             : zm->BlockMayMatchAny(block, r.points))) {
-        stats->blocks_skipped++;
-        *skipped = true;
-        return Status::OK();
-      }
+bool PhysicalScan::BlockPruned(size_t start, ExecStats* stats) const {
+  if (!use_zone_maps_ || ranges_.empty() || zone_map_snapshot_ == nullptr) {
+    return false;
+  }
+  const size_t block = start / kChunkSize;
+  for (const ColumnRangeConstraint& r : ranges_) {
+    auto it = zone_map_snapshot_->find(r.column);
+    const ZoneMap* zm =
+        it == zone_map_snapshot_->end() ? nullptr : &it->second;
+    if (zm != nullptr && block < zm->blocks.size() &&
+        !(r.points.empty() ? zm->BlockMayMatch(block, r.lo, r.hi)
+                           : zm->BlockMayMatchAny(block, r.points))) {
+      stats->blocks_skipped++;
+      return true;
     }
   }
+  return false;
+}
 
-  size_t end = std::min(start + count, table_->num_rows());
-  size_t n = end > start ? end - start : 0;
-
-  if (predicate_ != nullptr || !join_filters_.empty()) {
-    // Fused scan filter: refine a selection of absolute row ids over
-    // the zero-copy table view — by the predicate, then by each join
-    // filter — and gather survivors once. The raw block is never
-    // materialized.
+Status PhysicalScan::FilterBlock(size_t start, size_t n, ScanCursor* cur,
+                                 ExecStats* stats) const {
+  std::vector<uint32_t>& rows = cur->block_rows;
+  rows.resize(n);
+  const auto base = static_cast<uint32_t>(start);
+  if (range_column_ == SIZE_MAX) {
+    std::iota(rows.begin(), rows.end(), base);
+  } else {
+    // The leading range reads the block's rows in place. It counts what
+    // its comparisons would count one by one: each evaluates, under a
+    // selection, the rows the ones before it kept. The rows the first
+    // comparison keeps are counted in the same pass.
+    const ColumnVector& col = scan_view_.column(range_column_);
+    const int64_t* x = col.int64_data() + start;
+    const uint8_t* valid = col.validity_data() + start;
+    const IntRange& range = range_prefixes_.back();
+    const IntRange& first = range_prefixes_.front();
+    size_t kept = 0;
+    size_t kept_by_first = 0;
+    if (range.lo <= range.hi) {
+      kept = SelectInRange(x, valid, n, range.lo, range.hi, first.lo,
+                           first.hi, base, rows.data(), &kept_by_first);
+    } else if (first.lo <= first.hi) {
+      kept_by_first = CountInRange(x, valid, n, first.lo, first.hi);
+    }
+    rows.resize(kept);
+    const size_t view_rows = scan_view_.num_rows();
+    for (size_t j = 0; j < range_prefixes_.size(); ++j) {
+      size_t before = n;
+      if (j == 1) {
+        before = kept_by_first;
+      } else if (j > 1) {
+        const IntRange& p = range_prefixes_[j - 1];
+        before = p.lo > p.hi ? 0 : CountInRange(x, valid, n, p.lo, p.hi);
+      }
+      stats->expr_rows_evaluated += static_cast<int64_t>(before);
+      stats->sel_vector_hits += before < view_rows ? 1 : 0;
+    }
+  }
+  if (rest_predicate_ != nullptr) {
     Selection sel;
     sel.all = false;
-    sel.rows.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      sel.rows[i] = static_cast<uint32_t>(start + i);
-    }
-    if (predicate_ != nullptr) {
-      ExprCounters counters;
-      AGORA_RETURN_IF_ERROR(
-          RefineSelection(*predicate_, scan_view_, &sel, &counters));
-      stats->expr_rows_evaluated += counters.rows_evaluated;
-      stats->sel_vector_hits += counters.sel_hits;
-    }
-    stats->blocks_read++;
-    stats->rows_scanned += static_cast<int64_t>(n);
-    std::vector<uint64_t> hashes;
-    std::vector<uint8_t> valid;
-    for (size_t f = 0; f < join_filters_.size() && !sel.rows.empty(); ++f) {
-      const BloomFilter& bloom = *join_filters_[f].bloom;
-      size_t m = sel.rows.size();
-      HashJoinKeys(join_filter_keys_[f], sel.rows.data(), m, &hashes,
-                   &valid);
-      // Branch-free compaction: most rows miss. NULL keys never match and
-      // are not counted as Bloom checks (the probe never checked them).
-      size_t kept = 0;
-      int64_t checked = 0;
-      for (size_t i = 0; i < m; ++i) {
-        sel.rows[kept] = sel.rows[i];
-        kept += valid[i] & static_cast<uint8_t>(bloom.MightContain(hashes[i]));
-        checked += valid[i];
-      }
-      stats->bloom_checked_rows += checked;
-      stats->bloom_filtered_rows += checked - static_cast<int64_t>(kept);
-      sel.rows.resize(kept);
-    }
-    Chunk res;
-    if (emit_row_ids_) {
-      res = RowIdChunk(sel.rows);
-    } else if (sel.rows.size() == n) {
-      // Whole block passes: a contiguous slice beats a gather.
-      res = table_->GetChunk(start, count, projection_);
-      stats->filter_gathers_avoided++;
-    } else {
-      res = scan_view_.GatherRows(sel.rows);
-    }
-    stats->bytes_materialized += static_cast<int64_t>(res.MemoryBytes());
-    *out = std::move(res);
-    return Status::OK();
+    sel.rows.swap(rows);
+    ExprCounters counters;
+    Status st = RefineSelection(*rest_predicate_, scan_view_, &sel, &counters);
+    rows.swap(sel.rows);
+    AGORA_RETURN_IF_ERROR(st);
+    stats->expr_rows_evaluated += counters.rows_evaluated;
+    stats->sel_vector_hits += counters.sel_hits;
   }
-
-  Chunk raw;
-  if (emit_row_ids_) {
-    std::vector<uint32_t> rows(n);
-    std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(start));
-    raw = RowIdChunk(rows);
-  } else {
-    raw = table_->GetChunk(start, count, projection_);
+  for (size_t f = 0; f < join_filters_.size() && !rows.empty(); ++f) {
+    const BloomFilter& bloom = *join_filters_[f].bloom;
+    const size_t m = rows.size();
+    HashJoinKeys(join_filter_keys_[f], rows.data(), m, &cur->hashes,
+                 &cur->valid);
+    // Branch-free compaction: most rows miss. NULL keys never match and
+    // are not counted as Bloom checks (the probe never checked them).
+    const uint64_t* hashes = cur->hashes.data();
+    const uint8_t* valid = cur->valid.data();
+    size_t kept = 0;
+    int64_t checked = 0;
+    for (size_t i = 0; i < m; ++i) {
+      rows[kept] = rows[i];
+      kept += valid[i] & static_cast<uint8_t>(bloom.MightContain(hashes[i]));
+      checked += valid[i];
+    }
+    stats->bloom_checked_rows += checked;
+    stats->bloom_filtered_rows += checked - static_cast<int64_t>(kept);
+    rows.resize(kept);
   }
-  stats->blocks_read++;
-  stats->rows_scanned += static_cast<int64_t>(raw.num_rows());
-  stats->bytes_materialized += static_cast<int64_t>(raw.MemoryBytes());
-  *out = std::move(raw);
   return Status::OK();
 }
 
-Status PhysicalScan::NextImpl(Chunk* chunk, bool* done) {
-  size_t total = table_->num_rows();
-  while (next_row_ < total) {
-    size_t count = std::min(kChunkSize, total - next_row_);
-    Chunk raw;
-    bool skipped = false;
-    AGORA_RETURN_IF_ERROR(
-        ScanBlock(next_row_, count, &raw, &skipped, &context_->stats));
-    next_row_ += count;
-    if (skipped || raw.num_rows() == 0) continue;  // keep pulling
-    *chunk = std::move(raw);
-    *done = next_row_ >= total;
-    context_->stats.chunks_emitted++;
-    return Status::OK();
+Status PhysicalScan::NextChunk(ScanCursor* cur, Chunk* out,
+                               ExecStats* stats) const {
+  const bool filtered = predicate_ != nullptr || !join_filters_.empty();
+  auto emit = [&](Chunk chunk) {
+    stats->bytes_materialized += static_cast<int64_t>(chunk.MemoryBytes());
+    stats->chunks_emitted++;
+    *out = std::move(chunk);
+  };
+  std::vector<uint32_t>& pending = cur->pending;
+  while (true) {
+    // Pending rows go out when a chunk's worth has gathered, before a
+    // waiting slice, and at the end of the range or of a morsel. The
+    // morsel bound gives the serial path the morsels' chunks and caps
+    // how far a selective scan reads past its first survivor (a LIMIT
+    // above stops pulling there).
+    if (pending.size() >= kChunkSize ||
+        (!pending.empty() &&
+         (cur->slice_rows > 0 || cur->next_row >= cur->end ||
+          cur->next_row % kMorselRows == 0))) {
+      const size_t take = std::min(kChunkSize, pending.size());
+      std::vector<uint32_t> rest(pending.begin() + take, pending.end());
+      pending.resize(take);
+      emit(emit_row_ids_ ? RowIdChunk(pending)
+                         : scan_view_.GatherRows(pending));
+      pending.swap(rest);
+      return Status::OK();
+    }
+    if (cur->slice_rows > 0) {
+      emit(table_->GetChunk(cur->slice_start, cur->slice_rows, projection_));
+      cur->slice_rows = 0;
+      return Status::OK();
+    }
+    if (cur->next_row >= cur->end) {
+      *out = Chunk();
+      return Status::OK();
+    }
+    const size_t start = cur->next_row;
+    const size_t n = std::min(kChunkSize, cur->end - start);
+    cur->next_row += n;
+    if (BlockPruned(start, stats)) continue;
+    stats->blocks_read++;
+    stats->rows_scanned += static_cast<int64_t>(n);
+    if (filtered) {
+      AGORA_RETURN_IF_ERROR(FilterBlock(start, n, cur, stats));
+    } else if (emit_row_ids_) {
+      cur->block_rows.resize(n);
+      std::iota(cur->block_rows.begin(), cur->block_rows.end(),
+                static_cast<uint32_t>(start));
+    }
+    if (!emit_row_ids_ && (!filtered || cur->block_rows.size() == n)) {
+      // The whole block passes: a contiguous slice beats a gather.
+      if (filtered) stats->filter_gathers_avoided++;
+      cur->slice_start = start;
+      cur->slice_rows = n;
+    } else {
+      pending.insert(pending.end(), cur->block_rows.begin(),
+                     cur->block_rows.end());
+    }
   }
-  *chunk = Chunk(schema_);
-  *done = true;
+}
+
+Status PhysicalScan::NextImpl(Chunk* chunk, bool* done) {
+  AGORA_RETURN_IF_ERROR(NextChunk(&cursor_, chunk, &context_->stats));
+  if (chunk->num_rows() == 0) *chunk = Chunk(schema_);
+  *done = cursor_.exhausted();
   return Status::OK();
 }
 
@@ -216,16 +394,15 @@ bool PhysicalScan::ClaimMorsel(Morsel* morsel) {
 Status PhysicalScan::ScanMorsel(const Morsel& morsel,
                                 const std::function<Status(Chunk&&)>& sink,
                                 ExecStats* stats) const {
-  for (size_t row = morsel.begin; row < morsel.end; row += kChunkSize) {
-    size_t count = std::min(kChunkSize, morsel.end - row);
-    Chunk raw;
-    bool skipped = false;
-    AGORA_RETURN_IF_ERROR(ScanBlock(row, count, &raw, &skipped, stats));
-    if (skipped || raw.num_rows() == 0) continue;
-    stats->chunks_emitted++;
-    AGORA_RETURN_IF_ERROR(sink(std::move(raw)));
+  ScanCursor cur;
+  cur.next_row = morsel.begin;
+  cur.end = morsel.end;
+  while (true) {
+    Chunk chunk;
+    AGORA_RETURN_IF_ERROR(NextChunk(&cur, &chunk, stats));
+    if (chunk.num_rows() == 0) return Status::OK();
+    AGORA_RETURN_IF_ERROR(sink(std::move(chunk)));
   }
-  return Status::OK();
 }
 
 PhysicalIndexScan::PhysicalIndexScan(std::shared_ptr<Table> table,

@@ -2,6 +2,7 @@
 #define AGORA_EXEC_SCAN_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -62,12 +63,25 @@ struct JoinFilter {
 /// With `emit_row_ids`, it emits the row ids of the surviving rows
 /// (RowIdSchema) instead of gathering their columns.
 ///
-/// Join filters (AddJoinFilter) refine the same selection after the
-/// predicate: each hashes its key columns straight from the table through
-/// the selection (HashJoinKeys, the join's own convention) and drops NULL
-/// keys and Bloom misses, so a row no join above can match is never
-/// gathered or probed. Filters stack in the order they were added; the
-/// scan counts bloom_checked_rows/bloom_filtered_rows for them.
+/// The fused filter path (a pushed predicate or a join filter) builds a
+/// selection of absolute row ids per block over a zero-copy table view:
+///  * Leading range. The `col op literal` comparisons at the front of the
+///    predicate on one BIGINT or DATE column, each literal of the
+///    column's type, fold into one inclusive int64 range, tested in one
+///    branch-free pass over the block's contiguous rows. The rest of the
+///    predicate refines that selection (RefineSelection); conjuncts keep
+///    their order, so a later one sees only the rows earlier ones kept.
+///  * Join filters (AddJoinFilter) refine it next: each hashes its key
+///    columns straight from the table through the selection
+///    (HashJoinKeys, the join's own convention) and drops NULL keys and
+///    Bloom misses, so a row no join above can match is never gathered
+///    or probed. Filters stack in the order they were added; the scan
+///    counts bloom_checked_rows/bloom_filtered_rows for them.
+///  * Full chunks. Survivors of consecutive blocks of one morsel are
+///    gathered together into chunks of up to kChunkSize rows, in table
+///    order; the serial path flushes at the same morsel bounds. A block
+///    whose every row passes is emitted as a slice of the table instead,
+///    after the rows still pending before it.
 class PhysicalScan : public PhysicalOperator {
  public:
   PhysicalScan(std::shared_ptr<Table> table, std::vector<size_t> projection,
@@ -98,7 +112,7 @@ class PhysicalScan : public PhysicalOperator {
   /// Atomically hands out the next unclaimed morsel. Thread-safe.
   bool ClaimMorsel(Morsel* morsel);
   /// Scans one morsel — zone-map skipping and the pushed predicate applied
-  /// per block, exactly like the serial path — and feeds each surviving
+  /// per block, exactly like the serial path — and feeds each non-empty
   /// chunk to `sink`. Counters go to `stats` (a per-worker slot). Safe to
   /// call concurrently for distinct morsels.
   Status ScanMorsel(const Morsel& morsel,
@@ -106,15 +120,57 @@ class PhysicalScan : public PhysicalOperator {
                     ExecStats* stats) const;
 
  private:
-  /// Shared block-scan step: materializes [start, start+count) unless zone
-  /// maps prove it empty (*skipped = true). Chunks fully removed by the
-  /// pushed predicate come back with zero rows.
-  Status ScanBlock(size_t start, size_t count, Chunk* out, bool* skipped,
-                   ExecStats* stats) const;
+  /// One stream of output chunks over rows [next_row, end): the serial
+  /// pull path has one per Open, each morsel one of its own. Holds the
+  /// surviving row ids not yet emitted and the per-block scratch.
+  struct ScanCursor {
+    size_t next_row = 0;  // first row of the next block to read
+    size_t end = 0;
+    /// Survivors of the blocks read so far, absolute and ascending.
+    std::vector<uint32_t> pending;
+    /// A fully passing block waiting for `pending` to be emitted first.
+    size_t slice_start = 0;
+    size_t slice_rows = 0;
+    // Per-block scratch.
+    std::vector<uint32_t> block_rows;
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> valid;
+
+    bool exhausted() const {
+      return next_row >= end && pending.empty() && slice_rows == 0;
+    }
+  };
+
+  /// An inclusive int64 range; empty when lo > hi.
+  struct IntRange {
+    int64_t lo = INT64_MIN;
+    int64_t hi = INT64_MAX;
+  };
+
+  /// Splits the predicate into its leading range (range_column_,
+  /// range_prefixes_) and the rest (rest_predicate_).
+  void PlanLeadingRange();
+  /// True when zone maps prove the block starting at `start` empty.
+  bool BlockPruned(size_t start, ExecStats* stats) const;
+  /// Sets cur->block_rows to the absolute ids of the rows of
+  /// [start, start + n) that pass the predicate and the join filters.
+  Status FilterBlock(size_t start, size_t n, ScanCursor* cur,
+                     ExecStats* stats) const;
+  /// The cursor's next non-empty output chunk, or an empty `out` once
+  /// the cursor is exhausted. The one routine behind NextImpl and
+  /// ScanMorsel.
+  Status NextChunk(ScanCursor* cur, Chunk* out, ExecStats* stats) const;
 
   std::shared_ptr<Table> table_;
   std::vector<size_t> projection_;  // empty = all columns
   ExprPtr predicate_;               // bound against the projected schema
+  /// Column of scan_view_ the leading range reads (SIZE_MAX: none), and
+  /// the range of each prefix of its conjuncts: range_prefixes_[j] holds
+  /// the rows passing conjuncts 0..j, and the last is the whole range.
+  size_t range_column_ = SIZE_MAX;
+  std::vector<IntRange> range_prefixes_;
+  /// The predicate's conjuncts after the leading range (null if none).
+  ExprPtr rest_predicate_;
   std::vector<ColumnRangeConstraint> ranges_;  // base-table column indexes
   bool use_zone_maps_;
   bool emit_row_ids_;
@@ -122,13 +178,13 @@ class PhysicalScan : public PhysicalOperator {
   /// prunes against one consistent set even if a concurrent query
   /// rebuilds the table's maps mid-scan.
   std::shared_ptr<const ZoneMapSet> zone_map_snapshot_;
-  size_t next_row_ = 0;                  // serial pull cursor
+  ScanCursor cursor_;                     // serial pull path
   std::atomic<size_t> morsel_cursor_{0};  // parallel claim cursor
   std::vector<JoinFilter> join_filters_;
   /// Zero-copy whole-table view (built in Open when a predicate or a join
   /// filter is pushed down). The fused filter refines a selection of
-  /// absolute row ids against it and gathers once per block; read-only,
-  /// so safe to share across morsel workers.
+  /// absolute row ids against it and gathers once per output chunk;
+  /// read-only, so safe to share across morsel workers.
   Chunk scan_view_;
   /// Per join filter, its key columns of scan_view_ (shared, O(1) copies).
   std::vector<std::vector<ColumnVector>> join_filter_keys_;

@@ -1,5 +1,6 @@
 #include "server/json_util.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
@@ -7,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <system_error>
 
 namespace agora {
@@ -417,6 +419,28 @@ void AppendJsonDouble(std::string* out, double v) {
               .ptr;
   }
   out->append(buf, static_cast<size_t>(end - buf));
+}
+
+size_t JsonIntColumnWidth(const int64_t* ints, const uint8_t* validity,
+                          size_t rows) {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  bool any_null = false;
+  for (size_t row = 0; row < rows; ++row) {
+    const bool valid = validity[row] != 0;
+    lo = valid && ints[row] < lo ? ints[row] : lo;
+    hi = valid && ints[row] > hi ? ints[row] : hi;
+    any_null = any_null || !valid;
+  }
+  size_t widest = any_null ? 4 : 0;
+  if (lo <= hi) {
+    char buf[24];
+    for (int64_t v : {lo, hi}) {
+      const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+      widest = std::max(widest, static_cast<size_t>(end - buf));
+    }
+  }
+  return widest;
 }
 
 }  // namespace agora

@@ -9,6 +9,8 @@
 // grammar (RFC 8259) minus \uXXXX surrogate pairs, which the /query
 // body never needs; lone escapes decode as a replacement '?'.
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,6 +59,13 @@ void AppendJsonString(std::string* out, std::string_view s);
 /// match embedded serialization byte for byte. JSON has no token for
 /// infinities or NaN, so non-finite values are written as null.
 void AppendJsonDouble(std::string* out, double v);
+
+/// The longest text any of `rows` BIGINT cells prints as: "null" for a
+/// cell whose `validity` byte is 0, else its decimal digits. That is the
+/// wider of the least and the greatest valid value (no value between
+/// them is wider), found in one pass; 0 when `rows` is 0.
+size_t JsonIntColumnWidth(const int64_t* ints, const uint8_t* validity,
+                          size_t rows);
 
 /// Convenience wrapper around AppendJsonString.
 std::string JsonQuote(std::string_view s);

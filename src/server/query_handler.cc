@@ -126,9 +126,9 @@ std::string QueryHandler::SerializeResultJson(const QueryResult& result) {
   // The cursors read each column's typed buffers in place; a constant
   // column (one physical row) is expanded once so every cursor is flat,
   // and a dictionary column is escaped once per entry, not per row.
-  // `bytes` sizes the body from the column types so it is not regrown:
-  // row brackets and separators, then each column's widest text (a
-  // string column's actual lengths).
+  // `bytes` sizes the body so it is not regrown: row brackets and
+  // separators, then each column's widest text (a string column's actual
+  // lengths, a BIGINT column's widest value).
   const size_t rows = result.num_rows();
   std::vector<ColumnVector> columns(result.data().columns());
   std::vector<ColumnCursor> cursors;
@@ -174,7 +174,7 @@ std::string QueryHandler::SerializeResultJson(const QueryResult& result) {
         break;
       case TypeId::kInt64:
         cursor.ints = col.int64_data();
-        widest = 20;  // -9223372036854775808
+        widest = JsonIntColumnWidth(cursor.ints, cursor.validity, rows);
         break;
       case TypeId::kDate:
         cursor.ints = col.int64_data();

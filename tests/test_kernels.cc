@@ -11,10 +11,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -535,6 +538,33 @@ TEST_F(KernelsParallelTest, JoinAndAggregateByteIdenticalAcrossThreads) {
   }
 }
 
+TEST_F(KernelsParallelTest, LiteralGroupKeysMatchTheirDropInGrouping) {
+  // A literal group key adds nothing to the grouping, so each statement
+  // must equal the one without it, at 1 and 4 threads. The literal
+  // reaches the aggregate as a flattened column of one value, which the
+  // direct array takes next to l_linenumber and l_shipdate.
+  const std::pair<const char*, const char*> cases[] = {
+      {"SELECT COUNT(*), SUM(l_quantity) FROM lineitem GROUP BY 1",
+       "SELECT COUNT(*), SUM(l_quantity) FROM lineitem"},
+      {"SELECT l_linenumber, COUNT(*), SUM(l_quantity) FROM lineitem "
+       "GROUP BY l_linenumber, 1",
+       "SELECT l_linenumber, COUNT(*), SUM(l_quantity) FROM lineitem "
+       "GROUP BY l_linenumber"},
+      {"SELECT l_shipdate, COUNT(*) FROM lineitem "
+       "WHERE l_shipdate < DATE '1992-03-01' GROUP BY DATE '1995-01-01', "
+       "l_shipdate",
+       "SELECT l_shipdate, COUNT(*) FROM lineitem "
+       "WHERE l_shipdate < DATE '1992-03-01' GROUP BY l_shipdate"}};
+  for (const auto& [with_literal, without] : cases) {
+    for (int threads : {1, 4}) {
+      QueryResult got = RunAt(threads, with_literal);
+      QueryResult want = RunAt(threads, without);
+      ASSERT_GT(want.num_rows(), 0u) << without;
+      ExpectIdentical(want, got, with_literal);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Bulk append (ColumnVector::AppendRange, Chunk::Append): the typed
 // per-buffer copies must equal the per-row AppendFrom oracle.
@@ -837,6 +867,207 @@ TEST(DirectGroupIdsTest, MatchesHashedGroupingAcrossDictionaries) {
             hashed_stats.hash_table_lookups / 2);
   EXPECT_EQ(direct_stats.rows_aggregated, hashed_stats.rows_aggregated);
   EXPECT_EQ(direct_stats.hash_table_entries, hashed_stats.hash_table_entries);
+}
+
+/// GROUP BY columns `keys` of `chunks` with COUNT(*), SUM(v) and MIN(v),
+/// where v (BIGINT) is column `value`; returns every output chunk
+/// concatenated, plus the operator's stats.
+Chunk GroupChunks(const std::vector<Chunk>& chunks,
+                  const std::vector<size_t>& keys, size_t value,
+                  ExecStats* stats) {
+  std::vector<Field> in_fields;
+  for (size_t c = 0; c < chunks[0].num_columns(); ++c) {
+    in_fields.push_back(
+        {"c" + std::to_string(c), chunks[0].column(c).type(), true});
+  }
+  ExecContext context;
+  auto child = std::make_unique<ChunkSource>(Schema(in_fields), chunks,
+                                             &context);
+  std::vector<ExprPtr> group_by;
+  std::vector<Field> out_fields;
+  for (size_t k : keys) {
+    group_by.push_back(MakeColumnRef(k, in_fields[k].type, in_fields[k].name));
+    out_fields.push_back(in_fields[k]);
+  }
+  ExprPtr v = MakeColumnRef(value, TypeId::kInt64, "v");
+  std::vector<AggregateSpec> aggs = {
+      {AggFunc::kCountStar, nullptr, false, TypeId::kInt64, "n"},
+      {AggFunc::kSum, v, false, TypeId::kInt64, "s"},
+      {AggFunc::kMin, v, false, TypeId::kInt64, "m"}};
+  for (const AggregateSpec& spec : aggs) {
+    out_fields.push_back({spec.name, TypeId::kInt64, true});
+  }
+  Schema out(out_fields);
+  PhysicalHashAggregate agg(std::move(child), std::move(group_by),
+                            std::move(aggs), out, &context);
+  Chunk all(out);
+  EXPECT_TRUE(agg.Open().ok());
+  bool done = false;
+  while (!done) {
+    Chunk chunk;
+    EXPECT_TRUE(agg.Next(&chunk, &done).ok());
+    all.Append(chunk);
+  }
+  *stats = context.stats;
+  return all;
+}
+
+/// A chunk of int64 (or DATE) columns; nullopt cells are NULL.
+Chunk IntChunk(const std::vector<std::vector<std::optional<int64_t>>>& cols,
+               const std::vector<TypeId>& types) {
+  Chunk chunk;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    ColumnVector col(types[c]);
+    for (const std::optional<int64_t>& v : cols[c]) {
+      if (v.has_value()) {
+        col.AppendInt64(*v);
+      } else {
+        col.AppendNull();
+      }
+    }
+    chunk.AddColumn(std::move(col));
+  }
+  return chunk;
+}
+
+/// Groups `chunks` by `keys` directly and, as the reference, with a flat
+/// string key added to every chunk (which no direct array takes), and
+/// requires identical groups in identical order. Returns the direct
+/// run's stats.
+ExecStats ExpectDirectMatchesHashed(const std::vector<Chunk>& chunks,
+                                    const std::vector<size_t>& keys,
+                                    size_t value) {
+  std::vector<Chunk> flat = chunks;
+  for (Chunk& chunk : flat) {
+    ColumnVector tag(TypeId::kString);
+    for (size_t r = 0; r < chunk.num_rows(); ++r) tag.AppendString("k");
+    chunk.AddColumn(std::move(tag));
+  }
+  std::vector<size_t> flat_keys = keys;
+  flat_keys.push_back(chunks[0].num_columns());
+  ExecStats direct_stats, hashed_stats;
+  Chunk direct = GroupChunks(chunks, keys, value, &direct_stats);
+  Chunk hashed = GroupChunks(flat, flat_keys, value, &hashed_stats);
+  EXPECT_EQ(direct.num_rows(), hashed.num_rows());
+  for (size_t c = 0; c < direct.num_columns(); ++c) {
+    // The reference has its extra key column right after the keys.
+    const size_t hc = c < keys.size() ? c : c + 1;
+    for (size_t r = 0; r < direct.num_rows() && r < hashed.num_rows(); ++r) {
+      Value a = direct.column(c).GetValue(r);
+      Value b = hashed.column(hc).GetValue(r);
+      EXPECT_EQ(a.is_null(), b.is_null()) << "(" << r << "," << c << ")";
+      if (!a.is_null() && !b.is_null()) {
+        EXPECT_EQ(a.Compare(b), 0) << "(" << r << "," << c << ")";
+      }
+    }
+  }
+  EXPECT_EQ(direct_stats.rows_aggregated, hashed_stats.rows_aggregated);
+  EXPECT_EQ(direct_stats.hash_table_entries, hashed_stats.hash_table_entries);
+  return direct_stats;
+}
+
+using IntCol = std::vector<std::optional<int64_t>>;
+
+TEST(DirectGroupIdsTest, IntegerKeysHashForGoodOnceOutsideTheirSpan) {
+  std::mt19937 rng(5);
+  auto make = [&](size_t rows, int64_t lo, int64_t hi, int null_every) {
+    IntCol key, v;
+    for (size_t r = 0; r < rows; ++r) {
+      if (null_every > 0 && rng() % null_every == 0) {
+        key.push_back(std::nullopt);
+      } else {
+        key.push_back(lo + static_cast<int64_t>(
+                               rng() % static_cast<uint64_t>(hi - lo + 1)));
+      }
+      v.push_back(static_cast<int64_t>(rng() % 1000) - 500);
+    }
+    return IntChunk({key, v}, {TypeId::kInt64, TypeId::kInt64});
+  };
+  std::vector<Chunk> chunks;
+  chunks.push_back(make(2048, -7, 5, 9));    // fixes the span [-7, 5]
+  chunks.push_back(make(2048, -7, 5, 0));    // direct
+  chunks.push_back(make(1000, -7, 300, 0));  // outside the span: hashed
+  chunks.push_back(make(2048, -7, 5, 3));    // inside, but hashed now
+  chunks.push_back(make(50, 0, 0, 1));       // every key NULL
+  ExecStats stats = ExpectDirectMatchesHashed(chunks, {0}, 1);
+  // The first two chunks probe the table once per slot (13 values and
+  // NULL); from the chunk outside the span on, every row does.
+  EXPECT_GT(stats.hash_table_lookups, 1000 + 2048 + 50);
+  EXPECT_LE(stats.hash_table_lookups, 1000 + 2048 + 50 + 14);
+}
+
+TEST(DirectGroupIdsTest, SpanIsFixedByTheFirstChunkThatFits) {
+  // Too wide a span first (hashed), then a chunk that fits; a NULL-only
+  // chunk fixes nothing.
+  std::vector<Chunk> chunks;
+  chunks.push_back(IntChunk({{0, 1000, std::nullopt}, {1, 2, 3}},
+                            {TypeId::kInt64, TypeId::kInt64}));
+  chunks.push_back(IntChunk({{std::nullopt, std::nullopt}, {4, 5}},
+                            {TypeId::kInt64, TypeId::kInt64}));
+  chunks.push_back(IntChunk({{10, 11, 10, std::nullopt}, {6, 7, 8, 9}},
+                            {TypeId::kInt64, TypeId::kInt64}));
+  chunks.push_back(IntChunk({{11, 10, 0, 1000}, {10, 11, 12, 13}},
+                            {TypeId::kInt64, TypeId::kInt64}));
+  chunks.push_back(IntChunk({{10, 11, std::nullopt}, {14, 15, 16}},
+                            {TypeId::kInt64, TypeId::kInt64}));
+  ExecStats stats = ExpectDirectMatchesHashed(chunks, {0}, 1);
+  // Hashed: 3 + 2 rows, then the 4 + 3 rows from the chunk holding 0 and
+  // 1000 on; direct: the first rows of 10, 11 and NULL.
+  EXPECT_EQ(stats.hash_table_lookups, 3 + 2 + 3 + 4 + 3);
+}
+
+TEST(DirectGroupIdsTest, KeysAtTheEndsOfBigint) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<TypeId> types = {TypeId::kInt64, TypeId::kInt64};
+  // A span at the top of the range, then keys past its wrap point,
+  // then keys inside it again.
+  std::vector<Chunk> top;
+  top.push_back(IntChunk({{kMax, kMax - 1, std::nullopt, kMax}, {1, 2, 3, 4}},
+                         types));
+  top.push_back(IntChunk({{kMin, kMin + 1, kMax}, {5, 6, 7}}, types));
+  top.push_back(IntChunk({{kMax - 1, kMax, kMax}, {8, 9, 10}}, types));
+  ExpectDirectMatchesHashed(top, {0}, 1);
+  // Both ends in one chunk: the span wraps uint64 and fits no array.
+  std::vector<Chunk> both;
+  both.push_back(IntChunk({{kMin, kMax, -1, 0}, {1, 2, 3, 4}}, types));
+  both.push_back(IntChunk({{kMin, kMin + 2, kMin + 1}, {5, 6, 7}}, types));
+  both.push_back(IntChunk({{kMin + 2, kMax, kMin}, {8, 9, 10}}, types));
+  ExecStats stats = ExpectDirectMatchesHashed(both, {0}, 1);
+  // The first chunk and the one holding kMax hash; the second fixes
+  // [kMin, kMin + 2] and looks up its three new slots.
+  EXPECT_EQ(stats.hash_table_lookups, 4 + 3 + 3);
+}
+
+TEST(DirectGroupIdsTest, MixedDictionaryIntegerAndDateKeys) {
+  std::mt19937 rng(11);
+  ColumnVector dict = ColumnVector::MakeDictionary();
+  for (const char* v : {"A", "N", "R"}) dict.AppendString(v);
+  const char* flags[] = {"A", "N", "R"};
+  std::vector<Chunk> chunks;
+  for (size_t rows : {2048u, 2048u, 700u}) {
+    ColumnVector f = dict.EmptyLike();
+    IntCol key, day, v;
+    for (size_t r = 0; r < rows; ++r) {
+      if (rng() % 8 == 0) {
+        f.AppendNull();
+      } else {
+        f.AppendString(flags[rng() % 3]);
+      }
+      key.push_back(rng() % 10 == 0 ? std::nullopt
+                                    : std::optional<int64_t>(
+                                          static_cast<int64_t>(rng() % 9) - 4));
+      day.push_back(9500 + static_cast<int64_t>(rng() % 4));
+      v.push_back(static_cast<int64_t>(rng() % 100));
+    }
+    Chunk chunk = IntChunk({key, day, v},
+                           {TypeId::kInt64, TypeId::kDate, TypeId::kInt64});
+    chunk.AddColumn(std::move(f));
+    chunks.push_back(std::move(chunk));
+  }
+  // (3 + 1) * (9 + 1) * (4 + 1) = 200 slots: direct throughout.
+  ExecStats stats = ExpectDirectMatchesHashed(chunks, {3, 0, 1}, 2);
+  EXPECT_LE(stats.hash_table_lookups, 200);
 }
 
 }  // namespace

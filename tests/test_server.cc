@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cfloat>
 #include <chrono>
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -571,6 +573,57 @@ TEST(WireFormatTest, NonFiniteDoublesAreNull) {
             "\"rows\": [\n  [null],\n  [null],\n  [null],\n  [1]\n], "
             "\"row_count\": 4}\n");
   EXPECT_TRUE(ParseJson(json).ok());
+}
+
+TEST(WireFormatTest, IntegerColumnWidthIsItsWidestCell) {
+  // SerializeResultJson reserves a BIGINT column's widest cell a row, not
+  // 20 bytes a cell. The width must cover every cell and, on ids,
+  // six-digit amounts and small signed values with NULLs, stay within
+  // 1.5x of the text the cells print as.
+  auto text = [](const std::optional<int64_t>& v) {
+    return v.has_value() ? std::to_string(*v) : std::string("null");
+  };
+  auto width = [](const std::vector<std::optional<int64_t>>& cells) {
+    std::vector<int64_t> ints;
+    std::vector<uint8_t> validity;
+    for (const std::optional<int64_t>& v : cells) {
+      ints.push_back(v.value_or(0));
+      validity.push_back(v.has_value() ? 1 : 0);
+    }
+    return JsonIntColumnWidth(ints.data(), validity.data(), cells.size());
+  };
+  std::mt19937_64 rng(7);
+  std::vector<std::vector<std::optional<int64_t>>> columns(3);
+  for (int64_t id = 1; id <= 5000; ++id) {
+    columns[0].push_back(id);
+    columns[1].push_back(100000 + static_cast<int64_t>(rng() % 900000));
+    columns[2].push_back(id % 50 == 0 ? std::nullopt
+                                      : std::optional<int64_t>(
+                                            static_cast<int64_t>(rng() % 1001) -
+                                            500));
+  }
+  size_t reserved = 0;
+  size_t printed = 0;
+  for (const auto& cells : columns) {
+    const size_t w = width(cells);
+    size_t widest = 0;
+    for (const std::optional<int64_t>& v : cells) {
+      widest = std::max(widest, text(v).size());
+      printed += text(v).size();
+    }
+    EXPECT_EQ(w, widest);
+    reserved += w * cells.size();
+  }
+  EXPECT_GE(reserved, printed);
+  EXPECT_LE(reserved, printed * 3 / 2);
+
+  // The ends of the range, NULL next to short values, and no rows.
+  EXPECT_EQ(width({INT64_MIN, -1}), 20u);
+  EXPECT_EQ(width({0, INT64_MAX}), 19u);
+  EXPECT_EQ(width({std::nullopt, 7}), 4u);
+  EXPECT_EQ(width({std::nullopt, -12345}), 6u);
+  EXPECT_EQ(width({std::nullopt}), 4u);
+  EXPECT_EQ(width({}), 0u);
 }
 
 // ---------------------------------------------------------------------

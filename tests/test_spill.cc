@@ -388,6 +388,32 @@ TEST_F(SpillExecTest, EncodedStringKeysSpillAndStayByteIdentical) {
       << "budget " << join_budget << " never spilled the join";
 }
 
+// Small-domain BIGINT, DATE and dictionary keys: in memory the groups
+// come from direct-indexed arrays (a span of 7 line numbers, 7 residues
+// from -3 to 3, 3 flags: 256 slots; 90 ship dates), while a budgeted run
+// takes the spill-capable path, which hashes every row. Both must agree
+// byte for byte, first-appearance group order included.
+const char kIntegerKeyAgg[] =
+    "SELECT l_linenumber, l_suppkey % 7 - 3, l_returnflag, COUNT(*), "
+    "SUM(l_quantity), SUM(l_extendedprice * (1.0 - l_discount)) "
+    "FROM lineitem GROUP BY l_linenumber, l_suppkey % 7 - 3, l_returnflag";
+const char kDateKeyAgg[] =
+    "SELECT l_shipdate, COUNT(*), SUM(l_extendedprice) FROM lineitem "
+    "WHERE l_shipdate BETWEEN DATE '1995-01-01' AND DATE '1995-03-31' "
+    "GROUP BY l_shipdate";
+
+TEST_F(SpillExecTest, SmallIntegerKeysStayByteIdenticalUnderBudget) {
+  for (const char* sql : {kIntegerKeyAgg, kDateKeyAgg}) {
+    SCOPED_TRACE(sql);
+    QueryResult reference = Run(ref_, sql);
+    ASSERT_GT(reference.num_rows(), 50u);
+    const int64_t budget =
+        static_cast<int64_t>(reference.data().MemoryBytes()) +
+        (int64_t{64} << 10);
+    SweepAndCompare(sql, budget, reference);
+  }
+}
+
 TEST_F(SpillExecTest, TpchQueriesByteIdenticalUnderBudget) {
   // A budgeted join runs in spill mode and publishes no join filter, so
   // this also checks the filtered reference against the filter-free run.
