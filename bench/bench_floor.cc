@@ -7,11 +7,13 @@
 // accounts over 16 branches and 800 k events over four kinds, with
 // uniformly random account ids (so zone maps prune nothing). TPC-H Q6
 // and Q14 at SF 0.05 ride along as the two scan-dominated TPC-H queries.
+// join_filter joins events to the accounts of one branch, so the events
+// scan carries the join's pushed key filter from a selective build side.
 //
 // For each statement the binary prints and writes to BENCH_floor.json
 // the median latency, ns per base-table row and the scan-side counters
-// (chunks_emitted, blocks_read, hash_table_lookups); see
-// docs/BENCH_SCHEMA.md. --smoke shrinks the tables and the repetitions
+// (chunks_emitted, blocks_read, hash_table_lookups, the join filter's
+// kind and drops); see docs/BENCH_SCHEMA.md. --smoke shrinks the tables and the repetitions
 // to a CI-sized check that the binary runs and its answers are right.
 
 #include "bench/bench_common.h"
@@ -37,12 +39,14 @@ namespace {
 using bench::MustExecute;
 
 constexpr int64_t kBranches = 16;
+constexpr int64_t kJoinBranch = 3;  // the accounts join_filter keeps
 constexpr const char* kKinds[] = {"deposit", "withdrawal", "fee",
                                   "interest"};
 
 /// The mixed_rw-shaped tables and the totals their answers are checked
 /// against. point_eq selects the events of account `range_lo`;
-/// event_totals those of accounts [range_lo, range_hi], per kind.
+/// event_totals those of accounts [range_lo, range_hi], per kind;
+/// join_filter those of the accounts in branch kJoinBranch.
 struct FloorData {
   Database db;
   int64_t accounts = 0;
@@ -54,6 +58,8 @@ struct FloorData {
   int64_t point_amount = 0;
   int64_t range_rows[std::size(kKinds)] = {};
   int64_t range_amount[std::size(kKinds)] = {};
+  int64_t join_rows = 0;
+  int64_t join_amount = 0;
 };
 
 Status LoadFloorData(int64_t accounts, int64_t events, FloorData* data) {
@@ -72,12 +78,13 @@ Status LoadFloorData(int64_t accounts, int64_t events, FloorData* data) {
                          db->catalog().GetTable("accounts"));
   AGORA_ASSIGN_OR_RETURN(auto event_table, db->catalog().GetTable("events"));
   Rng rng(1);
+  std::vector<int64_t> branch_of(accounts + 1);
   for (int64_t id = 1; id <= accounts; ++id) {
     const int64_t balance = rng.Uniform(1000, 10000);
+    branch_of[id] = rng.Uniform(0, kBranches - 1);
     AGORA_RETURN_IF_ERROR(account_table->AppendRow(
         {Value::Int64(id), Value::String("owner#" + std::to_string(id)),
-         Value::Int64(rng.Uniform(0, kBranches - 1)),
-         Value::Int64(balance)}));
+         Value::Int64(branch_of[id]), Value::Int64(balance)}));
   }
   for (int64_t id = 1; id <= events; ++id) {
     const int64_t amount = rng.Uniform(1, 1000);
@@ -91,6 +98,10 @@ Status LoadFloorData(int64_t accounts, int64_t events, FloorData* data) {
     if (account >= data->range_lo && account <= data->range_hi) {
       data->range_rows[kind]++;
       data->range_amount[kind] += amount;
+    }
+    if (branch_of[account] == kJoinBranch) {
+      data->join_rows++;
+      data->join_amount += amount;
     }
     AGORA_RETURN_IF_ERROR(event_table->AppendRow(
         {Value::Int64(id), Value::Int64(account),
@@ -117,6 +128,8 @@ struct FloorResult {
   int64_t blocks_read = 0;
   int64_t hash_table_lookups = 0;
   int64_t bytes_materialized = 0;
+  int64_t join_filters_exact = 0;
+  int64_t bloom_filtered_rows = 0;
 };
 
 FloorResult Measure(const FloorQuery& q, int reps) {
@@ -127,6 +140,8 @@ FloorResult Measure(const FloorQuery& q, int reps) {
   r.blocks_read = warm.stats().blocks_read;
   r.hash_table_lookups = warm.stats().hash_table_lookups;
   r.bytes_materialized = warm.stats().bytes_materialized;
+  r.join_filters_exact = warm.stats().join_filters_exact;
+  r.bloom_filtered_rows = warm.stats().bloom_filtered_rows;
   std::vector<double> samples;
   for (int i = 0; i < reps; ++i) {
     Timer timer;
@@ -145,6 +160,15 @@ void Expect(bool ok, const std::string& what) {
   if (ok) return;
   std::printf("[floor] FAILURE: %s\n", what.c_str());
   std::exit(1);
+}
+
+/// Events of the accounts in branch kJoinBranch: the accounts scan keeps
+/// one branch in 16, so the join pushes its key filter into the events
+/// scan.
+std::string JoinFilterSql() {
+  return "SELECT COUNT(*), SUM(e.amount) FROM events e JOIN accounts a "
+         "ON e.account = a.id WHERE a.branch = " +
+         std::to_string(kJoinBranch);
 }
 
 void CheckAnswers(FloorData* data) {
@@ -205,6 +229,13 @@ void CheckAnswers(FloorData* data) {
                kinds.data().column(2).GetInt64(r) == data->range_amount[k],
            "totals of " + kind + " events of accounts " + lo + ".." + hi);
   }
+
+  // The join whose key filter the events scan applies.
+  QueryResult joined = MustExecute(db, JoinFilterSql());
+  Expect(joined.num_rows() == 1 &&
+             joined.data().column(0).GetInt64(0) == data->join_rows &&
+             joined.data().column(1).GetInt64(0) == data->join_amount,
+         "events of the accounts of branch " + std::to_string(kJoinBranch));
 }
 
 /// TPC-H Q6 and Q14 must return what the general comparison kernel
@@ -297,6 +328,7 @@ int main(int argc, char** argv) {
        "SELECT account % 50 AS g, COUNT(*) AS n, SUM(amount) AS total "
        "FROM events GROUP BY account % 50",
        &data.db, events},
+      {"join_filter", agora::JoinFilterSql(), &data.db, events},
       {"tpch_q6", agora::TpchQ6(), tpch, lineitem_rows},
       {"tpch_q14", agora::TpchQ14(), tpch, lineitem_rows},
   };
@@ -324,24 +356,29 @@ int main(int argc, char** argv) {
     const agora::FloorResult r = agora::Measure(q, reps);
     std::printf(
         "[floor] %-14s %8.3f ms  %6.2f ns/row  rows=%lld chunks=%lld "
-        "blocks=%lld lookups=%lld\n",
+        "blocks=%lld lookups=%lld exact_filters=%lld filtered=%lld\n",
         q.name.c_str(), r.median_ms, r.ns_per_row,
         static_cast<long long>(r.result_rows),
         static_cast<long long>(r.chunks_emitted),
         static_cast<long long>(r.blocks_read),
-        static_cast<long long>(r.hash_table_lookups));
+        static_cast<long long>(r.hash_table_lookups),
+        static_cast<long long>(r.join_filters_exact),
+        static_cast<long long>(r.bloom_filtered_rows));
     std::fprintf(
         out,
         "    {\"query\": \"%s\", \"base_rows\": %lld, \"median_ms\": %.4f, "
         "\"min_ms\": %.4f, \"ns_per_row\": %.3f, \"result_rows\": %lld, "
         "\"chunks_emitted\": %lld, \"blocks_read\": %lld, "
-        "\"hash_table_lookups\": %lld, \"bytes_materialized\": %lld}%s\n",
+        "\"hash_table_lookups\": %lld, \"bytes_materialized\": %lld, "
+        "\"join_filters_exact\": %lld, \"bloom_filtered_rows\": %lld}%s\n",
         q.name.c_str(), static_cast<long long>(q.base_rows), r.median_ms,
         r.min_ms, r.ns_per_row, static_cast<long long>(r.result_rows),
         static_cast<long long>(r.chunks_emitted),
         static_cast<long long>(r.blocks_read),
         static_cast<long long>(r.hash_table_lookups),
         static_cast<long long>(r.bytes_materialized),
+        static_cast<long long>(r.join_filters_exact),
+        static_cast<long long>(r.bloom_filtered_rows),
         i + 1 < queries.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -1,6 +1,8 @@
 #include "exec/hash_table.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -34,6 +36,116 @@ void BloomFilter::Build(const uint64_t* hashes, const uint8_t* valid,
     uint64_t h = hashes[r];
     words_[(h >> 32) & word_mask_] |= BitMask(h);
   }
+  charge_.Update(words_.capacity() * sizeof(uint64_t));
+}
+
+void JoinKeyFilter::Build(const std::vector<ColumnVector>& keys,
+                          TypeId probe_type, const uint64_t* hashes,
+                          const uint8_t* valid, size_t n) {
+  const TypeId type = keys.size() == 1 ? keys[0].type() : TypeId::kInvalid;
+  exact_ = (type == TypeId::kInt64 || type == TypeId::kDate) &&
+           probe_type == type;
+  std::vector<uint64_t>().swap(bits_);
+  charge_.Update(0);
+  bloom_ = BloomFilter();
+  lo_ = 0;
+  bits_count_ = 0;
+  if (exact_) {
+    const int64_t* x = keys[0].int64_data();
+    size_t count = 0;
+    int64_t lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+    for (size_t r = 0; r < n; ++r) {
+      if (valid[r] == 0) continue;
+      ++count;
+      lo = std::min(lo, x[r]);
+      hi = std::max(hi, x[r]);
+    }
+    if (count > 0) {
+      // In uint64, so that INT64_MIN..INT64_MAX cannot overflow.
+      const uint64_t span =
+          static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      exact_ = span < ExactBitBudget(count);
+      if (exact_) {
+        lo_ = static_cast<uint64_t>(lo);
+        bits_count_ = span + 1;
+      }
+    }
+  }
+  if (!exact_) {
+    bloom_.Build(hashes, valid, n);
+    return;
+  }
+  bits_.assign(std::max<uint64_t>(1, (bits_count_ + 63) / 64), 0);
+  const int64_t* x = keys[0].int64_data();
+  for (size_t r = 0; r < n; ++r) {
+    if (valid[r] == 0) continue;
+    const uint64_t d = static_cast<uint64_t>(x[r]) - lo_;
+    bits_[d >> 6] |= uint64_t{1} << (d & 63);
+  }
+  charge_.Update(bits_.capacity() * sizeof(uint64_t));
+}
+
+size_t JoinKeyFilter::Select(const std::vector<ColumnVector>& keys,
+                             size_t base, const uint32_t* sel, size_t n,
+                             uint32_t* out, int64_t* checked,
+                             std::vector<uint64_t>* hashes) const {
+  size_t kept = 0;
+  int64_t tested = 0;
+  if (exact_) {
+    // Branch-free: most rows miss. NULL keys are not tested.
+    const uint64_t lo = lo_;
+    const uint64_t count = bits_count_;
+    const uint64_t* bits = bits_.data();  // at least one word
+    auto contains = [lo, count, bits](int64_t x) {
+      const uint64_t d = static_cast<uint64_t>(x) - lo;
+      const bool in = d < count;
+      const uint64_t i = in ? d : 0;
+      return static_cast<uint8_t>(in & ((bits[i >> 6] >> (i & 63)) & 1));
+    };
+    const int64_t* x = keys[0].int64_data();
+    const uint8_t* valid = keys[0].validity_data();
+    if (sel == nullptr) {
+      x += base;
+      valid += base;
+      for (size_t i = 0; i < n; ++i) {
+        out[kept] = static_cast<uint32_t>(base + i);
+        tested += valid[i];
+        kept += valid[i] & contains(x[i]);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = sel[i];
+        out[kept] = r;
+        tested += valid[r];
+        kept += valid[r] & contains(x[r]);
+      }
+    }
+    if (hashes != nullptr) {
+      std::vector<uint8_t> kept_valid;
+      HashJoinKeys(keys, out, kept, hashes, &kept_valid);
+    }
+  } else {
+    if (sel == nullptr && base != 0) {
+      std::iota(out, out + n, static_cast<uint32_t>(base));
+      sel = out;
+    }
+    std::vector<uint64_t> scratch;
+    std::vector<uint64_t>* h = hashes != nullptr ? hashes : &scratch;
+    std::vector<uint8_t> valid;
+    HashJoinKeys(keys, sel, n, h, &valid);
+    uint64_t* hv = h->data();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t hash = hv[i];
+      out[kept] = sel == nullptr ? static_cast<uint32_t>(i) : sel[i];
+      hv[kept] = hash;
+      tested += valid[i];
+      kept += valid[i] & static_cast<uint8_t>(bloom_.MightContain(hash));
+    }
+    h->resize(kept);
+  }
+  *checked += tested;
+  return kept;
 }
 
 Status JoinHashTable::Build(const uint64_t* hashes, const uint8_t* valid,
@@ -59,11 +171,9 @@ Status JoinHashTable::Build(const uint64_t* hashes, const uint8_t* valid,
     slot_count_ += static_cast<int64_t>(slots);
   }
 
-  bloom_.Build(hashes, valid, rows);
-  // Arena blocks (next + slot directories) charge themselves; the bloom
-  // words and the partition directory are accounted here.
-  charge_.Update(bloom_.word_count() * sizeof(uint64_t) +
-                 partitions_.capacity() * sizeof(Partition));
+  // Arena blocks (next + slot directories) charge themselves; the
+  // partition directory is accounted here.
+  charge_.Update(partitions_.capacity() * sizeof(Partition));
 
   // Fill pass: partition p is written only by task p, so the parallel
   // fills need no locks and produce the exact serial layout.

@@ -1,6 +1,7 @@
 #ifndef AGORA_EXEC_HASH_TABLE_H_
 #define AGORA_EXEC_HASH_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -31,6 +32,7 @@ struct HashTableStats {
 /// positions from its low 12 bits, so the filter stays decorrelated from
 /// the slot index, which uses the middle bits. An empty filter (no build
 /// keys) rejects everything — exactly right for an empty build side.
+/// The words charge the creating query's MemoryTracker.
 class BloomFilter {
  public:
   /// (Re)builds from `hashes[0..n)`, skipping rows with valid[r] == 0.
@@ -43,8 +45,6 @@ class BloomFilter {
     return (words_[(h >> 32) & word_mask_] & m) == m;
   }
 
-  size_t word_count() const { return words_.size(); }
-
  private:
   static uint64_t BitMask(uint64_t h) {
     return (1ULL << (h & 63)) | (1ULL << ((h >> 6) & 63));
@@ -52,6 +52,68 @@ class BloomFilter {
 
   std::vector<uint64_t> words_;
   uint64_t word_mask_ = 0;
+  MemoryCharge charge_;
+};
+
+/// The filter a hash join tests probe keys against before its table:
+/// built once from the build side, immutable afterwards, so any number of
+/// threads read it. Build picks one of two representations:
+///  * an exact key bitmap over [lo, hi] of the build keys (bit k set when
+///    lo + k is a build key), when the join has one key, BIGINT or DATE
+///    on both sides, whose build keys span at most ExactBitBudget() values.
+///    A probe row costs a subtraction and a bit test, and a key the build
+///    side lacks never passes;
+///  * otherwise a BloomFilter over the build rows' join hashes.
+/// An empty build side keeps an empty filter of the chosen kind, which
+/// rejects every row. See DESIGN.md, "Join filters".
+class JoinKeyFilter {
+ public:
+  /// Key-bitmap budget: bits per non-NULL build key, and a floor every
+  /// build side may use. Measured on one thread of a 4-core Xeon VM, 2^20
+  /// random probe keys against 2^14..2^28 bits holding one key per 64
+  /// bits (three runs): the bit test costs 0.27-0.36x the Bloom path's
+  /// hash and word test per row up to 2^22 bits, 0.4-0.5x at 2^23-2^25
+  /// and 0.57-0.73x at 2^26-2^28, so probing never favours the Bloom
+  /// filter; the build does past 2^22 bits (1.1-1.6x the Bloom build,
+  /// 2.3x once under load). So the budget bounds memory and build time:
+  /// 64 bits a key is 4x the Bloom filter's 16, and the floor (128 KiB)
+  /// lets a small build with spread keys use a bitmap that builds in
+  /// under 0.1 ms.
+  static constexpr uint64_t kExactBitsPerKey = 64;
+  static constexpr uint64_t kExactMinBits = uint64_t{1} << 20;
+
+  /// Most bits a key bitmap over `keys` non-NULL build keys may use.
+  static uint64_t ExactBitBudget(size_t keys) {
+    return std::max<uint64_t>(kExactBitsPerKey * keys, kExactMinBits);
+  }
+
+  /// Builds over build rows [0, n). `keys` are the build key columns,
+  /// `probe_type` the type of the probe key paired with keys[0], and
+  /// `hashes`/`valid` the rows' HashJoinKeys output (valid[r] == 0 marks
+  /// a NULL key, which never matches).
+  void Build(const std::vector<ColumnVector>& keys, TypeId probe_type,
+             const uint64_t* hashes, const uint8_t* valid, size_t n);
+
+  /// True when Build chose the key bitmap.
+  bool exact() const { return exact_; }
+
+  /// Writes to `out`, in order, the rows of `keys` whose key is non-NULL
+  /// and may be on the build side, and returns how many. The rows tested
+  /// are sel[0..n), or base .. base + n - 1 when `sel` is null (then the
+  /// key bitmap reads the column contiguously); `out` may alias `sel`.
+  /// Adds the number of non-NULL keys tested to *checked. With `hashes`
+  /// non-null, also leaves there the join hashes of the kept rows.
+  size_t Select(const std::vector<ColumnVector>& keys, size_t base,
+                const uint32_t* sel, size_t n, uint32_t* out,
+                int64_t* checked, std::vector<uint64_t>* hashes) const;
+
+ private:
+  bool exact_ = false;
+  uint64_t lo_ = 0;          // smallest build key, as uint64
+  uint64_t bits_count_ = 0;  // hi - lo + 1; 0 for an empty build side
+  std::vector<uint64_t> bits_;
+  BloomFilter bloom_;
+  MemoryCharge charge_;  // bits_
 };
 
 /// Build-once / probe-many hash table for hash joins: maps a 64-bit key
@@ -67,8 +129,8 @@ class BloomFilter {
 /// chain in ascending row order: probe output is byte-identical to the
 /// seed path at any partition count.
 ///
-/// Build() also derives a BloomFilter over the stored hashes; probers
-/// consult it before touching the slot directory.
+/// The join's filter (JoinKeyFilter, or a BloomFilter per spill
+/// partition) is built next to the table, not inside it.
 class JoinHashTable {
  public:
   /// Builds over `hashes[0..rows)`; rows with valid[r] == 0 (NULL keys)
@@ -97,7 +159,6 @@ class JoinHashTable {
   /// Follows the row chain; returns 0 at the end.
   uint32_t Next(uint32_t ref) const { return next_[ref - 1]; }
 
-  const BloomFilter& bloom() const { return bloom_; }
   int64_t entries() const { return entries_; }
   int64_t slot_count() const { return slot_count_; }
 
@@ -121,8 +182,7 @@ class JoinHashTable {
   Arena arena_;  // charges the creating query's MemoryTracker per block
   std::vector<Partition> partitions_;
   uint32_t* next_ = nullptr;
-  BloomFilter bloom_;
-  MemoryCharge charge_;  // bloom words + partition directory
+  MemoryCharge charge_;  // partition directory
   int64_t entries_ = 0;
   int64_t slot_count_ = 0;
 };

@@ -102,6 +102,9 @@ Status PhysicalHashJoin::BuildTable() {
                    num_partitions > 1 ? context_->pool : nullptr));
   context_->stats.hash_table_entries += table_.entries();
   context_->stats.hash_table_slots += table_.slot_count();
+  filter_.Build(build_keys_, left_keys_[0]->result_type(),
+                build_hashes_.data(), build_valid_.data(), rows);
+  if (filter_.exact()) context_->stats.join_filters_exact++;
   return Status::OK();
 }
 
@@ -204,6 +207,7 @@ Status PhysicalHashJoin::OpenSpill() {
   std::vector<uint8_t>().swap(resident_valid_);
   for (SpillPartition& part : parts_) {
     part.table.reset();
+    part.bloom = BloomFilter();
     std::vector<Chunk>().swap(part.buffered);
   }
   for (SpillPartition& part : parts_) {
@@ -304,6 +308,7 @@ Status PhysicalHashJoin::PrepareResident() {
     size_t total = 0;
     for (SpillPartition& part : parts_) {
       part.table.reset();
+      part.bloom = BloomFilter();
       total += part.rows;
     }
     resident_valid_.assign(total, 1);
@@ -314,6 +319,8 @@ Status PhysicalHashJoin::PrepareResident() {
           resident_hashes_.data() + part.base,
           resident_valid_.data() + part.base, part.rows,
           /*num_partitions=*/1, /*pool=*/nullptr));
+      part.bloom.Build(resident_hashes_.data() + part.base,
+                       resident_valid_.data() + part.base, part.rows);
     }
     if (!context_->memory->over_budget()) break;
     size_t victim = PickVictim();
@@ -427,7 +434,7 @@ Status PhysicalHashJoin::ProbePartitionedChunk(const Chunk& probe,
     }
     if (part.table == nullptr) continue;  // empty partition: no matches
     stats->bloom_checked_rows++;
-    if (!part.table->bloom().MightContain(h)) {
+    if (!part.bloom.MightContain(h)) {
       stats->bloom_filtered_rows++;
       continue;
     }
@@ -579,11 +586,13 @@ Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
   size_t build_rows = data.num_rows();
   std::vector<uint8_t> build_valid(build_rows, 1);
   JoinHashTable table;
+  BloomFilter bloom;
   {
     MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
     AGORA_RETURN_IF_ERROR(table.Build(hashes.data(), build_valid.data(),
                                       build_rows, /*num_partitions=*/1,
                                       /*pool=*/nullptr));
+    bloom.Build(hashes.data(), build_valid.data(), build_rows);
     context_->stats.hash_table_entries += table.entries();
     context_->stats.hash_table_slots += table.slot_count();
   }
@@ -614,7 +623,7 @@ Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
       // Only valid-key rows were diverted, so no validity re-check.
       uint64_t h = phashes[r];
       context_->stats.bloom_checked_rows++;
-      if (!table.bloom().MightContain(h)) {
+      if (!bloom.MightContain(h)) {
         context_->stats.bloom_filtered_rows++;
         continue;
       }
@@ -773,30 +782,39 @@ Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
   for (size_t k = 0; k < left_keys_.size(); ++k) {
     AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
   }
-  std::vector<uint64_t> hashes;
-  std::vector<uint8_t> valid;
-  HashJoinKeys(probe_keys, nullptr, rows, &hashes, &valid);
 
-  // Gather candidate (probe row, build row) pairs: Bloom filter first
-  // (unless the probe-side scan already applied it), then the hash-chain
-  // walk. Pairs are grouped by probe row in row order, with chains in
+  // Candidate probe rows, ascending, and their key hashes: the rows the
+  // join's filter keeps, or, when the probe-side scan already applied
+  // it, every row with a non-NULL key.
+  std::vector<uint32_t> cand(rows);
+  std::vector<uint64_t> hashes;
+  size_t m = 0;
+  if (filter_pushed_) {
+    std::vector<uint8_t> valid;
+    HashJoinKeys(probe_keys, nullptr, rows, &hashes, &valid);
+    for (size_t r = 0; r < rows; ++r) {
+      cand[m] = static_cast<uint32_t>(r);
+      hashes[m] = hashes[r];
+      m += valid[r];
+    }
+  } else {
+    int64_t checked = 0;
+    m = filter_.Select(probe_keys, 0, nullptr, rows, cand.data(), &checked,
+                       &hashes);
+    stats->bloom_checked_rows += checked;
+    stats->bloom_filtered_rows += checked - static_cast<int64_t>(m);
+  }
+
+  // Gather candidate (probe row, build row) pairs by the hash-chain walk.
+  // Pairs are grouped by probe row in row order, with chains in
   // ascending build-row order.
   HashTableStats ht;
   std::vector<uint32_t> pair_l, pair_b;
-  for (size_t r = 0; r < rows; ++r) {
-    if (valid[r] == 0) continue;
-    uint64_t h = hashes[r];
-    if (!filter_pushed_) {
-      stats->bloom_checked_rows++;
-      if (!table_.bloom().MightContain(h)) {
-        stats->bloom_filtered_rows++;
-        continue;
-      }
-    }
-    for (uint32_t ref = table_.Find(h, &ht); ref != 0;
+  for (size_t j = 0; j < m; ++j) {
+    for (uint32_t ref = table_.Find(hashes[j], &ht); ref != 0;
          ref = table_.Next(ref)) {
       stats->probe_calls++;
-      pair_l.push_back(static_cast<uint32_t>(r));
+      pair_l.push_back(cand[j]);
       pair_b.push_back(ref - 1);
     }
   }
@@ -804,12 +822,12 @@ Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
   stats->hash_table_probe_steps += ht.probe_steps;
 
   // Verify all candidates column-at-a-time against the build keys.
-  size_t m = pair_l.size();
-  std::vector<uint8_t> equal(m, 1);
+  const size_t pairs = pair_l.size();
+  std::vector<uint8_t> equal(pairs, 1);
   for (size_t k = 0; k < probe_keys.size(); ++k) {
     probe_keys[k].BatchEqualRows(pair_l.data(), build_keys_[k],
-                                 pair_b.data(), m, /*bitwise_doubles=*/false,
-                                 equal.data());
+                                 pair_b.data(), pairs,
+                                 /*bitwise_doubles=*/false, equal.data());
   }
 
   // Emit survivors in probe-row order (UINT32_MAX pads outer-join rows).
@@ -817,7 +835,7 @@ Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
   size_t ptr = 0;
   for (size_t r = 0; r < rows; ++r) {
     bool matched = false;
-    while (ptr < m && pair_l[ptr] == r) {
+    while (ptr < pairs && pair_l[ptr] == r) {
       if (equal[ptr] != 0) {
         lsel.push_back(static_cast<uint32_t>(r));
         rsel.push_back(pair_b[ptr]);

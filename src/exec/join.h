@@ -24,19 +24,22 @@ enum class PhysicalJoinKind { kInner, kLeftOuter, kCross };
 /// owning its partition outright. Chains iterate in ascending build-row
 /// order, so probe output is identical for every partition and worker
 /// count. Probing is read-only after Open(), exposed per-chunk via
-/// ProbeChunk() so the morsel pipeline can run probes on any worker; a
-/// build-side Bloom filter rejects most matchless probe rows before they
-/// touch the slot directory. Build and probe book their self time into
-/// separate phase slots (EXPLAIN ANALYZE shows HashJoin::build/::probe).
+/// ProbeChunk() so the morsel pipeline can run probes on any worker; the
+/// join's key filter (JoinKeyFilter: an exact key bitmap for a dense
+/// integer key, else a Bloom filter) rejects matchless probe rows before
+/// they touch the slot directory. Build and probe book their self time
+/// into separate phase slots (EXPLAIN ANALYZE shows HashJoin::build/
+/// ::probe).
 ///
-/// Join filter: outside spill mode, Open() builds the table before it
-/// opens the probe child. The planner may hand build_filter() to the
-/// PhysicalScan that produces every probe key (AddJoinFilter); that scan
-/// then drops Bloom misses and NULL keys before it gathers anything, and
-/// set_filter_pushed() makes the probe skip its own, now redundant, Bloom
-/// check. The filter is immutable once built, so morsel workers read it
-/// without synchronization, and a Bloom filter has no false negatives,
-/// so results do not change. See DESIGN.md, "Join filters".
+/// Join filter: outside spill mode, Open() builds the table and the one
+/// filter the join uses before it opens the probe child. The planner may
+/// hand build_filter() to the PhysicalScan that produces every probe key
+/// (AddJoinFilter); that scan then drops filter misses and NULL keys
+/// before it gathers anything, and set_filter_pushed() makes the probe
+/// skip its own, now redundant, check. The filter is immutable once
+/// built, so morsel workers read it without synchronization, and it has
+/// no false negatives, so results do not change. See DESIGN.md, "Join
+/// filters". Spill mode keeps a Bloom filter per resident partition.
 class PhysicalHashJoin : public PhysicalOperator {
  public:
   /// `left_keys[i]` (over the left schema) must equal `right_keys[i]`
@@ -64,9 +67,9 @@ class PhysicalHashJoin : public PhysicalOperator {
   PhysicalJoinKind kind() const { return kind_; }
   const std::vector<ExprPtr>& left_keys() const { return left_keys_; }
 
-  /// The Bloom filter over the build keys, filled by Open() before the
-  /// probe child opens. The pointer is stable for the join's lifetime.
-  const BloomFilter* build_filter() const { return &table_.bloom(); }
+  /// The filter over the build keys, filled by Open() before the probe
+  /// child opens. The pointer is stable for the join's lifetime.
+  const JoinKeyFilter* build_filter() const { return &filter_; }
   /// Called by the planner once the probe-side scan applies
   /// build_filter(): every probe row then already passed it.
   void set_filter_pushed() { filter_pushed_ = true; }
@@ -108,6 +111,7 @@ class PhysicalHashJoin : public PhysicalOperator {
     size_t base = 0;        // offset into the resident concatenation
     bool spilled = false;
     std::unique_ptr<JoinHashTable> table;  // resident partitions only
+    BloomFilter bloom;                     // over the resident rows
     std::unique_ptr<SpillFile> build_file;
     std::unique_ptr<SpillFile> probe_file;  // diverted probe rows (+index)
     std::unique_ptr<SpillFile> out_file;    // deferred join output (+index)
@@ -165,7 +169,8 @@ class PhysicalHashJoin : public PhysicalOperator {
   std::vector<uint64_t> build_hashes_;    // per-row combined key hash
   std::vector<uint8_t> build_valid_;      // 0 = some key was NULL
   JoinHashTable table_;
-  bool filter_pushed_ = false;  // the probe-side scan applies the Bloom
+  JoinKeyFilter filter_;
+  bool filter_pushed_ = false;  // the probe-side scan applies filter_
   bool probe_done_ = false;
 };
 

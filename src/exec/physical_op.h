@@ -71,6 +71,7 @@ enum class CounterThreads { kExact, kVaries };
   X(hash_table_probe_steps,  "hash_table_probe_steps_total", kSum, kHash,   kVaries) \
   X(bloom_checked_rows,      "bloom_checked_rows_total",     kSum, kHash,   kExact)  \
   X(bloom_filtered_rows,     "bloom_filtered_rows_total",    kSum, kHash,   kExact)  \
+  X(join_filters_exact,      "join_filters_exact_total",     kSum, kHash,   kExact)  \
   X(expr_rows_evaluated,     "expr_rows_evaluated_total",    kSum, kExpr,   kExact)  \
   X(sel_vector_hits,         "sel_vector_hits_total",        kSum, kExpr,   kExact)  \
   X(filter_gathers_avoided,  "filter_gathers_avoided_total", kSum, kExpr,   kExact)  \

@@ -205,7 +205,7 @@ PhysicalScan* TraceToScan(PhysicalOperator* op, size_t* column) {
   }
 }
 
-/// Publishes `join`'s Bloom filter to the scan that produces all of its
+/// Publishes `join`'s key filter to the scan that produces all of its
 /// probe keys, when there is one and the filter can pay (see DESIGN.md,
 /// "Join filters"). Left joins never publish: their probe side is the
 /// preserved side.

@@ -191,10 +191,10 @@ void PhysicalScan::PlanLeadingRange() {
           : std::make_shared<LogicalExpr>(LogicalOp::kAnd, std::move(conjuncts));
 }
 
-void PhysicalScan::AddJoinFilter(const BloomFilter* bloom,
+void PhysicalScan::AddJoinFilter(const JoinKeyFilter* filter,
                                  std::vector<size_t> columns) {
   AGORA_CHECK(!emit_row_ids_);
-  join_filters_.push_back(JoinFilter{bloom, std::move(columns)});
+  join_filters_.push_back(JoinFilter{filter, std::move(columns)});
 }
 
 Status PhysicalScan::OpenImpl() {
@@ -244,8 +244,11 @@ Status PhysicalScan::FilterBlock(size_t start, size_t n, ScanCursor* cur,
   std::vector<uint32_t>& rows = cur->block_rows;
   rows.resize(n);
   const auto base = static_cast<uint32_t>(start);
+  // While no predicate has run, the selection is the whole block and the
+  // first join filter reads it in place.
+  const bool whole = range_column_ == SIZE_MAX && rest_predicate_ == nullptr;
   if (range_column_ == SIZE_MAX) {
-    std::iota(rows.begin(), rows.end(), base);
+    if (!whole) std::iota(rows.begin(), rows.end(), base);
   } else {
     // The leading range reads the block's rows in place. It counts what
     // its comparisons would count one by one: each evaluates, under a
@@ -290,21 +293,13 @@ Status PhysicalScan::FilterBlock(size_t start, size_t n, ScanCursor* cur,
     stats->sel_vector_hits += counters.sel_hits;
   }
   for (size_t f = 0; f < join_filters_.size() && !rows.empty(); ++f) {
-    const BloomFilter& bloom = *join_filters_[f].bloom;
+    // NULL keys never match and are not counted as checks (the probe
+    // never checked them).
     const size_t m = rows.size();
-    HashJoinKeys(join_filter_keys_[f], rows.data(), m, &cur->hashes,
-                 &cur->valid);
-    // Branch-free compaction: most rows miss. NULL keys never match and
-    // are not counted as Bloom checks (the probe never checked them).
-    const uint64_t* hashes = cur->hashes.data();
-    const uint8_t* valid = cur->valid.data();
-    size_t kept = 0;
     int64_t checked = 0;
-    for (size_t i = 0; i < m; ++i) {
-      rows[kept] = rows[i];
-      kept += valid[i] & static_cast<uint8_t>(bloom.MightContain(hashes[i]));
-      checked += valid[i];
-    }
+    const size_t kept = join_filters_[f].filter->Select(
+        join_filter_keys_[f], start, whole && f == 0 ? nullptr : rows.data(),
+        m, rows.data(), &checked, /*hashes=*/nullptr);
     stats->bloom_checked_rows += checked;
     stats->bloom_filtered_rows += checked - static_cast<int64_t>(kept);
     rows.resize(kept);

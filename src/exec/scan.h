@@ -46,12 +46,12 @@ struct ColumnRangeConstraint {
 /// base-table row ids of the matching rows, ascending.
 Schema RowIdSchema();
 
-/// A hash join's build-side Bloom filter, applied by the scan that
+/// A hash join's build-side key filter, applied by the scan that
 /// produces the join's probe keys. `columns` are the scan-output columns
 /// holding the keys, in the join's key order. The join owns the scan's
 /// subtree and fills the filter before it opens that subtree.
 struct JoinFilter {
-  const BloomFilter* bloom = nullptr;
+  const JoinKeyFilter* filter = nullptr;
   std::vector<size_t> columns;
 };
 
@@ -71,12 +71,14 @@ struct JoinFilter {
 ///    branch-free pass over the block's contiguous rows. The rest of the
 ///    predicate refines that selection (RefineSelection); conjuncts keep
 ///    their order, so a later one sees only the rows earlier ones kept.
-///  * Join filters (AddJoinFilter) refine it next: each hashes its key
+///  * Join filters (AddJoinFilter) refine it next: each tests its key
 ///    columns straight from the table through the selection
-///    (HashJoinKeys, the join's own convention) and drops NULL keys and
-///    Bloom misses, so a row no join above can match is never gathered
-///    or probed. Filters stack in the order they were added; the scan
-///    counts bloom_checked_rows/bloom_filtered_rows for them.
+///    (JoinKeyFilter::Select: a key bitmap, or a Bloom filter over the
+///    join's own key hashes) and drops NULL keys and misses, so a row no
+///    join above can match is never gathered or probed. While no
+///    predicate has run, the first filter reads the block's rows in
+///    place. Filters stack in the order they were added; the scan counts
+///    bloom_checked_rows/bloom_filtered_rows for them.
 ///  * Full chunks. Survivors of consecutive blocks of one morsel are
 ///    gathered together into chunks of up to kChunkSize rows, in table
 ///    order; the serial path flushes at the same morsel bounds. A block
@@ -97,7 +99,8 @@ class PhysicalScan : public PhysicalOperator {
   bool has_predicate() const { return predicate_ != nullptr; }
   /// Adds a join filter over scan-output `columns` (planner only; see
   /// JoinFilter). Not for row-id scans.
-  void AddJoinFilter(const BloomFilter* bloom, std::vector<size_t> columns);
+  void AddJoinFilter(const JoinKeyFilter* filter,
+                     std::vector<size_t> columns);
 
   // -- Morsel-source API (parallel path) --------------------------------
   //
@@ -133,8 +136,6 @@ class PhysicalScan : public PhysicalOperator {
     size_t slice_rows = 0;
     // Per-block scratch.
     std::vector<uint32_t> block_rows;
-    std::vector<uint64_t> hashes;
-    std::vector<uint8_t> valid;
 
     bool exhausted() const {
       return next_row >= end && pending.empty() && slice_rows == 0;

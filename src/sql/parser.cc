@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -265,12 +266,53 @@ class Parser {
 
   Result<int64_t> ParseIntLiteral(const char* what) {
     const Token& t = Peek();
-    if (!t.Is(TokenType::kNumber)) {
+    if (!IsIntegerToken(t)) {
       return ErrorHere(std::string("expected integer after ") + what);
     }
-    int64_t v = std::strtoll(t.text.c_str(), nullptr, 10);
+    uint64_t magnitude = 0;
+    if (!ParseMagnitude(t.text, &magnitude) ||
+        magnitude > static_cast<uint64_t>(INT64_MAX)) {
+      return Status::ParseError(std::string(what) + " value " + t.text +
+                                " is out of range for BIGINT");
+    }
     Advance();
-    return v;
+    return static_cast<int64_t>(magnitude);
+  }
+
+  /// A number token without a fraction or an exponent.
+  static bool IsIntegerToken(const Token& t) {
+    return t.Is(TokenType::kNumber) &&
+           t.text.find_first_not_of("0123456789") == std::string::npos;
+  }
+
+  /// Reads the digits of an integer literal into *magnitude; false when
+  /// the value exceeds 2^63, the magnitude of INT64_MIN.
+  static bool ParseMagnitude(const std::string& digits, uint64_t* magnitude) {
+    constexpr uint64_t kLimit = uint64_t{1} << 63;
+    uint64_t v = 0;
+    for (char c : digits) {
+      const auto d = static_cast<uint64_t>(c - '0');
+      if (v > (kLimit - d) / 10) return false;
+      v = v * 10 + d;
+    }
+    *magnitude = v;
+    return true;
+  }
+
+  /// The BIGINT literal `-digits` (negative) or `digits`, or a parse error
+  /// naming the literal when BIGINT cannot hold it.
+  Result<ParsedExprPtr> IntLiteral(const std::string& digits, bool negative) {
+    constexpr uint64_t kMaxMagnitude = uint64_t{1} << 63;
+    uint64_t magnitude = 0;
+    if (!ParseMagnitude(digits, &magnitude) ||
+        magnitude > kMaxMagnitude - (negative ? 0 : 1)) {
+      return Status::ParseError("integer literal " +
+                                std::string(negative ? "-" : "") + digits +
+                                " is out of range for BIGINT");
+    }
+    // 0 - magnitude in uint64, then two's complement: -2^63 is INT64_MIN.
+    const uint64_t bits = negative ? uint64_t{0} - magnitude : magnitude;
+    return MakeParsedLiteral(Value::Int64(static_cast<int64_t>(bits)));
   }
 
   Result<TableRef> ParseTableRef() {
@@ -569,10 +611,19 @@ class Parser {
 
   Result<ParsedExprPtr> ParseUnary() {
     if (MatchOperator("-")) {
+      // A negative integer literal folds from its digits, so INT64_MIN,
+      // whose magnitude BIGINT cannot hold, is written as itself.
+      if (IsIntegerToken(Peek())) {
+        const std::string digits = Peek().text;
+        Advance();
+        return IntLiteral(digits, /*negative=*/true);
+      }
       AGORA_ASSIGN_OR_RETURN(ParsedExprPtr child, ParseUnary());
-      // Fold negative numeric literals immediately.
+      // Fold negative numeric literals immediately; INT64_MIN stays a
+      // negation (0 - x), which fails as the overflow it is.
       if (child->kind == ParsedExprKind::kLiteral &&
-          child->literal.type() == TypeId::kInt64) {
+          child->literal.type() == TypeId::kInt64 &&
+          child->literal.int64_value() != INT64_MIN) {
         return MakeParsedLiteral(Value::Int64(-child->literal.int64_value()));
       }
       if (child->kind == ParsedExprKind::kLiteral &&
@@ -599,8 +650,7 @@ class Parser {
         return MakeParsedLiteral(Value::Double(std::strtod(t.text.c_str(),
                                                            nullptr)));
       }
-      return MakeParsedLiteral(
-          Value::Int64(std::strtoll(t.text.c_str(), nullptr, 10)));
+      return IntLiteral(t.text, /*negative=*/false);
     }
     if (t.Is(TokenType::kString)) {
       Advance();

@@ -63,6 +63,27 @@ TEST_F(EdgeCaseTest, LimitBoundaries) {
   EXPECT_EQ(r.Get(0, 0).int64_value(), 2);
 }
 
+TEST_F(EdgeCaseTest, BigintBoundaryLiterals) {
+  Exec("CREATE TABLE b (x BIGINT)");
+  Exec("INSERT INTO b VALUES (-9223372036854775808), (-1), "
+       "(9223372036854775807)");
+  // No value is below INT64_MIN or above INT64_MAX.
+  EXPECT_EQ(Exec("SELECT x FROM b WHERE x < -9223372036854775808").num_rows(),
+            0u);
+  EXPECT_EQ(Exec("SELECT x FROM b WHERE x > 9223372036854775807").num_rows(),
+            0u);
+  QueryResult min = Exec("SELECT x FROM b WHERE x = -9223372036854775808");
+  ASSERT_EQ(min.num_rows(), 1u);
+  EXPECT_EQ(min.Get(0, 0).int64_value(), INT64_MIN);
+  // Out-of-range literals are parse errors, not saturated values.
+  auto big = db_.Execute("SELECT x FROM b WHERE x < 99999999999999999999");
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kParseError);
+  // Negating INT64_MIN overflows at run time instead of wrapping.
+  auto negated = db_.Execute("SELECT -(-9223372036854775808) FROM b");
+  EXPECT_FALSE(negated.ok());
+}
+
 TEST_F(EdgeCaseTest, NullOnlyColumnAggregation) {
   Exec("CREATE TABLE n (g VARCHAR, x DOUBLE)");
   Exec("INSERT INTO n VALUES ('a', NULL), ('a', NULL), ('b', 1.5)");

@@ -4,17 +4,23 @@
 // must be published exactly where the design says. Publication shows as
 // the probe-side Scan emitting fewer rows than the same plan emits under
 // a memory budget, where joins run in spill mode and publish nothing.
-// Runs under `ctest -L parallel` (and in the TSan CI leg, where morsel
-// workers read a published filter concurrently).
+// The exact key bitmap (JoinKeyFilter) is checked for the keys it takes
+// and the ones it leaves to the Bloom filter, with bloom_filtered_rows
+// counted by hand. Runs under `ctest -L parallel` (and in the TSan CI
+// leg, where morsel workers read a published filter concurrently).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/database.h"
+#include "exec/hash_table.h"
 
 namespace agora {
 namespace {
@@ -37,6 +43,83 @@ std::string FactInsert() {
 }
 
 bool BigKeyIsNull(int i) { return i % 1000 == 0; }
+
+// The exact-filter tables. p is the probe side: 3000 generated rows and
+// the keys of kEdgeKeys; bk is the build side, 100 rows. Keys are
+// negative and positive, bk's repeat, and both sides hold NULLs.
+constexpr int kProbeRows = 3000;
+constexpr int kBuildRows = 100;
+constexpr int64_t kBudget = static_cast<int64_t>(JoinKeyFilter::kExactMinBits);
+const int64_t kEdgeKeys[] = {INT64_MIN,   INT64_MIN + 1, INT64_MIN + 5,
+                             INT64_MAX,   INT64_MAX - 1, kBudget - 1,
+                             kBudget,     kBudget + 1,   -1};
+
+bool ProbeKeyIsNull(int i) { return i % 29 == 0; }
+int64_t ProbeKey(int i) { return i % 400 - 200; }
+bool ProbeDateIsNull(int i) { return i % 31 == 0; }
+std::pair<int, int> ProbeDate(int i) { return {1 + (i / 28) % 12, 1 + i % 28}; }
+bool BuildKeyIsNull(int j) { return j % 17 == 0; }
+int64_t BuildKey(int j) { return j % 50 * 3 - 60; }  // each key twice
+bool BuildDateIsNull(int j) { return j % 13 == 0; }
+std::pair<int, int> BuildDate(int j) { return {1 + j % 12, 1 + j * 3 % 28}; }
+
+std::string DateSql(std::pair<int, int> month_day) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "DATE '1995-%02d-%02d'", month_day.first,
+                month_day.second);
+  return buf;
+}
+
+std::vector<std::string> ExactFilterStatements() {
+  std::vector<std::string> sql = {
+      "CREATE TABLE p (k BIGINT, d DATE, v BIGINT)",
+      "CREATE TABLE bk (k BIGINT, d DATE, w BIGINT)",
+      // Boundary builds: w picks which keys a query's build side holds.
+      "CREATE TABLE ext (k BIGINT, w BIGINT)",
+      "INSERT INTO ext VALUES (-9223372036854775808, 1), "
+      "(-9223372036854775803, 2), (9223372036854775807, 3), (5, 4), "
+      "(NULL, 5), (0, 6), (" + std::to_string(kBudget - 1) + ", 7), (" +
+          std::to_string(kBudget) + ", 8)"};
+  std::string rows = "INSERT INTO p VALUES ";
+  for (int i = 0; i < kProbeRows; ++i) {
+    rows += (i > 0 ? ", (" : "(") +
+            (ProbeKeyIsNull(i) ? "NULL" : std::to_string(ProbeKey(i))) + ", " +
+            (ProbeDateIsNull(i) ? "NULL" : DateSql(ProbeDate(i))) + ", " +
+            std::to_string(i) + ")";
+  }
+  int v = kProbeRows;
+  for (int64_t k : kEdgeKeys) {
+    rows += ", (" + std::to_string(k) + ", NULL, " + std::to_string(v++) + ")";
+  }
+  sql.push_back(rows);
+  rows = "INSERT INTO bk VALUES ";
+  for (int j = 0; j < kBuildRows; ++j) {
+    rows += (j > 0 ? ", (" : "(") +
+            (BuildKeyIsNull(j) ? "NULL" : std::to_string(BuildKey(j))) + ", " +
+            (BuildDateIsNull(j) ? "NULL" : DateSql(BuildDate(j))) + ", " +
+            std::to_string(j) + ")";
+  }
+  sql.push_back(rows);
+  return sql;
+}
+
+/// Every non-NULL key of p, in row order.
+std::vector<int64_t> ProbeKeys() {
+  std::vector<int64_t> keys;
+  for (int i = 0; i < kProbeRows; ++i) {
+    if (!ProbeKeyIsNull(i)) keys.push_back(ProbeKey(i));
+  }
+  keys.insert(keys.end(), std::begin(kEdgeKeys), std::end(kEdgeKeys));
+  return keys;
+}
+
+/// How many of `probe` are not in `build`.
+template <typename T>
+int64_t Absent(const std::vector<T>& probe, const std::set<T>& build) {
+  int64_t absent = 0;
+  for (const T& k : probe) absent += build.count(k) == 0 ? 1 : 0;
+  return absent;
+}
 
 /// The multi-morsel table, loaded into the hash engine only.
 std::vector<std::string> BigStatements() {
@@ -93,7 +176,11 @@ class JoinFilterTest : public ::testing::Test {
     DatabaseOptions nl_options;
     nl_options.physical.enable_hash_join = false;
     nl_db_ = new Database(nl_options);
-    for (const std::string& sql : SetupStatements()) {
+    std::vector<std::string> setup = SetupStatements();
+    for (std::string& sql : ExactFilterStatements()) {
+      setup.push_back(std::move(sql));
+    }
+    for (const std::string& sql : setup) {
       for (Database* db : {hash_db_, budgeted_db_, nl_db_}) {
         auto result = db->Execute(sql);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -172,6 +259,28 @@ class JoinFilterTest : public ::testing::Test {
         << sql;
     EXPECT_EQ(ScanRows(serial), ScanRows(parallel)) << sql;
     return ScanRows(unfiltered) - ScanRows(serial);
+  }
+
+  /// Runs `sql` through RowsDroppedByFilters and then at 1 and 4 threads
+  /// requires its one join to use the expected filter kind, to check
+  /// `checked` probe keys and to drop exactly `filtered` of them (at most
+  /// `filtered` for a Bloom filter, whose false positives pass). Returns
+  /// the rows the scans dropped.
+  static int64_t ExpectFilter(const std::string& sql, bool exact,
+                              int64_t checked, int64_t filtered) {
+    const int64_t dropped = RowsDroppedByFilters(sql);
+    for (int threads : {1, 4}) {
+      QueryResult r = RunAt(hash_db_, threads, sql);
+      const ExecStats& s = r.stats();
+      EXPECT_EQ(s.join_filters_exact, exact ? 1 : 0) << threads << ": " << sql;
+      EXPECT_EQ(s.bloom_checked_rows, checked) << threads << ": " << sql;
+      if (exact) {
+        EXPECT_EQ(s.bloom_filtered_rows, filtered) << threads << ": " << sql;
+      } else {
+        EXPECT_LE(s.bloom_filtered_rows, filtered) << threads << ": " << sql;
+      }
+    }
+    return dropped;
   }
 
   static Database* hash_db_;
@@ -333,6 +442,149 @@ TEST_F(JoinFilterTest, ManyMorselsMatchHandComputedAnswer) {
                                s.bloom_checked_rows - s.bloom_filtered_rows)
         << threads;
   }
+}
+
+TEST_F(JoinFilterTest, ExactFilterInTheScanDropsEveryAbsentKey) {
+  // Negative keys, repeated build keys, NULLs on both sides; the filter
+  // is pushed into p's scan.
+  std::set<int64_t> build;
+  for (int j = 0; j < 80; ++j) {
+    if (!BuildKeyIsNull(j)) build.insert(BuildKey(j));
+  }
+  const std::vector<int64_t> probe = ProbeKeys();
+  const int64_t dropped = ExpectFilter(
+      "SELECT p.v, bk.w FROM p JOIN bk ON p.k = bk.k WHERE bk.w < 80 "
+      "ORDER BY p.v, bk.w",
+      /*exact=*/true, static_cast<int64_t>(probe.size()),
+      Absent(probe, build));
+  // The scan drops the absent keys and the NULL ones.
+  EXPECT_EQ(dropped, Absent(probe, build) + kProbeRows / 29 + 1);
+}
+
+TEST_F(JoinFilterTest, ExactFilterInTheProbe) {
+  // A bare build side publishes nothing: the join tests its own filter.
+  std::set<int64_t> build;
+  for (int j = 0; j < kBuildRows; ++j) {
+    if (!BuildKeyIsNull(j)) build.insert(BuildKey(j));
+  }
+  const std::vector<int64_t> probe = ProbeKeys();
+  EXPECT_EQ(ExpectFilter("SELECT p.v, bk.w FROM p JOIN bk ON p.k = bk.k "
+                         "ORDER BY p.v, bk.w",
+                         /*exact=*/true, static_cast<int64_t>(probe.size()),
+                         Absent(probe, build)),
+            0);
+}
+
+TEST_F(JoinFilterTest, ExactFilterOverDateKeys) {
+  std::set<std::pair<int, int>> build;
+  for (int j = 0; j < 80; ++j) {
+    if (!BuildDateIsNull(j)) build.insert(BuildDate(j));
+  }
+  std::vector<std::pair<int, int>> probe;
+  for (int i = 0; i < kProbeRows; ++i) {
+    if (!ProbeDateIsNull(i)) probe.push_back(ProbeDate(i));
+  }
+  EXPECT_GT(ExpectFilter("SELECT p.v, bk.w FROM p JOIN bk ON p.d = bk.d "
+                         "WHERE bk.w < 80 ORDER BY p.v, bk.w",
+                         /*exact=*/true, static_cast<int64_t>(probe.size()),
+                         Absent(probe, build)),
+            0);
+}
+
+TEST_F(JoinFilterTest, ExactFilterOverAnEmptyBuildSide) {
+  const std::vector<int64_t> probe = ProbeKeys();
+  ExpectFilter("SELECT p.v, bk.w FROM p JOIN bk ON p.k = bk.k "
+               "WHERE bk.w < 0",
+               /*exact=*/true, static_cast<int64_t>(probe.size()),
+               static_cast<int64_t>(probe.size()));
+}
+
+TEST_F(JoinFilterTest, KeyBitmapAtTheEndsOfBigint) {
+  const std::vector<int64_t> probe = ProbeKeys();
+  const auto checked = static_cast<int64_t>(probe.size());
+  const std::string join =
+      "SELECT p.v, ext.w FROM p JOIN ext ON p.k = ext.k WHERE ";
+  // INT64_MIN and INT64_MIN + 5: a six-bit map at the bottom of BIGINT.
+  ExpectFilter(join + "ext.w <= 2 ORDER BY p.v", /*exact=*/true, checked,
+               Absent(probe, {INT64_MIN, INT64_MIN + 5}));
+  // INT64_MAX alone: INT64_MIN - INT64_MAX wraps to 1, which is past it.
+  ExpectFilter(join + "ext.w = 3 ORDER BY p.v", /*exact=*/true, checked,
+               Absent(probe, {INT64_MAX}));
+  // INT64_MIN..INT64_MAX spans 2^64 - 1 keys: the Bloom filter, and no
+  // overflow on the way to that choice.
+  ExpectFilter(join + "ext.w <= 4 ORDER BY p.v", /*exact=*/false, checked,
+               Absent(probe, {INT64_MIN, INT64_MIN + 5, INT64_MAX, 5}));
+}
+
+TEST_F(JoinFilterTest, KeyBitmapUpToItsBitBudget) {
+  // Three build keys: the budget is its floor, kExactMinBits bits.
+  ASSERT_EQ(JoinKeyFilter::ExactBitBudget(3), JoinKeyFilter::kExactMinBits);
+  const std::vector<int64_t> probe = ProbeKeys();
+  const auto checked = static_cast<int64_t>(probe.size());
+  const std::string join =
+      "SELECT p.v, ext.w FROM p JOIN ext ON p.k = ext.k WHERE ";
+  // 0 .. kBudget - 1 needs exactly the budget.
+  ExpectFilter(join + "ext.w IN (4, 6, 7) ORDER BY p.v", /*exact=*/true,
+               checked, Absent(probe, {0, 5, kBudget - 1}));
+  // 0 .. kBudget needs one bit more.
+  ExpectFilter(join + "ext.w IN (4, 6, 8) ORDER BY p.v", /*exact=*/false,
+               checked, Absent(probe, {0, 5, kBudget}));
+}
+
+TEST(JoinKeyFilterTest, BudgetGrowsWithTheBuildSide) {
+  // Past kExactMinBits / kExactBitsPerKey keys the budget is
+  // kExactBitsPerKey bits a key: n keys may span n * 64 values.
+  const size_t n = JoinKeyFilter::kExactMinBits /
+                       JoinKeyFilter::kExactBitsPerKey + 1000;
+  const uint64_t budget = JoinKeyFilter::ExactBitBudget(n);
+  ASSERT_EQ(budget, n * JoinKeyFilter::kExactBitsPerKey);
+  for (uint64_t span : {budget - 1, budget}) {
+    ColumnVector keys(TypeId::kInt64);
+    for (size_t i = 0; i + 1 < n; ++i) {
+      keys.AppendInt64(static_cast<int64_t>(i * 3));
+    }
+    keys.AppendInt64(static_cast<int64_t>(span));
+    keys.AppendNull();  // NULLs neither count nor widen the span
+    std::vector<ColumnVector> cols = {keys};
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> valid;
+    HashJoinKeys(cols, nullptr, n + 1, &hashes, &valid);
+    JoinKeyFilter filter;
+    filter.Build(cols, TypeId::kInt64, hashes.data(), valid.data(), n + 1);
+    EXPECT_EQ(filter.exact(), span < budget) << span;
+    // Both kinds keep every build key; the bitmap keeps nothing else.
+    std::vector<uint32_t> out(n + 1);
+    int64_t checked = 0;
+    EXPECT_EQ(filter.Select(cols, 0, nullptr, n + 1, out.data(), &checked,
+                            nullptr),
+              n);
+    EXPECT_EQ(checked, static_cast<int64_t>(n));
+    ColumnVector misses(TypeId::kInt64);
+    for (int64_t k : {int64_t{1}, int64_t{-1}, static_cast<int64_t>(span) + 1,
+                      INT64_MIN, INT64_MAX}) {
+      misses.AppendInt64(k);
+    }
+    if (filter.exact()) {
+      std::vector<ColumnVector> probe = {misses};
+      checked = 0;
+      EXPECT_EQ(filter.Select(probe, 0, nullptr, 5, out.data(), &checked,
+                              nullptr),
+                0u);
+      EXPECT_EQ(checked, 5);
+    }
+  }
+  // A DATE build key paired with a BIGINT probe key keeps the Bloom filter.
+  ColumnVector dates(TypeId::kDate);
+  dates.AppendInt64(9000);
+  std::vector<ColumnVector> cols = {dates};
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> valid;
+  HashJoinKeys(cols, nullptr, 1, &hashes, &valid);
+  JoinKeyFilter filter;
+  filter.Build(cols, TypeId::kInt64, hashes.data(), valid.data(), 1);
+  EXPECT_FALSE(filter.exact());
+  filter.Build(cols, TypeId::kDate, hashes.data(), valid.data(), 1);
+  EXPECT_TRUE(filter.exact());
 }
 
 }  // namespace

@@ -124,6 +124,74 @@ TEST(ParserTest, UnaryMinusFoldsLiterals) {
   EXPECT_EQ(sel->items[2].expr->kind, ParsedExprKind::kUnary);
 }
 
+TEST(ParserTest, IntegerLiteralsCoverBigintExactly) {
+  auto sel = ParseSelect(
+      "SELECT 9223372036854775807, -9223372036854775808, -0, 007 FROM t "
+      "WHERE x < -9223372036854775808 LIMIT 9223372036854775807 "
+      "OFFSET 0");
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  ASSERT_EQ(sel->items.size(), 4u);
+  for (const auto& item : sel->items) {
+    EXPECT_EQ(item.expr->kind, ParsedExprKind::kLiteral);
+  }
+  EXPECT_EQ(sel->items[0].expr->literal.int64_value(), INT64_MAX);
+  EXPECT_EQ(sel->items[1].expr->literal.int64_value(), INT64_MIN);
+  EXPECT_EQ(sel->items[2].expr->literal.int64_value(), 0);
+  EXPECT_EQ(sel->items[3].expr->literal.int64_value(), 7);
+  // The comparison keeps INT64_MIN itself, not INT64_MIN + 1.
+  ASSERT_EQ(sel->where->children.size(), 2u);
+  EXPECT_EQ(sel->where->children[1]->literal.int64_value(), INT64_MIN);
+  EXPECT_EQ(sel->limit, INT64_MAX);
+}
+
+TEST(ParserTest, IntegerLiteralsOutsideBigintAreErrors) {
+  for (const std::string literal :
+       {"9223372036854775808", "-9223372036854775809",
+        "99999999999999999999", "-99999999999999999999",
+        "184467440737095516160"}) {
+    auto bad = ParseStatement("SELECT x FROM t WHERE x < " + literal);
+    ASSERT_FALSE(bad.ok()) << literal;
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError) << literal;
+    EXPECT_NE(bad.status().message().find("integer literal " + literal),
+              std::string::npos)
+        << bad.status().ToString();
+  }
+  for (const std::string clause :
+       {"LIMIT 9223372036854775808", "LIMIT 99999999999999999999",
+        "LIMIT 1 OFFSET 9223372036854775808"}) {
+    auto bad = ParseStatement("SELECT x FROM t " + clause);
+    ASSERT_FALSE(bad.ok()) << clause;
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError) << clause;
+    const std::string keyword = clause.find("OFFSET") == std::string::npos
+                                    ? "LIMIT value "
+                                    : "OFFSET value ";
+    EXPECT_NE(bad.status().message().find(keyword + clause.substr(
+                                                         clause.rfind(' ') + 1)),
+              std::string::npos)
+        << bad.status().ToString();
+  }
+  // A fraction is no LIMIT.
+  EXPECT_FALSE(ParseStatement("SELECT x FROM t LIMIT 1.5").ok());
+}
+
+TEST(ParserTest, NegatingInt64MinStaysANegation) {
+  // -(INT64_MIN) has no BIGINT value: the parser keeps the unary minus
+  // (evaluated as 0 - x, which fails as an overflow) instead of folding.
+  for (const char* sql : {"SELECT - -9223372036854775808 FROM t",
+                          "SELECT -(-9223372036854775808) FROM t"}) {
+    auto sel = ParseSelect(sql);
+    ASSERT_TRUE(sel.ok()) << sql << ": " << sel.status().ToString();
+    const ParsedExprPtr& e = sel->items[0].expr;
+    ASSERT_EQ(e->kind, ParsedExprKind::kUnary) << sql;
+    ASSERT_EQ(e->children[0]->kind, ParsedExprKind::kLiteral) << sql;
+    EXPECT_EQ(e->children[0]->literal.int64_value(), INT64_MIN) << sql;
+  }
+  auto folded = ParseSelect("SELECT - -9223372036854775807 FROM t");
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded->items[0].expr->kind, ParsedExprKind::kLiteral);
+  EXPECT_EQ(folded->items[0].expr->literal.int64_value(), INT64_MAX);
+}
+
 TEST(ParserTest, PredicateSugar) {
   auto sel = ParseSelect(
       "SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b NOT LIKE 'x%' "
