@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -208,6 +210,38 @@ TEST(SpillFileTest, ChunkAndBlobRoundTripBitExact) {
 // Budgeted end-to-end execution
 // ---------------------------------------------------------------------
 
+/// Cell-exact equality; doubles compared with operator== (the
+/// byte-identity contract allows no tolerance), or by bit pattern with
+/// `bitwise_doubles`.
+void ExpectIdentical(const QueryResult& a, const QueryResult& b,
+                     const std::string& label, bool bitwise_doubles = false) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << label;
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << label;
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      Value va = a.Get(r, c);
+      Value vb = b.Get(r, c);
+      ASSERT_EQ(va.is_null(), vb.is_null())
+          << label << " (" << r << "," << c << ")";
+      if (va.is_null()) continue;
+      if (va.type() == TypeId::kDouble && bitwise_doubles) {
+        const double da = va.AsDouble(), db = vb.AsDouble();
+        uint64_t ba, bb;
+        std::memcpy(&ba, &da, sizeof(ba));
+        std::memcpy(&bb, &db, sizeof(bb));
+        ASSERT_EQ(ba, bb) << label << " (" << r << "," << c << ")";
+      } else if (va.type() == TypeId::kDouble) {
+        ASSERT_EQ(va.AsDouble(), vb.AsDouble())
+            << label << " (" << r << "," << c << ")";
+      } else {
+        ASSERT_EQ(va.Compare(vb), 0)
+            << label << " (" << r << "," << c << "): " << va.ToString()
+            << " vs " << vb.ToString();
+      }
+    }
+  }
+}
+
 /// Two engines over identical TPC-H data (the generator is
 /// deterministic): `ref_` always runs unlimited, `budgeted_` gets its
 /// budget/partition/thread knobs twiddled per test and reset after.
@@ -241,31 +275,6 @@ class SpillExecTest : public ::testing::Test {
     auto result = db->Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? std::move(*result) : QueryResult();
-  }
-
-  /// Cell-exact equality; doubles compared with operator== (the
-  /// byte-identity contract allows no tolerance).
-  static void ExpectIdentical(const QueryResult& a, const QueryResult& b,
-                              const std::string& label) {
-    ASSERT_EQ(a.num_rows(), b.num_rows()) << label;
-    ASSERT_EQ(a.num_columns(), b.num_columns()) << label;
-    for (size_t r = 0; r < a.num_rows(); ++r) {
-      for (size_t c = 0; c < a.num_columns(); ++c) {
-        Value va = a.Get(r, c);
-        Value vb = b.Get(r, c);
-        ASSERT_EQ(va.is_null(), vb.is_null())
-            << label << " (" << r << "," << c << ")";
-        if (va.is_null()) continue;
-        if (va.type() == TypeId::kDouble) {
-          ASSERT_EQ(va.AsDouble(), vb.AsDouble())
-              << label << " (" << r << "," << c << ")";
-        } else {
-          ASSERT_EQ(va.Compare(vb), 0)
-              << label << " (" << r << "," << c << "): " << va.ToString()
-              << " vs " << vb.ToString();
-        }
-      }
-    }
   }
 
   /// Unlimited-run peak for `sql`, used to size budgets relative to the
@@ -510,6 +519,159 @@ TEST_F(SpillExecTest, MetricsExposeSpillCounters) {
   EXPECT_NE(snapshot.find("spill_bytes_written_total"), std::string::npos);
   EXPECT_NE(snapshot.find("spill_bytes_read_total"), std::string::npos);
   EXPECT_NE(snapshot.find("mem_bytes_reserved_peak"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Spill-mode hash join, shape by shape
+// ---------------------------------------------------------------------
+
+// jp, the probe side, has more rows than one morsel (65,536), so the
+// unlimited 4-thread run probes on morsels while every budgeted run
+// probes serially. Its key k is i, NULL every 53rd row. jb, the build
+// side, holds every 50th key below 300,000 twice (NULL every 31st row),
+// so most probe rows match nothing and a matching row matches twice.
+// k2 makes a two-key join (a third of the key pairs agree on it); v
+// and w make a residual that keeps about half of the matches.
+constexpr int kJoinProbeRows = 70000;
+constexpr int kJoinBuildRows = 12000;
+
+std::vector<std::string> SpillJoinTables() {
+  std::vector<std::string> sql = {
+      "CREATE TABLE jp (i BIGINT, k BIGINT, k2 BIGINT, g BIGINT, v DOUBLE)",
+      "CREATE TABLE jb (j BIGINT, k BIGINT, k2 BIGINT, w DOUBLE)"};
+  for (int begin = 0; begin < kJoinProbeRows; begin += 10000) {
+    std::string rows = "INSERT INTO jp VALUES ";
+    for (int i = begin; i < begin + 10000; ++i) {
+      rows += (i > begin ? ", (" : "(") + std::to_string(i) + ", " +
+              (i % 53 == 0 ? "NULL" : std::to_string(i)) + ", " +
+              std::to_string(i % 3) + ", " + std::to_string(i % 100) + ", " +
+              std::to_string(i % 1000) + ".5)";
+    }
+    sql.push_back(std::move(rows));
+  }
+  std::string rows = "INSERT INTO jb VALUES ";
+  for (int j = 0; j < kJoinBuildRows; ++j) {
+    rows += (j > 0 ? ", (" : "(") + std::to_string(j) + ", " +
+            (j % 31 == 0 ? "NULL" : std::to_string(j % 6000 * 50)) + ", " +
+            std::to_string(j % 3) + ", " + std::to_string(j % 997) + ".25)";
+  }
+  sql.push_back(std::move(rows));
+  return sql;
+}
+
+// None of them has an ORDER BY: the order of the rows is part of what
+// a budget must not change. The LEFT JOIN keeps 700 probe rows, among
+// them NULL keys and keys jb lacks.
+const char kResidualJoin[] =
+    "SELECT jp.i, jb.j, jb.w FROM jp, jb WHERE jp.k = jb.k AND jp.v < jb.w";
+const char kLeftJoin[] =
+    "SELECT jp.i, jp.k, jb.j, jb.w FROM jp LEFT JOIN jb ON jp.k = jb.k "
+    "WHERE jp.g = 0";
+const char kTwoKeyJoin[] =
+    "SELECT jp.i, jb.j, jb.k2 FROM jp, jb "
+    "WHERE jp.k = jb.k AND jp.k2 = jb.k2";
+
+class SpillJoinTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    setenv("AGORA_THREADS", "4", 0);
+    ref_ = new Database();
+    budgeted_ = new Database();
+    for (const std::string& sql : SpillJoinTables()) {
+      for (Database* db : {ref_, budgeted_}) {
+        auto done = db->Execute(sql);
+        ASSERT_TRUE(done.ok()) << done.status().ToString();
+      }
+    }
+  }
+  static void TearDownTestSuite() {
+    delete budgeted_;
+    delete ref_;
+    budgeted_ = nullptr;
+    ref_ = nullptr;
+  }
+
+  static QueryResult Run(Database* db, const std::string& sql) {
+    auto result = db->Execute(sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : QueryResult();
+  }
+
+  static Database* ref_;
+  static Database* budgeted_;
+};
+
+Database* SpillJoinTest::ref_ = nullptr;
+Database* SpillJoinTest::budgeted_ = nullptr;
+
+// Every shape at P in {1, 2, 8} partitions and 1 or 4 threads: first
+// under 1 GiB, where nothing spills, then down a ladder of budgets from
+// a fraction of the unlimited run's peak, 15% lower a step, until every
+// partition spills (all P hold build rows). With P > 1 the ladder must
+// pass a budget that spills some partitions but not all. Where each
+// regime starts depends on memory accounting the join does not own, so
+// the ladder finds it instead of a hard-coded byte count. Every run must
+// succeed, match the unlimited 4-thread run cell for cell, doubles bit
+// for bit, and count the same joined rows, chain steps and table
+// entries.
+TEST_F(SpillJoinTest, BudgetedJoinsMatchUnlimitedCellForCell) {
+  for (const char* sql : {kResidualJoin, kLeftJoin, kTwoKeyJoin}) {
+    SCOPED_TRACE(sql);
+    ref_->set_execution_threads(4);
+    QueryResult reference = Run(ref_, sql);
+    ASSERT_GT(reference.num_rows(), 500u);
+    ref_->set_execution_threads(1);
+    ExpectIdentical(reference, Run(ref_, sql), "unlimited, 1 thread", true);
+    const ExecStats& want = reference.stats();
+    budgeted_->set_memory_budget(0);
+    budgeted_->set_execution_threads(1);
+    const int64_t peak = Run(budgeted_, sql).stats().mem_bytes_reserved_peak;
+    ASSERT_GT(peak, 0);
+    // Where each ladder starts, in tenths of the peak: low enough to
+    // spill, high enough that P > 1 spills part of the build first.
+    const std::pair<size_t, int64_t> ladders[] = {{1, 6}, {2, 7}, {8, 5}};
+    for (const auto& [partitions, tenths] : ladders) {
+      const int64_t all = static_cast<int64_t>(partitions);
+      for (int threads : {1, 4}) {
+        budgeted_->set_spill_partitions(partitions);
+        budgeted_->set_execution_threads(threads);
+        // Returns the run's spilled partition count, or -1 on failure.
+        auto check = [&](int64_t budget) -> int64_t {
+          budgeted_->set_memory_budget(budget);
+          const std::string label =
+              "P=" + std::to_string(partitions) +
+              " T=" + std::to_string(threads) +
+              " budget=" + std::to_string(budget);
+          auto got = budgeted_->Execute(sql);
+          EXPECT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+          if (!got.ok()) return -1;
+          ExpectIdentical(reference, *got, label, true);
+          const ExecStats& s = got->stats();
+          EXPECT_EQ(s.rows_joined, want.rows_joined) << label;
+          EXPECT_EQ(s.probe_calls, want.probe_calls) << label;
+          EXPECT_EQ(s.hash_table_entries, want.hash_table_entries) << label;
+          return s.spill_partitions;
+        };
+        EXPECT_EQ(check(int64_t{1} << 30), 0) << "1 GiB spilled";
+        bool some = false;
+        int64_t spilled = 0;
+        for (int64_t budget = peak * tenths / 10; budget > (16 << 10);
+             budget = budget * 85 / 100) {
+          spilled = check(budget);
+          some |= spilled > 0 && spilled < all;
+          if (spilled < 0 || spilled == all) break;
+        }
+        EXPECT_EQ(spilled, all) << "P=" << partitions << " T=" << threads
+                                << ": no budget spilled every partition";
+        EXPECT_EQ(some, partitions > 1)
+            << "P=" << partitions << " T=" << threads;
+      }
+    }
+  }
+  budgeted_->set_memory_budget(0);
+  budgeted_->set_spill_partitions(8);
+  budgeted_->set_execution_threads(0);
+  ref_->set_execution_threads(0);
 }
 
 }  // namespace
