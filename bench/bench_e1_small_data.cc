@@ -252,10 +252,40 @@ void WriteScalingJson(const std::vector<int>& thread_counts,
   std::printf("[E1] thread-scaling sweep written to %s\n", path);
 }
 
+/// Cell-for-cell equality of two results, doubles by bit pattern;
+/// prints the first difference.
+bool SameCells(const QueryResult& a, const QueryResult& b) {
+  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
+    std::printf("[E1] shapes differ: %zux%zu vs %zux%zu\n", a.num_rows(),
+                a.num_columns(), b.num_rows(), b.num_columns());
+    return false;
+  }
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      Value va = a.Get(r, c);
+      Value vb = b.Get(r, c);
+      bool same = va.is_null() == vb.is_null();
+      if (same && !va.is_null() && va.type() == TypeId::kDouble) {
+        const double da = va.AsDouble(), db = vb.AsDouble();
+        same = std::memcmp(&da, &db, sizeof(da)) == 0;
+      } else if (same && !va.is_null()) {
+        same = va.Compare(vb) == 0;
+      }
+      if (!same) {
+        std::printf("[E1] cell (%zu,%zu) differs: %s vs %s\n", r, c,
+                    va.ToString().c_str(), vb.ToString().c_str());
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 /// Smoke check for budgeted execution: measure Q5's unlimited peak,
-/// rerun it with a quarter of that budget, and require identical row
-/// counts with nonzero spill counters. Proves the spill path is alive
-/// in CI without a separate binary.
+/// rerun it with a quarter of that budget, and require that some join
+/// or aggregation partition spilled and that the result matches the
+/// unlimited one cell for cell. Proves the spill path is alive in CI
+/// without a separate binary.
 void SmokeSpillCheck(double sf) {
   Database* db = GetTpchDatabase(sf);
   std::string sql = TpchQ5();
@@ -275,8 +305,12 @@ void SmokeSpillCheck(double sf) {
       static_cast<long long>(s.spill_bytes_written),
       static_cast<long long>(s.spill_bytes_read), budgeted.num_rows(),
       unlimited.num_rows());
-  if (budgeted.num_rows() != unlimited.num_rows()) {
-    std::printf("[E1] spill FAILURE: budgeted row count diverged\n");
+  if (s.spill_partitions == 0) {
+    std::printf("[E1] spill FAILURE: a quarter of the peak spilled nothing\n");
+    std::exit(1);
+  }
+  if (!SameCells(unlimited, budgeted)) {
+    std::printf("[E1] spill FAILURE: budgeted result diverged\n");
     std::exit(1);
   }
 }

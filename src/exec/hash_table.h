@@ -129,8 +129,8 @@ class JoinKeyFilter {
 /// chain in ascending row order: probe output is byte-identical to the
 /// seed path at any partition count.
 ///
-/// The join's filter (JoinKeyFilter, or a BloomFilter per spill
-/// partition) is built next to the table, not inside it.
+/// The join's filter (JoinKeyFilter) is built next to the table, not
+/// inside it; PhysicalHashJoin keeps the two together in a JoinBuild.
 class JoinHashTable {
  public:
   /// Builds over `hashes[0..rows)`; rows with valid[r] == 0 (NULL keys)

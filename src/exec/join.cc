@@ -1,7 +1,6 @@
 #include "exec/join.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/thread_pool.h"
 #include "exec/parallel.h"
@@ -47,6 +46,9 @@ PhysicalHashJoin::PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
       build_phase_id_(context != nullptr ? context->RegisterOp() : -1),
       probe_phase_id_(context != nullptr ? context->RegisterOp() : -1) {
   AGORA_CHECK(!left_keys_.empty() && left_keys_.size() == right_keys_.size());
+  // Padding is decided per probe row before the residual runs, so a
+  // residual could not turn a dropped match into a padded row.
+  AGORA_CHECK(residual_ == nullptr || kind_ != PhysicalJoinKind::kLeftOuter);
   // Budgeted queries take the spill-capable path. The decision depends
   // only on the budget configuration (never on worker count or data), so
   // the plan behaves identically at every thread count.
@@ -56,37 +58,37 @@ PhysicalHashJoin::PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
 
 Status PhysicalHashJoin::OpenImpl() {
   probe_done_ = false;
-  build_keys_.clear();
   if (spill_mode_) return OpenSpill();
   // The build side collects through the morsel pipeline when eligible;
   // chunks come back in morsel order, so row ids match the serial layout.
-  AGORA_ASSIGN_OR_RETURN(build_data_,
+  AGORA_ASSIGN_OR_RETURN(Chunk data,
                          ParallelCollectAll(right_.get(), context_));
   context_->stats.bytes_materialized +=
-      static_cast<int64_t>(build_data_.MemoryBytes());
+      static_cast<int64_t>(data.MemoryBytes());
   {
     // The build phase covers hashing + table fill, not the child
     // collection above (that time belongs to the child operators).
     MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
-    AGORA_RETURN_IF_ERROR(BuildTable());
+    AGORA_RETURN_IF_ERROR(BuildTable(std::move(data), &build_));
+    CountBuild(build_);
   }
   // The probe side opens only now, so a join filter published to a scan
   // below it exists before anything there can read.
   return left_->Open();
 }
 
-Status PhysicalHashJoin::BuildTable() {
-  // Evaluate the build-side keys once over the materialized data.
-  build_keys_.resize(right_keys_.size());
+Status PhysicalHashJoin::BuildTable(Chunk data, JoinBuild* build) const {
+  build->data = std::move(data);
+  build->keys.resize(right_keys_.size());
   for (size_t k = 0; k < right_keys_.size(); ++k) {
     AGORA_RETURN_IF_ERROR(
-        right_keys_[k]->Evaluate(build_data_, &build_keys_[k]));
+        right_keys_[k]->Evaluate(build->data, &build->keys[k]));
   }
-  size_t rows = build_data_.num_rows();
+  const size_t rows = build->data.num_rows();
   // Column-at-a-time key hashing. The salt only perturbs slot/Bloom bit
   // choice: both sides fold it in identically, so the match relation is
   // unchanged. NULL keys (any column) never match.
-  HashJoinKeys(build_keys_, nullptr, rows, &build_hashes_, &build_valid_);
+  HashJoinKeys(build->keys, nullptr, rows, &build->hashes, &build->valid);
 
   // Partition the insertions across workers: worker p owns partition p
   // outright, so no locks are needed and chains stay in ascending row
@@ -96,42 +98,132 @@ Status PhysicalHashJoin::BuildTable() {
       rows >= context_->parallel_min_rows) {
     num_partitions = static_cast<size_t>(context_->num_workers);
   }
-  AGORA_RETURN_IF_ERROR(
-      table_.Build(build_hashes_.data(), build_valid_.data(), rows,
-                   num_partitions,
-                   num_partitions > 1 ? context_->pool : nullptr));
-  context_->stats.hash_table_entries += table_.entries();
-  context_->stats.hash_table_slots += table_.slot_count();
-  filter_.Build(build_keys_, left_keys_[0]->result_type(),
-                build_hashes_.data(), build_valid_.data(), rows);
-  if (filter_.exact()) context_->stats.join_filters_exact++;
+  AGORA_RETURN_IF_ERROR(build->table.Build(
+      build->hashes.data(), build->valid.data(), rows, num_partitions,
+      num_partitions > 1 ? context_->pool : nullptr));
+  build->filter.Build(build->keys, left_keys_[0]->result_type(),
+                      build->hashes.data(), build->valid.data(), rows);
   return Status::OK();
 }
 
-namespace {
-
-/// Appends rows `sel[0..n)` of every column of `src` to a fresh chunk.
-/// Shared by the partition-buffer writers below.
-void GatherColumns(const Chunk& src, const uint32_t* sel, size_t n,
-                   Chunk* out) {
-  for (size_t c = 0; c < src.num_columns(); ++c) {
-    ColumnVector col(src.column(c).type());
-    col.AppendGatherPadded(src.column(c), sel, n);
-    out->AddColumn(std::move(col));
-  }
+void PhysicalHashJoin::CountBuild(const JoinBuild& build) {
+  context_->stats.hash_table_entries += build.table.entries();
+  context_->stats.hash_table_slots += build.table.slot_count();
+  if (build.filter.exact()) context_->stats.join_filters_exact++;
 }
 
-}  // namespace
+Status PhysicalHashJoin::Probe(const JoinBuild& build, const Chunk& probe,
+                               const std::vector<uint32_t>* decide,
+                               const int64_t* tags, Chunk* out,
+                               ExecStats* stats) const {
+  MetricSpan span = StatsSpan(stats, probe_phase_id_);
+  const uint32_t* sel = decide != nullptr ? decide->data() : nullptr;
+  const size_t n = decide != nullptr ? decide->size() : probe.num_rows();
+  // Evaluate probe keys for the whole chunk, then hash column-at-a-time.
+  std::vector<ColumnVector> probe_keys(left_keys_.size());
+  for (size_t k = 0; k < left_keys_.size(); ++k) {
+    AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
+  }
+
+  // Candidate probe rows, ascending, and their key hashes: the rows the
+  // join's filter keeps, or, when the probe-side scan already applied
+  // it, every row with a non-NULL key.
+  std::vector<uint32_t> cand(n);
+  std::vector<uint64_t> hashes;
+  size_t m = 0;
+  if (filter_pushed_) {
+    std::vector<uint8_t> valid;
+    HashJoinKeys(probe_keys, sel, n, &hashes, &valid);
+    for (size_t i = 0; i < n; ++i) {
+      cand[m] = sel != nullptr ? sel[i] : static_cast<uint32_t>(i);
+      hashes[m] = hashes[i];
+      m += valid[i];
+    }
+  } else {
+    int64_t checked = 0;
+    m = build.filter.Select(probe_keys, 0, sel, n, cand.data(), &checked,
+                            &hashes);
+    stats->bloom_checked_rows += checked;
+    stats->bloom_filtered_rows += checked - static_cast<int64_t>(m);
+  }
+
+  // Gather candidate (probe row, build row) pairs by the hash-chain walk.
+  // Pairs are grouped by probe row in row order, with chains in
+  // ascending build-row order.
+  HashTableStats ht;
+  std::vector<uint32_t> pair_l, pair_b;
+  for (size_t j = 0; j < m; ++j) {
+    for (uint32_t ref = build.table.Find(hashes[j], &ht); ref != 0;
+         ref = build.table.Next(ref)) {
+      stats->probe_calls++;
+      pair_l.push_back(cand[j]);
+      pair_b.push_back(ref - 1);
+    }
+  }
+  stats->hash_table_lookups += ht.lookups;
+  stats->hash_table_probe_steps += ht.probe_steps;
+
+  // Verify all candidates column-at-a-time against the build keys.
+  const size_t pairs = pair_l.size();
+  std::vector<uint8_t> equal(pairs, 1);
+  for (size_t k = 0; k < probe_keys.size(); ++k) {
+    probe_keys[k].BatchEqualRows(pair_l.data(), build.keys[k],
+                                 pair_b.data(), pairs,
+                                 /*bitwise_doubles=*/false, equal.data());
+  }
+
+  // Emit survivors in probe-row order (UINT32_MAX pads outer-join rows).
+  std::vector<uint32_t> lsel, rsel;
+  size_t ptr = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = sel != nullptr ? sel[i] : static_cast<uint32_t>(i);
+    bool matched = false;
+    while (ptr < pairs && pair_l[ptr] == r) {
+      if (equal[ptr] != 0) {
+        lsel.push_back(r);
+        rsel.push_back(pair_b[ptr]);
+        matched = true;
+      }
+      ++ptr;
+    }
+    if (!matched && kind_ == PhysicalJoinKind::kLeftOuter) {
+      lsel.push_back(r);
+      rsel.push_back(UINT32_MAX);
+    }
+  }
+
+  Chunk result(schema_);
+  if (!lsel.empty()) {
+    size_t lcols = probe.num_columns();
+    for (size_t c = 0; c < lcols; ++c) {
+      result.column(c).AppendGatherPadded(probe.column(c), lsel.data(),
+                                          lsel.size());
+    }
+    for (size_t c = 0; c < build.data.num_columns(); ++c) {
+      result.column(lcols + c).AppendGatherPadded(build.data.column(c),
+                                                  rsel.data(), rsel.size());
+    }
+    if (tags != nullptr) {
+      ColumnVector tag(TypeId::kInt64);
+      for (uint32_t r : lsel) tag.AppendInt64(tags[r]);
+      result.AddColumn(std::move(tag));
+    }
+  }
+
+  if (residual_ != nullptr && result.num_rows() > 0) {
+    AGORA_ASSIGN_OR_RETURN(result, FilterChunk(result, *residual_, stats));
+  }
+  stats->rows_joined += static_cast<int64_t>(result.num_rows());
+  span.AddRows(static_cast<int64_t>(result.num_rows()));
+  *out = std::move(result);
+  return Status::OK();
+}
 
 Status PhysicalHashJoin::OpenSpill() {
   any_spilled_ = false;
   parts_.clear();
   merge_.clear();
   immediate_file_.reset();
-  resident_data_ = Chunk();
-  resident_keys_.clear();
-  resident_hashes_.clear();
-  resident_valid_.clear();
 
   AGORA_RETURN_IF_ERROR(left_->Open());
   const size_t num_parts = std::max<size_t>(1, context_->spill_partitions);
@@ -172,24 +264,17 @@ Status PhysicalHashJoin::OpenSpill() {
     for (size_t p = 0; p < num_parts; ++p) {
       if (psel[p].empty()) continue;
       SpillPartition& part = parts_[p];
-      Chunk pc;
-      GatherColumns(chunk, psel[p].data(), psel[p].size(), &pc);
-      ColumnVector hcol(TypeId::kInt64);
-      for (uint32_t r : psel[p]) {
-        hcol.AppendInt64(static_cast<int64_t>(hashes[r]));
-      }
-      pc.AddColumn(std::move(hcol));
+      Chunk pc = chunk.GatherRows(psel[p]);
       if (part.spilled) {
         AGORA_RETURN_IF_ERROR(
             SpillWriteChunk(part.build_file.get(), pc, &context_->stats));
       } else {
         part.rows += psel[p].size();
-        part.bytes += pc.MemoryBytes();
         part.buffered.push_back(std::move(pc));
       }
     }
     while (context_->memory->over_budget() && PickVictim() != SIZE_MAX) {
-      AGORA_RETURN_IF_ERROR(SpillBufferedVictim());
+      AGORA_RETURN_IF_ERROR(SpillPartitionRows(PickVictim()));
     }
   }
   AGORA_RETURN_IF_ERROR(PrepareResident());
@@ -199,17 +284,9 @@ Status PhysicalHashJoin::OpenSpill() {
   // index-tagged output, then join each spilled partition from its files.
   AGORA_RETURN_IF_ERROR(DrainProbeToStreams());
 
-  // Release the resident build state before the reloads — the deferred
+  // Release the resident build before the reloads — the deferred
   // partitions need that budget headroom.
-  resident_data_ = Chunk();
-  resident_keys_.clear();
-  std::vector<uint64_t>().swap(resident_hashes_);
-  std::vector<uint8_t>().swap(resident_valid_);
-  for (SpillPartition& part : parts_) {
-    part.table.reset();
-    part.bloom = BloomFilter();
-    std::vector<Chunk>().swap(part.buffered);
-  }
+  AGORA_RETURN_IF_ERROR(BuildTable(Chunk(right_->schema()), &build_));
   for (SpillPartition& part : parts_) {
     if (part.spilled) {
       AGORA_RETURN_IF_ERROR(ProcessDeferredPartition(&part));
@@ -249,10 +326,8 @@ size_t PhysicalHashJoin::PickVictim() const {
   return victim;
 }
 
-Status PhysicalHashJoin::SpillBufferedVictim() {
-  size_t victim = PickVictim();
-  AGORA_CHECK(victim != SIZE_MAX);
-  SpillPartition& part = parts_[victim];
+Status PhysicalHashJoin::SpillPartitionRows(size_t p) {
+  SpillPartition& part = parts_[p];
   if (part.build_file == nullptr) {
     AGORA_ASSIGN_OR_RETURN(part.build_file, context_->spill->Create());
   }
@@ -262,7 +337,6 @@ Status PhysicalHashJoin::SpillBufferedVictim() {
   }
   std::vector<Chunk>().swap(part.buffered);
   part.rows = 0;
-  part.bytes = 0;
   part.spilled = true;
   any_spilled_ = true;
   context_->stats.spill_partitions++;
@@ -272,140 +346,39 @@ Status PhysicalHashJoin::SpillBufferedVictim() {
 Status PhysicalHashJoin::PrepareResident() {
   // Move the buffered partitions into one concatenation, freeing each
   // buffer chunk as it lands. Partition order + arrival order makes the
-  // layout deterministic for a given shed history.
-  resident_data_ = Chunk(right_->schema());
-  resident_hashes_.clear();
-  const size_t ncols = resident_data_.num_columns();
-  std::vector<uint32_t> iota;
-  size_t offset = 0;
+  // layout deterministic for a given shed history, and every chain keeps
+  // its partition's arrival order, which is the in-memory order.
+  Chunk data(right_->schema());
   for (SpillPartition& part : parts_) {
-    part.table.reset();
-    part.base = offset;
-    if (part.spilled) continue;
-    for (Chunk& pc : part.buffered) {
-      size_t n = pc.num_rows();
-      iota.resize(n);
-      std::iota(iota.begin(), iota.end(), 0u);
-      for (size_t c = 0; c < ncols; ++c) {
-        resident_data_.column(c).AppendGatherPadded(pc.column(c), iota.data(),
-                                                    n);
-      }
-      const int64_t* h = pc.column(ncols).int64_data();
-      for (size_t i = 0; i < n; ++i) {
-        resident_hashes_.push_back(static_cast<uint64_t>(h[i]));
-      }
-      pc = Chunk();  // free as we go
-    }
+    for (Chunk& pc : part.buffered) data.Append(std::move(pc));
     std::vector<Chunk>().swap(part.buffered);
-    part.bytes = 0;
-    offset += part.rows;
   }
-
-  // Build one single-partition table per resident partition over its
-  // hash slice. If the directories push the query back over budget, shed
-  // the largest partition and rebuild — at most P rounds.
+  // If the table and filter push the query back over budget, shed the
+  // largest partition and rebuild over the rest — at most P rounds.
+  const size_t num_parts = parts_.size();
   for (;;) {
-    size_t total = 0;
-    for (SpillPartition& part : parts_) {
-      part.table.reset();
-      part.bloom = BloomFilter();
-      total += part.rows;
-    }
-    resident_valid_.assign(total, 1);
-    for (SpillPartition& part : parts_) {
-      if (part.spilled || part.rows == 0) continue;
-      part.table = std::make_unique<JoinHashTable>();
-      AGORA_RETURN_IF_ERROR(part.table->Build(
-          resident_hashes_.data() + part.base,
-          resident_valid_.data() + part.base, part.rows,
-          /*num_partitions=*/1, /*pool=*/nullptr));
-      part.bloom.Build(resident_hashes_.data() + part.base,
-                       resident_valid_.data() + part.base, part.rows);
-    }
+    AGORA_RETURN_IF_ERROR(BuildTable(std::move(data), &build_));
     if (!context_->memory->over_budget()) break;
-    size_t victim = PickVictim();
+    const size_t victim = PickVictim();
     if (victim == SIZE_MAX) break;  // nothing left to shed; reloads decide
-    AGORA_RETURN_IF_ERROR(SpillResidentVictim(victim));
-    AGORA_RETURN_IF_ERROR(ReconcatResident());
-  }
-  for (const SpillPartition& part : parts_) {
-    if (part.table != nullptr) {
-      context_->stats.hash_table_entries += part.table->entries();
-      context_->stats.hash_table_slots += part.table->slot_count();
+    std::vector<uint32_t> keep, shed;
+    for (size_t r = 0; r < build_.hashes.size(); ++r) {
+      const bool in_victim = build_.hashes[r] % num_parts == victim;
+      (in_victim ? shed : keep).push_back(static_cast<uint32_t>(r));
     }
+    parts_[victim].buffered.push_back(build_.data.GatherRows(shed));
+    AGORA_RETURN_IF_ERROR(SpillPartitionRows(victim));
+    data = build_.data.GatherRows(keep);
   }
-
-  // Re-evaluate the build keys over the concatenation for batch match
-  // verification (expression evaluation is deterministic, so these equal
-  // the values hashed during the drain).
-  resident_keys_.resize(right_keys_.size());
-  for (size_t k = 0; k < right_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(
-        right_keys_[k]->Evaluate(resident_data_, &resident_keys_[k]));
-  }
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::SpillResidentVictim(size_t victim) {
-  SpillPartition& part = parts_[victim];
-  if (part.build_file == nullptr) {
-    AGORA_ASSIGN_OR_RETURN(part.build_file, context_->spill->Create());
-  }
-  std::vector<uint32_t> sel;
-  for (size_t start = 0; start < part.rows; start += kChunkSize) {
-    size_t n = std::min(kChunkSize, part.rows - start);
-    sel.resize(n);
-    std::iota(sel.begin(), sel.end(),
-              static_cast<uint32_t>(part.base + start));
-    Chunk pc;
-    GatherColumns(resident_data_, sel.data(), n, &pc);
-    ColumnVector hcol(TypeId::kInt64);
-    for (size_t i = 0; i < n; ++i) {
-      hcol.AppendInt64(
-          static_cast<int64_t>(resident_hashes_[part.base + start + i]));
-    }
-    pc.AddColumn(std::move(hcol));
-    AGORA_RETURN_IF_ERROR(
-        SpillWriteChunk(part.build_file.get(), pc, &context_->stats));
-  }
-  part.rows = 0;
-  part.spilled = true;
-  any_spilled_ = true;
-  context_->stats.spill_partitions++;
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::ReconcatResident() {
-  Chunk old = std::move(resident_data_);
-  std::vector<uint64_t> old_hashes = std::move(resident_hashes_);
-  resident_data_ = Chunk(right_->schema());
-  resident_hashes_.clear();
-  std::vector<uint32_t> sel;
-  size_t offset = 0;
-  for (SpillPartition& part : parts_) {
-    size_t old_base = part.base;
-    part.base = offset;
-    if (part.spilled || part.rows == 0) continue;
-    sel.resize(part.rows);
-    std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(old_base));
-    for (size_t c = 0; c < old.num_columns(); ++c) {
-      resident_data_.column(c).AppendGatherPadded(old.column(c), sel.data(),
-                                                  sel.size());
-    }
-    for (size_t i = 0; i < part.rows; ++i) {
-      resident_hashes_.push_back(old_hashes[old_base + i]);
-    }
-    offset += part.rows;
-  }
+  CountBuild(build_);
   return Status::OK();
 }
 
 Status PhysicalHashJoin::ProbePartitionedChunk(const Chunk& probe,
                                                int64_t base_idx, Chunk* out,
                                                ExecStats* stats) {
-  MetricSpan span = StatsSpan(stats, probe_phase_id_);
   const size_t num_parts = parts_.size();
-  size_t rows = probe.num_rows();
+  const size_t rows = probe.num_rows();
   std::vector<ColumnVector> probe_keys(left_keys_.size());
   for (size_t k = 0; k < left_keys_.size(); ++k) {
     AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
@@ -416,111 +389,35 @@ Status PhysicalHashJoin::ProbePartitionedChunk(const Chunk& probe,
 
   // A probe row belongs to exactly one partition. Rows of spilled
   // partitions divert to that partition's file for the deferred pass;
-  // everything else (including NULL-key rows, which pad immediately under
-  // LEFT OUTER) resolves against the resident tables right now.
-  const bool tagged = any_spilled_;
-  std::vector<std::vector<uint32_t>> divert(tagged ? num_parts : 0);
-  std::vector<uint8_t> diverted(rows, 0);
-  HashTableStats ht;
-  std::vector<uint32_t> pair_l, pair_b;
+  // this pass decides every other row, NULL keys included (under LEFT
+  // OUTER they pad here).
+  std::vector<uint32_t> decide;
+  std::vector<std::vector<uint32_t>> divert(num_parts);
+  std::vector<int64_t> tags(rows);
   for (size_t r = 0; r < rows; ++r) {
-    if (valid[r] == 0) continue;
-    uint64_t h = hashes[r];
-    const SpillPartition& part = parts_[h % num_parts];
-    if (part.spilled) {
-      divert[h % num_parts].push_back(static_cast<uint32_t>(r));
-      diverted[r] = 1;
-      continue;
-    }
-    if (part.table == nullptr) continue;  // empty partition: no matches
-    stats->bloom_checked_rows++;
-    if (!part.bloom.MightContain(h)) {
-      stats->bloom_filtered_rows++;
-      continue;
-    }
-    for (uint32_t ref = part.table->Find(h, &ht); ref != 0;
-         ref = part.table->Next(ref)) {
-      stats->probe_calls++;
-      pair_l.push_back(static_cast<uint32_t>(r));
-      // Chain refs are partition-local; rebase into the concatenation.
-      pair_b.push_back(static_cast<uint32_t>(part.base) + ref - 1);
+    tags[r] = base_idx + static_cast<int64_t>(r);
+    const size_t p = hashes[r] % num_parts;
+    if (valid[r] != 0 && parts_[p].spilled) {
+      divert[p].push_back(static_cast<uint32_t>(r));
+    } else {
+      decide.push_back(static_cast<uint32_t>(r));
     }
   }
-  stats->hash_table_lookups += ht.lookups;
-  stats->hash_table_probe_steps += ht.probe_steps;
+  AGORA_RETURN_IF_ERROR(
+      Probe(build_, probe, &decide, tags.data(), out, stats));
 
-  size_t m = pair_l.size();
-  std::vector<uint8_t> equal(m, 1);
-  for (size_t k = 0; k < probe_keys.size(); ++k) {
-    probe_keys[k].BatchEqualRows(pair_l.data(), resident_keys_[k],
-                                 pair_b.data(), m, /*bitwise_doubles=*/false,
-                                 equal.data());
+  for (size_t p = 0; p < num_parts; ++p) {
+    if (divert[p].empty()) continue;
+    SpillPartition& part = parts_[p];
+    if (part.probe_file == nullptr) {
+      AGORA_ASSIGN_OR_RETURN(part.probe_file, context_->spill->Create());
+    }
+    Chunk pc = probe.GatherRows(divert[p]);
+    ColumnVector idx(TypeId::kInt64);
+    for (uint32_t r : divert[p]) idx.AppendInt64(tags[r]);
+    pc.AddColumn(std::move(idx));
+    AGORA_RETURN_IF_ERROR(SpillWriteChunk(part.probe_file.get(), pc, stats));
   }
-
-  // Emit survivors in probe-row order; diverted rows emit nothing here —
-  // their match/pad decision happens in the deferred pass.
-  std::vector<uint32_t> lsel, rsel;
-  size_t ptr = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    bool matched = false;
-    while (ptr < m && pair_l[ptr] == r) {
-      if (equal[ptr] != 0) {
-        lsel.push_back(static_cast<uint32_t>(r));
-        rsel.push_back(pair_b[ptr]);
-        matched = true;
-      }
-      ++ptr;
-    }
-    if (!matched && diverted[r] == 0 &&
-        kind_ == PhysicalJoinKind::kLeftOuter) {
-      lsel.push_back(static_cast<uint32_t>(r));
-      rsel.push_back(UINT32_MAX);
-    }
-  }
-
-  Chunk result(schema_);
-  if (!lsel.empty()) {
-    size_t lcols = probe.num_columns();
-    for (size_t c = 0; c < lcols; ++c) {
-      result.column(c).AppendGatherPadded(probe.column(c), lsel.data(),
-                                          lsel.size());
-    }
-    for (size_t c = 0; c < resident_data_.num_columns(); ++c) {
-      result.column(lcols + c).AppendGatherPadded(resident_data_.column(c),
-                                                  rsel.data(), rsel.size());
-    }
-    if (tagged) {
-      // Trailing bookkeeping column: the global probe-row index, used by
-      // the k-way merge and stripped before emission.
-      ColumnVector idx(TypeId::kInt64);
-      for (uint32_t r : lsel) idx.AppendInt64(base_idx + r);
-      result.AddColumn(std::move(idx));
-    }
-  }
-  if (residual_ != nullptr && result.num_rows() > 0 &&
-      kind_ != PhysicalJoinKind::kLeftOuter) {
-    AGORA_ASSIGN_OR_RETURN(result, FilterChunk(result, *residual_, stats));
-  }
-  stats->rows_joined += static_cast<int64_t>(result.num_rows());
-  span.AddRows(static_cast<int64_t>(result.num_rows()));
-
-  if (tagged) {
-    for (size_t p = 0; p < num_parts; ++p) {
-      if (divert[p].empty()) continue;
-      SpillPartition& part = parts_[p];
-      if (part.probe_file == nullptr) {
-        AGORA_ASSIGN_OR_RETURN(part.probe_file, context_->spill->Create());
-      }
-      Chunk pc;
-      GatherColumns(probe, divert[p].data(), divert[p].size(), &pc);
-      ColumnVector idx(TypeId::kInt64);
-      for (uint32_t r : divert[p]) idx.AppendInt64(base_idx + r);
-      pc.AddColumn(std::move(idx));
-      AGORA_RETURN_IF_ERROR(
-          SpillWriteChunk(part.probe_file.get(), pc, stats));
-    }
-  }
-  *out = std::move(result);
   return Status::OK();
 }
 
@@ -550,12 +447,10 @@ Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
   // Reload the partition's build rows. A partition that still cannot fit
   // alone is the graceful-failure point of the whole scheme: the query
   // errors with ResourceExhausted instead of thrashing or aborting.
-  Chunk data(right_->schema());
-  std::vector<uint64_t> hashes;
-  std::vector<uint32_t> iota;
-  const size_t ncols = data.num_columns();
+  JoinBuild build;
   {
     MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
+    Chunk data(right_->schema());
     AGORA_RETURN_IF_ERROR(part->build_file->Rewind());
     for (;;) {
       Chunk pc;
@@ -563,43 +458,17 @@ Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
       AGORA_RETURN_IF_ERROR(SpillReadChunk(part->build_file.get(), &pc, &eof,
                                            &context_->stats));
       if (eof) break;
-      size_t n = pc.num_rows();
-      iota.resize(n);
-      std::iota(iota.begin(), iota.end(), 0u);
-      for (size_t c = 0; c < ncols; ++c) {
-        data.column(c).AppendGatherPadded(pc.column(c), iota.data(), n);
-      }
-      const int64_t* h = pc.column(ncols).int64_data();
-      for (size_t i = 0; i < n; ++i) {
-        hashes.push_back(static_cast<uint64_t>(h[i]));
-      }
+      data.Append(std::move(pc));
     }
     context_->spill->Recycle(std::move(part->build_file));
     AGORA_RETURN_IF_ERROR(
         context_->CheckMemoryBudget("HashJoin::spill-reload"));
-  }
-
-  std::vector<ColumnVector> keys(right_keys_.size());
-  for (size_t k = 0; k < right_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(right_keys_[k]->Evaluate(data, &keys[k]));
-  }
-  size_t build_rows = data.num_rows();
-  std::vector<uint8_t> build_valid(build_rows, 1);
-  JoinHashTable table;
-  BloomFilter bloom;
-  {
-    MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
-    AGORA_RETURN_IF_ERROR(table.Build(hashes.data(), build_valid.data(),
-                                      build_rows, /*num_partitions=*/1,
-                                      /*pool=*/nullptr));
-    bloom.Build(hashes.data(), build_valid.data(), build_rows);
-    context_->stats.hash_table_entries += table.entries();
-    context_->stats.hash_table_slots += table.slot_count();
+    AGORA_RETURN_IF_ERROR(BuildTable(std::move(data), &build));
+    CountBuild(build);
   }
   if (part->probe_file == nullptr) return Status::OK();  // nothing diverted
 
   // Probe the diverted rows in file order (= ascending global index).
-  MetricSpan span = StatsSpan(&context_->stats, probe_phase_id_);
   AGORA_RETURN_IF_ERROR(part->probe_file->Rewind());
   AGORA_ASSIGN_OR_RETURN(part->out_file, context_->spill->Create());
   for (;;) {
@@ -608,83 +477,17 @@ Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
     AGORA_RETURN_IF_ERROR(SpillReadChunk(part->probe_file.get(), &pc, &eof,
                                          &context_->stats));
     if (eof) break;
-    size_t rows = pc.num_rows();
-    size_t lcols = pc.num_columns() - 1;  // trailing index column
-    std::vector<ColumnVector> probe_keys(left_keys_.size());
-    for (size_t k = 0; k < left_keys_.size(); ++k) {
-      AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(pc, &probe_keys[k]));
-    }
-    std::vector<uint64_t> phashes;
-    std::vector<uint8_t> pvalid;
-    HashJoinKeys(probe_keys, nullptr, rows, &phashes, &pvalid);
-    HashTableStats ht;
-    std::vector<uint32_t> pair_l, pair_b;
-    for (size_t r = 0; r < rows; ++r) {
-      // Only valid-key rows were diverted, so no validity re-check.
-      uint64_t h = phashes[r];
-      context_->stats.bloom_checked_rows++;
-      if (!bloom.MightContain(h)) {
-        context_->stats.bloom_filtered_rows++;
-        continue;
-      }
-      for (uint32_t ref = table.Find(h, &ht); ref != 0;
-           ref = table.Next(ref)) {
-        context_->stats.probe_calls++;
-        pair_l.push_back(static_cast<uint32_t>(r));
-        pair_b.push_back(ref - 1);
-      }
-    }
-    context_->stats.hash_table_lookups += ht.lookups;
-    context_->stats.hash_table_probe_steps += ht.probe_steps;
-
-    size_t m = pair_l.size();
-    std::vector<uint8_t> equal(m, 1);
-    for (size_t k = 0; k < probe_keys.size(); ++k) {
-      probe_keys[k].BatchEqualRows(pair_l.data(), keys[k], pair_b.data(), m,
-                                   /*bitwise_doubles=*/false, equal.data());
-    }
-    std::vector<uint32_t> lsel, rsel;
-    size_t ptr = 0;
-    for (size_t r = 0; r < rows; ++r) {
-      bool matched = false;
-      while (ptr < m && pair_l[ptr] == r) {
-        if (equal[ptr] != 0) {
-          lsel.push_back(static_cast<uint32_t>(r));
-          rsel.push_back(pair_b[ptr]);
-          matched = true;
-        }
-        ++ptr;
-      }
-      if (!matched && kind_ == PhysicalJoinKind::kLeftOuter) {
-        lsel.push_back(static_cast<uint32_t>(r));
-        rsel.push_back(UINT32_MAX);
-      }
-    }
-    Chunk result(schema_);
-    if (!lsel.empty()) {
-      for (size_t c = 0; c < lcols; ++c) {
-        result.column(c).AppendGatherPadded(pc.column(c), lsel.data(),
-                                            lsel.size());
-      }
-      for (size_t c = 0; c < data.num_columns(); ++c) {
-        result.column(lcols + c).AppendGatherPadded(data.column(c),
-                                                    rsel.data(), rsel.size());
-      }
-      ColumnVector idx(TypeId::kInt64);
-      const int64_t* src_idx = pc.column(lcols).int64_data();
-      for (uint32_t r : lsel) idx.AppendInt64(src_idx[r]);
-      result.AddColumn(std::move(idx));
-    }
-    if (residual_ != nullptr && result.num_rows() > 0 &&
-        kind_ != PhysicalJoinKind::kLeftOuter) {
-      AGORA_ASSIGN_OR_RETURN(
-          result, FilterChunk(result, *residual_, &context_->stats));
-    }
-    context_->stats.rows_joined += static_cast<int64_t>(result.num_rows());
-    span.AddRows(static_cast<int64_t>(result.num_rows()));
-    if (result.num_rows() > 0) {
+    // The trailing global-row-index column tags the output.
+    const size_t lcols = pc.num_columns() - 1;
+    Chunk probe;
+    for (size_t c = 0; c < lcols; ++c) probe.AddColumn(pc.column(c));
+    Chunk out;
+    AGORA_RETURN_IF_ERROR(Probe(build, probe, nullptr,
+                                pc.column(lcols).int64_data(), &out,
+                                &context_->stats));
+    if (out.num_rows() > 0) {
       AGORA_RETURN_IF_ERROR(
-          SpillWriteChunk(part->out_file.get(), result, &context_->stats));
+          SpillWriteChunk(part->out_file.get(), out, &context_->stats));
     }
   }
   context_->spill->Recycle(std::move(part->probe_file));
@@ -711,7 +514,6 @@ Status PhysicalHashJoin::AdvanceStream(MergeStream* s) {
 Status PhysicalHashJoin::EmitMerged(Chunk* chunk, bool* done) {
   const size_t ncols = schema_.num_fields();
   Chunk out(schema_);
-  std::vector<uint32_t> sel;
   while (out.num_rows() < kChunkSize) {
     // Find the stream with the smallest head index (indices are disjoint
     // across streams, so ties cannot happen) and the runner-up bound.
@@ -736,7 +538,7 @@ Status PhysicalHashJoin::EmitMerged(Chunk* chunk, bool* done) {
     if (best == SIZE_MAX) break;  // every stream exhausted
     MergeStream& s = merge_[best];
     // Take the longest run from this stream that stays below every other
-    // head and fits the output chunk, then gather it in one batch.
+    // head and fits the output chunk, then copy it as one range.
     const int64_t* idxs = s.chunk.column(ncols).int64_data();
     size_t room = kChunkSize - out.num_rows();
     size_t end = s.row + 1;
@@ -744,11 +546,8 @@ Status PhysicalHashJoin::EmitMerged(Chunk* chunk, bool* done) {
            end - s.row < room) {
       ++end;
     }
-    sel.resize(end - s.row);
-    std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(s.row));
     for (size_t c = 0; c < ncols; ++c) {
-      out.column(c).AppendGatherPadded(s.chunk.column(c), sel.data(),
-                                       sel.size());
+      out.column(c).AppendRange(s.chunk.column(c), s.row, end - s.row);
     }
     s.row = end;
     AGORA_RETURN_IF_ERROR(AdvanceStream(&s));
@@ -773,122 +572,17 @@ Status PhysicalHashJoin::EmitMerged(Chunk* chunk, bool* done) {
   return Status::OK();
 }
 
-Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
-                                    ExecStats* stats) const {
-  MetricSpan span = StatsSpan(stats, probe_phase_id_);
-  size_t rows = probe.num_rows();
-  // Evaluate probe keys for the whole chunk, then hash column-at-a-time.
-  std::vector<ColumnVector> probe_keys(left_keys_.size());
-  for (size_t k = 0; k < left_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
-  }
-
-  // Candidate probe rows, ascending, and their key hashes: the rows the
-  // join's filter keeps, or, when the probe-side scan already applied
-  // it, every row with a non-NULL key.
-  std::vector<uint32_t> cand(rows);
-  std::vector<uint64_t> hashes;
-  size_t m = 0;
-  if (filter_pushed_) {
-    std::vector<uint8_t> valid;
-    HashJoinKeys(probe_keys, nullptr, rows, &hashes, &valid);
-    for (size_t r = 0; r < rows; ++r) {
-      cand[m] = static_cast<uint32_t>(r);
-      hashes[m] = hashes[r];
-      m += valid[r];
-    }
-  } else {
-    int64_t checked = 0;
-    m = filter_.Select(probe_keys, 0, nullptr, rows, cand.data(), &checked,
-                       &hashes);
-    stats->bloom_checked_rows += checked;
-    stats->bloom_filtered_rows += checked - static_cast<int64_t>(m);
-  }
-
-  // Gather candidate (probe row, build row) pairs by the hash-chain walk.
-  // Pairs are grouped by probe row in row order, with chains in
-  // ascending build-row order.
-  HashTableStats ht;
-  std::vector<uint32_t> pair_l, pair_b;
-  for (size_t j = 0; j < m; ++j) {
-    for (uint32_t ref = table_.Find(hashes[j], &ht); ref != 0;
-         ref = table_.Next(ref)) {
-      stats->probe_calls++;
-      pair_l.push_back(cand[j]);
-      pair_b.push_back(ref - 1);
-    }
-  }
-  stats->hash_table_lookups += ht.lookups;
-  stats->hash_table_probe_steps += ht.probe_steps;
-
-  // Verify all candidates column-at-a-time against the build keys.
-  const size_t pairs = pair_l.size();
-  std::vector<uint8_t> equal(pairs, 1);
-  for (size_t k = 0; k < probe_keys.size(); ++k) {
-    probe_keys[k].BatchEqualRows(pair_l.data(), build_keys_[k],
-                                 pair_b.data(), pairs,
-                                 /*bitwise_doubles=*/false, equal.data());
-  }
-
-  // Emit survivors in probe-row order (UINT32_MAX pads outer-join rows).
-  std::vector<uint32_t> lsel, rsel;
-  size_t ptr = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    bool matched = false;
-    while (ptr < pairs && pair_l[ptr] == r) {
-      if (equal[ptr] != 0) {
-        lsel.push_back(static_cast<uint32_t>(r));
-        rsel.push_back(pair_b[ptr]);
-        matched = true;
-      }
-      ++ptr;
-    }
-    if (!matched && kind_ == PhysicalJoinKind::kLeftOuter) {
-      lsel.push_back(static_cast<uint32_t>(r));
-      rsel.push_back(UINT32_MAX);
-    }
-  }
-
-  Chunk result(schema_);
-  if (!lsel.empty()) {
-    size_t lcols = probe.num_columns();
-    for (size_t c = 0; c < lcols; ++c) {
-      result.column(c).AppendGatherPadded(probe.column(c), lsel.data(),
-                                          lsel.size());
-    }
-    for (size_t c = 0; c < build_data_.num_columns(); ++c) {
-      result.column(lcols + c).AppendGatherPadded(build_data_.column(c),
-                                                  rsel.data(), rsel.size());
-    }
-  }
-
-  if (residual_ != nullptr && result.num_rows() > 0 &&
-      kind_ != PhysicalJoinKind::kLeftOuter) {
-    AGORA_ASSIGN_OR_RETURN(result, FilterChunk(result, *residual_, stats));
-  }
-  stats->rows_joined += static_cast<int64_t>(result.num_rows());
-  span.AddRows(static_cast<int64_t>(result.num_rows()));
-  *out = std::move(result);
-  return Status::OK();
-}
-
 Status PhysicalHashJoin::NextImpl(Chunk* chunk, bool* done) {
   // With spilled partitions the probe already ran during Open(); emit the
-  // k-way merge of the spooled streams. Otherwise stream the probe side —
-  // against the partitioned resident tables in budgeted mode, the single
-  // table in normal mode.
-  if (spill_mode_ && any_spilled_) return EmitMerged(chunk, done);
+  // k-way merge of the spooled streams. Otherwise stream the probe side
+  // against build_, which then holds every build row in either mode.
+  if (any_spilled_) return EmitMerged(chunk, done);
   while (!probe_done_) {
     Chunk probe;
     AGORA_RETURN_IF_ERROR(left_->Next(&probe, &probe_done_));
     if (probe.num_rows() == 0) continue;
     Chunk out;
-    if (spill_mode_) {
-      AGORA_RETURN_IF_ERROR(
-          ProbePartitionedChunk(probe, 0, &out, &context_->stats));
-    } else {
-      AGORA_RETURN_IF_ERROR(ProbeChunk(probe, &out, &context_->stats));
-    }
+    AGORA_RETURN_IF_ERROR(ProbeChunk(probe, &out, &context_->stats));
     if (out.num_rows() == 0) continue;
     *chunk = std::move(out);
     *done = probe_done_;

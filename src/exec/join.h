@@ -18,33 +18,37 @@ enum class PhysicalJoinKind { kInner, kLeftOuter, kCross };
 /// keys never match; kLeftOuter emits unmatched probe rows padded with
 /// NULLs.
 ///
-/// Keys are hashed column-at-a-time into a JoinHashTable whose build-side
-/// rows are hash-partitioned (`hash % P`); with a worker pool available
-/// the P partition directories are filled by parallel workers, each
-/// owning its partition outright. Chains iterate in ascending build-row
-/// order, so probe output is identical for every partition and worker
-/// count. Probing is read-only after Open(), exposed per-chunk via
-/// ProbeChunk() so the morsel pipeline can run probes on any worker; the
-/// join's key filter (JoinKeyFilter: an exact key bitmap for a dense
-/// integer key, else a Bloom filter) rejects matchless probe rows before
-/// they touch the slot directory. Build and probe book their self time
-/// into separate phase slots (EXPLAIN ANALYZE shows HashJoin::build/
-/// ::probe).
+/// Every build side, in memory or in spill mode, is one JoinBuild: the
+/// rows, their evaluated keys and key hashes, one JoinHashTable and one
+/// JoinKeyFilter (an exact key bitmap for a dense integer key, else a
+/// Bloom filter), filled by BuildTable. The table's rows are
+/// hash-partitioned (`hash % P`); with a worker pool available the P
+/// partition directories are filled by parallel workers, each owning its
+/// partition outright. Chains iterate in ascending build-row order, so
+/// probe output is identical for every partition and worker count. Every
+/// probe goes through one routine, Probe, which is read-only, so
+/// ProbeChunk() lets the morsel pipeline probe on any worker; the filter
+/// rejects matchless probe rows before they touch the slot directory.
+/// Build and probe book their self time into separate phase slots
+/// (EXPLAIN ANALYZE shows HashJoin::build/::probe).
 ///
-/// Join filter: outside spill mode, Open() builds the table and the one
-/// filter the join uses before it opens the probe child. The planner may
-/// hand build_filter() to the PhysicalScan that produces every probe key
-/// (AddJoinFilter); that scan then drops filter misses and NULL keys
-/// before it gathers anything, and set_filter_pushed() makes the probe
-/// skip its own, now redundant, check. The filter is immutable once
-/// built, so morsel workers read it without synchronization, and it has
-/// no false negatives, so results do not change. See DESIGN.md, "Join
-/// filters". Spill mode keeps a Bloom filter per resident partition.
+/// Join filter: outside spill mode, Open() builds the table and filter
+/// before it opens the probe child. The planner may hand build_filter()
+/// to the PhysicalScan that produces every probe key (AddJoinFilter);
+/// that scan then drops filter misses and NULL keys before it gathers
+/// anything, and set_filter_pushed() makes the probe skip its own, now
+/// redundant, check. The filter is immutable once built, so morsel
+/// workers read it without synchronization, and it has no false
+/// negatives, so results do not change. Spill mode publishes nothing
+/// and tests each build's filter in the probe. See DESIGN.md, "Join
+/// filters".
 class PhysicalHashJoin : public PhysicalOperator {
  public:
   /// `left_keys[i]` (over the left schema) must equal `right_keys[i]`
   /// (over the right schema) for a match; the planner guarantees matching
-  /// key types. `residual` (over left ⊕ right) further filters matches.
+  /// key types. `residual` (over left ⊕ right) further filters matches;
+  /// a kLeftOuter join has none (the planner lowers those to nested
+  /// loops).
   PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                    std::vector<ExprPtr> left_keys,
                    std::vector<ExprPtr> right_keys, ExprPtr residual,
@@ -60,7 +64,9 @@ class PhysicalHashJoin : public PhysicalOperator {
   /// Joins one probe chunk against the built table. Thread-safe once
   /// Open() returned; used by both the serial Next() loop and parallel
   /// morsel workers. `*out` may come back empty.
-  Status ProbeChunk(const Chunk& probe, Chunk* out, ExecStats* stats) const;
+  Status ProbeChunk(const Chunk& probe, Chunk* out, ExecStats* stats) const {
+    return Probe(build_, probe, nullptr, nullptr, out, stats);
+  }
 
   PhysicalOperator* probe_child() const { return left_.get(); }
   PhysicalOperator* build_child() const { return right_.get(); }
@@ -69,7 +75,7 @@ class PhysicalHashJoin : public PhysicalOperator {
 
   /// The filter over the build keys, filled by Open() before the probe
   /// child opens. The pointer is stable for the join's lifetime.
-  const JoinKeyFilter* build_filter() const { return &filter_; }
+  const JoinKeyFilter* build_filter() const { return &build_.filter; }
   /// Called by the planner once the probe-side scan applies
   /// build_filter(): every probe row then already passed it.
   void set_filter_pushed() { filter_pushed_ = true; }
@@ -85,33 +91,57 @@ class PhysicalHashJoin : public PhysicalOperator {
   }
 
  private:
-  /// Evaluates build keys, precomputes row hashes, and fills the
-  /// partitioned table (in parallel when a pool is available).
-  Status BuildTable();
+  /// One build side: the build rows, their evaluated key columns, the
+  /// keys' HashJoinKeys hashes and valid bytes, and the table and filter
+  /// over them.
+  struct JoinBuild {
+    Chunk data;
+    std::vector<ColumnVector> keys;
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> valid;  // 0 = some key was NULL
+    JoinHashTable table;
+    JoinKeyFilter filter;
+  };
+
+  /// Fills `*build` from `data`: evaluates and hashes the build keys,
+  /// then fills the table (in parallel when a pool is available) and the
+  /// filter. An empty `data` leaves an empty build, which frees the old.
+  Status BuildTable(Chunk data, JoinBuild* build) const;
+  /// Books a finished build's table and filter into the query's stats.
+  void CountBuild(const JoinBuild& build);
+
+  /// Joins probe rows against `build` and returns the joined rows in
+  /// probe-row order. The rows joined are `decide` (ascending) when it is
+  /// non-null, else every row of `probe`; kLeftOuter pads exactly those
+  /// that match nothing. With `tags`, `*out` gets a trailing BIGINT
+  /// column holding tags[r] for each row joined from probe row r. Tests
+  /// the build's filter unless the probe-side scan already applied it.
+  Status Probe(const JoinBuild& build, const Chunk& probe,
+               const std::vector<uint32_t>* decide, const int64_t* tags,
+               Chunk* out, ExecStats* stats) const;
 
   // --- budgeted (spill-capable) execution -------------------------------
   //
   // Build rows are partitioned by `hash % P`; when the query tracker
   // crosses its budget the largest resident partition is written to a
-  // temp file. Probe rows of spilled partitions divert to per-partition
-  // files tagged with their global probe-row index; everything else joins
-  // immediately into a spooled "immediate" stream. Each spilled partition
-  // is then reloaded alone, probed from its file, and its output spooled.
-  // NextImpl k-way-merges the streams by probe-row index, which restores
-  // exactly the order the in-memory path emits — output is byte-identical
-  // regardless of which partitions spilled. See DESIGN.md.
+  // temp file. The resident partitions then form one JoinBuild. If no
+  // partition spilled, NextImpl streams the probe through ProbeChunk as
+  // in memory. Otherwise probe rows of spilled partitions divert to
+  // per-partition files tagged with their global probe-row index, and
+  // everything else joins immediately into a spooled "immediate" stream.
+  // Each spilled partition is then reloaded alone into its own JoinBuild,
+  // probed from its file, and its output spooled. NextImpl k-way-merges
+  // the streams by probe-row index, which restores exactly the order the
+  // in-memory path emits — output is byte-identical regardless of which
+  // partitions spilled. See DESIGN.md.
 
   /// One hash partition of the build side. While resident, rows sit in
-  /// `buffered` chunks (right columns + a trailing int64 hash column);
-  /// once spilled they live in `build_file` in the same layout.
+  /// `buffered` chunks of the right columns; once spilled they live in
+  /// `build_file` in the same layout.
   struct SpillPartition {
     std::vector<Chunk> buffered;
-    size_t rows = 0;        // resident row count (0 once spilled)
-    size_t bytes = 0;       // resident bytes while buffered
-    size_t base = 0;        // offset into the resident concatenation
+    size_t rows = 0;  // resident row count (0 once spilled)
     bool spilled = false;
-    std::unique_ptr<JoinHashTable> table;  // resident partitions only
-    BloomFilter bloom;                     // over the resident rows
     std::unique_ptr<SpillFile> build_file;
     std::unique_ptr<SpillFile> probe_file;  // diverted probe rows (+index)
     std::unique_ptr<SpillFile> out_file;    // deferred join output (+index)
@@ -128,16 +158,15 @@ class PhysicalHashJoin : public PhysicalOperator {
   Status OpenSpill();
   /// Largest resident partition, or SIZE_MAX when none remains.
   size_t PickVictim() const;
-  /// Drain-phase shedding: flushes the victim's buffered chunks to disk.
-  Status SpillBufferedVictim();
-  /// Concatenates resident partitions, sheds further victims while over
-  /// budget, and builds one hash table per surviving partition.
+  /// Writes partition `p`'s buffered chunks to its build file and marks
+  /// it spilled.
+  Status SpillPartitionRows(size_t p);
+  /// Builds build_ over the resident partitions, shedding the largest
+  /// one and rebuilding while the query is over budget.
   Status PrepareResident();
-  Status SpillResidentVictim(size_t victim);
-  Status ReconcatResident();
-  /// Probes one chunk against the resident partition tables. With spilled
-  /// partitions present, appends a global-row-index column to `*out` and
-  /// diverts rows of spilled partitions to their probe files.
+  /// Routes one probe chunk: rows of spilled partitions go to their
+  /// probe files, the rest join against build_ into `*out`, tagged with
+  /// their global probe-row index (`base_idx` + row).
   Status ProbePartitionedChunk(const Chunk& probe, int64_t base_idx,
                                Chunk* out, ExecStats* stats);
   Status DrainProbeToStreams();
@@ -148,10 +177,6 @@ class PhysicalHashJoin : public PhysicalOperator {
   bool spill_mode_ = false;
   bool any_spilled_ = false;
   std::vector<SpillPartition> parts_;
-  Chunk resident_data_;  // concatenation of resident partitions
-  std::vector<ColumnVector> resident_keys_;
-  std::vector<uint64_t> resident_hashes_;
-  std::vector<uint8_t> resident_valid_;  // all ones (NULL keys dropped)
   std::unique_ptr<SpillFile> immediate_file_;
   std::vector<MergeStream> merge_;
 
@@ -164,13 +189,8 @@ class PhysicalHashJoin : public PhysicalOperator {
   int build_phase_id_ = -1;
   int probe_phase_id_ = -1;
 
-  Chunk build_data_;                      // materialized right side
-  std::vector<ColumnVector> build_keys_;  // evaluated right key columns
-  std::vector<uint64_t> build_hashes_;    // per-row combined key hash
-  std::vector<uint8_t> build_valid_;      // 0 = some key was NULL
-  JoinHashTable table_;
-  JoinKeyFilter filter_;
-  bool filter_pushed_ = false;  // the probe-side scan applies filter_
+  JoinBuild build_;  // the whole build side, or spill mode's resident part
+  bool filter_pushed_ = false;  // the probe-side scan applies the filter
   bool probe_done_ = false;
 };
 

@@ -613,7 +613,7 @@ Database* SpillJoinTest::budgeted_ = nullptr;
 // the ladder finds it instead of a hard-coded byte count. Every run must
 // succeed, match the unlimited 4-thread run cell for cell, doubles bit
 // for bit, and count the same joined rows, chain steps and table
-// entries.
+// entries; the one-key joins count a key bitmap for every build.
 TEST_F(SpillJoinTest, BudgetedJoinsMatchUnlimitedCellForCell) {
   for (const char* sql : {kResidualJoin, kLeftJoin, kTwoKeyJoin}) {
     SCOPED_TRACE(sql);
@@ -650,6 +650,11 @@ TEST_F(SpillJoinTest, BudgetedJoinsMatchUnlimitedCellForCell) {
           EXPECT_EQ(s.rows_joined, want.rows_joined) << label;
           EXPECT_EQ(s.probe_calls, want.probe_calls) << label;
           EXPECT_EQ(s.hash_table_entries, want.hash_table_entries) << label;
+          // One BIGINT key: the resident build and every reloaded
+          // partition each take a key bitmap. Two keys take Bloom filters.
+          EXPECT_EQ(s.join_filters_exact,
+                    sql == kTwoKeyJoin ? 0 : 1 + s.spill_partitions)
+              << label;
           return s.spill_partitions;
         };
         EXPECT_EQ(check(int64_t{1} << 30), 0) << "1 GiB spilled";
