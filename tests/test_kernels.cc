@@ -8,15 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -379,6 +383,220 @@ TEST_F(KernelsTest, DistinctAggregatesDedupPerGroup) {
   EXPECT_EQ(r.Get(2, 1).int64_value(), 0);  // c: all NULL
   EXPECT_TRUE(r.Get(2, 2).is_null());
   EXPECT_EQ(r.Get(2, 3).int64_value(), 0);
+}
+
+// ---------------------------------------------------------------------
+// DISTINCT aggregates: every function over BIGINT, DOUBLE and VARCHAR,
+// grouped and scalar, against values computed from the inserted rows.
+// ---------------------------------------------------------------------
+
+// 70,000 rows, more than one morsel (65,536 rows), so at 4 threads the
+// aggregate's input arrives through a morsel-parallel exchange. Row i
+// is in group g = i % 4, except every 500th row, which forms group 4
+// with every argument NULL. n is a BIGINT of 23 values, x a DOUBLE of
+// quarter steps with -0.0 and 0.0 among them (DISTINCT keeps whichever
+// zero comes first), s a VARCHAR of six words that stays
+// dictionary-encoded, and f a VARCHAR of 6,000 values, past the
+// dictionary cap, so it is stored flat. Each has NULLs of its own.
+constexpr int kDistinctRows = 70000;
+const char* const kDistinctWords[] = {"pear", "apple", "fig",
+                                      "kiwi", "date",  "plum"};
+
+struct DistinctRow {
+  int64_t g;
+  std::optional<int64_t> n;
+  std::optional<double> x;
+  std::optional<std::string> s;
+  std::optional<std::string> f;
+};
+
+DistinctRow MakeDistinctRow(int i) {
+  DistinctRow row;
+  const bool empty = i % 500 == 499;
+  row.g = empty ? 4 : i % 4;
+  if (empty) return row;
+  if (i % 11 != 0) row.n = (int64_t{i} * 7) % 23 - 11;
+  if (i % 13 != 0) {
+    row.x = i % 17 == 0   ? -0.0
+            : i % 19 == 0 ? 0.0
+                          : (i * 5 % 29) * 0.25 - 3.5;
+  }
+  if (i % 7 != 0) row.s = kDistinctWords[i * 3 % 6];
+  if (i % 9 != 0) row.f = "f" + std::to_string(i * 37 % 6000);
+  return row;
+}
+
+std::string DistinctSqlValue(const DistinctRow& row) {
+  auto str = [](const std::optional<std::string>& v) {
+    return v ? "'" + *v + "'" : std::string("NULL");
+  };
+  // Quarter steps print exactly; -0.0 prints as -0.000000.
+  return "(" + std::to_string(row.g) + ", " +
+         (row.n ? std::to_string(*row.n) : "NULL") + ", " +
+         (row.x ? std::to_string(*row.x) : "NULL") + ", " +
+         str(row.s) + ", " + str(row.f) + ")";
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+/// The expected DISTINCT results of one group: first occurrences of each
+/// argument in row order, folded the way SQL defines each function.
+struct DistinctExpect {
+  std::vector<int64_t> n;
+  std::vector<double> x;
+  std::set<std::string> s;
+  std::set<std::string> f;
+
+  void Add(const DistinctRow& row) {
+    if (row.n && std::find(n.begin(), n.end(), *row.n) == n.end()) {
+      n.push_back(*row.n);
+    }
+    // == treats -0.0 and 0.0 as one value, as DISTINCT does.
+    if (row.x && std::find(x.begin(), x.end(), *row.x) == x.end()) {
+      x.push_back(*row.x);
+    }
+    if (row.s) s.insert(*row.s);
+    if (row.f) f.insert(*row.f);
+  }
+
+  /// Checks COUNT, SUM, AVG, MIN, MAX, STDDEV and VARIANCE of `values`
+  /// (as doubles) in columns [col, col + 7) of row `r`.
+  template <typename T>
+  static void Check(const std::vector<T>& values, const QueryResult& got,
+                    size_t r, size_t col, const std::string& label) {
+    ASSERT_EQ(got.Get(r, col).int64_value(),
+              static_cast<int64_t>(values.size()))
+        << label;
+    if (values.empty()) {
+      for (size_t c = col + 1; c < col + 7; ++c) {
+        EXPECT_TRUE(got.Get(r, c).is_null()) << label << " col " << c;
+      }
+      return;
+    }
+    T sum{};
+    double sum_d = 0;
+    double sum_sq = 0;
+    T lo = values[0];
+    T hi = values[0];
+    for (T v : values) {
+      sum += v;
+      sum_d += static_cast<double>(v);
+      sum_sq += static_cast<double>(v) * static_cast<double>(v);
+      lo = v < lo ? v : lo;
+      hi = v > hi ? v : hi;
+    }
+    const double count = static_cast<double>(values.size());
+    if constexpr (std::is_same_v<T, double>) {
+      EXPECT_EQ(DoubleBits(got.Get(r, col + 1).AsDouble()), DoubleBits(sum))
+          << label << " SUM";
+      EXPECT_EQ(DoubleBits(got.Get(r, col + 3).AsDouble()), DoubleBits(lo))
+          << label << " MIN";
+      EXPECT_EQ(DoubleBits(got.Get(r, col + 4).AsDouble()), DoubleBits(hi))
+          << label << " MAX";
+    } else {
+      EXPECT_EQ(got.Get(r, col + 1).int64_value(), sum) << label << " SUM";
+      EXPECT_EQ(got.Get(r, col + 3).int64_value(), lo) << label << " MIN";
+      EXPECT_EQ(got.Get(r, col + 4).int64_value(), hi) << label << " MAX";
+    }
+    EXPECT_EQ(got.Get(r, col + 2).AsDouble(), sum_d / count)
+        << label << " AVG";
+    if (values.size() < 2) {
+      EXPECT_TRUE(got.Get(r, col + 5).is_null()) << label << " STDDEV";
+      EXPECT_TRUE(got.Get(r, col + 6).is_null()) << label << " VARIANCE";
+      return;
+    }
+    const double mean = sum_d / count;
+    const double variance =
+        std::max(0.0, (sum_sq - count * mean * mean) / (count - 1.0));
+    EXPECT_DOUBLE_EQ(got.Get(r, col + 5).AsDouble(), std::sqrt(variance))
+        << label << " STDDEV";
+    EXPECT_DOUBLE_EQ(got.Get(r, col + 6).AsDouble(), variance)
+        << label << " VARIANCE";
+  }
+
+  void CheckRow(const QueryResult& got, size_t r, size_t col,
+                const std::string& label) const {
+    Check(n, got, r, col, label + " BIGINT");
+    Check(x, got, r, col + 7, label + " DOUBLE");
+    size_t c = col + 14;
+    for (const std::set<std::string>* strings : {&s, &f}) {
+      for (bool is_min : {true, false}) {
+        const Value v = got.Get(r, c++);
+        if (strings->empty()) {
+          EXPECT_TRUE(v.is_null()) << label << " col " << c - 1;
+        } else {
+          EXPECT_EQ(v.string_value(),
+                    is_min ? *strings->begin() : *strings->rbegin())
+              << label << " col " << c - 1;
+        }
+      }
+    }
+  }
+};
+
+TEST(DistinctAggregateTest, EveryFunctionMatchesItsInsertedRows) {
+  setenv("AGORA_THREADS", "4", 0);
+  Database db;
+  auto exec = [&db](const std::string& sql) {
+    auto result = db.Execute(sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : QueryResult();
+  };
+  exec("CREATE TABLE dt (g BIGINT, n BIGINT, x DOUBLE, s VARCHAR, "
+       "f VARCHAR)");
+  std::vector<DistinctExpect> groups(5);
+  DistinctExpect scalar;
+  for (int begin = 0; begin < kDistinctRows; begin += 10000) {
+    std::string sql = "INSERT INTO dt VALUES ";
+    for (int i = begin; i < begin + 10000; ++i) {
+      const DistinctRow row = MakeDistinctRow(i);
+      sql += (i > begin ? ", " : "") + DistinctSqlValue(row);
+      groups[static_cast<size_t>(row.g)].Add(row);
+      scalar.Add(row);
+    }
+    exec(sql);
+  }
+  auto table = db.catalog().GetTable("dt");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->column(3).is_dictionary());
+  ASSERT_FALSE((*table)->column(4).is_dictionary());
+  // The data holds both zeros first in some group.
+  int negative_first = 0;
+  for (const DistinctExpect& group : groups) {
+    for (double v : group.x) negative_first += v == 0 && std::signbit(v);
+  }
+  ASSERT_GT(negative_first, 0);
+  ASSERT_LT(negative_first, 4);
+
+  std::string aggs;
+  for (const char* arg : {"n", "x"}) {
+    for (const char* func : {"COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV",
+                             "VARIANCE"}) {
+      aggs += std::string(", ") + func + "(DISTINCT " + arg + ")";
+    }
+  }
+  aggs += ", MIN(DISTINCT s), MAX(DISTINCT s), MIN(DISTINCT f), "
+          "MAX(DISTINCT f)";
+  const std::string grouped =
+      "SELECT g" + aggs + " FROM dt GROUP BY g ORDER BY g";
+  const std::string whole = "SELECT" + aggs.substr(1) + " FROM dt";
+  for (int threads : {1, 4}) {
+    db.set_execution_threads(threads);
+    const std::string label = std::to_string(threads) + " threads";
+    QueryResult got = exec(grouped);
+    ASSERT_EQ(got.num_rows(), groups.size()) << label;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      ASSERT_EQ(got.Get(g, 0).int64_value(), static_cast<int64_t>(g));
+      groups[g].CheckRow(got, g, 1, label + " group " + std::to_string(g));
+    }
+    got = exec(whole);
+    ASSERT_EQ(got.num_rows(), 1u) << label;
+    scalar.CheckRow(got, 0, 0, label + " scalar");
+  }
 }
 
 TEST_F(KernelsTest, ExplainAnalyzeShowsPhasesAndBloomCounters) {
