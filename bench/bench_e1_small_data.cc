@@ -284,8 +284,9 @@ bool SameCells(const QueryResult& a, const QueryResult& b) {
 /// Smoke check for budgeted execution: measure Q5's unlimited peak,
 /// rerun it with a quarter of that budget, and require that some join
 /// or aggregation partition spilled and that the result matches the
-/// unlimited one cell for cell. Proves the spill path is alive in CI
-/// without a separate binary.
+/// unlimited one cell for cell; then require the same match of Q1 at
+/// SF 0.05 under 1 GiB and under a quarter of its peak. Proves the
+/// spill path is alive in CI without a separate binary.
 void SmokeSpillCheck(double sf) {
   Database* db = GetTpchDatabase(sf);
   std::string sql = TpchQ5();
@@ -313,6 +314,27 @@ void SmokeSpillCheck(double sf) {
     std::printf("[E1] spill FAILURE: budgeted result diverged\n");
     std::exit(1);
   }
+
+  // Q1 at SF 0.05, where lineitem spans several morsels: a budgeted
+  // aggregate must fold and merge them as the unlimited run does, both
+  // when nothing spills (1 GiB) and under a quarter of the peak.
+  db = GetTpchDatabase(0.05);
+  sql = TpchQ1();
+  db->set_memory_budget(0);
+  unlimited = MustExecute(db, sql);
+  peak = unlimited.stats().mem_bytes_reserved_peak;
+  for (int64_t q1_budget : {int64_t{1} << 30, peak / 4}) {
+    db->set_memory_budget(q1_budget);
+    QueryResult got = MustExecute(db, sql);
+    std::printf("[E1] spill Q1 SF 0.05: budget=%lld partitions=%lld\n",
+                static_cast<long long>(q1_budget),
+                static_cast<long long>(got.stats().spill_partitions));
+    if (!SameCells(unlimited, got)) {
+      std::printf("[E1] spill FAILURE: budgeted Q1 diverged\n");
+      std::exit(1);
+    }
+  }
+  db->set_memory_budget(g_mem_budget);
 }
 
 }  // namespace

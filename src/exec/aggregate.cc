@@ -43,6 +43,13 @@ bool ValidMinMax(const ColumnVector& col, size_t n, int64_t* lo,
   return count != 0;
 }
 
+/// True for MIN/MAX over strings, which keep their running value in
+/// AggTable::minmax_strings.
+bool IsStringMinMax(const AggregateSpec& spec) {
+  return spec.result_type == TypeId::kString &&
+         (spec.func == AggFunc::kMin || spec.func == AggFunc::kMax);
+}
+
 }  // namespace
 
 PhysicalHashAggregate::PhysicalHashAggregate(
@@ -88,22 +95,31 @@ PhysicalHashAggregate::PhysicalHashAggregate(
 
 Status PhysicalHashAggregate::OpenImpl() {
   groups_ = AggTable{};
+  partial_ = AggTable{};
   num_groups_ = 0;
   next_group_ = 0;
-  scalar_default_group_ = false;
-  if (spill_mode_) return OpenSpill();
+  finalized_.clear();
+  any_spilled_ = false;
+  unit_ = 0;
+  next_row_ = 0;
+  parts_.clear();
+  spooled_.clear();
+  if (spill_mode_) {
+    parts_.resize(std::max<size_t>(1, context_->spill_partitions));
+  }
 
   bool has_distinct = false;
   for (const AggregateSpec& spec : aggregates_) {
     has_distinct = has_distinct || spec.distinct;
   }
-
   MorselPipeline pipeline;
-  if (!has_distinct &&
-      ParallelEligible(child_.get(), *context_, &pipeline)) {
+  const bool morsels =
+      !has_distinct && ParallelEligible(child_.get(), *context_, &pipeline);
+  morsel_partials_ = spill_mode_ && morsels;
+  AGORA_RETURN_IF_ERROR(child_->Open());
+  if (morsels && !spill_mode_) {
     // Parallel accumulate: one partial table per morsel (single-writer),
     // merged below in morsel order — worker count never changes results.
-    AGORA_RETURN_IF_ERROR(child_->Open());
     std::vector<AggTable> partials(pipeline.source()->MorselCount());
     AGORA_RETURN_IF_ERROR(DriveMorselPipeline(
         pipeline, context_,
@@ -114,31 +130,80 @@ Status PhysicalHashAggregate::OpenImpl() {
           // Attribute accumulation to this aggregate (nests under the
           // worker's scan span and subtracts itself from it).
           MetricSpan span = StatsSpan(stats, op_id());
-          return AccumulateInto(chunk, &partials[morsel.index], stats);
+          AggInput in;
+          AGORA_RETURN_IF_ERROR(Evaluate(chunk, &in));
+          return Fold(in, nullptr, &partials[morsel.index], stats);
         }));
     for (AggTable& partial : partials) {
-      MergePartial(std::move(partial));
+      MergePartial(std::move(partial), &groups_);
     }
+  } else if (morsels) {
+    // Budgeted: the same partials, one morsel at a time in morsel order
+    // on this thread, so shedding can act between any two chunks.
+    AGORA_RETURN_IF_ERROR(DriveMorselPipeline(
+        pipeline, context_,
+        [this](int worker, const Morsel& morsel, Chunk&& chunk) -> Status {
+          ExecStats* stats =
+              &context_->worker_stats[static_cast<size_t>(worker)];
+          MetricSpan span = StatsSpan(stats, op_id());
+          const auto unit = static_cast<int64_t>(morsel.index);
+          if (unit != unit_) {
+            MergePartial(std::move(partial_), &groups_);
+            partial_ = AggTable{};
+            unit_ = unit;
+          }
+          return FoldBudgeted(chunk, stats);
+        },
+        /*in_order=*/true));
+    MergePartial(std::move(partial_), &groups_);
+    partial_ = AggTable{};
+    AGORA_RETURN_IF_ERROR(ShedWhileOverBudget(&context_->stats));
   } else {
-    AGORA_RETURN_IF_ERROR(child_->Open());
     bool done = false;
     while (!done) {
       Chunk input;
       AGORA_RETURN_IF_ERROR(child_->Next(&input, &done));
+      if (spill_mode_) {
+        if (input.num_rows() > 0) {
+          AGORA_RETURN_IF_ERROR(FoldBudgeted(input, &context_->stats));
+        }
+        continue;
+      }
       // The in-memory table can only grow; fail gracefully at chunk
       // granularity when a budget is set (DISTINCT/scalar paths).
       AGORA_RETURN_IF_ERROR(context_->CheckMemoryBudget("HashAggregate"));
       if (input.num_rows() > 0) {
-        AGORA_RETURN_IF_ERROR(
-            AccumulateInto(input, &groups_, &context_->stats));
+        AggInput in;
+        AGORA_RETURN_IF_ERROR(Evaluate(input, &in));
+        AGORA_RETURN_IF_ERROR(Fold(in, nullptr, &groups_, &context_->stats));
       }
     }
+  }
+
+  if (any_spilled_) {
+    // Spool the resident groups first (freeing their table), then reload
+    // the spilled partitions one at a time into the freed headroom; the
+    // merge in NextImpl restores first-appearance order across the files.
+    if (groups_.keys.group_count() > 0) {
+      AGORA_RETURN_IF_ERROR(SpoolFinalized(groups_));
+    }
+    groups_ = AggTable{};
+    for (AggPartition& part : parts_) {
+      if (!part.spilled) continue;
+      AggTable table;
+      AGORA_RETURN_IF_ERROR(ReloadPartition(&part, &table));
+      AGORA_RETURN_IF_ERROR(SpoolFinalized(table));
+    }
+    std::vector<SpillFile*> files;
+    for (const std::unique_ptr<SpillFile>& file : spooled_) {
+      files.push_back(file.get());
+    }
+    return merge_.Open(files, &context_->stats);
   }
 
   num_groups_ = groups_.keys.group_count();
   // Scalar aggregation always yields one group.
   if (group_by_.empty() && num_groups_ == 0) {
-    scalar_default_group_ = true;
     num_groups_ = 1;
     groups_.states.assign(aggregates_.size(), AggState{});
     groups_.minmax_strings.assign(aggregates_.size(), {});
@@ -150,63 +215,32 @@ Status PhysicalHashAggregate::OpenImpl() {
       static_cast<int64_t>(groups_.keys.group_count());
   context_->stats.hash_table_slots +=
       static_cast<int64_t>(groups_.keys.slot_count());
+  if (spill_mode_) {
+    // Keep only the output, as a run that spilled keeps only its files:
+    // the operators above get the headroom the table held.
+    for (size_t start = 0; start < num_groups_; start += kChunkSize) {
+      finalized_.emplace_back(schema_);
+      AGORA_RETURN_IF_ERROR(FinalizeInto(
+          groups_, start, std::min(kChunkSize, num_groups_ - start),
+          &finalized_.back()));
+    }
+    groups_ = AggTable{};
+  }
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::AccumulateInto(const Chunk& input,
-                                             AggTable* table,
-                                             ExecStats* stats) const {
-  size_t rows = input.num_rows();
-  size_t num_aggs = aggregates_.size();
-  stats->rows_aggregated += static_cast<int64_t>(rows);
-  if (table->minmax_strings.size() != num_aggs) {
-    table->minmax_strings.resize(num_aggs);
-    table->distinct.resize(num_aggs);
-  }
-
-  // Evaluate group keys and aggregate arguments once per chunk.
-  std::vector<ColumnVector> key_cols(group_by_.size());
-  for (size_t g = 0; g < group_by_.size(); ++g) {
-    AGORA_RETURN_IF_ERROR(group_by_[g]->Evaluate(input, &key_cols[g]));
-  }
-  std::vector<ColumnVector> arg_cols;
-  AGORA_RETURN_IF_ERROR(EvalArgs(input, &arg_cols));
-
-  HashTableStats ht;
-  if (group_by_.empty()) {
-    // Scalar aggregation: one group, no per-row lookups. One
-    // FindOrCreate call registers the (empty-key) group on first use.
-    uint64_t h = kHashTableSalt;
-    uint32_t gid;
-    uint8_t created;
-    table->keys.FindOrCreate(key_cols, &h, 1, &gid, &created, &ht);
-    table->gid_scratch.assign(rows, 0);
-  } else if (!DirectGroupIds(key_cols, rows, table, &ht)) {
-    // Resolve every row to a dense group id in one vectorized pass.
-    table->hash_scratch.assign(rows, kHashTableSalt);
-    for (const ColumnVector& col : key_cols) {
-      col.HashBatch(table->hash_scratch.data(), rows, /*combine=*/true);
-    }
-    table->gid_scratch.resize(rows);
-    table->created_scratch.resize(rows);
-    table->keys.FindOrCreate(key_cols, table->hash_scratch.data(), rows,
-                             table->gid_scratch.data(),
-                             table->created_scratch.data(), &ht);
-  }
-  stats->hash_table_lookups += ht.lookups;
-  stats->hash_table_probe_steps += ht.probe_steps;
-  table->states.resize(table->keys.group_count() * num_aggs);
-  return ApplyAccumulators(arg_cols, table->gid_scratch.data(), rows, table,
-                           stats);
-}
-
-Status PhysicalHashAggregate::EvalArgs(
-    const Chunk& input, std::vector<ColumnVector>* arg_cols) const {
+Status PhysicalHashAggregate::Evaluate(const Chunk& input,
+                                       AggInput* in) const {
   if (input.num_columns() != child_->schema().num_fields()) {
     return Status::Internal("HashAggregate input has " +
                             std::to_string(input.num_columns()) +
                             " columns, expected " +
                             std::to_string(child_->schema().num_fields()));
+  }
+  in->rows = input.num_rows();
+  in->keys.assign(group_by_.size(), ColumnVector());
+  for (size_t g = 0; g < group_by_.size(); ++g) {
+    AGORA_RETURN_IF_ERROR(group_by_[g]->Evaluate(input, &in->keys[g]));
   }
   // Each step reads the input plus the steps before it, so a shared
   // subexpression is one column evaluated once.
@@ -216,14 +250,67 @@ Status PhysicalHashAggregate::EvalArgs(
     AGORA_RETURN_IF_ERROR(step->Evaluate(ext, &col));
     ext.AddColumn(std::move(col));
   }
-  arg_cols->assign(aggregates_.size(), ColumnVector());
+  in->args.assign(aggregates_.size(), ColumnVector());
   for (size_t a = 0; a < aggregates_.size(); ++a) {
-    if (arg_plan_.columns[a] == SIZE_MAX) continue;
-    ColumnVector& col = (*arg_cols)[a];
+    if (!FoldsArg(a)) continue;
+    ColumnVector& col = in->args[a];
     col = ext.column(arg_plan_.columns[a]);
     col.FlattenConstant();
   }
   return Status::OK();
+}
+
+Status PhysicalHashAggregate::Fold(const AggInput& in,
+                                   const int64_t* row_ids, AggTable* table,
+                                   ExecStats* stats) const {
+  const size_t rows = in.rows;
+  const size_t num_aggs = aggregates_.size();
+  stats->rows_aggregated += static_cast<int64_t>(rows);
+  if (table->minmax_strings.size() != num_aggs) {
+    table->minmax_strings.resize(num_aggs);
+    table->distinct.resize(num_aggs);
+  }
+
+  const size_t groups_before = table->keys.group_count();
+  HashTableStats ht;
+  if (group_by_.empty()) {
+    // Scalar aggregation: one group, no per-row lookups. One
+    // FindOrCreate call registers the (empty-key) group on first use.
+    uint64_t h = kHashTableSalt;
+    uint32_t gid;
+    uint8_t created;
+    table->keys.FindOrCreate(in.keys, &h, 1, &gid, &created, &ht);
+    table->gid_scratch.assign(rows, 0);
+  } else if (!DirectGroupIds(in.keys, rows, table, &ht)) {
+    // Resolve every row to a dense group id in one vectorized pass.
+    table->hash_scratch.assign(rows, kHashTableSalt);
+    for (const ColumnVector& col : in.keys) {
+      col.HashBatch(table->hash_scratch.data(), rows, /*combine=*/true);
+    }
+    table->gid_scratch.resize(rows);
+    table->created_scratch.resize(rows);
+    table->keys.FindOrCreate(in.keys, table->hash_scratch.data(), rows,
+                             table->gid_scratch.data(),
+                             table->created_scratch.data(), &ht);
+  }
+  stats->hash_table_lookups += ht.lookups;
+  stats->hash_table_probe_steps += ht.probe_steps;
+  const size_t groups_after = table->keys.group_count();
+  if (row_ids != nullptr) {
+    // Groups are created in row order, so the first row of each new
+    // group comes after the first row of the group created before it.
+    const uint32_t* gids = table->gid_scratch.data();
+    auto next = static_cast<uint32_t>(groups_before);
+    for (size_t r = 0; next < groups_after; ++r) {
+      if (gids[r] == next) {
+        table->first_rows.push_back(row_ids[r]);
+        ++next;
+      }
+    }
+  }
+  table->states.resize(groups_after * num_aggs);
+  return ApplyAccumulators(in.args, table->gid_scratch.data(), rows, table,
+                           stats);
 }
 
 bool PhysicalHashAggregate::DirectGroupIds(
@@ -391,8 +478,13 @@ Status PhysicalHashAggregate::ApplyAccumulators(
     std::iota(order.begin(), order.end(), 0u);
     run.assign({0, static_cast<uint32_t>(rows)});
   }
+  // A DISTINCT aggregate folds only the first occurrences, one by one.
+  std::vector<uint32_t> firsts;
+  const std::vector<uint32_t>* only = nullptr;
   auto fold_rows = [&](const auto& fold) {
-    if (by_group) {
+    if (only != nullptr) {
+      for (const uint32_t& r : *only) fold(size_t{gids[r]}, &r, &r + 1);
+    } else if (by_group) {
       for (size_t g = 0; g + 1 < run.size(); ++g) {
         if (run[g] != run[g + 1]) {
           fold(g, order.data() + run[g], order.data() + run[g + 1]);
@@ -419,10 +511,10 @@ Status PhysicalHashAggregate::ApplyAccumulators(
     }
     const ColumnVector& arg = arg_cols[a];
     const uint8_t* valid = arg.validity_data();
+    only = nullptr;
     if (spec.distinct) {
       // DISTINCT: dedup (group id, argument) pairs through a hashed key
-      // table — no per-row key strings — then apply first occurrences
-      // through the row-at-a-time mirror.
+      // table — no per-row key strings — and fold the pairs seen first.
       std::vector<uint32_t> sel;
       for (size_t r = 0; r < rows; ++r) {
         if (valid[r] != 0) sel.push_back(static_cast<uint32_t>(r));
@@ -448,18 +540,11 @@ Status PhysicalHashAggregate::ApplyAccumulators(
                                        dgids.data(), dcreated.data(), &dht);
       stats->hash_table_lookups += dht.lookups;
       stats->hash_table_probe_steps += dht.probe_steps;
-      bool is_string = spec.result_type == TypeId::kString &&
-                       (spec.func == AggFunc::kMin ||
-                        spec.func == AggFunc::kMax);
-      if (is_string) table->minmax_strings[a].resize(num_groups);
+      firsts.clear();
       for (size_t j = 0; j < sel.size(); ++j) {
-        if (dcreated[j] == 0) continue;
-        size_t r = sel[j];
-        size_t g = gids[r];
-        ApplyRow(spec, arg, r, &states[g * num_aggs + a],
-                 is_string ? &table->minmax_strings[a][g] : nullptr);
+        if (dcreated[j] != 0) firsts.push_back(sel[j]);
       }
-      continue;
+      only = &firsts;
     }
     switch (spec.func) {
       case AggFunc::kCount:
@@ -581,71 +666,13 @@ Status PhysicalHashAggregate::ApplyAccumulators(
   return Status::OK();
 }
 
-void PhysicalHashAggregate::ApplyRow(const AggregateSpec& spec,
-                                       const ColumnVector& arg, size_t row,
-                                       AggState* state,
-                                       std::string* minmax_str) const {
-  state->has_value = true;
-  switch (spec.func) {
-    case AggFunc::kCount:
-      state->count++;
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-      state->count++;
-      if (arg.type() == TypeId::kDouble) {
-        state->sum_d += arg.GetDouble(row);
-      } else {
-        const int64_t v = arg.GetInt64(row);
-        state->sum_wraps += AddWrapping(&state->sum_i, v);
-        state->sum_d += static_cast<double>(v);
-      }
-      break;
-    case AggFunc::kStddev:
-    case AggFunc::kVariance: {
-      double v = arg.GetNumeric(row);
-      state->count++;
-      state->sum_d += v;
-      state->sum_sq += v * v;
-      break;
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      const bool is_min = spec.func == AggFunc::kMin;
-      if (arg.type() == TypeId::kString) {
-        const std::string& s = arg.GetString(row);
-        if (state->count == 0 ||
-            (is_min ? s < *minmax_str : s > *minmax_str)) {
-          *minmax_str = s;
-        }
-      } else if (arg.type() == TypeId::kDouble) {
-        double v = arg.GetDouble(row);
-        if (state->count == 0 ||
-            (is_min ? v < state->minmax_d : v > state->minmax_d)) {
-          state->minmax_d = v;
-        }
-      } else {
-        int64_t v = arg.GetInt64(row);
-        if (state->count == 0 ||
-            (is_min ? v < state->minmax_i : v > state->minmax_i)) {
-          state->minmax_i = v;
-        }
-      }
-      state->count++;
-      break;
-    }
-    case AggFunc::kCountStar:
-      break;
-  }
-}
-
 void PhysicalHashAggregate::MergeAggStates(const AggTable& src,
-                                             size_t src_gid,
-                                             size_t dst_gid) {
+                                           size_t src_gid, AggTable* dst,
+                                           size_t dst_gid) const {
   size_t num_aggs = aggregates_.size();
   for (size_t a = 0; a < num_aggs; ++a) {
     const AggState& s = src.states[src_gid * num_aggs + a];
-    AggState& d = groups_.states[dst_gid * num_aggs + a];
+    AggState& d = dst->states[dst_gid * num_aggs + a];
     // MIN/MAX compare before the counts fold in (count == 0 means "no
     // value yet" on both sides of the comparison).
     switch (aggregates_[a].func) {
@@ -655,7 +682,7 @@ void PhysicalHashAggregate::MergeAggStates(const AggTable& src,
         const bool is_min = aggregates_[a].func == AggFunc::kMin;
         if (aggregates_[a].result_type == TypeId::kString) {
           const std::string& sv = src.minmax_strings[a][src_gid];
-          std::string& dv = groups_.minmax_strings[a][dst_gid];
+          std::string& dv = dst->minmax_strings[a][dst_gid];
           if (d.count == 0 || (is_min ? sv < dv : sv > dv)) dv = sv;
         } else if (aggregates_[a].result_type == TypeId::kDouble) {
           if (d.count == 0 ||
@@ -681,50 +708,49 @@ void PhysicalHashAggregate::MergeAggStates(const AggTable& src,
   }
 }
 
-void PhysicalHashAggregate::MergePartial(AggTable&& partial) {
+void PhysicalHashAggregate::MergePartial(AggTable&& partial, AggTable* dst) {
   size_t n = partial.keys.group_count();
   if (n == 0) return;
   size_t num_aggs = aggregates_.size();
-  if (groups_.minmax_strings.size() != num_aggs) {
-    groups_.minmax_strings.resize(num_aggs);
-    groups_.distinct.resize(num_aggs);
+  if (dst->minmax_strings.size() != num_aggs) {
+    dst->minmax_strings.resize(num_aggs);
+    dst->distinct.resize(num_aggs);
   }
   // The partial's stored key columns and (already salted) group hashes
   // feed straight back through FindOrCreate — no re-encoding.
   std::vector<uint32_t> gids(n);
   std::vector<uint8_t> created(n);
   HashTableStats ht;
-  groups_.keys.FindOrCreate(partial.keys.keys(),
-                            partial.keys.group_hashes().data(), n,
-                            gids.data(), created.data(), &ht);
+  dst->keys.FindOrCreate(partial.keys.keys(),
+                         partial.keys.group_hashes().data(), n, gids.data(),
+                         created.data(), &ht);
   context_->stats.hash_table_lookups += ht.lookups;
   context_->stats.hash_table_probe_steps += ht.probe_steps;
-  size_t total = groups_.keys.group_count();
-  groups_.states.resize(total * num_aggs);
+  size_t total = dst->keys.group_count();
+  dst->states.resize(total * num_aggs);
   for (size_t a = 0; a < num_aggs; ++a) {
     if (!partial.minmax_strings.empty() &&
         !partial.minmax_strings[a].empty()) {
       partial.minmax_strings[a].resize(n);
-      groups_.minmax_strings[a].resize(total);
-    } else if (!groups_.minmax_strings[a].empty()) {
-      groups_.minmax_strings[a].resize(total);
+      dst->minmax_strings[a].resize(total);
+    } else if (!dst->minmax_strings[a].empty()) {
+      dst->minmax_strings[a].resize(total);
     }
   }
   for (size_t g = 0; g < n; ++g) {
-    size_t dst = gids[g];
+    size_t d = gids[g];
     if (created[g] != 0) {
       for (size_t a = 0; a < num_aggs; ++a) {
-        groups_.states[dst * num_aggs + a] =
-            partial.states[g * num_aggs + a];
-        if (!groups_.minmax_strings[a].empty() &&
+        dst->states[d * num_aggs + a] = partial.states[g * num_aggs + a];
+        if (!dst->minmax_strings[a].empty() &&
             !partial.minmax_strings.empty() &&
             !partial.minmax_strings[a].empty()) {
-          groups_.minmax_strings[a][dst] =
-              std::move(partial.minmax_strings[a][g]);
+          dst->minmax_strings[a][d] = std::move(partial.minmax_strings[a][g]);
         }
       }
+      if (spill_mode_) dst->first_rows.push_back(partial.first_rows[g]);
     } else {
-      MergeAggStates(partial, g, dst);
+      MergeAggStates(partial, g, dst, d);
     }
   }
 }
@@ -812,474 +838,292 @@ Status PhysicalHashAggregate::FinalizeInto(const AggTable& table,
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::OpenSpill() {
-  parts_.clear();
-  streams_.clear();
-  const size_t num_parts = std::max<size_t>(1, context_->spill_partitions);
-  parts_.resize(num_parts);
-
-  // Serial input drain; the serial chunk order equals the morsel order,
-  // so results match the parallel in-memory path by construction.
-  AGORA_RETURN_IF_ERROR(child_->Open());
-  int64_t base_idx = 0;
-  bool done = false;
-  while (!done) {
-    Chunk input;
-    AGORA_RETURN_IF_ERROR(child_->Next(&input, &done));
-    size_t rows = input.num_rows();
-    if (rows == 0) continue;
-    AGORA_RETURN_IF_ERROR(AccumulatePartitioned(input, base_idx));
-    base_idx += static_cast<int64_t>(rows);
-    while (context_->memory->over_budget()) {
-      size_t resident = 0;
-      for (const AggPartition& part : parts_) {
-        resident += part.table.keys.group_count();
+Status PhysicalHashAggregate::FoldBudgeted(const Chunk& input,
+                                           ExecStats* stats) {
+  AggInput in;
+  AGORA_RETURN_IF_ERROR(Evaluate(input, &in));
+  const size_t rows = in.rows;
+  std::vector<int64_t> ids(rows);
+  std::iota(ids.begin(), ids.end(), next_row_);
+  next_row_ += static_cast<int64_t>(rows);
+  AggTable* target = morsel_partials_ ? &partial_ : &groups_;
+  if (!any_spilled_) {
+    AGORA_RETURN_IF_ERROR(Fold(in, ids.data(), target, stats));
+  } else {
+    // Route rows by group hash: rows of a spilled partition append to its
+    // log as [keys..., args..., row id, morsel]; the rest fold as usual.
+    const size_t num_parts = parts_.size();
+    std::vector<uint64_t> hashes(rows, kHashTableSalt);
+    for (const ColumnVector& col : in.keys) {
+      col.HashBatch(hashes.data(), rows, /*combine=*/true);
+    }
+    std::vector<std::vector<uint32_t>> sel(num_parts + 1);  // last: resident
+    for (size_t r = 0; r < rows; ++r) {
+      const size_t p = hashes[r] % num_parts;
+      sel[parts_[p].spilled ? p : num_parts].push_back(
+          static_cast<uint32_t>(r));
+    }
+    for (size_t p = 0; p <= num_parts; ++p) {
+      const std::vector<uint32_t>& rs = sel[p];
+      if (rs.empty()) continue;
+      AggInput part_in;
+      part_in.rows = rs.size();
+      for (const ColumnVector& col : in.keys) {
+        part_in.keys.push_back(col.Gather(rs));
       }
-      if (resident == 0) break;  // nothing to shed; reload checks decide
-      AGORA_RETURN_IF_ERROR(SpillAggVictim());
+      part_in.args.resize(aggregates_.size());
+      for (size_t a = 0; a < aggregates_.size(); ++a) {
+        if (FoldsArg(a)) part_in.args[a] = in.args[a].Gather(rs);
+      }
+      std::vector<int64_t> part_ids(rs.size());
+      for (size_t i = 0; i < rs.size(); ++i) part_ids[i] = ids[rs[i]];
+      if (p == num_parts) {
+        AGORA_RETURN_IF_ERROR(Fold(part_in, part_ids.data(), target, stats));
+        continue;
+      }
+      Chunk log;
+      for (ColumnVector& col : part_in.keys) log.AddColumn(std::move(col));
+      for (size_t a = 0; a < aggregates_.size(); ++a) {
+        if (FoldsArg(a)) log.AddColumn(std::move(part_in.args[a]));
+      }
+      ColumnVector id_col(TypeId::kInt64);
+      ColumnVector unit_col(TypeId::kInt64);
+      for (int64_t id : part_ids) {
+        id_col.AppendInt64(id);
+        unit_col.AppendInt64(unit_);
+      }
+      log.AddColumn(std::move(id_col));
+      log.AddColumn(std::move(unit_col));
+      AGORA_RETURN_IF_ERROR(SpillWriteChunk(parts_[p].file.get(), log, stats));
     }
   }
+  return ShedWhileOverBudget(stats);
+}
 
-  // Finalize resident partitions first (frees their tables), then reload
-  // spilled partitions one at a time into the freed headroom. Once any
-  // partition spilled, resident output spools to disk too: keeping it in
-  // memory would shrink the headroom the reloads were spilled to create.
-  bool any_spilled = false;
-  for (const AggPartition& part : parts_) {
-    any_spilled = any_spilled || part.spilled;
-  }
-  for (AggPartition& part : parts_) {
-    if (part.spilled) continue;
-    if (part.table.keys.group_count() > 0) {
-      AGORA_RETURN_IF_ERROR(
-          FinalizePartition(part.table, part.first_idx, &part, any_spilled));
-    }
-    part.table = AggTable{};
-    std::vector<int64_t>().swap(part.first_idx);
-  }
-  for (AggPartition& part : parts_) {
-    if (!part.spilled) continue;
-    AggTable table;
-    std::vector<int64_t> first_idx;
-    AGORA_RETURN_IF_ERROR(ReloadAndReplay(&part, &table, &first_idx));
-    AGORA_RETURN_IF_ERROR(
-        FinalizePartition(table, first_idx, &part, /*to_disk=*/true));
-  }
-
-  // Arm the first-appearance merge: one stream per non-empty partition.
-  for (AggPartition& part : parts_) {
-    if (part.out_file != nullptr) {
-      AggStream s;
-      s.file = part.out_file.get();
-      AGORA_RETURN_IF_ERROR(s.file->Rewind());
-      streams_.push_back(std::move(s));
-    } else if (!part.finalized.empty()) {
-      AggStream s;
-      s.mem = std::move(part.finalized);
-      streams_.push_back(std::move(s));
-    }
-  }
-  for (AggStream& s : streams_) {
-    AGORA_RETURN_IF_ERROR(AdvanceAggStream(&s));
+Status PhysicalHashAggregate::ShedWhileOverBudget(ExecStats* stats) {
+  while (context_->memory->over_budget()) {
+    const size_t victim = PickVictim();
+    if (victim == SIZE_MAX) break;  // nothing to shed; reload checks decide
+    AGORA_RETURN_IF_ERROR(Shed(victim, stats));
   }
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::AccumulatePartitioned(const Chunk& input,
-                                                    int64_t base_idx) {
-  const size_t num_parts = parts_.size();
-  size_t rows = input.num_rows();
-  size_t num_aggs = aggregates_.size();
-  ExecStats* stats = &context_->stats;
-  stats->rows_aggregated += static_cast<int64_t>(rows);
-
-  // Evaluate keys and arguments once, then scatter rows to their group-
-  // hash partition. All rows of a group share a partition, so per-group
-  // accumulation order is the global arrival order — unchanged.
-  std::vector<ColumnVector> key_cols(group_by_.size());
-  for (size_t g = 0; g < group_by_.size(); ++g) {
-    AGORA_RETURN_IF_ERROR(group_by_[g]->Evaluate(input, &key_cols[g]));
+size_t PhysicalHashAggregate::PickVictim() const {
+  std::vector<size_t> groups(parts_.size());
+  for (const AggTable* table : {&groups_, &partial_}) {
+    for (uint64_t h : table->keys.group_hashes()) groups[h % parts_.size()]++;
   }
-  std::vector<ColumnVector> arg_cols;
-  AGORA_RETURN_IF_ERROR(EvalArgs(input, &arg_cols));
-  std::vector<uint64_t> hashes(rows, kHashTableSalt);
-  for (const ColumnVector& col : key_cols) {
-    col.HashBatch(hashes.data(), rows, /*combine=*/true);
-  }
-  std::vector<std::vector<uint32_t>> psel(num_parts);
-  for (size_t r = 0; r < rows; ++r) {
-    psel[hashes[r] % num_parts].push_back(static_cast<uint32_t>(r));
-  }
-
-  for (size_t p = 0; p < num_parts; ++p) {
-    const std::vector<uint32_t>& sel = psel[p];
-    if (sel.empty()) continue;
-    AggPartition& part = parts_[p];
-    size_t n = sel.size();
-    std::vector<ColumnVector> pkeys;
-    pkeys.reserve(key_cols.size());
-    for (const ColumnVector& col : key_cols) pkeys.push_back(col.Gather(sel));
-    std::vector<uint64_t> phashes(n);
-    for (size_t i = 0; i < n; ++i) phashes[i] = hashes[sel[i]];
-
-    if (part.spilled) {
-      // Append to the partition's replay log:
-      // [keys..., args (non-null specs)..., hash, global index].
-      Chunk rc;
-      for (ColumnVector& col : pkeys) rc.AddColumn(std::move(col));
-      for (size_t a = 0; a < num_aggs; ++a) {
-        if (aggregates_[a].arg != nullptr) {
-          rc.AddColumn(arg_cols[a].Gather(sel));
-        }
-      }
-      ColumnVector hcol(TypeId::kInt64);
-      ColumnVector icol(TypeId::kInt64);
-      for (size_t i = 0; i < n; ++i) {
-        hcol.AppendInt64(static_cast<int64_t>(phashes[i]));
-        icol.AppendInt64(base_idx + sel[i]);
-      }
-      rc.AddColumn(std::move(hcol));
-      rc.AddColumn(std::move(icol));
-      AGORA_RETURN_IF_ERROR(SpillWriteChunk(part.file.get(), rc, stats));
-      continue;
-    }
-
-    AggTable& table = part.table;
-    if (table.minmax_strings.size() != num_aggs) {
-      table.minmax_strings.resize(num_aggs);
-      table.distinct.resize(num_aggs);
-    }
-    std::vector<uint32_t> gids(n);
-    std::vector<uint8_t> created(n);
-    HashTableStats ht;
-    table.keys.FindOrCreate(pkeys, phashes.data(), n, gids.data(),
-                            created.data(), &ht);
-    stats->hash_table_lookups += ht.lookups;
-    stats->hash_table_probe_steps += ht.probe_steps;
-    for (size_t i = 0; i < n; ++i) {
-      if (created[i] != 0) {
-        part.first_idx.push_back(base_idx + sel[i]);
-      }
-    }
-    table.states.resize(table.keys.group_count() * num_aggs);
-    std::vector<ColumnVector> pargs(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (aggregates_[a].arg != nullptr) pargs[a] = arg_cols[a].Gather(sel);
-    }
-    AGORA_RETURN_IF_ERROR(
-        ApplyAccumulators(pargs, gids.data(), n, &table, stats));
-  }
-  return Status::OK();
-}
-
-Status PhysicalHashAggregate::SpillAggVictim() {
   size_t victim = SIZE_MAX;
   size_t best = 0;
   for (size_t p = 0; p < parts_.size(); ++p) {
-    size_t n = parts_[p].table.keys.group_count();
-    if (!parts_[p].spilled && n > best) {
+    if (!parts_[p].spilled && groups[p] > best) {
       victim = p;
-      best = n;
+      best = groups[p];
     }
   }
-  AGORA_CHECK(victim != SIZE_MAX);
-  AggPartition& part = parts_[victim];
-  const AggTable& table = part.table;
-  size_t n = table.keys.group_count();
-  size_t num_aggs = aggregates_.size();
-  if (part.file == nullptr) {
-    AGORA_ASSIGN_OR_RETURN(part.file, context_->spill->Create());
-  }
+  return victim;
+}
 
-  // Snapshot record 1: the stored group keys, hashes, and first-
-  // appearance indices as one group-major chunk.
-  Chunk snap;
-  for (const ColumnVector& key : table.keys.keys()) snap.AddColumn(key);
-  ColumnVector hcol(TypeId::kInt64);
-  ColumnVector icol(TypeId::kInt64);
-  for (size_t g = 0; g < n; ++g) {
-    hcol.AppendInt64(static_cast<int64_t>(table.keys.group_hashes()[g]));
-    icol.AppendInt64(part.first_idx[g]);
-  }
-  snap.AddColumn(std::move(hcol));
-  snap.AddColumn(std::move(icol));
-  AGORA_RETURN_IF_ERROR(
-      SpillWriteChunk(part.file.get(), snap, &context_->stats));
-
-  // Snapshot record 2: the accumulators, raw (AggState is trivially
-  // copyable, and raw bytes round-trip doubles bit-exactly).
-  AGORA_RETURN_IF_ERROR(SpillWriteBlob(part.file.get(), table.states.data(),
-                                       n * num_aggs * sizeof(AggState),
-                                       &context_->stats));
-
-  // Snapshot record 3: string MIN/MAX side state, one column per
-  // aggregate (all-NULL when the aggregate keeps none).
-  Chunk mm;
-  for (size_t a = 0; a < num_aggs; ++a) {
-    ColumnVector col(TypeId::kString);
-    if (table.minmax_strings.size() > a &&
-        table.minmax_strings[a].size() == n) {
-      for (size_t g = 0; g < n; ++g) {
-        col.AppendString(table.minmax_strings[a][g]);
-      }
-    } else {
-      for (size_t g = 0; g < n; ++g) col.AppendNull();
+Status PhysicalHashAggregate::Shed(size_t p, ExecStats* stats) {
+  AggPartition& part = parts_[p];
+  AGORA_ASSIGN_OR_RETURN(part.file, context_->spill->Create());
+  for (AggTable* table : {&groups_, &partial_}) {
+    std::vector<uint32_t> shed, keep;
+    const std::vector<uint64_t>& hashes = table->keys.group_hashes();
+    for (size_t g = 0; g < hashes.size(); ++g) {
+      (hashes[g] % parts_.size() == p ? shed : keep)
+          .push_back(static_cast<uint32_t>(g));
     }
-    mm.AddColumn(std::move(col));
+    // AggState is trivially copyable, and raw bytes round-trip doubles
+    // bit-exactly.
+    std::vector<AggState> states;
+    AGORA_RETURN_IF_ERROR(
+        SpillWriteChunk(part.file.get(), SliceOf(*table, shed, &states), stats));
+    AGORA_RETURN_IF_ERROR(SpillWriteBlob(part.file.get(), states.data(),
+                                         states.size() * sizeof(AggState),
+                                         stats));
+    if (shed.empty()) continue;
+    Chunk rest = SliceOf(*table, keep, &states);
+    LoadSlice(rest, std::move(states), table);
   }
-  if (num_aggs == 0) mm.SetExplicitRowCount(n);
-  AGORA_RETURN_IF_ERROR(
-      SpillWriteChunk(part.file.get(), mm, &context_->stats));
-
-  part.table = AggTable{};
-  std::vector<int64_t>().swap(part.first_idx);
   part.spilled = true;
-  context_->stats.spill_partitions++;
+  part.unit = unit_;
+  any_spilled_ = true;
+  stats->spill_partitions++;
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::ReloadAndReplay(AggPartition* part,
-                                              AggTable* table,
-                                              std::vector<int64_t>* first_idx) {
-  size_t num_aggs = aggregates_.size();
-  size_t num_keys = group_by_.size();
-  AGORA_RETURN_IF_ERROR(part->file->Rewind());
-
-  // Snapshot: rebuild the key table from the stored keys (a fresh table
-  // assigns identity group ids in row order), then overlay the raw
-  // accumulators and string MIN/MAX state.
-  Chunk snap;
-  bool eof = false;
-  AGORA_RETURN_IF_ERROR(
-      SpillReadChunk(part->file.get(), &snap, &eof, &context_->stats));
-  if (eof) {
-    return Status::IoError("spill file missing aggregate state snapshot");
+Chunk PhysicalHashAggregate::SliceOf(const AggTable& table,
+                                     const std::vector<uint32_t>& gids,
+                                     std::vector<AggState>* states) const {
+  const size_t num_aggs = aggregates_.size();
+  states->clear();
+  if (gids.empty()) return Chunk();  // the table may never have been typed
+  Chunk slice;
+  for (const ColumnVector& key : table.keys.keys()) {
+    slice.AddColumn(key.Gather(gids));
   }
-  size_t n = snap.num_rows();
-  std::vector<ColumnVector> kcols;
-  kcols.reserve(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) kcols.push_back(snap.column(k));
-  std::vector<uint64_t> hashes(n);
-  const int64_t* hdata = snap.column(num_keys).int64_data();
-  for (size_t g = 0; g < n; ++g) hashes[g] = static_cast<uint64_t>(hdata[g]);
+  ColumnVector first(TypeId::kInt64);
+  states->reserve(gids.size() * num_aggs);
+  for (uint32_t g : gids) {
+    first.AppendInt64(table.first_rows[g]);
+    const AggState* row = table.states.data() + size_t{g} * num_aggs;
+    states->insert(states->end(), row, row + num_aggs);
+  }
+  slice.AddColumn(std::move(first));
+  for (size_t a = 0; a < num_aggs; ++a) {
+    if (!IsStringMinMax(aggregates_[a])) continue;
+    const std::vector<std::string>& ms = table.minmax_strings[a];
+    ColumnVector col(TypeId::kString);
+    for (uint32_t g : gids) col.AppendString(ms[g]);
+    slice.AddColumn(std::move(col));
+  }
+  return slice;
+}
+
+void PhysicalHashAggregate::LoadSlice(const Chunk& slice,
+                                      std::vector<AggState> states,
+                                      AggTable* table) const {
+  *table = AggTable{};
+  const size_t n = slice.num_rows();
+  if (n == 0) return;
+  const size_t num_keys = group_by_.size();
+  const size_t num_aggs = aggregates_.size();
+  // A fresh table assigns identity group ids in slice order.
+  std::vector<ColumnVector> keys;
+  std::vector<uint64_t> hashes(n, kHashTableSalt);
+  for (size_t k = 0; k < num_keys; ++k) {
+    keys.push_back(slice.column(k));
+    keys.back().HashBatch(hashes.data(), n, /*combine=*/true);
+  }
   std::vector<uint32_t> gids(n);
   std::vector<uint8_t> created(n);
   HashTableStats ht;
-  table->keys.FindOrCreate(kcols, hashes.data(), n, gids.data(),
+  table->keys.FindOrCreate(keys, hashes.data(), n, gids.data(),
                            created.data(), &ht);
-  const int64_t* idata = snap.column(num_keys + 1).int64_data();
-  first_idx->assign(idata, idata + n);
-  // The table now owns its own copy of the keys; drop the snapshot and
-  // the scratch arrays before reading the accumulators so the reload
-  // never holds two copies of the partition at once.
-  kcols.clear();
-  snap = Chunk();
-  std::vector<uint64_t>().swap(hashes);
-  std::vector<uint32_t>().swap(gids);
-  std::vector<uint8_t>().swap(created);
-
-  std::string blob;
-  AGORA_RETURN_IF_ERROR(
-      SpillReadBlob(part->file.get(), &blob, &context_->stats));
-  if (blob.size() != n * num_aggs * sizeof(AggState)) {
-    return Status::IoError("spill snapshot accumulator size mismatch");
-  }
-  table->states.resize(n * num_aggs);
-  if (!blob.empty()) {
-    std::memcpy(table->states.data(), blob.data(), blob.size());
-  }
-  std::string().swap(blob);
-  Chunk mm;
-  AGORA_RETURN_IF_ERROR(
-      SpillReadChunk(part->file.get(), &mm, &eof, &context_->stats));
-  if (eof) return Status::IoError("spill file missing MIN/MAX snapshot");
+  table->states = std::move(states);
+  const int64_t* first = slice.column(num_keys).int64_data();
+  table->first_rows.assign(first, first + n);
   table->minmax_strings.resize(num_aggs);
   table->distinct.resize(num_aggs);
+  size_t c = num_keys + 1;
   for (size_t a = 0; a < num_aggs; ++a) {
-    const AggregateSpec& spec = aggregates_[a];
-    if (spec.result_type != TypeId::kString ||
-        (spec.func != AggFunc::kMin && spec.func != AggFunc::kMax)) {
-      continue;
-    }
+    if (!IsStringMinMax(aggregates_[a])) continue;
     std::vector<std::string>& ms = table->minmax_strings[a];
     ms.resize(n);
-    for (size_t g = 0; g < n; ++g) {
-      if (!mm.column(a).IsNull(g)) ms[g] = mm.column(a).GetString(g);
-    }
+    for (size_t g = 0; g < n; ++g) ms[g] = slice.column(c).GetString(g);
+    ++c;
   }
-  mm = Chunk();
+}
 
-  // Replay the logged rows in arrival order: identical per-group
-  // accumulation sequence to the never-spilled execution.
-  for (;;) {
-    Chunk rc;
+Status PhysicalHashAggregate::ReloadPartition(AggPartition* part,
+                                              AggTable* table) {
+  const size_t num_aggs = aggregates_.size();
+  ExecStats* stats = &context_->stats;
+  AGORA_RETURN_IF_ERROR(part->file->Rewind());
+  // The merged groups, then the partial of morsel `part->unit`.
+  AggTable partial;
+  for (AggTable* t : {table, &partial}) {
+    Chunk slice;
+    bool eof = false;
     AGORA_RETURN_IF_ERROR(
-        SpillReadChunk(part->file.get(), &rc, &eof, &context_->stats));
-    if (eof) break;
-    size_t rows = rc.num_rows();
-    std::vector<ColumnVector> rkeys;
-    rkeys.reserve(num_keys);
-    for (size_t k = 0; k < num_keys; ++k) rkeys.push_back(rc.column(k));
-    std::vector<ColumnVector> rargs(num_aggs);
-    size_t c = num_keys;
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (aggregates_[a].arg != nullptr) rargs[a] = rc.column(c++);
+        SpillReadChunk(part->file.get(), &slice, &eof, stats));
+    if (eof) return Status::IoError("spill file missing aggregate slice");
+    std::string blob;
+    AGORA_RETURN_IF_ERROR(SpillReadBlob(part->file.get(), &blob, stats));
+    std::vector<AggState> states(slice.num_rows() * num_aggs);
+    if (blob.size() != states.size() * sizeof(AggState)) {
+      return Status::IoError("spill slice accumulator size mismatch");
     }
-    const int64_t* rh = rc.column(c).int64_data();
-    const int64_t* ri = rc.column(c + 1).int64_data();
-    std::vector<uint64_t> rhashes(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      rhashes[r] = static_cast<uint64_t>(rh[r]);
-    }
-    std::vector<uint32_t> rgids(rows);
-    std::vector<uint8_t> rcreated(rows);
-    HashTableStats rht;
-    table->keys.FindOrCreate(rkeys, rhashes.data(), rows, rgids.data(),
-                             rcreated.data(), &rht);
-    context_->stats.hash_table_lookups += rht.lookups;
-    context_->stats.hash_table_probe_steps += rht.probe_steps;
-    for (size_t r = 0; r < rows; ++r) {
-      if (rcreated[r] != 0) first_idx->push_back(ri[r]);
-    }
-    table->states.resize(table->keys.group_count() * num_aggs);
-    AGORA_RETURN_IF_ERROR(
-        ApplyAccumulators(rargs, rgids.data(), rows, table, &context_->stats));
+    if (!blob.empty()) std::memcpy(states.data(), blob.data(), blob.size());
+    LoadSlice(slice, std::move(states), t);
   }
+
+  // Fold the logged rows as the resident path would have: into the
+  // partial of their morsel, merging it at each morsel boundary.
+  int64_t unit = part->unit;
+  for (;;) {
+    Chunk log;
+    bool eof = false;
+    AGORA_RETURN_IF_ERROR(SpillReadChunk(part->file.get(), &log, &eof, stats));
+    if (eof) break;
+    AggInput in;
+    in.rows = log.num_rows();
+    size_t c = 0;
+    for (size_t k = 0; k < group_by_.size(); ++k) {
+      in.keys.push_back(log.column(c++));
+    }
+    in.args.resize(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      if (FoldsArg(a)) in.args[a] = log.column(c++);
+    }
+    const int64_t log_unit = log.column(c + 1).GetInt64(0);
+    if (log_unit != unit) {
+      MergePartial(std::move(partial), table);
+      partial = AggTable{};
+      unit = log_unit;
+    }
+    AGORA_RETURN_IF_ERROR(Fold(in, log.column(c).int64_data(),
+                               morsel_partials_ ? &partial : table, stats));
+  }
+  MergePartial(std::move(partial), table);
+  partial = AggTable{};
   context_->spill->Recycle(std::move(part->file));
   // A partition that cannot fit alone even after spilling is the scheme's
   // graceful-failure point.
   return context_->CheckMemoryBudget("HashAggregate::spill-reload");
 }
 
-Status PhysicalHashAggregate::FinalizePartition(
-    const AggTable& table, const std::vector<int64_t>& first_idx,
-    AggPartition* part, bool to_disk) {
-  size_t n = table.keys.group_count();
+Status PhysicalHashAggregate::SpoolFinalized(const AggTable& table) {
+  const size_t n = table.keys.group_count();
   context_->stats.hash_table_entries += static_cast<int64_t>(n);
   context_->stats.hash_table_slots +=
       static_cast<int64_t>(table.keys.slot_count());
-  if (to_disk) {
-    AGORA_ASSIGN_OR_RETURN(part->out_file, context_->spill->Create());
-  }
-  // Output is batched far below kChunkSize: the k-way merge later holds
-  // one loaded batch per disk stream — and frees a memory stream's batch
-  // only once fully consumed — *while the result chunk is accumulating*,
-  // so the batch size is the merge's memory floor either way.
+  AGORA_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> file,
+                         context_->spill->Create());
+  // Output is batched far below kChunkSize: the merge later holds one
+  // loaded batch per file while the result chunk is accumulating, so the
+  // batch size is the merge's memory floor.
   const size_t batch = std::min<size_t>(kChunkSize, 256);
   for (size_t start = 0; start < n; start += batch) {
-    size_t count = std::min(batch, n - start);
+    const size_t count = std::min(batch, n - start);
     Chunk out(schema_);
     AGORA_RETURN_IF_ERROR(FinalizeInto(table, start, count, &out));
     ColumnVector idx(TypeId::kInt64);
     idx.Reserve(count);
     for (size_t g = start; g < start + count; ++g) {
-      idx.AppendInt64(first_idx[g]);
+      idx.AppendInt64(table.first_rows[g]);
     }
     out.AddColumn(std::move(idx));
-    if (to_disk) {
-      AGORA_RETURN_IF_ERROR(
-          SpillWriteChunk(part->out_file.get(), out, &context_->stats));
-    } else {
-      part->finalized.push_back(std::move(out));
-    }
+    AGORA_RETURN_IF_ERROR(SpillWriteChunk(file.get(), out, &context_->stats));
   }
-  return Status::OK();
-}
-
-Status PhysicalHashAggregate::AdvanceAggStream(AggStream* s) {
-  while (!s->exhausted && s->row >= s->chunk.num_rows()) {
-    s->row = 0;
-    if (s->file != nullptr) {
-      Chunk next;
-      bool eof = false;
-      AGORA_RETURN_IF_ERROR(
-          SpillReadChunk(s->file, &next, &eof, &context_->stats));
-      if (eof) {
-        s->exhausted = true;
-        s->chunk = Chunk();
-      } else {
-        s->chunk = std::move(next);
-      }
-    } else if (s->mem_pos < s->mem.size()) {
-      s->chunk = std::move(s->mem[s->mem_pos++]);
-    } else {
-      s->exhausted = true;
-      s->chunk = Chunk();
-    }
-  }
-  return Status::OK();
-}
-
-Status PhysicalHashAggregate::EmitMerged(Chunk* chunk, bool* done) {
-  const size_t ncols = schema_.num_fields();
-  Chunk out(schema_);
-  std::vector<uint32_t> sel;
-  while (out.num_rows() < kChunkSize) {
-    // Smallest head index wins (indices are disjoint across partitions —
-    // a group is created by exactly one global row).
-    size_t best = SIZE_MAX;
-    int64_t best_idx = 0;
-    int64_t second = INT64_MAX;
-    for (size_t i = 0; i < streams_.size(); ++i) {
-      AggStream& s = streams_[i];
-      if (s.exhausted) continue;
-      int64_t idx = s.chunk.column(ncols).GetInt64(s.row);
-      if (best == SIZE_MAX) {
-        best = i;
-        best_idx = idx;
-      } else if (idx < best_idx) {
-        second = best_idx;
-        best = i;
-        best_idx = idx;
-      } else if (idx < second) {
-        second = idx;
-      }
-    }
-    if (best == SIZE_MAX) break;
-    AggStream& s = streams_[best];
-    const int64_t* idxs = s.chunk.column(ncols).int64_data();
-    size_t room = kChunkSize - out.num_rows();
-    size_t end = s.row + 1;
-    while (end < s.chunk.num_rows() && idxs[end] < second &&
-           end - s.row < room) {
-      ++end;
-    }
-    sel.resize(end - s.row);
-    std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(s.row));
-    for (size_t c = 0; c < ncols; ++c) {
-      out.column(c).AppendGatherPadded(s.chunk.column(c), sel.data(),
-                                       sel.size());
-    }
-    s.row = end;
-    AGORA_RETURN_IF_ERROR(AdvanceAggStream(&s));
-  }
-
-  bool drained = true;
-  for (const AggStream& s : streams_) drained &= s.exhausted;
-  if (drained) {
-    streams_.clear();
-    for (AggPartition& part : parts_) {
-      if (part.out_file != nullptr) {
-        context_->spill->Recycle(std::move(part.out_file));
-      }
-    }
-  }
-  context_->stats.bytes_materialized +=
-      static_cast<int64_t>(out.MemoryBytes());
-  *chunk = std::move(out);
-  *done = drained;
+  spooled_.push_back(std::move(file));
   return Status::OK();
 }
 
 Status PhysicalHashAggregate::NextImpl(Chunk* chunk, bool* done) {
-  if (spill_mode_) return EmitMerged(chunk, done);
   Chunk out(schema_);
-  const size_t count = std::min(kChunkSize, num_groups_ - next_group_);
-  AGORA_RETURN_IF_ERROR(FinalizeInto(groups_, next_group_, count, &out));
-  next_group_ += count;
+  if (any_spilled_) {
+    AGORA_RETURN_IF_ERROR(merge_.Next(&out, done, &context_->stats));
+    if (*done) {
+      for (std::unique_ptr<SpillFile>& file : spooled_) {
+        context_->spill->Recycle(std::move(file));
+      }
+      spooled_.clear();
+    }
+  } else {
+    const size_t count = std::min(kChunkSize, num_groups_ - next_group_);
+    if (finalized_.empty()) {
+      AGORA_RETURN_IF_ERROR(FinalizeInto(groups_, next_group_, count, &out));
+    } else {
+      out = std::move(finalized_[next_group_ / kChunkSize]);
+    }
+    next_group_ += count;
+    *done = next_group_ >= num_groups_;
+  }
   context_->stats.bytes_materialized += static_cast<int64_t>(out.MemoryBytes());
   *chunk = std::move(out);
-  *done = next_group_ >= num_groups_;
   return Status::OK();
 }
 

@@ -7,6 +7,7 @@
 
 #include "exec/hash_table.h"
 #include "exec/physical_op.h"
+#include "exec/spill_util.h"
 #include "expr/expr.h"
 #include "expr/expr_rewrite.h"
 #include "plan/logical_plan.h"
@@ -23,7 +24,10 @@ namespace agora {
 /// table, so the per-row work is a vectorized lookup plus fixed-width
 /// accumulator updates — no per-row key strings, Values, or map nodes.
 /// Accumulators are a flat group-major AggState array; only string
-/// MIN/MAX keeps a side vector of strings.
+/// MIN/MAX keeps a side vector of strings. Every row reaches a table
+/// through one routine, Fold, over keys and arguments Evaluate computed:
+/// the in-memory table, morsel partials, a budgeted run's resident and
+/// replayed rows, and DISTINCT's first occurrences alike.
 ///
 /// When the child is an eligible morsel pipeline (see exec/parallel.h) and
 /// no aggregate is DISTINCT, Open() accumulates in parallel: each morsel
@@ -34,8 +38,8 @@ namespace agora {
 /// worker count. DISTINCT aggregates cannot merge partial dedup sets
 /// exactly, so they stay on the serial pull path (the planner parallelizes
 /// their input through a Gather exchange instead); their dedup runs over
-/// per-aggregate GroupKeyTables keyed on (group id, argument) instead of
-/// per-row key-string sets.
+/// per-aggregate GroupKeyTables keyed on (group id, argument), and the
+/// first occurrences fold through the same kernels as every other row.
 ///
 /// Two shortcuts keep the per-row cost down without changing a byte:
 ///  * Shared inputs. The aggregate arguments are evaluated as one
@@ -103,6 +107,9 @@ class PhysicalHashAggregate : public PhysicalOperator {
     /// DISTINCT dedup tables keyed on (group id, argument value); only
     /// allocated for DISTINCT aggregates (serial path only).
     std::vector<std::unique_ptr<GroupKeyTable>> distinct;
+    /// Budgeted runs only: per group, the index of the input row that
+    /// created it, counted over the child's whole output.
+    std::vector<int64_t> first_rows;
     /// Direct-indexed group ids, set up by the first chunk whose keys
     /// all fit (see DirectKey) in kMaxDirectGroupSlots combined slots:
     /// per key its slot rule, and group id + 1 per combined slot (0 = no
@@ -137,15 +144,30 @@ class PhysicalHashAggregate : public PhysicalOperator {
   /// and loses 2-7% from 512 groups on.
   static constexpr size_t kMaxGroupRuns = 256;
 
-  /// Accumulates one chunk into `table`. Side-effect free apart from its
-  /// out-params, so parallel workers can run it on disjoint tables
-  /// concurrently.
-  Status AccumulateInto(const Chunk& input, AggTable* table,
-                        ExecStats* stats) const;
-  /// Evaluates every aggregate argument over `input` through
-  /// `arg_plan_` (entries of COUNT(*) stay empty).
-  Status EvalArgs(const Chunk& input,
-                  std::vector<ColumnVector>* arg_cols) const;
+  /// One chunk's evaluated group keys and aggregate arguments. The
+  /// argument of COUNT(*), and of an AVG that reads a SUM's accumulator,
+  /// stays empty (see FoldsArg).
+  struct AggInput {
+    std::vector<ColumnVector> keys;
+    std::vector<ColumnVector> args;
+    size_t rows = 0;
+  };
+
+  /// True when aggregate `a` folds an argument column of its own.
+  bool FoldsArg(size_t a) const {
+    return arg_plan_.columns[a] != SIZE_MAX && acc_of_[a] == a;
+  }
+  /// Evaluates the group keys and, through `arg_plan_`, the aggregate
+  /// arguments over `input`.
+  Status Evaluate(const Chunk& input, AggInput* in) const;
+  /// Folds the rows of `in` into `table`: resolves them to group ids
+  /// (direct-indexed or hashed), creating unseen groups in row order,
+  /// then applies the accumulators. With `row_ids`, every group created
+  /// records row_ids[r] of its first row r in `table->first_rows`.
+  /// Side-effect free apart from its out-params, so parallel workers can
+  /// run it on disjoint tables concurrently.
+  Status Fold(const AggInput& in, const int64_t* row_ids, AggTable* table,
+              ExecStats* stats) const;
   /// Resolves rows [0, rows) to group ids in `table->gid_scratch` through
   /// the direct-indexed array. Returns false, creating no group, when
   /// some key is constant or neither a dictionary column over the
@@ -154,8 +176,9 @@ class PhysicalHashAggregate : public PhysicalOperator {
   bool DirectGroupIds(const std::vector<ColumnVector>& key_cols, size_t rows,
                       AggTable* table, HashTableStats* ht) const;
   /// The columnar accumulator kernels: applies rows [0, n) of the already-
-  /// evaluated argument columns to `table` under the given group ids.
-  /// Shared by the global, per-morsel, and per-spill-partition paths.
+  /// evaluated argument columns to `table` under the given group ids. A
+  /// DISTINCT aggregate applies only the rows whose (group, argument) it
+  /// has not seen before.
   Status ApplyAccumulators(const std::vector<ColumnVector>& arg_cols,
                            const uint32_t* gids, size_t rows, AggTable* table,
                            ExecStats* stats) const;
@@ -164,15 +187,11 @@ class PhysicalHashAggregate : public PhysicalOperator {
   /// [run_scratch[g], run_scratch[g + 1]).
   static void SortRowsByGroup(const uint32_t* gids, size_t rows,
                               size_t num_groups, AggTable* table);
-  /// Applies one row of aggregate `a` to `state` (post NULL/distinct
-  /// gating) — the row-at-a-time mirror of the columnar kernels, used by
-  /// the DISTINCT path.
-  void ApplyRow(const AggregateSpec& spec, const ColumnVector& arg,
-                size_t row, AggState* state, std::string* minmax_str) const;
-  /// Folds one morsel's partial into `groups_`, preserving the partial's
-  /// first-appearance order for groups not seen before.
-  void MergePartial(AggTable&& partial);
-  void MergeAggStates(const AggTable& src, size_t src_gid, size_t dst_gid);
+  /// Folds `partial` into `*dst`, preserving the partial's first-
+  /// appearance order for groups not seen before.
+  void MergePartial(AggTable&& partial, AggTable* dst);
+  void MergeAggStates(const AggTable& src, size_t src_gid, AggTable* dst,
+                      size_t dst_gid) const;
   /// Appends groups [begin, begin + count) of `table` to `out`: each key
   /// column as one range append, each aggregate in one typed pass.
   /// Returns OutOfRange when a BIGINT SUM's total does not fit BIGINT.
@@ -181,50 +200,59 @@ class PhysicalHashAggregate : public PhysicalOperator {
 
   // --- budgeted (spill-capable) execution -------------------------------
   //
-  // Groups partition by `group_hash % P`, one AggTable per partition, and
-  // every group remembers the global input-row index that created it.
-  // When the tracker crosses its budget the largest partition's state is
-  // snapshotted to a temp file (stored keys + raw AggState blob) and its
-  // later rows append to the same file as [keys, args, hash, index]
-  // chunks. After the drain each spilled partition is reloaded alone and
-  // the logged rows replay in arrival order — the per-group accumulation
-  // sequence (and thus every float sum and MIN/MAX tie-break) is
-  // identical to the in-memory path. Finalized groups merge across
-  // partitions by first-appearance index, restoring the exact global
-  // emission order. See DESIGN.md "Memory governance".
+  // A budgeted grouped aggregate holds the in-memory state: `groups_`
+  // and, when the child is a morsel pipeline, `partial_`, the current
+  // morsel's partial. Morsels run one at a time in morsel order on the
+  // calling thread and merge into `groups_` through MergePartial, as the
+  // parallel path merges them, so floating-point sums see the same
+  // addition tree. Every group also records the input row that created
+  // it (AggTable::first_rows). When the tracker crosses its budget the
+  // partition `group_hash % P` with the most resident groups is shed:
+  // its groups leave both tables as slices (keys, first rows, string
+  // MIN/MAX, then the raw AggStates) written to a temp file, and both
+  // tables are rebuilt over the rest. The partition's later rows append
+  // to the same file as [keys, args, row id, morsel] chunks. If nothing
+  // spilled, Open() finalizes `groups_` into output chunks and frees the
+  // table, which NextImpl then hands out in order. Otherwise each
+  // spilled partition is reloaded alone: its tables are built from the
+  // slices, the logged rows fold into the partial, which merges at each
+  // morsel boundary, and the finalized groups spool to a file tagged
+  // with their first rows, like the resident groups'. NextImpl merges
+  // the files by first row, which is the in-memory emission order. See
+  // DESIGN.md "Memory governance".
 
-  /// One group-hash partition of the aggregation state.
+  /// One group-hash partition. Once spilled, its file holds its slices,
+  /// then its logged rows.
   struct AggPartition {
-    AggTable table;
-    std::vector<int64_t> first_idx;  // global row that created group g
     bool spilled = false;
-    std::unique_ptr<SpillFile> file;      // snapshot + row replay log
-    std::unique_ptr<SpillFile> out_file;  // finalized groups (+index)
-    std::vector<Chunk> finalized;         // resident partitions
+    int64_t unit = 0;  // morsel of the partial slice
+    std::unique_ptr<SpillFile> file;
   };
 
-  /// Cursor over one finalized stream (in-memory or spooled) during the
-  /// first-appearance k-way merge.
-  struct AggStream {
-    std::vector<Chunk> mem;
-    size_t mem_pos = 0;
-    SpillFile* file = nullptr;
-    Chunk chunk;
-    size_t row = 0;
-    bool exhausted = false;
-  };
-
-  Status OpenSpill();
-  Status AccumulatePartitioned(const Chunk& input, int64_t base_idx);
-  /// Snapshots the largest resident partition to disk and frees it.
-  Status SpillAggVictim();
-  Status ReloadAndReplay(AggPartition* part, AggTable* table,
-                         std::vector<int64_t>* first_idx);
-  Status FinalizePartition(const AggTable& table,
-                           const std::vector<int64_t>& first_idx,
-                           AggPartition* part, bool to_disk);
-  Status AdvanceAggStream(AggStream* s);
-  Status EmitMerged(Chunk* chunk, bool* done);
+  /// Folds one input chunk of a budgeted run: rows of spilled partitions
+  /// go to their logs, the rest into the resident fold target; then
+  /// sheds partitions while the query is over budget.
+  Status FoldBudgeted(const Chunk& input, ExecStats* stats);
+  /// Sheds the largest resident partition until the query is under
+  /// budget or nothing resident is left.
+  Status ShedWhileOverBudget(ExecStats* stats);
+  /// The resident partition with the most groups, or SIZE_MAX.
+  size_t PickVictim() const;
+  /// Writes partition `p`'s slices of `groups_` and `partial_` to its
+  /// file and rebuilds both tables over the other partitions.
+  Status Shed(size_t p, ExecStats* stats);
+  /// Groups `gids` of `table` as a slice: [keys..., first row, string
+  /// MIN/MAX...] plus their AggStates.
+  Chunk SliceOf(const AggTable& table, const std::vector<uint32_t>& gids,
+                std::vector<AggState>* states) const;
+  /// Builds `*table` afresh from a slice, groups in slice order.
+  void LoadSlice(const Chunk& slice, std::vector<AggState> states,
+                 AggTable* table) const;
+  /// Rebuilds a spilled partition's groups from its file.
+  Status ReloadPartition(AggPartition* part, AggTable* table);
+  /// Finalizes `table` to a new file in first-row order, each row tagged
+  /// with its group's first row, and books the table's counters.
+  Status SpoolFinalized(const AggTable& table);
 
   PhysicalOpPtr child_;
   std::vector<ExprPtr> group_by_;
@@ -237,13 +265,19 @@ class PhysicalHashAggregate : public PhysicalOperator {
   std::vector<size_t> acc_of_;
 
   AggTable groups_;
-  bool scalar_default_group_ = false;  // zero-input scalar aggregation
   size_t num_groups_ = 0;
   size_t next_group_ = 0;
 
   bool spill_mode_ = false;
+  bool morsel_partials_ = false;  // budgeted: fold per morsel into partial_
+  bool any_spilled_ = false;
+  AggTable partial_;
+  int64_t unit_ = 0;      // morsel index of partial_
+  int64_t next_row_ = 0;  // input rows folded or logged so far
   std::vector<AggPartition> parts_;
-  std::vector<AggStream> streams_;
+  std::vector<Chunk> finalized_;  // a budgeted run that spilled nothing
+  std::vector<std::unique_ptr<SpillFile>> spooled_;
+  SpillMerge merge_;
 };
 
 }  // namespace agora

@@ -222,7 +222,6 @@ Status PhysicalHashJoin::Probe(const JoinBuild& build, const Chunk& probe,
 Status PhysicalHashJoin::OpenSpill() {
   any_spilled_ = false;
   parts_.clear();
-  merge_.clear();
   immediate_file_.reset();
 
   AGORA_RETURN_IF_ERROR(left_->Open());
@@ -296,21 +295,11 @@ Status PhysicalHashJoin::OpenSpill() {
   // Arm the k-way merge: one stream for the immediate output plus one per
   // spilled partition. Probe-row indices are disjoint across streams and
   // ascending within each, so the merge restores global probe order.
-  MergeStream immediate;
-  immediate.file = immediate_file_.get();
-  merge_.push_back(std::move(immediate));
+  std::vector<SpillFile*> files = {immediate_file_.get()};
   for (SpillPartition& part : parts_) {
-    if (part.out_file != nullptr) {
-      MergeStream s;
-      s.file = part.out_file.get();
-      merge_.push_back(std::move(s));
-    }
+    if (part.out_file != nullptr) files.push_back(part.out_file.get());
   }
-  for (MergeStream& s : merge_) {
-    AGORA_RETURN_IF_ERROR(s.file->Rewind());
-    AGORA_RETURN_IF_ERROR(AdvanceStream(&s));
-  }
-  return Status::OK();
+  return merge_.Open(files, &context_->stats);
 }
 
 size_t PhysicalHashJoin::PickVictim() const {
@@ -494,89 +483,23 @@ Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
   return Status::OK();
 }
 
-Status PhysicalHashJoin::AdvanceStream(MergeStream* s) {
-  while (!s->exhausted && s->row >= s->chunk.num_rows()) {
-    s->row = 0;
-    Chunk next;
-    bool eof = false;
-    AGORA_RETURN_IF_ERROR(
-        SpillReadChunk(s->file, &next, &eof, &context_->stats));
-    if (eof) {
-      s->exhausted = true;
-      s->chunk = Chunk();
-    } else {
-      s->chunk = std::move(next);
-    }
-  }
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::EmitMerged(Chunk* chunk, bool* done) {
-  const size_t ncols = schema_.num_fields();
-  Chunk out(schema_);
-  while (out.num_rows() < kChunkSize) {
-    // Find the stream with the smallest head index (indices are disjoint
-    // across streams, so ties cannot happen) and the runner-up bound.
-    size_t best = SIZE_MAX;
-    int64_t best_idx = 0;
-    int64_t second = INT64_MAX;
-    for (size_t i = 0; i < merge_.size(); ++i) {
-      MergeStream& s = merge_[i];
-      if (s.exhausted) continue;
-      int64_t idx = s.chunk.column(ncols).GetInt64(s.row);
-      if (best == SIZE_MAX) {
-        best = i;
-        best_idx = idx;
-      } else if (idx < best_idx) {
-        second = best_idx;
-        best = i;
-        best_idx = idx;
-      } else if (idx < second) {
-        second = idx;
-      }
-    }
-    if (best == SIZE_MAX) break;  // every stream exhausted
-    MergeStream& s = merge_[best];
-    // Take the longest run from this stream that stays below every other
-    // head and fits the output chunk, then copy it as one range.
-    const int64_t* idxs = s.chunk.column(ncols).int64_data();
-    size_t room = kChunkSize - out.num_rows();
-    size_t end = s.row + 1;
-    while (end < s.chunk.num_rows() && idxs[end] < second &&
-           end - s.row < room) {
-      ++end;
-    }
-    for (size_t c = 0; c < ncols; ++c) {
-      out.column(c).AppendRange(s.chunk.column(c), s.row, end - s.row);
-    }
-    s.row = end;
-    AGORA_RETURN_IF_ERROR(AdvanceStream(&s));
-  }
-
-  bool drained = true;
-  for (const MergeStream& s : merge_) drained &= s.exhausted;
-  if (drained) {
-    // Hand every stream's file back for reuse by later operators.
-    merge_.clear();
-    if (immediate_file_ != nullptr) {
-      context_->spill->Recycle(std::move(immediate_file_));
-    }
-    for (SpillPartition& part : parts_) {
-      if (part.out_file != nullptr) {
-        context_->spill->Recycle(std::move(part.out_file));
-      }
-    }
-  }
-  *chunk = std::move(out);
-  *done = drained;
-  return Status::OK();
-}
-
 Status PhysicalHashJoin::NextImpl(Chunk* chunk, bool* done) {
   // With spilled partitions the probe already ran during Open(); emit the
   // k-way merge of the spooled streams. Otherwise stream the probe side
   // against build_, which then holds every build row in either mode.
-  if (any_spilled_) return EmitMerged(chunk, done);
+  if (any_spilled_) {
+    Chunk out(schema_);
+    AGORA_RETURN_IF_ERROR(merge_.Next(&out, done, &context_->stats));
+    if (*done) {
+      // Hand every stream's file back for reuse by later operators.
+      context_->spill->Recycle(std::move(immediate_file_));
+      for (SpillPartition& part : parts_) {
+        context_->spill->Recycle(std::move(part.out_file));
+      }
+    }
+    *chunk = std::move(out);
+    return Status::OK();
+  }
   while (!probe_done_) {
     Chunk probe;
     AGORA_RETURN_IF_ERROR(left_->Next(&probe, &probe_done_));

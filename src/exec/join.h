@@ -6,6 +6,7 @@
 
 #include "exec/hash_table.h"
 #include "exec/physical_op.h"
+#include "exec/spill_util.h"
 #include "expr/expr.h"
 #include "storage/spill.h"
 
@@ -147,14 +148,6 @@ class PhysicalHashJoin : public PhysicalOperator {
     std::unique_ptr<SpillFile> out_file;    // deferred join output (+index)
   };
 
-  /// Cursor over one spooled output stream during the k-way merge.
-  struct MergeStream {
-    SpillFile* file = nullptr;
-    Chunk chunk;
-    size_t row = 0;
-    bool exhausted = false;
-  };
-
   Status OpenSpill();
   /// Largest resident partition, or SIZE_MAX when none remains.
   size_t PickVictim() const;
@@ -171,14 +164,12 @@ class PhysicalHashJoin : public PhysicalOperator {
                                Chunk* out, ExecStats* stats);
   Status DrainProbeToStreams();
   Status ProcessDeferredPartition(SpillPartition* part);
-  Status AdvanceStream(MergeStream* s);
-  Status EmitMerged(Chunk* chunk, bool* done);
 
   bool spill_mode_ = false;
   bool any_spilled_ = false;
   std::vector<SpillPartition> parts_;
   std::unique_ptr<SpillFile> immediate_file_;
-  std::vector<MergeStream> merge_;
+  SpillMerge merge_;
 
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;

@@ -96,7 +96,8 @@ bool ParallelEligible(PhysicalOperator* op, const ExecContext& context,
 
 Status DriveMorselPipeline(
     const MorselPipeline& pipeline, ExecContext* context,
-    const std::function<Status(int, const Morsel&, Chunk&&)>& sink) {
+    const std::function<Status(int, const Morsel&, Chunk&&)>& sink,
+    bool in_order) {
   PhysicalScan* source = pipeline.source();
   context->PrepareWorkerStats();
 
@@ -142,7 +143,7 @@ Status DriveMorselPipeline(
   };
 
   int workers = context->num_workers > 0 ? context->num_workers : 1;
-  ThreadPool* pool = (workers > 1) ? context->pool : nullptr;
+  ThreadPool* pool = (workers > 1 && !in_order) ? context->pool : nullptr;
   if (pool == nullptr) workers = 1;
   const auto section_start = std::chrono::steady_clock::now();
   TaskGroup group(pool);

@@ -63,12 +63,15 @@ bool ParallelEligible(PhysicalOperator* op, const ExecContext& context,
 /// `context->pool` (inline on the calling thread when the pool is null).
 /// Every non-empty chunk is handed to `sink(worker, morsel, chunk)`; a
 /// given morsel is processed by exactly one worker, so sinks may write to
-/// per-morsel slots without locking. Prepares the context's per-worker
-/// stat slots before the section and merges them (exactly) at the
-/// barrier. Returns the first worker error.
+/// per-morsel slots without locking. With `in_order`, one task on the
+/// calling thread claims every morsel, so the sink sees the chunks in
+/// morsel order. Prepares the context's per-worker stat slots before the
+/// section and merges them (exactly) at the barrier. Returns the first
+/// worker error.
 Status DriveMorselPipeline(
     const MorselPipeline& pipeline, ExecContext* context,
-    const std::function<Status(int, const Morsel&, Chunk&&)>& sink);
+    const std::function<Status(int, const Morsel&, Chunk&&)>& sink,
+    bool in_order = false);
 
 /// Drains `op` like CollectAll, but through the morsel pipeline when
 /// eligible: chunks are concatenated in morsel order, so the result is

@@ -14,12 +14,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/memory_tracker.h"
 #include "engine/database.h"
+#include "exec/scan.h"
 #include "storage/spill.h"
 #include "tpch/tpch.h"
 
@@ -397,11 +399,13 @@ TEST_F(SpillExecTest, EncodedStringKeysSpillAndStayByteIdentical) {
       << "budget " << join_budget << " never spilled the join";
 }
 
-// Small-domain BIGINT, DATE and dictionary keys: in memory the groups
-// come from direct-indexed arrays (a span of 7 line numbers, 7 residues
-// from -3 to 3, 3 flags: 256 slots; 90 ship dates), while a budgeted run
-// takes the spill-capable path, which hashes every row. Both must agree
-// byte for byte, first-appearance group order included.
+// Small-domain BIGINT, DATE and dictionary keys: the groups come from
+// direct-indexed arrays (a span of 7 line numbers, 7 residues from -3 to
+// 3, 3 flags: 256 slots; 90 ship dates), in memory and in a budgeted
+// run alike, until a partition spills; from then on the budgeted run
+// hashes every row to route it, and the tables it rebuilds or reloads
+// set their arrays up afresh. Both must agree byte for byte,
+// first-appearance group order included.
 const char kIntegerKeyAgg[] =
     "SELECT l_linenumber, l_suppkey % 7 - 3, l_returnflag, COUNT(*), "
     "SUM(l_quantity), SUM(l_extendedprice * (1.0 - l_discount)) "
@@ -671,6 +675,146 @@ TEST_F(SpillJoinTest, BudgetedJoinsMatchUnlimitedCellForCell) {
         EXPECT_EQ(some, partitions > 1)
             << "P=" << partitions << " T=" << threads;
       }
+    }
+  }
+  budgeted_->set_memory_budget(0);
+  budgeted_->set_spill_partitions(8);
+  budgeted_->set_execution_threads(0);
+  ref_->set_execution_threads(0);
+}
+
+// ---------------------------------------------------------------------
+// Spill-mode hash aggregate over several morsels
+// ---------------------------------------------------------------------
+
+// SF 0.05 lineitem holds about 300,000 rows, five morsels of 65,536, so
+// the unlimited 4-thread run folds a partial per morsel on several
+// workers and merges the partials in morsel order. Q1 and the `% 7`
+// query fold many rows into a few groups, so their double sums show the
+// addition tree. The l_partkey query has 10,000 groups, nearly all in
+// every morsel, with double SUM/AVG/STDDEV and string MIN/MAX over a
+// dictionary column and over a CASE, whose strings are flat. Because
+// its groups recur in every morsel, a shed partition's partial and
+// merged groups both matter on reload, and the resident partial makes
+// the drain hold more than a reload does, so a budget can spill every
+// partition and still reload each. Its HAVING keeps about one part in
+// 25, an exact test on integral sums, so the result stays small next to
+// the group table. The l_linenumber query's small integer key takes
+// direct group ids.
+const char kModSevenAgg[] =
+    "SELECT l_orderkey % 7, SUM(l_extendedprice * 0.1) FROM lineitem "
+    "GROUP BY l_orderkey % 7";
+const char kPartKeyAgg[] =
+    "SELECT l_partkey, SUM(l_extendedprice), AVG(l_discount), "
+    "STDDEV(l_quantity * 1.5), MIN(l_shipmode), "
+    "MAX(CASE WHEN l_quantity > 25 THEN l_shipmode ELSE l_returnflag END) "
+    "FROM lineitem GROUP BY l_partkey HAVING SUM(l_quantity) > 1100";
+const char kLineNumberAgg[] =
+    "SELECT l_linenumber, COUNT(*), "
+    "SUM(l_extendedprice * (1 - l_discount)) "
+    "FROM lineitem GROUP BY l_linenumber";
+
+class SpillAggTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    setenv("AGORA_THREADS", "4", 0);
+    TpchOptions options;
+    options.scale_factor = 0.05;
+    ref_ = new Database();
+    ASSERT_TRUE(GenerateTpch(options, &ref_->catalog()).ok());
+    budgeted_ = new Database();
+    ASSERT_TRUE(GenerateTpch(options, &budgeted_->catalog()).ok());
+  }
+  static void TearDownTestSuite() {
+    delete budgeted_;
+    delete ref_;
+    budgeted_ = nullptr;
+    ref_ = nullptr;
+  }
+
+  static QueryResult Run(Database* db, const std::string& sql) {
+    auto result = db->Execute(sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : QueryResult();
+  }
+
+  static Database* ref_;
+  static Database* budgeted_;
+};
+
+Database* SpillAggTest::ref_ = nullptr;
+Database* SpillAggTest::budgeted_ = nullptr;
+
+// Every query at P in {1, 2, 8} partitions and 1 or 4 threads: first
+// under 1 GiB, where nothing spills, then down a ladder of budgets from
+// a fraction of the l_partkey query's unlimited peak, 15% lower a step,
+// until every partition of that query spills; with P > 1 the ladder must
+// pass a budget that spills some of its partitions but not all. Every
+// run must succeed and match the unlimited 4-thread run cell for cell,
+// doubles bit for bit.
+TEST_F(SpillAggTest, BudgetedAggregatesMatchUnlimitedCellForCell) {
+  const std::string queries[] = {TpchQ1(), kModSevenAgg, kPartKeyAgg,
+                                 kLineNumberAgg};
+  constexpr size_t kHighCardinality = 2;
+  std::vector<QueryResult> references;
+  for (const std::string& sql : queries) {
+    ref_->set_execution_threads(4);
+    references.push_back(Run(ref_, sql));
+    ASSERT_GT(references.back().num_rows(), 3u) << sql;
+    ref_->set_execution_threads(1);
+    ExpectIdentical(references.back(), Run(ref_, sql),
+                    sql + ": unlimited, 1 thread", true);
+  }
+  auto lineitem = ref_->catalog().GetTable("lineitem");
+  ASSERT_TRUE(lineitem.ok());
+  ASSERT_GT((*lineitem)->num_rows(), 4 * kMorselRows);
+  budgeted_->set_memory_budget(0);
+  budgeted_->set_execution_threads(1);
+  const int64_t peak =
+      Run(budgeted_, queries[kHighCardinality]).stats().mem_bytes_reserved_peak;
+  ASSERT_GT(peak, 0);
+  // Where each ladder starts, in tenths of the peak: low enough to
+  // spill, high enough that P > 1 spills part of the groups first.
+  const std::pair<size_t, int64_t> ladders[] = {{1, 3}, {2, 3}, {8, 3}};
+  for (const auto& [partitions, tenths] : ladders) {
+    const int64_t all = static_cast<int64_t>(partitions);
+    for (int threads : {1, 4}) {
+      budgeted_->set_spill_partitions(partitions);
+      budgeted_->set_execution_threads(threads);
+      // Runs every query; returns how many partitions the l_partkey
+      // query spilled, or -1 when it failed.
+      auto check = [&](int64_t budget) -> int64_t {
+        budgeted_->set_memory_budget(budget);
+        int64_t spilled = -1;
+        for (size_t q = 0; q < std::size(queries); ++q) {
+          const std::string label =
+              queries[q] + " P=" + std::to_string(partitions) +
+              " T=" + std::to_string(threads) +
+              " budget=" + std::to_string(budget);
+          auto got = budgeted_->Execute(queries[q]);
+          EXPECT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+          if (!got.ok()) continue;
+          ExpectIdentical(references[q], *got, label, true);
+          if (budget == int64_t{1} << 30) {
+            EXPECT_EQ(got->stats().spill_partitions, 0) << label;
+          }
+          if (q == kHighCardinality) spilled = got->stats().spill_partitions;
+        }
+        return spilled;
+      };
+      check(int64_t{1} << 30);
+      bool some = false;
+      int64_t spilled = 0;
+      for (int64_t budget = peak * tenths / 10; budget > (16 << 10);
+           budget = budget * 85 / 100) {
+        spilled = check(budget);
+        some |= spilled > 0 && spilled < all;
+        if (spilled < 0 || spilled == all) break;
+      }
+      EXPECT_EQ(spilled, all) << "P=" << partitions << " T=" << threads
+                              << ": no budget spilled every partition";
+      EXPECT_EQ(some, partitions > 1)
+          << "P=" << partitions << " T=" << threads;
     }
   }
   budgeted_->set_memory_budget(0);
