@@ -343,9 +343,12 @@ void SmokeSpillCheck(double sf) {
 int main(int argc, char** argv) {
   // --threads=a,b,c selects the worker counts for the scaling sweep.
   // --sf=a,b,c selects the scale factors.
-  // --mem-budget=N[k|m|g] runs the whole sweep under an engine memory
+  // --mem-budget=N[k|m|g] runs the scaling sweep under an engine memory
   // budget (spill-capable execution; results are identical, only
-  // latency and the spill counters in BENCH_e1.json move).
+  // latency and the spill counters in BENCH_e1.json move). The
+  // google-benchmark sweep is skipped then: it runs its own fixed
+  // scale factors up to SF 0.1, ignoring --sf, and one budget cannot
+  // fit them all.
   // --smoke shrinks the run to a CI-sized check: SF 0.01, Q1/Q3/Q5,
   // one thread, no gbench sweep — it exists to prove the binary runs,
   // BENCH_e1.json comes out well-formed, and the spill path is alive.
@@ -415,7 +418,12 @@ int main(int argc, char** argv) {
       "minutes on one core — parallel morsel execution divides the "
       "single-core time by the scaling factor in BENCH_e1.json");
   benchmark::Initialize(&argc, argv);
-  if (!smoke) benchmark::RunSpecifiedBenchmarks();
+  if (!smoke && agora::g_mem_budget > 0) {
+    std::printf("[E1] --mem-budget given: skipping the google-benchmark "
+                "sweep (its fixed scale factors ignore --sf)\n");
+  } else if (!smoke) {
+    benchmark::RunSpecifiedBenchmarks();
+  }
 
   agora::WriteScalingJson(thread_counts, scales, queries);
 

@@ -15,6 +15,9 @@
 // (chunks_emitted, blocks_read, hash_table_lookups, the join filter's
 // kind and drops); see docs/BENCH_SCHEMA.md. --smoke shrinks the tables and the repetitions
 // to a CI-sized check that the binary runs and its answers are right.
+// Either way it exits 1 when a predicate-free case (count, sum,
+// group_kind, branch_totals) materializes more than its result rows
+// account for: such a scan emits views of the table and copies nothing.
 
 #include "bench/bench_common.h"
 
@@ -117,7 +120,15 @@ struct FloorQuery {
   std::string sql;
   Database* db;
   int64_t base_rows;  // rows of the table the statement scans
+  /// No predicate: every block passes whole, so the scan emits views of
+  /// the table and materializes nothing; only the result rows are copied.
+  bool predicate_free = false;
 };
+
+/// How often the operators above a predicate-free scan (aggregate, sort,
+/// projection) may each copy the result rows: bytes_materialized beyond
+/// this many times the result's bytes means the scan copied its input.
+constexpr int64_t kMaxResultCopies = 4;
 
 struct FloorResult {
   double median_ms = 0;
@@ -128,6 +139,7 @@ struct FloorResult {
   int64_t blocks_read = 0;
   int64_t hash_table_lookups = 0;
   int64_t bytes_materialized = 0;
+  int64_t result_bytes = 0;
   int64_t join_filters_exact = 0;
   int64_t bloom_filtered_rows = 0;
 };
@@ -140,6 +152,7 @@ FloorResult Measure(const FloorQuery& q, int reps) {
   r.blocks_read = warm.stats().blocks_read;
   r.hash_table_lookups = warm.stats().hash_table_lookups;
   r.bytes_materialized = warm.stats().bytes_materialized;
+  r.result_bytes = static_cast<int64_t>(warm.data().MemoryBytes());
   r.join_filters_exact = warm.stats().join_filters_exact;
   r.bloom_filtered_rows = warm.stats().bloom_filtered_rows;
   std::vector<double> samples;
@@ -307,8 +320,8 @@ int main(int argc, char** argv) {
   const std::string lo = std::to_string(data.range_lo);
   const std::string hi = std::to_string(data.range_hi);
   const std::vector<agora::FloorQuery> queries = {
-      {"count", "SELECT COUNT(*) FROM events", &data.db, events},
-      {"sum", "SELECT SUM(amount) FROM events", &data.db, events},
+      {"count", "SELECT COUNT(*) FROM events", &data.db, events, true},
+      {"sum", "SELECT SUM(amount) FROM events", &data.db, events, true},
       {"point_eq", "SELECT id, amount FROM events WHERE account = " + lo,
        &data.db, events},
       {"event_totals",
@@ -319,11 +332,11 @@ int main(int argc, char** argv) {
       {"group_kind",
        "SELECT kind, COUNT(*) AS n, SUM(amount) AS total FROM events "
        "GROUP BY kind",
-       &data.db, events},
+       &data.db, events, true},
       {"branch_totals",
        "SELECT branch, COUNT(*) AS n, SUM(balance) AS total FROM accounts "
        "GROUP BY branch ORDER BY branch",
-       &data.db, accounts},
+       &data.db, accounts, true},
       {"group_mod50",
        "SELECT account % 50 AS g, COUNT(*) AS n, SUM(amount) AS total "
        "FROM events GROUP BY account % 50",
@@ -351,19 +364,33 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"tpch_sf\": %g,\n  \"repetitions\": %d,\n", sf,
                reps);
   std::fprintf(out, "  \"results\": [\n");
+  bool materialized_ok = true;
   for (size_t i = 0; i < queries.size(); ++i) {
     const agora::FloorQuery& q = queries[i];
     const agora::FloorResult r = agora::Measure(q, reps);
+    if (q.predicate_free &&
+        r.bytes_materialized > agora::kMaxResultCopies * r.result_bytes) {
+      std::printf(
+          "[floor] FAILURE: %s materialized %lld bytes, more than %lld "
+          "copies of its %lld result bytes\n",
+          q.name.c_str(), static_cast<long long>(r.bytes_materialized),
+          static_cast<long long>(agora::kMaxResultCopies),
+          static_cast<long long>(r.result_bytes));
+      materialized_ok = false;
+    }
     std::printf(
         "[floor] %-14s %8.3f ms  %6.2f ns/row  rows=%lld chunks=%lld "
-        "blocks=%lld lookups=%lld exact_filters=%lld filtered=%lld\n",
+        "blocks=%lld lookups=%lld exact_filters=%lld filtered=%lld "
+        "materialized=%lld result_bytes=%lld\n",
         q.name.c_str(), r.median_ms, r.ns_per_row,
         static_cast<long long>(r.result_rows),
         static_cast<long long>(r.chunks_emitted),
         static_cast<long long>(r.blocks_read),
         static_cast<long long>(r.hash_table_lookups),
         static_cast<long long>(r.join_filters_exact),
-        static_cast<long long>(r.bloom_filtered_rows));
+        static_cast<long long>(r.bloom_filtered_rows),
+        static_cast<long long>(r.bytes_materialized),
+        static_cast<long long>(r.result_bytes));
     std::fprintf(
         out,
         "    {\"query\": \"%s\", \"base_rows\": %lld, \"median_ms\": %.4f, "
@@ -385,5 +412,5 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("[floor] written to %s%s\n", path,
               smoke ? " (smoke run complete)" : "");
-  return 0;
+  return materialized_ok ? 0 : 1;
 }

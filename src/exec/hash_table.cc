@@ -89,7 +89,9 @@ void JoinKeyFilter::Build(const std::vector<ColumnVector>& keys,
 size_t JoinKeyFilter::Select(const std::vector<ColumnVector>& keys,
                              size_t base, const uint32_t* sel, size_t n,
                              uint32_t* out, int64_t* checked,
-                             std::vector<uint64_t>* hashes) const {
+                             std::vector<uint64_t>* hashes,
+                             const uint64_t* row_hashes,
+                             const uint8_t* row_valid) const {
   size_t kept = 0;
   int64_t tested = 0;
   if (exact_) {
@@ -121,7 +123,10 @@ size_t JoinKeyFilter::Select(const std::vector<ColumnVector>& keys,
         kept += valid[r] & contains(x[r]);
       }
     }
-    if (hashes != nullptr) {
+    if (hashes != nullptr && row_hashes != nullptr) {
+      hashes->resize(kept);
+      for (size_t i = 0; i < kept; ++i) (*hashes)[i] = row_hashes[out[i]];
+    } else if (hashes != nullptr) {
       std::vector<uint8_t> kept_valid;
       HashJoinKeys(keys, out, kept, hashes, &kept_valid);
     }
@@ -133,7 +138,17 @@ size_t JoinKeyFilter::Select(const std::vector<ColumnVector>& keys,
     std::vector<uint64_t> scratch;
     std::vector<uint64_t>* h = hashes != nullptr ? hashes : &scratch;
     std::vector<uint8_t> valid;
-    HashJoinKeys(keys, sel, n, h, &valid);
+    if (row_hashes != nullptr) {
+      h->resize(n);
+      valid.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t r = sel == nullptr ? i : sel[i];
+        (*h)[i] = row_hashes[r];
+        valid[i] = row_valid[r];
+      }
+    } else {
+      HashJoinKeys(keys, sel, n, h, &valid);
+    }
     uint64_t* hv = h->data();
     for (size_t i = 0; i < n; ++i) {
       const uint64_t hash = hv[i];

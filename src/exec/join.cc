@@ -1,6 +1,7 @@
 #include "exec/join.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/thread_pool.h"
 #include "exec/parallel.h"
@@ -29,14 +30,48 @@ void AppendJoinedRow(const Chunk& left, size_t lrow, const Chunk& right,
   }
 }
 
+/// The `output` columns of `all` (all of them when `output` is empty).
+Schema OutputSchema(const Schema& all, const std::vector<size_t>& output) {
+  if (output.empty()) return all;
+  std::vector<Field> fields;
+  for (size_t c : output) fields.push_back(all.field(c));
+  return Schema(std::move(fields));
+}
+
+/// Column `c` of probe ⊕ build for the joined pairs (lsel[i], rsel[i]);
+/// rsel[i] == UINT32_MAX pads NULL.
+ColumnVector GatherJoined(size_t c, const Chunk& probe, const Chunk& build,
+                          const std::vector<uint32_t>& lsel,
+                          const std::vector<uint32_t>& rsel) {
+  const size_t lcols = probe.num_columns();
+  const bool left = c < lcols;
+  const ColumnVector& src = left ? probe.column(c) : build.column(c - lcols);
+  const std::vector<uint32_t>& sel = left ? lsel : rsel;
+  ColumnVector out(src.type());
+  out.AppendGatherPadded(src, sel.data(), sel.size());
+  return out;
+}
+
+/// `output`, or every position of an `arity`-column input when empty.
+std::vector<size_t> ResolveOutput(std::vector<size_t> output, size_t arity) {
+  if (output.empty()) {
+    output.resize(arity);
+    std::iota(output.begin(), output.end(), size_t{0});
+  }
+  return output;
+}
+
 }  // namespace
 
 PhysicalHashJoin::PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                    std::vector<ExprPtr> left_keys,
                                    std::vector<ExprPtr> right_keys,
                                    ExprPtr residual, PhysicalJoinKind kind,
+                                   std::vector<size_t> output,
                                    ExecContext* context)
-    : PhysicalOperator(left->schema().Concat(right->schema()), context),
+    : PhysicalOperator(
+          OutputSchema(left->schema().Concat(right->schema()), output),
+          context),
       left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
@@ -46,6 +81,15 @@ PhysicalHashJoin::PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
       build_phase_id_(context != nullptr ? context->RegisterOp() : -1),
       probe_phase_id_(context != nullptr ? context->RegisterOp() : -1) {
   AGORA_CHECK(!left_keys_.empty() && left_keys_.size() == right_keys_.size());
+  const size_t arity =
+      left_->schema().num_fields() + right_->schema().num_fields();
+  output_ = ResolveOutput(std::move(output), arity);
+  residual_reads_.assign(arity, false);
+  if (residual_ != nullptr) {
+    std::vector<size_t> refs;
+    residual_->CollectColumnRefs(&refs);
+    for (size_t c : refs) residual_reads_[c] = true;
+  }
   // Padding is decided per probe row before the residual runs, so a
   // residual could not turn a dropped match into a padded row.
   AGORA_CHECK(residual_ == nullptr || kind_ != PhysicalJoinKind::kLeftOuter);
@@ -114,16 +158,21 @@ void PhysicalHashJoin::CountBuild(const JoinBuild& build) {
 
 Status PhysicalHashJoin::Probe(const JoinBuild& build, const Chunk& probe,
                                const std::vector<uint32_t>* decide,
-                               const int64_t* tags, Chunk* out,
-                               ExecStats* stats) const {
+                               const int64_t* tags, const ProbeKeys* keys,
+                               Chunk* out, ExecStats* stats) const {
   MetricSpan span = StatsSpan(stats, probe_phase_id_);
   const uint32_t* sel = decide != nullptr ? decide->data() : nullptr;
   const size_t n = decide != nullptr ? decide->size() : probe.num_rows();
-  // Evaluate probe keys for the whole chunk, then hash column-at-a-time.
-  std::vector<ColumnVector> probe_keys(left_keys_.size());
-  for (size_t k = 0; k < left_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
+  // Evaluate probe keys for the whole chunk, unless the caller did.
+  std::vector<ColumnVector> evaluated;
+  if (keys == nullptr) {
+    evaluated.resize(left_keys_.size());
+    for (size_t k = 0; k < left_keys_.size(); ++k) {
+      AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &evaluated[k]));
+    }
   }
+  const std::vector<ColumnVector>& probe_keys =
+      keys != nullptr ? keys->keys : evaluated;
 
   // Candidate probe rows, ascending, and their key hashes: the rows the
   // join's filter keeps, or, when the probe-side scan already applied
@@ -132,6 +181,7 @@ Status PhysicalHashJoin::Probe(const JoinBuild& build, const Chunk& probe,
   std::vector<uint64_t> hashes;
   size_t m = 0;
   if (filter_pushed_) {
+    AGORA_DCHECK(keys == nullptr);  // spill mode never pushes its filter
     std::vector<uint8_t> valid;
     HashJoinKeys(probe_keys, sel, n, &hashes, &valid);
     for (size_t i = 0; i < n; ++i) {
@@ -141,8 +191,10 @@ Status PhysicalHashJoin::Probe(const JoinBuild& build, const Chunk& probe,
     }
   } else {
     int64_t checked = 0;
-    m = build.filter.Select(probe_keys, 0, sel, n, cand.data(), &checked,
-                            &hashes);
+    m = build.filter.Select(
+        probe_keys, 0, sel, n, cand.data(), &checked, &hashes,
+        keys != nullptr ? keys->hashes.data() : nullptr,
+        keys != nullptr ? keys->valid.data() : nullptr);
     stats->bloom_checked_rows += checked;
     stats->bloom_filtered_rows += checked - static_cast<int64_t>(m);
   }
@@ -192,16 +244,45 @@ Status PhysicalHashJoin::Probe(const JoinBuild& build, const Chunk& probe,
     }
   }
 
-  Chunk result(schema_);
-  if (!lsel.empty()) {
-    size_t lcols = probe.num_columns();
-    for (size_t c = 0; c < lcols; ++c) {
-      result.column(c).AppendGatherPadded(probe.column(c), lsel.data(),
-                                          lsel.size());
+  // The residual reads only its own columns of the pairs (the others are
+  // constant NULL stand-ins) and narrows the pairs before any output
+  // column is gathered; columns it gathered are reused for the output.
+  Chunk pairs_read;
+  Selection kept;
+  if (residual_ != nullptr && !lsel.empty()) {
+    for (size_t c = 0; c < residual_reads_.size(); ++c) {
+      if (residual_reads_[c]) {
+        pairs_read.AddColumn(GatherJoined(c, probe, build.data, lsel, rsel));
+      } else {
+        const size_t lcols = probe.num_columns();
+        const TypeId type = c < lcols ? probe.column(c).type()
+                                      : build.data.column(c - lcols).type();
+        pairs_read.AddColumn(
+            ColumnVector::MakeConstant(type, Value::Null(type), lsel.size()));
+      }
     }
-    for (size_t c = 0; c < build.data.num_columns(); ++c) {
-      result.column(lcols + c).AppendGatherPadded(build.data.column(c),
-                                                  rsel.data(), rsel.size());
+    AGORA_RETURN_IF_ERROR(SelectRows(*residual_, pairs_read, &kept, stats));
+    if (!kept.all) {
+      for (size_t i = 0; i < kept.rows.size(); ++i) {
+        lsel[i] = lsel[kept.rows[i]];
+        rsel[i] = rsel[kept.rows[i]];
+      }
+      lsel.resize(kept.rows.size());
+      rsel.resize(kept.rows.size());
+    }
+  }
+
+  Chunk result;
+  if (lsel.empty()) {
+    result = Chunk(schema_);
+  } else {
+    for (size_t c : output_) {
+      if (pairs_read.num_columns() > 0 && residual_reads_[c]) {
+        const ColumnVector& read = pairs_read.column(c);
+        result.AddColumn(kept.all ? read : read.Gather(kept.rows));
+      } else {
+        result.AddColumn(GatherJoined(c, probe, build.data, lsel, rsel));
+      }
     }
     if (tags != nullptr) {
       ColumnVector tag(TypeId::kInt64);
@@ -209,12 +290,8 @@ Status PhysicalHashJoin::Probe(const JoinBuild& build, const Chunk& probe,
       result.AddColumn(std::move(tag));
     }
   }
-
-  if (residual_ != nullptr && result.num_rows() > 0) {
-    AGORA_ASSIGN_OR_RETURN(result, FilterChunk(result, *residual_, stats));
-  }
-  stats->rows_joined += static_cast<int64_t>(result.num_rows());
-  span.AddRows(static_cast<int64_t>(result.num_rows()));
+  stats->rows_joined += static_cast<int64_t>(lsel.size());
+  span.AddRows(static_cast<int64_t>(lsel.size()));
   *out = std::move(result);
   return Status::OK();
 }
@@ -368,13 +445,16 @@ Status PhysicalHashJoin::ProbePartitionedChunk(const Chunk& probe,
                                                ExecStats* stats) {
   const size_t num_parts = parts_.size();
   const size_t rows = probe.num_rows();
-  std::vector<ColumnVector> probe_keys(left_keys_.size());
+  // The keys are evaluated and hashed once: the hashes route the rows
+  // here and Probe reads them for the rows it decides.
+  ProbeKeys keys;
+  keys.keys.resize(left_keys_.size());
   for (size_t k = 0; k < left_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
+    AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &keys.keys[k]));
   }
-  std::vector<uint64_t> hashes;
-  std::vector<uint8_t> valid;
-  HashJoinKeys(probe_keys, nullptr, rows, &hashes, &valid);
+  HashJoinKeys(keys.keys, nullptr, rows, &keys.hashes, &keys.valid);
+  const std::vector<uint64_t>& hashes = keys.hashes;
+  const std::vector<uint8_t>& valid = keys.valid;
 
   // A probe row belongs to exactly one partition. Rows of spilled
   // partitions divert to that partition's file for the deferred pass;
@@ -393,7 +473,7 @@ Status PhysicalHashJoin::ProbePartitionedChunk(const Chunk& probe,
     }
   }
   AGORA_RETURN_IF_ERROR(
-      Probe(build_, probe, &decide, tags.data(), out, stats));
+      Probe(build_, probe, &decide, tags.data(), &keys, out, stats));
 
   for (size_t p = 0; p < num_parts; ++p) {
     if (divert[p].empty()) continue;
@@ -472,7 +552,7 @@ Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
     for (size_t c = 0; c < lcols; ++c) probe.AddColumn(pc.column(c));
     Chunk out;
     AGORA_RETURN_IF_ERROR(Probe(build, probe, nullptr,
-                                pc.column(lcols).int64_data(), &out,
+                                pc.column(lcols).int64_data(), nullptr, &out,
                                 &context_->stats));
     if (out.num_rows() > 0) {
       AGORA_RETURN_IF_ERROR(
@@ -516,16 +596,18 @@ Status PhysicalHashJoin::NextImpl(Chunk* chunk, bool* done) {
   return Status::OK();
 }
 
-PhysicalNestedLoopJoin::PhysicalNestedLoopJoin(PhysicalOpPtr left,
-                                               PhysicalOpPtr right,
-                                               ExprPtr condition,
-                                               PhysicalJoinKind kind,
-                                               ExecContext* context)
-    : PhysicalOperator(left->schema().Concat(right->schema()), context),
+PhysicalNestedLoopJoin::PhysicalNestedLoopJoin(
+    PhysicalOpPtr left, PhysicalOpPtr right, ExprPtr condition,
+    PhysicalJoinKind kind, std::vector<size_t> output, ExecContext* context)
+    : PhysicalOperator(
+          OutputSchema(left->schema().Concat(right->schema()), output),
+          context),
       left_(std::move(left)),
       right_(std::move(right)),
       condition_(std::move(condition)),
-      kind_(kind) {}
+      kind_(kind),
+      pairs_schema_(left_->schema().Concat(right_->schema())),
+      output_(ResolveOutput(std::move(output), pairs_schema_.num_fields())) {}
 
 Status PhysicalNestedLoopJoin::OpenImpl() {
   probe_done_ = false;
@@ -548,9 +630,9 @@ Status PhysicalNestedLoopJoin::NextImpl(Chunk* chunk, bool* done) {
     size_t rows = probe.num_rows();
     if (rows == 0) continue;
 
-    Chunk out(schema_);
+    Chunk out(pairs_schema_);
     // Pair every probe row with every build row, then filter.
-    Chunk paired(schema_);
+    Chunk paired(pairs_schema_);
     for (size_t r = 0; r < rows; ++r) {
       for (size_t b = 0; b < build_rows; ++b) {
         AppendJoinedRow(probe, r, build_data_, static_cast<int64_t>(b),
@@ -583,16 +665,18 @@ Status PhysicalNestedLoopJoin::NextImpl(Chunk* chunk, bool* done) {
     }
     if (kind_ == PhysicalJoinKind::kLeftOuter && build_rows == 0) {
       // Empty build side: every probe row survives, NULL-padded.
-      out = Chunk(schema_);
+      out = Chunk(pairs_schema_);
       for (size_t r = 0; r < rows; ++r) {
         AppendJoinedRow(probe, r, build_data_, -1, &out);
       }
     }
     if (out.num_rows() == 0) continue;
-    context_->stats.rows_joined += static_cast<int64_t>(out.num_rows());
+    Chunk emitted;
+    for (size_t c : output_) emitted.AddColumn(out.column(c));
+    context_->stats.rows_joined += static_cast<int64_t>(emitted.num_rows());
     context_->stats.bytes_materialized +=
-        static_cast<int64_t>(out.MemoryBytes());
-    *chunk = std::move(out);
+        static_cast<int64_t>(emitted.MemoryBytes());
+    *chunk = std::move(emitted);
     *done = probe_done_;
     return Status::OK();
   }

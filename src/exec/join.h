@@ -15,9 +15,14 @@ namespace agora {
 enum class PhysicalJoinKind { kInner, kLeftOuter, kCross };
 
 /// Hash join: materializes and hashes the RIGHT (build) child, then
-/// streams the LEFT (probe) child. Output schema is left ⊕ right. NULL
-/// keys never match; kLeftOuter emits unmatched probe rows padded with
-/// NULLs.
+/// streams the LEFT (probe) child. Output schema is the `output` columns
+/// of left ⊕ right (all of them when `output` is empty). NULL keys never
+/// match; kLeftOuter emits unmatched probe rows padded with NULLs.
+///
+/// Late materialization: a probe decides its (probe row, build row)
+/// pairs from the keys alone, the residual reads only the columns it
+/// references, and only the `output` columns are gathered into the
+/// result, so columns read by no parent cost nothing.
 ///
 /// Every build side, in memory or in spill mode, is one JoinBuild: the
 /// rows, their evaluated keys and key hashes, one JoinHashTable and one
@@ -49,11 +54,13 @@ class PhysicalHashJoin : public PhysicalOperator {
   /// (over the right schema) for a match; the planner guarantees matching
   /// key types. `residual` (over left ⊕ right) further filters matches;
   /// a kLeftOuter join has none (the planner lowers those to nested
-  /// loops).
+  /// loops). `output` lists the positions of left ⊕ right to emit, in
+  /// order (empty = all).
   PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                    std::vector<ExprPtr> left_keys,
                    std::vector<ExprPtr> right_keys, ExprPtr residual,
-                   PhysicalJoinKind kind, ExecContext* context);
+                   PhysicalJoinKind kind, std::vector<size_t> output,
+                   ExecContext* context);
 
   Status OpenImpl() override;
   Status NextImpl(Chunk* chunk, bool* done) override;
@@ -66,13 +73,15 @@ class PhysicalHashJoin : public PhysicalOperator {
   /// Open() returned; used by both the serial Next() loop and parallel
   /// morsel workers. `*out` may come back empty.
   Status ProbeChunk(const Chunk& probe, Chunk* out, ExecStats* stats) const {
-    return Probe(build_, probe, nullptr, nullptr, out, stats);
+    return Probe(build_, probe, nullptr, nullptr, nullptr, out, stats);
   }
 
   PhysicalOperator* probe_child() const { return left_.get(); }
   PhysicalOperator* build_child() const { return right_.get(); }
   PhysicalJoinKind kind() const { return kind_; }
   const std::vector<ExprPtr>& left_keys() const { return left_keys_; }
+  /// The position in left ⊕ right of each output column.
+  const std::vector<size_t>& output() const { return output_; }
 
   /// The filter over the build keys, filled by Open() before the probe
   /// child opens. The pointer is stable for the join's lifetime.
@@ -104,6 +113,14 @@ class PhysicalHashJoin : public PhysicalOperator {
     JoinKeyFilter filter;
   };
 
+  /// A probe chunk's evaluated key columns and their HashJoinKeys hashes
+  /// and valid bytes, one per probe row.
+  struct ProbeKeys {
+    std::vector<ColumnVector> keys;
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> valid;
+  };
+
   /// Fills `*build` from `data`: evaluates and hashes the build keys,
   /// then fills the table (in parallel when a pool is available) and the
   /// filter. An empty `data` leaves an empty build, which frees the old.
@@ -115,11 +132,13 @@ class PhysicalHashJoin : public PhysicalOperator {
   /// probe-row order. The rows joined are `decide` (ascending) when it is
   /// non-null, else every row of `probe`; kLeftOuter pads exactly those
   /// that match nothing. With `tags`, `*out` gets a trailing BIGINT
-  /// column holding tags[r] for each row joined from probe row r. Tests
-  /// the build's filter unless the probe-side scan already applied it.
+  /// column holding tags[r] for each row joined from probe row r. With
+  /// `keys` (the spill path's routing pass), the probe keys are not
+  /// evaluated or hashed again. Tests the build's filter unless the
+  /// probe-side scan already applied it.
   Status Probe(const JoinBuild& build, const Chunk& probe,
                const std::vector<uint32_t>* decide, const int64_t* tags,
-               Chunk* out, ExecStats* stats) const;
+               const ProbeKeys* keys, Chunk* out, ExecStats* stats) const;
 
   // --- budgeted (spill-capable) execution -------------------------------
   //
@@ -176,7 +195,9 @@ class PhysicalHashJoin : public PhysicalOperator {
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
   ExprPtr residual_;
+  std::vector<bool> residual_reads_;  // per column of left ⊕ right
   PhysicalJoinKind kind_;
+  std::vector<size_t> output_;
   int build_phase_id_ = -1;
   int probe_phase_id_ = -1;
 
@@ -186,14 +207,15 @@ class PhysicalHashJoin : public PhysicalOperator {
 };
 
 /// Nested-loop join: materializes the right child and pairs every probe
-/// row with every build row, evaluating `condition` (if any). Used for
-/// cross joins and non-equi conditions — and as the deliberately naive
+/// row with every build row, evaluating `condition` (if any), and emits
+/// the `output` columns of left ⊕ right (empty = all). Used for cross
+/// joins and non-equi conditions — and as the deliberately naive
 /// baseline when the optimizer is disabled (experiment E4).
 class PhysicalNestedLoopJoin : public PhysicalOperator {
  public:
   PhysicalNestedLoopJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                          ExprPtr condition, PhysicalJoinKind kind,
-                         ExecContext* context);
+                         std::vector<size_t> output, ExecContext* context);
 
   Status OpenImpl() override;
   Status NextImpl(Chunk* chunk, bool* done) override;
@@ -208,6 +230,8 @@ class PhysicalNestedLoopJoin : public PhysicalOperator {
   PhysicalOpPtr right_;
   ExprPtr condition_;
   PhysicalJoinKind kind_;
+  Schema pairs_schema_;  // left ⊕ right
+  std::vector<size_t> output_;
 
   Chunk build_data_;
   bool probe_done_ = false;

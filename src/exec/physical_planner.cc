@@ -195,6 +195,7 @@ PhysicalScan* TraceToScan(PhysicalOperator* op, size_t* column) {
       continue;
     }
     if (auto* join = dynamic_cast<PhysicalHashJoin*>(op)) {
+      *column = join->output()[*column];
       if (*column >= join->probe_child()->schema().num_fields()) {
         return nullptr;  // a build-side column
       }
@@ -383,7 +384,8 @@ class PlannerImpl {
     AGORA_ASSIGN_OR_RETURN(PhysicalOpPtr left, Lower(join.children()[0]));
     AGORA_ASSIGN_OR_RETURN(PhysicalOpPtr right, Lower(join.children()[1]));
     size_t left_arity = join.children()[0]->schema().num_fields();
-    size_t total_arity = join.schema().num_fields();
+    size_t total_arity =
+        left_arity + join.children()[1]->schema().num_fields();
 
     PhysicalJoinKind kind = PhysicalJoinKind::kInner;
     switch (join.join_kind()) {
@@ -453,14 +455,14 @@ class PlannerImpl {
         auto hash_join = std::make_unique<PhysicalHashJoin>(
             std::move(left), std::move(right), std::move(left_keys),
             std::move(right_keys), CombineConjuncts(std::move(residual)),
-            kind, context_);
+            kind, join.projection(), context_);
         MaybePushJoinFilter(hash_join.get());
         return PhysicalOpPtr(std::move(hash_join));
       }
     }
     return PhysicalOpPtr(std::make_unique<PhysicalNestedLoopJoin>(
         std::move(left), std::move(right), join.condition(), kind,
-        context_));
+        join.projection(), context_));
   }
 
   ExecContext* context_;

@@ -8,24 +8,28 @@
 
 namespace agora {
 
-Result<Chunk> FilterChunk(const Chunk& chunk, const Expr& predicate,
-                          ExecStats* stats) {
-  Selection sel;
+Status SelectRows(const Expr& predicate, const Chunk& chunk, Selection* sel,
+                  ExecStats* stats) {
+  *sel = Selection{};
   ExprCounters counters;
-  AGORA_RETURN_IF_ERROR(
-      RefineSelection(predicate, chunk, &sel, &counters));
+  AGORA_RETURN_IF_ERROR(RefineSelection(predicate, chunk, sel, &counters));
   if (stats != nullptr) {
     stats->expr_rows_evaluated += counters.rows_evaluated;
     stats->sel_vector_hits += counters.sel_hits;
   }
-  if (sel.all) {
+  if (sel->all || sel->rows.size() == chunk.num_rows()) {
     if (stats != nullptr) stats->filter_gathers_avoided++;
-    return chunk;
+    sel->all = true;
+    sel->rows.clear();
   }
-  if (sel.rows.size() == chunk.num_rows()) {
-    if (stats != nullptr) stats->filter_gathers_avoided++;
-    return chunk;
-  }
+  return Status::OK();
+}
+
+Result<Chunk> FilterChunk(const Chunk& chunk, const Expr& predicate,
+                          ExecStats* stats) {
+  Selection sel;
+  AGORA_RETURN_IF_ERROR(SelectRows(predicate, chunk, &sel, stats));
+  if (sel.all) return chunk;
   return chunk.GatherRows(sel.rows);
 }
 

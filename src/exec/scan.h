@@ -218,13 +218,18 @@ class PhysicalIndexScan : public PhysicalOperator {
   size_t next_match_ = 0;
 };
 
-/// Applies `predicate` to `chunk`, keeping only TRUE rows. Refines a
-/// selection vector (AND/OR short-circuit via RefineSelection) and
-/// gathers once — or not at all when every row passes. Shared by scan,
-/// filter, and join residuals. When `stats` is given, folds the
-/// expression counters (expr_rows_evaluated, sel_vector_hits) into it
-/// and counts chunks returned without a gather copy
-/// (filter_gathers_avoided).
+/// Sets `*sel` to the rows of `chunk` where `predicate` is TRUE, by
+/// refining a selection vector (AND/OR short-circuit via
+/// RefineSelection); `sel->all` when every row passes. When `stats` is
+/// given, folds the expression counters (expr_rows_evaluated,
+/// sel_vector_hits) into it and counts a selection that keeps every row
+/// (filter_gathers_avoided: its rows need no gather).
+Status SelectRows(const Expr& predicate, const Chunk& chunk, Selection* sel,
+                  ExecStats* stats);
+
+/// Applies `predicate` to `chunk`, keeping only TRUE rows: SelectRows,
+/// then one gather — or none when every row passes. Shared by scan,
+/// filter, and nested-loop join conditions.
 Result<Chunk> FilterChunk(const Chunk& chunk, const Expr& predicate,
                           ExecStats* stats = nullptr);
 

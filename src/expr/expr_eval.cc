@@ -448,7 +448,7 @@ struct StrReader {
         data = op.vec->dictionary().entries().data();
         codes = op.vec->codes_data();
       } else {
-        data = op.vec->string_data().data();
+        data = op.vec->string_data();
       }
       sel = op.sel;
     }

@@ -109,11 +109,26 @@ Status VerifyNode(const LogicalOperator* node, std::string_view phase) {
       size_t right = node->children()[1]->schema().num_fields();
       AGORA_RETURN_IF_ERROR(CheckBindings(join->condition(), left + right,
                                           phase, "join condition"));
-      if (arity != left + right) {
+      const std::vector<size_t>& projection = join->projection();
+      if (projection.empty() && arity != left + right) {
         return Status::Internal(
             Prefix(phase) + "join schema has " + std::to_string(arity) +
             " columns, expected " + std::to_string(left + right) +
             " (left + right)");
+      }
+      if (!projection.empty() && arity != projection.size()) {
+        return Status::Internal(
+            Prefix(phase) + "join schema has " + std::to_string(arity) +
+            " columns but its projection lists " +
+            std::to_string(projection.size()));
+      }
+      for (size_t c : projection) {
+        if (c >= left + right) {
+          return Status::Internal(Prefix(phase) + "join projection column " +
+                                  std::to_string(c) + " is out of range (" +
+                                  std::to_string(left + right) +
+                                  " input columns)");
+        }
       }
       break;
     }

@@ -309,7 +309,11 @@ PruneResult Prune(const LogicalOpPtr& node, const Required& required) {
               std::move(mapping)};
     }
     case LogicalOpKind::kJoin: {
+      // The children keep what the parents and the condition read; the
+      // join itself emits only what the parents read, so key-only and
+      // condition-only columns are never gathered into its output.
       const auto& j = static_cast<const LogicalJoin&>(*node);
+      AGORA_DCHECK(j.projection().empty());  // pruning runs once
       size_t left_arity = j.children()[0]->schema().num_fields();
       size_t total = j.schema().num_fields();
       Required all = required;
@@ -325,18 +329,28 @@ PruneResult Prune(const LogicalOpPtr& node, const Required& required) {
       PruneResult left = Prune(j.children()[0], left_req);
       PruneResult right = Prune(j.children()[1], right_req);
       size_t new_left_arity = left.node->schema().num_fields();
-      std::vector<int> mapping(total, -1);
-      for (size_t i = 0; i < left_arity; ++i) mapping[i] = left.mapping[i];
+      std::vector<int> inner(total, -1);
+      for (size_t i = 0; i < left_arity; ++i) inner[i] = left.mapping[i];
       for (size_t i = left_arity; i < total; ++i) {
         int m = right.mapping[i - left_arity];
-        mapping[i] = m < 0 ? -1 : m + static_cast<int>(new_left_arity);
+        inner[i] = m < 0 ? -1 : m + static_cast<int>(new_left_arity);
       }
       ExprPtr cond = j.condition() == nullptr
                          ? nullptr
-                         : RemapByMapping(j.condition(), mapping);
-      return {std::make_shared<LogicalJoin>(j.join_kind(), left.node,
-                                            right.node, std::move(cond)),
-              std::move(mapping)};
+                         : RemapByMapping(j.condition(), inner);
+      std::vector<int> mapping(total, -1);
+      std::vector<size_t> projection;
+      for (size_t i : required) {
+        if (i >= total) continue;
+        mapping[i] = static_cast<int>(projection.size());
+        projection.push_back(static_cast<size_t>(inner[i]));
+      }
+      // Keep at least one column so the row count survives.
+      if (projection.empty()) projection.push_back(0);
+      auto rebuilt = std::make_shared<LogicalJoin>(
+          j.join_kind(), left.node, right.node, std::move(cond));
+      rebuilt->SetProjection(std::move(projection));
+      return {std::move(rebuilt), std::move(mapping)};
     }
     case LogicalOpKind::kAggregate: {
       const auto& a = static_cast<const LogicalAggregate&>(*node);

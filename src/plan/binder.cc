@@ -218,7 +218,11 @@ Result<AggregateSpec> Binder::BindAggregateCall(const ParsedExpr& parsed,
       break;
     case AggFunc::kMin:
     case AggFunc::kMax:
-      spec.result_type = arg_type;
+      // An untyped NULL argument evaluates as BOOLEAN NULLs (LiteralExpr),
+      // so its MIN/MAX is a BOOLEAN column of NULLs, which the chunk
+      // verifier and the spill format accept like any typed column.
+      spec.result_type =
+          arg_type == TypeId::kInvalid ? TypeId::kBool : arg_type;
       break;
     case AggFunc::kStddev:
     case AggFunc::kVariance:

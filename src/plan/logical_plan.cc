@@ -99,6 +99,18 @@ LogicalJoin::LogicalJoin(Kind kind, LogicalOpPtr left, LogicalOpPtr right,
   children_ = {std::move(left), std::move(right)};
 }
 
+void LogicalJoin::SetProjection(std::vector<size_t> columns) {
+  const Schema all = children_[0]->schema().Concat(children_[1]->schema());
+  bool identity = columns.size() == all.num_fields();
+  std::vector<Field> fields;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    identity &= columns[i] == i;
+    fields.push_back(all.field(columns[i]));
+  }
+  projection_ = identity ? std::vector<size_t>{} : std::move(columns);
+  schema_ = identity ? all : Schema(std::move(fields));
+}
+
 std::string LogicalJoin::ToString() const {
   std::string kind;
   switch (join_kind_) {
@@ -114,6 +126,14 @@ std::string LogicalJoin::ToString() const {
   }
   std::string out = kind + "Join(";
   if (condition_ != nullptr) out += condition_->ToString();
+  if (!projection_.empty()) {
+    out += condition_ != nullptr ? ", cols=[" : "cols=[";
+    for (size_t i = 0; i < projection_.size(); ++i) {
+      if (i > 0) out += ",";
+      out += std::to_string(projection_[i]);
+    }
+    out += "]";
+  }
   return out + ")";
 }
 

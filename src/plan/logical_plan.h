@@ -139,11 +139,19 @@ class LogicalJoin : public LogicalOperator {
   const ExprPtr& condition() const { return condition_; }
   void set_condition(ExprPtr c) { condition_ = std::move(c); }
 
+  /// Positions of left ⊕ right the join emits, in order (empty = all).
+  /// Set by projection pruning to the columns the parents read, the way
+  /// LogicalScan carries one; the join's schema is then that subset,
+  /// while `condition` stays bound over the whole left ⊕ right.
+  const std::vector<size_t>& projection() const { return projection_; }
+  void SetProjection(std::vector<size_t> columns);
+
   std::string ToString() const override;
 
  private:
   Kind join_kind_;
   ExprPtr condition_;
+  std::vector<size_t> projection_;
 };
 
 enum class AggFunc {

@@ -166,7 +166,7 @@ std::string QueryHandler::SerializeResultJson(const QueryResult& result) {
             }
           }
         } else {
-          cursor.strings = col.string_data().data();
+          cursor.strings = col.string_data();
           for (size_t row = 0; row < rows; ++row) {
             bytes += std::max<size_t>(cursor.strings[row].size() + 2, 4);
           }

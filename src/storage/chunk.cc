@@ -23,8 +23,9 @@ void Chunk::Append(Chunk other) {
   const size_t rows = other.num_rows();
   if (rows == 0) return;
   if (num_rows() == 0) {
+    // Adopted columns hold no view, so the chunk pins no table buffer.
     *this = std::move(other);
-    for (ColumnVector& col : columns_) col.FlattenConstant();
+    for (ColumnVector& col : columns_) col.Materialize();
     return;
   }
   AGORA_DCHECK(other.num_columns() == columns_.size());

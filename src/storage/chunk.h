@@ -43,9 +43,10 @@ class Chunk {
   /// Appends every row of `other` (schemas must align), one bulk
   /// ColumnVector::AppendRange per column. While this chunk is still
   /// empty, `other` is taken over whole instead of copied — a moved-in
-  /// chunk costs O(columns). Either way no result column is constant;
-  /// dictionary columns stay encoded (codes move when the dictionaries
-  /// match).
+  /// chunk costs O(columns), except that a view column copies its own
+  /// rows (ColumnVector::Materialize). Either way no result column is
+  /// constant or a view; dictionary columns stay encoded (codes move
+  /// when the dictionaries match).
   void Append(Chunk other);
 
   /// Keeps only rows named in `sel` (in order). Applies to every column.

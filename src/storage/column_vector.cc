@@ -88,13 +88,19 @@ size_t Dictionary::MemoryBytes() const {
          slots_.capacity() * sizeof(uint32_t);
 }
 
-ColumnVector::Rep::Rep(const Rep& other)
-    : validity(other.validity),
-      ints(other.ints),
-      doubles(other.doubles),
-      strings(other.strings),
-      codes(other.codes),
-      dict(other.dict) {
+ColumnVector::Rep::Rep(const Rep& other, size_t begin, size_t count)
+    : dict(other.dict) {
+  // Only the buffers the source fills are copied; the others are empty.
+  auto copy = [begin, count](auto* to, const auto& from) {
+    if (from.empty()) return;
+    const auto first = from.begin() + static_cast<std::ptrdiff_t>(begin);
+    to->assign(first, first + static_cast<std::ptrdiff_t>(count));
+  };
+  copy(&validity, other.validity);
+  copy(&ints, other.ints);
+  copy(&doubles, other.doubles);
+  copy(&strings, other.strings);
+  copy(&codes, other.codes);
   // The copies' string capacities may differ from the source's, so the
   // incremental counter is recomputed rather than copied.
   for (const auto& s : strings) string_bytes += StrCost(s);
@@ -150,18 +156,17 @@ void ColumnVector::Rep::PushString(std::string_view s) {
   string_bytes += StrCost(strings.back());
 }
 
-const std::vector<std::string>& ColumnVector::EmptyStrings() {
-  static const std::vector<std::string> kEmpty;
-  return kEmpty;
-}
-
 ColumnVector::Rep* ColumnVector::EnsureUnique() {
-  if (!rep_) {
+  if (constant_) {
+    FlattenConstant();  // builds a Rep of its own
+  } else if (!rep_) {
     rep_ = std::make_shared<Rep>();
-  } else if (rep_.use_count() > 1) {
-    rep_ = std::make_shared<Rep>(*rep_);
+  } else if (view_ || rep_.use_count() > 1) {
+    rep_ = std::make_shared<Rep>(*rep_, offset_, size());
+    view_ = false;
+    offset_ = 0;
+    logical_size_ = 0;
   }
-  if (constant_) FlattenConstant();
   return rep_.get();
 }
 
@@ -192,8 +197,7 @@ ColumnVector ColumnVector::EmptyLike() const {
 void ColumnVector::Flatten() {
   FlattenConstant();
   if (!is_dictionary()) return;
-  if (rep_.use_count() > 1) rep_ = std::make_shared<Rep>(*rep_);
-  rep_->Decode();
+  EnsureUnique()->Decode();
 }
 
 void ColumnVector::FlattenConstant() {
@@ -224,6 +228,10 @@ void ColumnVector::FlattenConstant() {
   logical_size_ = 0;
 }
 
+void ColumnVector::Materialize() {
+  if (constant_ || view_) EnsureUnique();
+}
+
 void ColumnVector::Reserve(size_t n) {
   Rep* rep = EnsureUnique();
   rep->validity.reserve(n);
@@ -252,14 +260,18 @@ void ColumnVector::Reserve(size_t n) {
 void ColumnVector::Clear() {
   rep_.reset();
   constant_ = false;
+  view_ = false;
+  offset_ = 0;
   logical_size_ = 0;
 }
 
 void ColumnVector::ResizeForOverwrite(size_t n) {
   // A shared rep is dropped rather than cloned: the contents are about to
   // be overwritten, so copying them would be pure waste.
-  if (!rep_ || rep_.use_count() > 1) rep_ = std::make_shared<Rep>();
+  if (!rep_ || view_ || rep_.use_count() > 1) rep_ = std::make_shared<Rep>();
   constant_ = false;
+  view_ = false;
+  offset_ = 0;
   logical_size_ = 0;
   Rep* rep = rep_.get();
   rep->validity.resize(n);
@@ -373,7 +385,7 @@ void ColumnVector::AppendFrom(const ColumnVector& other, size_t row) {
   AGORA_DCHECK(type_ == other.type_);
   if (type_ == TypeId::kString) {
     const auto p = static_cast<uint32_t>(other.PhysRow(row));
-    AppendStrings(other, 1, [p](size_t) { return p; });
+    AppendStrings(other, 0, 1, [p](size_t) { return p; });
     return;
   }
   if (other.IsNull(row)) {
@@ -404,11 +416,10 @@ void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
   if (count == 0) return;
   if (type_ == TypeId::kString) {
     if (src.constant_) {
-      AppendStrings(src, count, [](size_t) { return uint32_t{0}; });
+      AppendStrings(src, 0, count, [](size_t) { return uint32_t{0}; });
     } else {
-      AppendStrings(src, count, [begin](size_t i) {
-        return static_cast<uint32_t>(begin + i);
-      });
+      AppendStrings(src, src.offset_ + begin, count,
+                    [](size_t i) { return static_cast<uint32_t>(i); });
     }
     return;
   }
@@ -422,7 +433,8 @@ void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
     if (src.constant_) {
       to.insert(to.end(), count, from[0]);
     } else {
-      const auto first = from.begin() + static_cast<std::ptrdiff_t>(begin);
+      const auto first =
+          from.begin() + static_cast<std::ptrdiff_t>(src.offset_ + begin);
       to.insert(to.end(), first, first + static_cast<std::ptrdiff_t>(count));
     }
   };
@@ -545,8 +557,10 @@ void ColumnVector::Scatter(const std::vector<uint32_t>& rows,
 
 bool ColumnVector::AllValid() const {
   if (!rep_) return true;
-  for (uint8_t v : rep_->validity) {
-    if (v == 0) return false;
+  const uint8_t* valid = rep_->validity.data() + offset_;
+  const size_t n = constant_ ? 1 : size();
+  for (size_t i = 0; i < n; ++i) {
+    if (valid[i] == 0) return false;
   }
   return true;
 }
@@ -570,7 +584,7 @@ void ColumnVector::HashBatch(uint64_t* hashes, size_t n, bool combine,
   AGORA_DCHECK(!constant_);
   AGORA_DCHECK(sel != nullptr || n <= size());
   if (n == 0) return;
-  const Rep& rep = *rep_;
+  const uint8_t* valid = validity_data();
   // One loop per type and per row mapping, so the selection costs one
   // indexed load and no branch per row.
   auto hash_rows = [&](auto row_of) {
@@ -579,37 +593,41 @@ void ColumnVector::HashBatch(uint64_t* hashes, size_t n, bool combine,
     };
     switch (type_) {
       case TypeId::kString:
-        if (rep.dict) {
+        if (rep_->dict) {
           // Each entry was hashed once, when it was interned.
-          const uint64_t* entry_hashes = rep.dict->hashes();
+          const uint64_t* entry_hashes = rep_->dict->hashes();
+          const uint32_t* codes = codes_data();
           for (size_t i = 0; i < n; ++i) {
             size_t r = row_of(i);
-            emit(i, rep.validity[r] != 0 ? entry_hashes[rep.codes[r]]
-                                         : kNullHash);
+            emit(i, valid[r] != 0 ? entry_hashes[codes[r]] : kNullHash);
           }
           break;
         }
-        for (size_t i = 0; i < n; ++i) {
-          size_t r = row_of(i);
-          emit(i, rep.validity[r] != 0 ? HashString(rep.strings[r])
-                                       : kNullHash);
+        {
+          const std::string* strs = string_data();
+          for (size_t i = 0; i < n; ++i) {
+            size_t r = row_of(i);
+            emit(i, valid[r] != 0 ? HashString(strs[r]) : kNullHash);
+          }
         }
         break;
-      case TypeId::kDouble:
+      case TypeId::kDouble: {
+        const double* x = double_data();
         for (size_t i = 0; i < n; ++i) {
           size_t r = row_of(i);
-          emit(i, rep.validity[r] != 0 ? HashDouble(rep.doubles[r])
-                                       : kNullHash);
+          emit(i, valid[r] != 0 ? HashDouble(x[r]) : kNullHash);
         }
         break;
-      default:
+      }
+      default: {
+        const int64_t* x = int64_data();
         for (size_t i = 0; i < n; ++i) {
           size_t r = row_of(i);
-          emit(i, rep.validity[r] != 0
-                      ? HashMix64(static_cast<uint64_t>(rep.ints[r]))
-                      : kNullHash);
+          emit(i, valid[r] != 0 ? HashMix64(static_cast<uint64_t>(x[r]))
+                                : kNullHash);
         }
         break;
+      }
     }
   };
   if (sel == nullptr) {
@@ -627,37 +645,45 @@ void ColumnVector::BatchEqualRows(const uint32_t* rows,
   AGORA_DCHECK(type_ == other.type_);
   AGORA_DCHECK(!constant_ && !other.constant_);
   if (!rep_ || !other.rep_) return;  // an empty side means n == 0
-  const Rep& lhs = *rep_;
-  const Rep& rhs = *other.rep_;
+  const uint8_t* lv = validity_data();
+  const uint8_t* rv = other.validity_data();
   switch (type_) {
-    case TypeId::kString:
+    case TypeId::kString: {
       if (SharesDictionaryWith(other)) {
+        const uint32_t* lc = codes_data();
+        const uint32_t* rc = other.codes_data();
         for (size_t i = 0; i < n; ++i) {
           if (equal[i] == 0) continue;
           size_t a = rows[i], b = other_rows[i];
-          bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
-          equal[i] = (an || bn) ? (an && bn)
-                                : (lhs.codes[a] == rhs.codes[b]);
+          bool an = lv[a] == 0, bn = rv[b] == 0;
+          equal[i] = (an || bn) ? (an && bn) : (lc[a] == rc[b]);
         }
         break;
       }
+      const Rep& lhs = *rep_;
+      const Rep& rhs = *other.rep_;
       for (size_t i = 0; i < n; ++i) {
         if (equal[i] == 0) continue;
         size_t a = rows[i], b = other_rows[i];
-        bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
-        equal[i] = (an || bn) ? (an && bn) : (lhs.Str(a) == rhs.Str(b));
+        bool an = lv[a] == 0, bn = rv[b] == 0;
+        equal[i] = (an || bn) ? (an && bn)
+                              : (lhs.Str(offset_ + a) ==
+                                 rhs.Str(other.offset_ + b));
       }
       break;
-    case TypeId::kDouble:
+    }
+    case TypeId::kDouble: {
+      const double* lx = double_data();
+      const double* rx = other.double_data();
       for (size_t i = 0; i < n; ++i) {
         if (equal[i] == 0) continue;
         size_t a = rows[i], b = other_rows[i];
-        bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
+        bool an = lv[a] == 0, bn = rv[b] == 0;
         if (an || bn) {
           equal[i] = an && bn;
           continue;
         }
-        double x = lhs.doubles[a], y = rhs.doubles[b];
+        double x = lx[a], y = rx[b];
         if (bitwise_doubles) {
           if (x == 0.0) x = 0.0;
           if (y == 0.0) y = 0.0;
@@ -670,20 +696,24 @@ void ColumnVector::BatchEqualRows(const uint32_t* rows,
         }
       }
       break;
-    default:
+    }
+    default: {
+      const int64_t* lx = int64_data();
+      const int64_t* rx = other.int64_data();
       for (size_t i = 0; i < n; ++i) {
         if (equal[i] == 0) continue;
         size_t a = rows[i], b = other_rows[i];
-        bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
-        equal[i] = (an || bn) ? (an && bn) : (lhs.ints[a] == rhs.ints[b]);
+        bool an = lv[a] == 0, bn = rv[b] == 0;
+        equal[i] = (an || bn) ? (an && bn) : (lx[a] == rx[b]);
       }
       break;
+    }
   }
 }
 
 template <typename RowFn>
-void ColumnVector::AppendStrings(const ColumnVector& src, size_t n,
-                                 RowFn row_of) {
+void ColumnVector::AppendStrings(const ColumnVector& src, size_t base,
+                                 size_t n, RowFn row_of) {
   if (n == 0) return;
   if (size() == 0 && !constant_ && src.is_dictionary()) {
     *this = src.EmptyLike();
@@ -693,18 +723,20 @@ void ColumnVector::AppendStrings(const ColumnVector& src, size_t n,
   // build side); fall back to an empty Rep so no row can index it.
   static const Rep kEmptyRep(nullptr);
   const Rep& in = src.rep_ ? *src.rep_ : kEmptyRep;
+  const uint8_t* in_valid = in.validity.data() + base;
   ReserveMore(&out->validity, n);
   size_t i = 0;
   if (out->dict != nullptr && out->dict == in.dict) {
     // Same dictionary: codes move as they are.
+    const uint32_t* in_codes = in.codes.data() + base;
     ReserveMore(&out->codes, n);
     uint8_t* valid_out = GrowBy(&out->validity, n);
     uint32_t* codes_out = GrowBy(&out->codes, n);
     for (; i < n; ++i) {
       const uint32_t r = row_of(i);
-      const bool valid = r != kPadRow && in.validity[r] != 0;
+      const bool valid = r != kPadRow && in_valid[r] != 0;
       valid_out[i] = valid ? 1 : 0;
-      codes_out[i] = valid ? in.codes[r] : 0;
+      codes_out[i] = valid ? in_codes[r] : 0;
     }
   } else if (out->dict != nullptr) {
     // Intern into this dictionary; a dictionary source appending a batch
@@ -716,17 +748,19 @@ void ColumnVector::AppendStrings(const ColumnVector& src, size_t n,
     ReserveMore(&out->codes, n);
     for (; i < n; ++i) {
       const uint32_t r = row_of(i);
-      if (r == kPadRow || in.validity[r] == 0) {
+      if (r == kPadRow || in_valid[r] == 0) {
         out->validity.push_back(0);
         out->codes.push_back(0);
         continue;
       }
       uint32_t code;
       if (translated.empty()) {
-        code = out->Intern(in.Str(r));
+        code = out->Intern(in.Str(base + r));
       } else {
-        uint32_t& slot = translated[in.codes[r]];
-        if (slot == Dictionary::kNotFound) slot = out->Intern(in.Str(r));
+        uint32_t& slot = translated[in.codes[base + r]];
+        if (slot == Dictionary::kNotFound) {
+          slot = out->Intern(in.Str(base + r));
+        }
         code = slot;
       }
       if (code == Dictionary::kNotFound) {
@@ -741,10 +775,10 @@ void ColumnVector::AppendStrings(const ColumnVector& src, size_t n,
     ReserveMore(&out->strings, (n - i));
     for (; i < n; ++i) {
       const uint32_t r = row_of(i);
-      const bool valid = r != kPadRow && in.validity[r] != 0;
+      const bool valid = r != kPadRow && in_valid[r] != 0;
       out->validity.push_back(valid ? 1 : 0);
       if (valid) {
-        out->strings.push_back(in.Str(r));
+        out->strings.push_back(in.Str(base + r));
       } else {
         out->strings.emplace_back();
       }
@@ -760,36 +794,38 @@ void ColumnVector::AppendGatherPadded(const ColumnVector& src,
   AGORA_DCHECK(!src.constant_);
   if (n == 0) return;
   if (type_ == TypeId::kString) {
-    AppendStrings(src, n, [sel](size_t i) { return sel[i]; });
+    AppendStrings(src, src.offset_, n, [sel](size_t i) { return sel[i]; });
     return;
   }
   Rep* out = EnsureUnique();
-  static const Rep kEmptyRep(nullptr);
-  const Rep& in = src.rep_ ? *src.rep_ : kEmptyRep;
+  // An empty src (every row padding) has null buffers no row reads.
+  const uint8_t* in_valid = src.validity_data();
   out->validity.reserve(out->validity.size() + n);
   uint8_t* valid_out = GrowBy(&out->validity, n);
   switch (type_) {
     case TypeId::kBool:
     case TypeId::kInt64:
     case TypeId::kDate: {
+      const int64_t* in_ints = src.int64_data();
       out->ints.reserve(out->ints.size() + n);
       int64_t* ints_out = GrowBy(&out->ints, n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
-        bool valid = s != kPadRow && in.validity[s] != 0;
+        bool valid = s != kPadRow && in_valid[s] != 0;
         valid_out[i] = valid ? 1 : 0;
-        ints_out[i] = valid ? in.ints[s] : 0;
+        ints_out[i] = valid ? in_ints[s] : 0;
       }
       break;
     }
     case TypeId::kDouble: {
+      const double* in_doubles = src.double_data();
       out->doubles.reserve(out->doubles.size() + n);
       double* doubles_out = GrowBy(&out->doubles, n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
-        bool valid = s != kPadRow && in.validity[s] != 0;
+        bool valid = s != kPadRow && in_valid[s] != 0;
         valid_out[i] = valid ? 1 : 0;
-        doubles_out[i] = valid ? in.doubles[s] : 0.0;
+        doubles_out[i] = valid ? in_doubles[s] : 0.0;
       }
       break;
     }
@@ -844,20 +880,18 @@ ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
 
 ColumnVector ColumnVector::Slice(size_t begin, size_t count) const {
   AGORA_DCHECK(begin + count <= size());
-  if (begin == 0 && count == size()) return *this;  // zero-copy share
-  if (constant_) {
-    ColumnVector out = *this;
-    out.logical_size_ = count;
-    if (count == 0) out.Clear();
-    return out;
+  if (count == 0) return EmptyLike();
+  ColumnVector out = *this;
+  if (!constant_) {
+    out.view_ = true;
+    out.offset_ = offset_ + begin;
   }
-  ColumnVector out = EmptyLike();
-  out.AppendRange(*this, begin, count);
+  out.logical_size_ = count;
   return out;
 }
 
 size_t ColumnVector::MemoryBytes() const {
-  if (!rep_) return 0;
+  if (!rep_ || view_) return 0;
   const Rep& rep = *rep_;
   return rep.validity.capacity() + rep.ints.capacity() * sizeof(int64_t) +
          rep.doubles.capacity() * sizeof(double) +
@@ -866,6 +900,12 @@ size_t ColumnVector::MemoryBytes() const {
 
 Status ColumnVector::CheckConsistency() const {
   size_t rows = rep_ ? rep_->validity.size() : 0;
+  if (view_ && (!rep_ || offset_ + logical_size_ > rows)) {
+    return Status::Internal(
+        "column vector view of rows [" + std::to_string(offset_) + ", " +
+        std::to_string(offset_ + logical_size_) + ") exceeds its buffer of " +
+        std::to_string(rows) + " rows");
+  }
   if (constant_) {
     if (rows != 1) {
       return Status::Internal(
@@ -920,11 +960,13 @@ Status ColumnVector::CheckDictionary(size_t rows) const {
                             std::to_string(rows) + " rows");
   }
   const Dictionary& dict = *rep.dict;
-  for (size_t r = 0; r < rows; ++r) {
-    if (rep.validity[r] != 0 && rep.codes[r] >= dict.size()) {
-      return Status::Internal("dictionary code " +
-                              std::to_string(rep.codes[r]) + " at row " +
-                              std::to_string(r) + " is out of range (" +
+  const uint8_t* valid = validity_data();
+  const uint32_t* codes = codes_data();
+  for (size_t r = 0; r < size(); ++r) {
+    if (valid[r] != 0 && codes[r] >= dict.size()) {
+      return Status::Internal("dictionary code " + std::to_string(codes[r]) +
+                              " at row " + std::to_string(r) +
+                              " is out of range (" +
                               std::to_string(dict.size()) + " entries)");
     }
   }

@@ -64,14 +64,25 @@ class Dictionary {
 /// dictionary form below. A byte-per-row validity vector tracks NULLs
 /// (1 = valid). This trades some space for simple, branch-light kernels.
 ///
-/// Three representation axes keep the engine zero-copy:
+/// Four representation axes keep the engine zero-copy:
 ///
 /// *Shared buffers (copy-on-write).* The payload lives in a refcounted
 /// `Rep`; copying a ColumnVector shares it (O(1)), and every mutating
 /// entry point calls EnsureUnique() to clone first when the buffer is
 /// shared. A column reference in an expression is therefore a pointer
-/// bump, and Table::GetChunk can hand out whole-column views safely:
-/// a later Table mutation clones its own copy, never the reader's.
+/// bump, and Table::GetChunkView can hand out whole-column shares
+/// safely: a later Table mutation clones its own copy, never the
+/// reader's.
+///
+/// *Views.* Slice() returns a view: rows [offset, offset + size()) of a
+/// shared Rep, made in O(1) (Table::GetChunk and the scan's fully
+/// passing blocks copy nothing). Every reader indexes the Rep at
+/// `offset + row` — element accessors, the raw `*_data()` pointers
+/// (which point at the view's first row), the batch kernels and the
+/// spill writer. A view owns no bytes, so MemoryBytes() reports 0; the
+/// first mutation copies only the view's rows into a Rep of its own
+/// (EnsureUnique), and Materialize() does the same eagerly, so a chunk
+/// kept past its statement never pins a table buffer.
 ///
 /// *Constant form.* A vector may represent `n` logical repetitions of a
 /// single physical row (literals, folded expressions). Element accessors
@@ -96,13 +107,16 @@ class ColumnVector {
 
   TypeId type() const { return type_; }
   size_t size() const {
-    if (constant_) return logical_size_;
+    if (constant_ || view_) return logical_size_;
     return rep_ ? rep_->validity.size() : 0;
   }
   bool empty() const { return size() == 0; }
 
   /// True for the constant form: one physical row, `size()` logical rows.
   bool is_constant() const { return constant_; }
+  /// True for a view: `size()` rows of a Rep shared with another vector,
+  /// starting at some row of it (see Slice).
+  bool is_view() const { return view_; }
 
   /// Builds an `n`-row constant vector holding `v` (one physical row).
   static ColumnVector MakeConstant(TypeId type, const Value& v, size_t n);
@@ -135,6 +149,10 @@ class ColumnVector {
   /// Expands the constant form only; a dictionary vector stays encoded.
   /// Enough for every batch kernel (they accept the dictionary form).
   void FlattenConstant();
+  /// Expands the constant form and copies a view's rows into a buffer of
+  /// its own; a dictionary vector stays encoded. Chunks that outlive
+  /// their operator (Chunk::Append) call this so they hold no view.
+  void Materialize();
 
   void Reserve(size_t n);
   void Clear();
@@ -186,27 +204,29 @@ class ColumnVector {
   void Scatter(const std::vector<uint32_t>& rows, const ColumnVector& src);
 
   // -- Raw data (hot loops; flat vectors only) ---------------------------
+  // Each pointer addresses row 0 of this vector (a view's offset is
+  // already applied) and is valid for size() rows.
   const int64_t* int64_data() const {
     AGORA_DCHECK(!constant_);
-    return rep_ ? rep_->ints.data() : nullptr;
+    return rep_ ? rep_->ints.data() + offset_ : nullptr;
   }
   const double* double_data() const {
     AGORA_DCHECK(!constant_);
-    return rep_ ? rep_->doubles.data() : nullptr;
+    return rep_ ? rep_->doubles.data() + offset_ : nullptr;
   }
-  const std::vector<std::string>& string_data() const {
+  const std::string* string_data() const {
     AGORA_DCHECK(!constant_ && !is_dictionary());
-    return rep_ ? rep_->strings : EmptyStrings();
+    return rep_ ? rep_->strings.data() + offset_ : nullptr;
   }
   /// Per-row dictionary codes (dictionary form only). A NULL row holds
   /// code 0, which need not name an entry.
   const uint32_t* codes_data() const {
     AGORA_DCHECK(is_dictionary());
-    return rep_->codes.data();
+    return rep_->codes.data() + offset_;
   }
   const uint8_t* validity_data() const {
     AGORA_DCHECK(!constant_);
-    return rep_ ? rep_->validity.data() : nullptr;
+    return rep_ ? rep_->validity.data() + offset_ : nullptr;
   }
   int64_t* mutable_int64_data() { return EnsureUnique()->ints.data(); }
   double* mutable_double_data() { return EnsureUnique()->doubles.data(); }
@@ -260,16 +280,17 @@ class ColumnVector {
   /// Gathers `sel[0..n)` rows into a new vector (selection apply).
   ColumnVector Gather(const std::vector<uint32_t>& sel) const;
 
-  /// Copies rows [begin, begin+count) into a new vector. A whole-vector
-  /// slice shares the buffer (zero copy); a dictionary slice copies codes
-  /// and shares the dictionary.
+  /// Rows [begin, begin+count) as a view of this vector's buffer: O(1),
+  /// nothing is copied (a constant stays constant, an empty slice is an
+  /// empty vector). The view keeps the buffer alive; writes to either
+  /// side never reach the other (copy-on-write).
   ColumnVector Slice(size_t begin, size_t count) const;
 
   /// Approximate heap bytes used (for resource accounting). Shared
   /// buffers are counted once per referencing vector, matching the
-  /// deep-copy accounting this replaced. A dictionary vector counts its
-  /// codes, not the shared Dictionary (which charges its own tracker and
-  /// reports Dictionary::MemoryBytes).
+  /// deep-copy accounting this replaced; a view owns nothing and counts
+  /// 0. A dictionary vector counts its codes, not the shared Dictionary
+  /// (which charges its own tracker and reports Dictionary::MemoryBytes).
   size_t MemoryBytes() const;
 
   /// Debug verification (AGORA_VERIFY): checks that the payload array for
@@ -300,7 +321,10 @@ class ColumnVector {
     /// tracker).
     explicit Rep(std::nullptr_t)
         : charge(std::shared_ptr<MemoryTracker>(nullptr)) {}
-    Rep(const Rep& other);
+    /// Copies physical rows [begin, begin+count) of `other`, sharing its
+    /// dictionary.
+    Rep(const Rep& other, size_t begin, size_t count);
+    Rep(const Rep&) = delete;
     Rep& operator=(const Rep&) = delete;
 
     /// Refreshes `charge` to the current payload size when it drifted
@@ -335,26 +359,28 @@ class ColumnVector {
     MemoryCharge charge;
   };
 
-  size_t PhysRow(size_t i) const { return constant_ ? 0 : i; }
+  size_t PhysRow(size_t i) const { return constant_ ? 0 : offset_ + i; }
 
-  /// Clones the rep when shared, creates it when absent, and expands the
-  /// constant form — after this call mutation is safe. A dictionary stays
+  /// Clones the rep when shared (a view clones only its own rows),
+  /// creates it when absent, and expands the constant form — after this
+  /// call mutation is safe and the vector is no view. A dictionary stays
   /// shared until Rep::Intern needs to add to it.
   Rep* EnsureUnique();
 
-  /// Appends `n` kString rows of `src`: physical row `row_of(i)`, or NULL
-  /// where it returns UINT32_MAX. Moves codes when both sides share a
-  /// dictionary, adopts src's dictionary while *this is empty, interns
-  /// into this vector's own dictionary, else copies strings.
+  /// Appends `n` kString rows of `src`: physical row `base + row_of(i)`,
+  /// or NULL where row_of returns UINT32_MAX. Moves codes when both sides
+  /// share a dictionary, adopts src's dictionary while *this is empty,
+  /// interns into this vector's own dictionary, else copies strings.
   template <typename RowFn>
-  void AppendStrings(const ColumnVector& src, size_t n, RowFn row_of);
-
-  static const std::vector<std::string>& EmptyStrings();
+  void AppendStrings(const ColumnVector& src, size_t base, size_t n,
+                     RowFn row_of);
 
   TypeId type_;
   std::shared_ptr<Rep> rep_;
   bool constant_ = false;
-  size_t logical_size_ = 0;  // meaningful only when constant_
+  bool view_ = false;
+  size_t offset_ = 0;        // first physical row; nonzero only in a view
+  size_t logical_size_ = 0;  // meaningful only when constant_ or view_
 };
 
 }  // namespace agora

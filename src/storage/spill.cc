@@ -83,7 +83,7 @@ Status SpillFile::WriteChunk(const Chunk& chunk) {
             WriteRaw(col.double_data(), nrows * sizeof(double)));
         break;
       case TypeId::kString: {
-        const auto& strings = col.string_data();
+        const std::string* strings = col.string_data();
         const uint8_t* validity = col.validity_data();
         for (uint32_t r = 0; r < nrows; ++r) {
           uint32_t len =

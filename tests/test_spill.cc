@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/memory_tracker.h"
+#include "common/verify.h"
 #include "engine/database.h"
 #include "exec/scan.h"
 #include "storage/spill.h"
@@ -385,10 +386,12 @@ TEST_F(SpillExecTest, EncodedStringKeysSpillAndStayByteIdentical) {
 
   // The aggregate's result (one row per group, not spillable) is most of
   // its working set, so its budget is the result plus room for about one
-  // partition; a quarter of the peak would not even hold the result.
+  // partition; a quarter of the peak would not even hold the result. The
+  // scan's blocks are views that charge nothing, so that room is all the
+  // aggregate's.
   QueryResult agg = Run(ref_, kEncodedKeyAgg);
   const int64_t agg_budget =
-      static_cast<int64_t>(agg.data().MemoryBytes()) + (int64_t{192} << 10);
+      static_cast<int64_t>(agg.data().MemoryBytes()) + (int64_t{128} << 10);
   QueryResult join = Run(ref_, kEncodedKeyJoin);
   const int64_t join_budget =
       std::max<int64_t>(UnlimitedPeak(kEncodedKeyJoin) / 4, 1 << 16);
@@ -425,6 +428,40 @@ TEST_F(SpillExecTest, SmallIntegerKeysStayByteIdenticalUnderBudget) {
         (int64_t{64} << 10);
     SweepAndCompare(sql, budget, reference);
   }
+}
+
+// MIN and MAX over the NULL literal yield a BOOLEAN column of NULLs
+// (an untyped NULL evaluates as BOOLEAN), so the query passes the chunk
+// verifier (AGORA_VERIFY) and spools its finalized groups under a
+// budget that spills, at one and four threads.
+const char kNullLiteralAgg[] =
+    "SELECT l_orderkey, MIN(NULL), MAX(NULL), COUNT(NULL), COUNT(*) "
+    "FROM lineitem GROUP BY l_orderkey";
+
+TEST_F(SpillExecTest, NullLiteralAggregatesVerifyAndSpill) {
+  struct VerifyOn {
+    bool was = VerificationEnabled();
+    VerifyOn() { SetVerificationEnabled(true); }
+    ~VerifyOn() { SetVerificationEnabled(was); }
+  } verify_on;
+  QueryResult reference = Run(ref_, kNullLiteralAgg);
+  ASSERT_GT(reference.num_rows(), 1000u);
+  EXPECT_EQ(reference.schema().field(1).type, TypeId::kBool);
+  for (size_t r = 0; r < reference.num_rows(); ++r) {
+    ASSERT_TRUE(reference.Get(r, 1).is_null()) << r;
+    ASSERT_TRUE(reference.Get(r, 2).is_null()) << r;
+    ASSERT_EQ(reference.Get(r, 3).int64_value(), 0) << r;
+  }
+  for (int threads : {1, 4}) {
+    budgeted_->set_execution_threads(threads);
+    ExpectIdentical(reference, Run(budgeted_, kNullLiteralAgg),
+                    "unbudgeted T=" + std::to_string(threads));
+  }
+  const int64_t budget =
+      static_cast<int64_t>(reference.data().MemoryBytes()) +
+      (int64_t{16} << 10);
+  EXPECT_GT(SweepAndCompare(kNullLiteralAgg, budget, reference), 0)
+      << "budget " << budget << " never spilled the aggregate";
 }
 
 TEST_F(SpillExecTest, TpchQueriesByteIdenticalUnderBudget) {
