@@ -476,7 +476,7 @@ Result<QueryResult> Database::ExecuteUpdate(const UpdateStatement& stmt) {
   if (rows.empty()) return RowsAffected(0);
   // Every SET expression reads the pre-update values of the matched rows
   // (standard SQL semantics): all are evaluated before any is written.
-  Chunk matched = table->GetChunkView().GatherRows(rows);
+  Chunk matched = table->GetChunk(0, table->num_rows()).GatherRows(rows);
   std::vector<ColumnVector> new_values(value_exprs.size());
   for (size_t a = 0; a < value_exprs.size(); ++a) {
     AGORA_RETURN_IF_ERROR(value_exprs[a]->Evaluate(matched, &new_values[a]));
@@ -513,7 +513,8 @@ Result<QueryResult> Database::ExecuteCopy(const CopyStatement& stmt) {
     AGORA_ASSIGN_OR_RETURN(
         std::shared_ptr<Table> imported,
         ReadCsvFile(stmt.path, stmt.table, table->schema()));
-    AGORA_RETURN_IF_ERROR(table->AppendChunk(imported->GetChunkView()));
+    AGORA_RETURN_IF_ERROR(table->AppendChunk(
+        imported->GetChunk(0, imported->num_rows())));
     AGORA_RETURN_IF_ERROR(VerifyWrite(*table));
     return RowsAffected(static_cast<int64_t>(imported->num_rows()));
   }

@@ -89,9 +89,9 @@ void JoinKeyFilter::Build(const std::vector<ColumnVector>& keys,
 size_t JoinKeyFilter::Select(const std::vector<ColumnVector>& keys,
                              size_t base, const uint32_t* sel, size_t n,
                              uint32_t* out, int64_t* checked,
-                             std::vector<uint64_t>* hashes,
-                             const uint64_t* row_hashes,
-                             const uint8_t* row_valid) const {
+                             std::vector<uint64_t>* hashes) const {
+  const bool hashed = hashes != nullptr && !hashes->empty();
+  AGORA_DCHECK(!hashed || (hashes->size() == n && sel != nullptr));
   size_t kept = 0;
   int64_t tested = 0;
   if (exact_) {
@@ -116,16 +116,18 @@ size_t JoinKeyFilter::Select(const std::vector<ColumnVector>& keys,
         kept += valid[i] & contains(x[i]);
       }
     } else {
+      // Hashes that came with the rows move with them.
+      uint64_t* hv = hashed ? hashes->data() : nullptr;
       for (size_t i = 0; i < n; ++i) {
         const uint32_t r = sel[i];
         out[kept] = r;
+        if (hv != nullptr) hv[kept] = hv[i];
         tested += valid[r];
         kept += valid[r] & contains(x[r]);
       }
     }
-    if (hashes != nullptr && row_hashes != nullptr) {
+    if (hashed) {
       hashes->resize(kept);
-      for (size_t i = 0; i < kept; ++i) (*hashes)[i] = row_hashes[out[i]];
     } else if (hashes != nullptr) {
       std::vector<uint8_t> kept_valid;
       HashJoinKeys(keys, out, kept, hashes, &kept_valid);
@@ -138,14 +140,8 @@ size_t JoinKeyFilter::Select(const std::vector<ColumnVector>& keys,
     std::vector<uint64_t> scratch;
     std::vector<uint64_t>* h = hashes != nullptr ? hashes : &scratch;
     std::vector<uint8_t> valid;
-    if (row_hashes != nullptr) {
-      h->resize(n);
-      valid.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const size_t r = sel == nullptr ? i : sel[i];
-        (*h)[i] = row_hashes[r];
-        valid[i] = row_valid[r];
-      }
+    if (hashed) {
+      valid.assign(n, 1);
     } else {
       HashJoinKeys(keys, sel, n, h, &valid);
     }

@@ -102,15 +102,13 @@ class JoinKeyFilter {
   /// are sel[0..n), or base .. base + n - 1 when `sel` is null (then the
   /// key bitmap reads the column contiguously); `out` may alias `sel`.
   /// Adds the number of non-NULL keys tested to *checked. With `hashes`
-  /// non-null, also leaves there the join hashes of the kept rows. When
-  /// the caller already hashed the keys, `row_hashes`/`row_valid` hold
-  /// HashJoinKeys' output for every row of `keys` (indexed by row) and
-  /// are read instead of hashing again.
+  /// non-null, also leaves there the join hashes of the kept rows; it
+  /// arrives either empty or, from a caller that already hashed the
+  /// rows, holding their n join hashes in order (then every row must
+  /// have a non-NULL key, `sel` must be non-null, and nothing is hashed).
   size_t Select(const std::vector<ColumnVector>& keys, size_t base,
                 const uint32_t* sel, size_t n, uint32_t* out,
-                int64_t* checked, std::vector<uint64_t>* hashes,
-                const uint64_t* row_hashes = nullptr,
-                const uint8_t* row_valid = nullptr) const;
+                int64_t* checked, std::vector<uint64_t>* hashes) const;
 
  private:
   bool exact_ = false;

@@ -177,7 +177,7 @@ Status PhysicalHybridSearch::RunPostFilter() {
       std::vector<uint32_t> sel;
       sel.reserve(ordered.size());
       for (int64_t id : ordered) sel.push_back(static_cast<uint32_t>(id));
-      Chunk chunk = table_->GetChunkView().GatherRows(sel);
+      Chunk chunk = table_->GetChunk(0, table_->num_rows()).GatherRows(sel);
       ColumnVector mask;
       AGORA_RETURN_IF_ERROR(filter_->Evaluate(chunk, &mask));
       context_->stats.hybrid_filter_rows +=

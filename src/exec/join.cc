@@ -179,22 +179,38 @@ Status PhysicalHashJoin::Probe(const JoinBuild& build, const Chunk& probe,
   // it, every row with a non-NULL key.
   std::vector<uint32_t> cand(n);
   std::vector<uint64_t> hashes;
-  size_t m = 0;
-  if (filter_pushed_) {
-    AGORA_DCHECK(keys == nullptr);  // spill mode never pushes its filter
+  size_t m = n;
+  const uint32_t* tested = sel;
+  if (filter_pushed_ || keys != nullptr) {
+    // The rows with non-NULL keys and their hashes (the spill path's
+    // routing pass already hashed every probe row).
+    AGORA_DCHECK(!filter_pushed_ || keys == nullptr);  // spill never pushes
     std::vector<uint8_t> valid;
-    HashJoinKeys(probe_keys, sel, n, &hashes, &valid);
+    if (keys == nullptr) {
+      HashJoinKeys(probe_keys, sel, n, &hashes, &valid);
+    } else {
+      hashes.resize(n);
+      valid.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = sel != nullptr ? sel[i] : static_cast<uint32_t>(i);
+        hashes[i] = keys->hashes[r];
+        valid[i] = keys->valid[r];
+      }
+    }
+    m = 0;
     for (size_t i = 0; i < n; ++i) {
       cand[m] = sel != nullptr ? sel[i] : static_cast<uint32_t>(i);
       hashes[m] = hashes[i];
       m += valid[i];
     }
-  } else {
+    hashes.resize(m);
+    tested = cand.data();
+  }
+  if (!filter_pushed_) {
+    // The join's filter; it hashes the rows unless they arrive hashed.
     int64_t checked = 0;
-    m = build.filter.Select(
-        probe_keys, 0, sel, n, cand.data(), &checked, &hashes,
-        keys != nullptr ? keys->hashes.data() : nullptr,
-        keys != nullptr ? keys->valid.data() : nullptr);
+    m = build.filter.Select(probe_keys, 0, tested, m, cand.data(), &checked,
+                            &hashes);
     stats->bloom_checked_rows += checked;
     stats->bloom_filtered_rows += checked - static_cast<int64_t>(m);
   }

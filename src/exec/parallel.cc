@@ -188,9 +188,15 @@ Result<Chunk> ParallelCollectAll(PhysicalOperator* op, ExecContext* context) {
         return Status::OK();
       }));
 
+  // The buffered chunks may be views that charge nothing; the result's
+  // copy of them does, so the budget is checked as it grows.
   Chunk result(op->schema());
   for (std::vector<Chunk>& slot : by_morsel) {
-    for (Chunk& chunk : slot) result.Append(std::move(chunk));
+    for (Chunk& chunk : slot) {
+      result.Append(std::move(chunk));
+      AGORA_RETURN_IF_ERROR(
+          context->CheckMemoryBudget("ParallelCollectAll"));
+    }
   }
   return result;
 }

@@ -126,10 +126,12 @@ Result<Chunk> CollectAll(PhysicalOperator* op) {
   while (!done) {
     Chunk chunk;
     AGORA_RETURN_IF_ERROR(op->Next(&chunk, &done));
+    // After the append: a view chunk charges nothing until the result
+    // copies it.
+    result.Append(std::move(chunk));
     if (context != nullptr) {
       AGORA_RETURN_IF_ERROR(context->CheckMemoryBudget("CollectAll"));
     }
-    result.Append(std::move(chunk));
   }
   return result;
 }

@@ -213,7 +213,7 @@ Status PhysicalScan::OpenImpl() {
   }
   zone_map_snapshot_ = use_zone_maps_ ? table_->zone_maps() : nullptr;
   if (predicate_ != nullptr || !join_filters_.empty()) {
-    scan_view_ = table_->GetChunkView(projection_);
+    scan_view_ = table_->GetChunk(0, table_->num_rows(), projection_);
   }
   join_filter_keys_.clear();
   for (const JoinFilter& filter : join_filters_) {
@@ -437,7 +437,7 @@ Status PhysicalIndexScan::OpenImpl() {
   }
   std::sort(matches_.begin(), matches_.end());
   if (emit_row_ids_ && residual_predicate_ != nullptr) {
-    view_ = table_->GetChunkView(projection_);
+    view_ = table_->GetChunk(0, table_->num_rows(), projection_);
   }
   return Status::OK();
 }

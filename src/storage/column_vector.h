@@ -70,9 +70,8 @@ class Dictionary {
 /// `Rep`; copying a ColumnVector shares it (O(1)), and every mutating
 /// entry point calls EnsureUnique() to clone first when the buffer is
 /// shared. A column reference in an expression is therefore a pointer
-/// bump, and Table::GetChunkView can hand out whole-column shares
-/// safely: a later Table mutation clones its own copy, never the
-/// reader's.
+/// bump, and the views Table::GetChunk hands out are safe: a later
+/// Table mutation clones its own copy, never the reader's.
 ///
 /// *Views.* Slice() returns a view: rows [offset, offset + size()) of a
 /// shared Rep, made in O(1) (Table::GetChunk and the scan's fully

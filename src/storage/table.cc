@@ -191,22 +191,6 @@ Chunk Table::GetChunk(size_t start, size_t count,
   return out;
 }
 
-Chunk Table::GetChunkView(const std::vector<size_t>& projection) const {
-  Chunk out;
-  if (projection.empty()) {
-    for (const auto& col : columns_) {
-      out.AddColumn(col);  // shared buffer, O(1)
-    }
-  } else {
-    for (size_t c : projection) {
-      AGORA_DCHECK(c < columns_.size());
-      out.AddColumn(columns_[c]);
-    }
-  }
-  out.SetExplicitRowCount(num_rows_);
-  return out;
-}
-
 std::vector<Value> Table::GetRow(size_t row) const {
   std::vector<Value> out;
   out.reserve(columns_.size());

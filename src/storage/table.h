@@ -117,7 +117,7 @@ class HashIndex {
 /// maps or indexes this costs one lock round trip per append, so bulk
 /// loads stay cheap.
 ///
-/// Concurrency: concurrent readers (GetChunk/GetChunkView/GetRow/
+/// Concurrency: concurrent readers (GetChunk/GetRow/
 /// GetHashIndex/zone_maps) are safe with each other and with
 /// BuildHashIndex/BuildZoneMaps. The zone-map set is an immutable
 /// shared_ptr snapshot: builds and writes assemble a new set off to the
@@ -165,16 +165,13 @@ class Table {
                     const std::vector<size_t>& columns,
                     const std::vector<ColumnVector>& values);
 
-  /// Materializes rows [start, start+count) as a Chunk, optionally
-  /// projecting a subset of columns (empty = all, in schema order).
+  /// Rows [start, start+count) as a Chunk of O(1) views into the
+  /// table's buffers (ColumnVector::Slice), optionally projecting a
+  /// subset of columns (empty = all, in schema order). Copy-on-write
+  /// keeps the views' values fixed across later table mutations;
+  /// GetChunk(0, num_rows()) is the whole table.
   Chunk GetChunk(size_t start, size_t count,
                  const std::vector<size_t>& projection = {}) const;
-
-  /// Zero-copy view of the whole table as one Chunk: columns share the
-  /// table's buffers (copy-on-write protects readers from later table
-  /// mutations). Used by the fused scan-filter path, which refines a
-  /// selection over the view and gathers surviving rows once per block.
-  Chunk GetChunkView(const std::vector<size_t>& projection = {}) const;
 
   /// Boxes one row (slow path).
   std::vector<Value> GetRow(size_t row) const;

@@ -448,7 +448,7 @@ TEST(DictTableTest, UpdateAndDeleteOnEncodedColumns) {
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE((*table)->column(1).is_dictionary());
   // A reader's snapshot must not see the writes below (copy-on-write).
-  Chunk snapshot = (*table)->GetChunkView();
+  Chunk snapshot = (*table)->GetChunk(0, (*table)->num_rows());
 
   ASSERT_TRUE(db.Execute("UPDATE t SET kind = 'c' WHERE id < 12").ok());
   ASSERT_TRUE(db.Execute("UPDATE t SET kind = NULL WHERE id = 59").ok());
@@ -495,7 +495,7 @@ std::shared_ptr<Table> FlatCopy(const Table& src) {
     }
     EXPECT_TRUE(out->AppendRow(junk).ok());
   }
-  EXPECT_TRUE(out->AppendChunk(src.GetChunkView()).ok());
+  EXPECT_TRUE(out->AppendChunk(src.GetChunk(0, src.num_rows())).ok());
   std::vector<uint32_t> keep(src.num_rows());
   std::iota(keep.begin(), keep.end(),
             static_cast<uint32_t>(kMaxDictionaryEntries + 1));

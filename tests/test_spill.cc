@@ -506,6 +506,40 @@ TEST_F(SpillExecTest, InfeasibleBudgetFailsGracefullyAndEngineSurvives) {
   ExpectIdentical(reference, ok, "post-failure recovery");
 }
 
+// A predicate-free scan's blocks are views that charge the tracker
+// nothing; the result that copies them does. A result larger than the
+// budget must fail the query, whichever collector (serial or morsel,
+// one worker or four) gathers it.
+const char kWideScan[] =
+    "SELECT l_orderkey, l_partkey, l_extendedprice, l_shipdate, l_shipmode "
+    "FROM lineitem";
+
+TEST_F(SpillExecTest, ResultLargerThanBudgetFailsTheQuery) {
+  QueryResult reference = Run(ref_, kWideScan);
+  const int64_t result_bytes =
+      static_cast<int64_t>(reference.data().MemoryBytes());
+  ASSERT_GT(result_bytes, int64_t{256} << 10);
+  auto rejections = [] {
+    return budgeted_->metrics().CounterValue("mem_budget_rejections_total");
+  };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("T=" + std::to_string(threads));
+    budgeted_->set_execution_threads(threads);
+    budgeted_->set_memory_budget(result_bytes / 2);
+    const double rejections_before = rejections();
+    auto result = budgeted_->Execute(kWideScan);
+    ASSERT_FALSE(result.ok()) << "held " << result_bytes
+                              << " bytes under a budget of "
+                              << result_bytes / 2;
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << result.status().ToString();
+    EXPECT_EQ(rejections(), rejections_before + 1);
+    // Room for the result: the same query succeeds.
+    budgeted_->set_memory_budget(2 * result_bytes);
+    ExpectIdentical(reference, Run(budgeted_, kWideScan), "roomy budget");
+  }
+}
+
 TEST_F(SpillExecTest, RootReservationReturnsToZero) {
   ASSERT_EQ(budgeted_->memory_tracker()->reserved(), 0);
   QueryResult reference = Run(ref_, kGroupHeavyAgg);
