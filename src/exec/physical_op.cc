@@ -136,35 +136,4 @@ Result<Chunk> CollectAll(PhysicalOperator* op) {
   return result;
 }
 
-void AppendKeyBytes(const ColumnVector& col, size_t row, std::string* out) {
-  if (col.IsNull(row)) {
-    out->push_back('\x00');
-    return;
-  }
-  switch (col.type()) {
-    case TypeId::kString: {
-      out->push_back('\x01');
-      const std::string& s = col.GetString(row);
-      uint32_t len = static_cast<uint32_t>(s.size());
-      out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      out->append(s);
-      break;
-    }
-    case TypeId::kDouble: {
-      out->push_back('\x02');
-      double d = col.GetDouble(row);
-      // Normalize -0.0 so it groups with +0.0.
-      if (d == 0.0) d = 0.0;
-      out->append(reinterpret_cast<const char*>(&d), sizeof(d));
-      break;
-    }
-    default: {
-      out->push_back('\x03');
-      int64_t v = col.GetInt64(row);
-      out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      break;
-    }
-  }
-}
-
 }  // namespace agora

@@ -304,10 +304,6 @@ Result<Chunk> CollectAll(PhysicalOperator* op);
 std::vector<OperatorProfileNode> CollectProfile(const PhysicalOperator* root,
                                                 const ExecStats& stats);
 
-/// Appends a type-tagged binary encoding of row `row` of `col` to `out`.
-/// Equal values encode equally; used for hash keys in aggregate/distinct.
-void AppendKeyBytes(const ColumnVector& col, size_t row, std::string* out);
-
 }  // namespace agora
 
 #endif  // AGORA_EXEC_PHYSICAL_OP_H_

@@ -1,24 +1,113 @@
 #include "lineage/lineage.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
+#include <memory>
+#include <numeric>
 
-#include "exec/physical_op.h"  // AppendKeyBytes
+#include "common/hash.h"
+#include "exec/aggregate.h"
+#include "exec/join.h"
+#include "exec/scan.h"
 
 namespace agora {
 
 namespace {
 
-/// Merges two sorted-unique lineage sets.
-std::vector<LineageRef> MergeLineage(const std::vector<LineageRef>& a,
-                                     const std::vector<LineageRef>& b) {
-  std::vector<LineageRef> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(),
-             std::back_inserter(out));
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+/// A scan over a private copy of `data`, with a trailing BIGINT column
+/// of row positions when `positions` is set: how a materialized relation
+/// feeds an operator of the engine.
+Result<PhysicalOpPtr> ScanOf(Schema schema, Chunk data, bool positions,
+                             ExecContext* context) {
+  if (positions) {
+    const size_t n = data.num_rows();
+    schema = schema.Concat(Schema({{"lineage_row", TypeId::kInt64, false}}));
+    ColumnVector pos(TypeId::kInt64);
+    for (size_t i = 0; i < n; ++i) pos.AppendInt64(static_cast<int64_t>(i));
+    data.AddColumn(std::move(pos));
+  }
+  auto table = std::make_shared<Table>("lineage_input", schema);
+  AGORA_RETURN_IF_ERROR(table->AppendChunk(data));
+  return PhysicalOpPtr(std::make_unique<PhysicalScan>(
+      std::move(table), std::vector<size_t>{}, nullptr,
+      std::vector<ColumnRangeConstraint>{}, /*use_zone_maps=*/false,
+      /*emit_row_ids=*/false, std::move(schema), context));
+}
+
+/// Output row `dst` inherits the base rows behind row `row` of `from`.
+struct Piece {
+  size_t dst;
+  const TableLineage* from;
+  size_t row;
+};
+
+/// The lineage of `table` for `n` output rows: each row's pieces,
+/// placed by a counting sort, then sorted and made unique.
+TableLineage Assemble(const std::string& table, size_t n,
+                      const std::vector<Piece>& pieces) {
+  TableLineage out{table, std::vector<size_t>(n + 1, 0), {}};
+  for (const Piece& p : pieces) {
+    out.offsets[p.dst + 1] +=
+        p.from->offsets[p.row + 1] - p.from->offsets[p.row];
+  }
+  std::partial_sum(out.offsets.begin(), out.offsets.end(),
+                   out.offsets.begin());
+  out.rows.resize(out.offsets[n]);
+  std::vector<size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  for (const Piece& p : pieces) {
+    const int64_t* rows = p.from->rows.data();
+    const size_t begin = p.from->offsets[p.row];
+    const size_t end = p.from->offsets[p.row + 1];
+    std::copy(rows + begin, rows + end, out.rows.data() + cursor[p.dst]);
+    cursor[p.dst] += end - begin;
+  }
+  size_t write = 0;  // compacts the rows down as duplicates drop out
+  for (size_t i = 0; i < n; ++i) {
+    int64_t* first = out.rows.data() + out.offsets[i];
+    int64_t* last = out.rows.data() + out.offsets[i + 1];
+    std::sort(first, last);
+    out.offsets[i] = write;
+    write = static_cast<size_t>(std::copy(first, std::unique(first, last),
+                                          out.rows.data() + write) -
+                                out.rows.data());
+  }
+  out.offsets[n] = write;
+  out.rows.resize(write);
   return out;
+}
+
+/// Sets gids[i] to the group of row i of `keys`, numbering groups in
+/// first appearance through a GroupKeyTable, which groups as the
+/// aggregate does (NULL = NULL, -0.0 = +0.0). Row g of `output_keys`, the
+/// aggregate's output, must be group g; Internal when it is not.
+Status GroupIds(const std::vector<ColumnVector>& keys,
+                const std::vector<ColumnVector>& output_keys,
+                std::vector<uint32_t>* gids) {
+  GroupKeyTable table;
+  HashTableStats stats;
+  std::vector<uint8_t> created;
+  auto find = [&](const std::vector<ColumnVector>& cols,
+                  std::vector<uint32_t>* ids) {
+    const size_t n = cols[0].size();
+    std::vector<uint64_t> hashes(n, kHashTableSalt);
+    for (const ColumnVector& col : cols) {
+      col.HashBatch(hashes.data(), n, /*combine=*/true);
+    }
+    ids->resize(n);
+    created.resize(n);
+    table.FindOrCreate(cols, hashes.data(), n, ids->data(), created.data(),
+                       &stats);
+  };
+  find(keys, gids);
+  const size_t groups = table.group_count();
+  std::vector<uint32_t> paired;
+  find(output_keys, &paired);
+  bool ok = paired.size() == groups;
+  for (size_t g = 0; g < paired.size(); ++g) {
+    ok = ok && paired[g] == g && created[g] == 0;
+  }
+  return ok ? Status::OK()
+            : Status::Internal(
+                  "aggregate output rows are not the lineage groups");
 }
 
 }  // namespace
@@ -28,31 +117,22 @@ Result<AnnotatedRelation> LineageScan(const Table& table,
                                       bool capture) {
   AnnotatedRelation out;
   out.schema = table.schema();
-  out.data = Chunk(out.schema);
-  size_t n = table.num_rows();
-  for (size_t start = 0; start < n; start += kChunkSize) {
-    Chunk chunk = table.GetChunk(start, kChunkSize);
-    size_t rows = chunk.num_rows();
-    std::vector<uint32_t> sel;
-    if (predicate != nullptr) {
-      ColumnVector mask;
-      AGORA_RETURN_IF_ERROR(predicate->Evaluate(chunk, &mask));
-      for (size_t i = 0; i < rows; ++i) {
-        if (!mask.IsNull(i) && mask.GetBool(i)) {
-          sel.push_back(static_cast<uint32_t>(i));
-        }
-      }
-    } else {
-      sel.resize(rows);
-      for (size_t i = 0; i < rows; ++i) sel[i] = static_cast<uint32_t>(i);
+  out.data = table.GetChunk(0, table.num_rows());
+  Selection sel;
+  if (predicate != nullptr) {
+    AGORA_RETURN_IF_ERROR(SelectRows(*predicate, out.data, &sel, nullptr));
+  }
+  if (!sel.all) out.data = out.data.GatherRows(sel.rows);
+  if (capture) {
+    const size_t n = out.num_rows();
+    if (sel.all) {
+      sel.rows.resize(n);
+      std::iota(sel.rows.begin(), sel.rows.end(), uint32_t{0});
     }
-    if (capture) {
-      for (uint32_t i : sel) {
-        out.lineage.push_back(
-            {LineageRef{table.name(), static_cast<int64_t>(start + i)}});
-      }
-    }
-    out.data.Append(chunk.GatherRows(sel));
+    TableLineage lineage{table.name(), std::vector<size_t>(n + 1),
+                         {sel.rows.begin(), sel.rows.end()}};
+    std::iota(lineage.offsets.begin(), lineage.offsets.end(), size_t{0});
+    out.lineage.push_back(std::move(lineage));
   }
   return out;
 }
@@ -61,45 +141,63 @@ Result<AnnotatedRelation> LineageJoin(const AnnotatedRelation& left,
                                       const AnnotatedRelation& right,
                                       size_t left_col, size_t right_col,
                                       bool capture) {
-  if (left_col >= left.schema.num_fields() ||
-      right_col >= right.schema.num_fields()) {
+  const size_t lcols = left.schema.num_fields();
+  const size_t rcols = right.schema.num_fields();
+  if (left_col >= lcols || right_col >= rcols) {
     return Status::InvalidArgument("join column out of range");
   }
+  const TypeId type = left.schema.field(left_col).type;
+  if (type != right.schema.field(right_col).type) {
+    return Status::InvalidArgument(
+        "join keys have different types: " +
+        std::string(TypeIdToString(type)) + " and " +
+        std::string(TypeIdToString(right.schema.field(right_col).type)));
+  }
+  // With capture, each side carries its row positions through the join
+  // as a trailing BIGINT column.
+  ExecContext context;
+  AGORA_ASSIGN_OR_RETURN(PhysicalOpPtr probe,
+                         ScanOf(left.schema, left.data, capture, &context));
+  AGORA_ASSIGN_OR_RETURN(PhysicalOpPtr build,
+                         ScanOf(right.schema, right.data, capture, &context));
+  PhysicalHashJoin join(std::move(probe), std::move(build),
+                        {MakeColumnRef(left_col, type)},
+                        {MakeColumnRef(right_col, type)}, nullptr,
+                        PhysicalJoinKind::kInner, {}, &context);
+  AGORA_ASSIGN_OR_RETURN(Chunk joined, CollectAll(&join));
+
   AnnotatedRelation out;
   out.schema = left.schema.Concat(right.schema);
-  out.data = Chunk(out.schema);
-
-  // Build on the right side.
-  std::unordered_multimap<uint64_t, size_t> table;
-  const ColumnVector& rkey = right.data.column(right_col);
-  for (size_t r = 0; r < right.num_rows(); ++r) {
-    if (rkey.IsNull(r)) continue;
-    table.emplace(rkey.HashRow(r), r);
+  if (!capture) {
+    out.data = std::move(joined);
+    return out;
   }
-  const ColumnVector& lkey = left.data.column(left_col);
-  size_t lcols = left.schema.num_fields();
-  for (size_t l = 0; l < left.num_rows(); ++l) {
-    if (lkey.IsNull(l)) continue;
-    auto range = table.equal_range(lkey.HashRow(l));
-    for (auto it = range.first; it != range.second; ++it) {
-      size_t r = it->second;
-      if (lkey.CompareRows(l, rkey, r) != 0) continue;
-      for (size_t c = 0; c < lcols; ++c) {
-        out.data.column(c).AppendFrom(left.data.column(c), l);
-      }
-      for (size_t c = 0; c < right.schema.num_fields(); ++c) {
-        out.data.column(lcols + c).AppendFrom(right.data.column(c), r);
-      }
-      if (capture) {
-        const std::vector<LineageRef>& ll =
-            l < left.lineage.size() ? left.lineage[l]
-                                    : std::vector<LineageRef>{};
-        const std::vector<LineageRef>& rl =
-            r < right.lineage.size() ? right.lineage[r]
-                                     : std::vector<LineageRef>{};
-        out.lineage.push_back(MergeLineage(ll, rl));
+  // joined: [left columns, left position, right columns, right position]
+  const size_t n = joined.num_rows();
+  const int64_t* left_rows = joined.column(lcols).int64_data();
+  const int64_t* right_rows = joined.column(lcols + 1 + rcols).int64_data();
+  for (size_t c = 0; c < lcols + 1 + rcols; ++c) {
+    if (c != lcols) out.data.AddColumn(std::move(joined.column(c)));
+  }
+  std::vector<std::pair<const TableLineage*, const int64_t*>> sides;
+  for (const TableLineage& t : left.lineage) sides.push_back({&t, left_rows});
+  for (const TableLineage& t : right.lineage) {
+    sides.push_back({&t, right_rows});
+  }
+  // One lineage per table, by name: a self-join's two sides share one.
+  std::stable_sort(sides.begin(), sides.end(), [](auto a, auto b) {
+    return a.first->table < b.first->table;
+  });
+  for (size_t i = 0, j = 0; i < sides.size(); i = j) {
+    std::vector<Piece> pieces;
+    for (; j < sides.size() && sides[j].first->table == sides[i].first->table;
+         ++j) {
+      for (size_t r = 0; r < n; ++r) {
+        pieces.push_back(
+            {r, sides[j].first, static_cast<size_t>(sides[j].second[r])});
       }
     }
+    out.lineage.push_back(Assemble(sides[i].first->table, n, pieces));
   }
   return out;
 }
@@ -107,169 +205,42 @@ Result<AnnotatedRelation> LineageJoin(const AnnotatedRelation& left,
 Result<AnnotatedRelation> LineageAggregate(
     const AnnotatedRelation& input, const std::vector<size_t>& group_cols,
     const std::vector<AggregateSpec>& aggregates, bool capture) {
-  struct AggState {
-    int64_t count = 0;
-    double sum = 0;
-    double sum_sq = 0;
-    Value min_max;
-    bool has_value = false;
-  };
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<AggState> states;
-    std::vector<LineageRef> lineage;
-  };
-
-  // Pre-evaluate aggregate arguments over the whole input.
-  std::vector<ColumnVector> arg_cols(aggregates.size());
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    if (aggregates[a].arg != nullptr) {
-      AGORA_RETURN_IF_ERROR(
-          aggregates[a].arg->Evaluate(input.data, &arg_cols[a]));
-    }
-  }
-
-  std::unordered_map<std::string, Group> groups;
-  std::vector<Group*> ordered;
-  std::string key;
-  for (size_t row = 0; row < input.num_rows(); ++row) {
-    key.clear();
-    for (size_t c : group_cols) {
-      AppendKeyBytes(input.data.column(c), row, &key);
-    }
-    auto [it, inserted] = groups.try_emplace(key);
-    Group& group = it->second;
-    if (inserted) {
-      for (size_t c : group_cols) {
-        group.keys.push_back(input.data.column(c).GetValue(row));
-      }
-      group.states.resize(aggregates.size());
-      ordered.push_back(&group);
-    }
-    if (capture && row < input.lineage.size()) {
-      // Append now, dedup once at finalize (merging per row would be
-      // quadratic in the group size).
-      group.lineage.insert(group.lineage.end(), input.lineage[row].begin(),
-                           input.lineage[row].end());
-    }
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      AggState& state = group.states[a];
-      if (aggregates[a].func == AggFunc::kCountStar) {
-        state.count++;
-        continue;
-      }
-      const ColumnVector& arg = arg_cols[a];
-      if (arg.IsNull(row)) continue;
-      state.has_value = true;
-      switch (aggregates[a].func) {
-        case AggFunc::kCount:
-          state.count++;
-          break;
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          state.count++;
-          state.sum += arg.GetNumeric(row);
-          break;
-        case AggFunc::kStddev:
-        case AggFunc::kVariance: {
-          double v = arg.GetNumeric(row);
-          state.count++;
-          state.sum += v;
-          state.sum_sq += v * v;
-          break;
-        }
-        case AggFunc::kMin: {
-          Value v = arg.GetValue(row);
-          if (state.count == 0 || v.Compare(state.min_max) < 0) {
-            state.min_max = std::move(v);
-          }
-          state.count++;
-          break;
-        }
-        case AggFunc::kMax: {
-          Value v = arg.GetValue(row);
-          if (state.count == 0 || v.Compare(state.min_max) > 0) {
-            state.min_max = std::move(v);
-          }
-          state.count++;
-          break;
-        }
-        case AggFunc::kCountStar:
-          break;
-      }
-    }
-  }
-
-  AnnotatedRelation out;
+  const Schema& in = input.schema;
+  std::vector<ExprPtr> keys;
   std::vector<Field> fields;
-  for (size_t c : group_cols) fields.push_back(input.schema.field(c));
+  for (size_t c : group_cols) {
+    if (c >= in.num_fields()) {
+      return Status::InvalidArgument("group column out of range");
+    }
+    keys.push_back(MakeColumnRef(c, in.field(c).type, in.field(c).name));
+    fields.push_back(in.field(c));
+  }
   for (const AggregateSpec& spec : aggregates) {
     fields.push_back(Field{spec.name, spec.result_type, true});
   }
+  ExecContext context;
+  AGORA_ASSIGN_OR_RETURN(PhysicalOpPtr scan,
+                         ScanOf(in, input.data, /*positions=*/false, &context));
+  AnnotatedRelation out;
   out.schema = Schema(std::move(fields));
-  out.data = Chunk(out.schema);
-  for (Group* group : ordered) {
-    size_t col = 0;
-    for (const Value& k : group->keys) {
-      out.data.column(col++).AppendValue(k);
+  PhysicalHashAggregate aggregate(std::move(scan), std::move(keys),
+                                  aggregates, out.schema, &context);
+  AGORA_ASSIGN_OR_RETURN(out.data, CollectAll(&aggregate));
+  if (!capture) return out;
+
+  std::vector<uint32_t> gids(input.num_rows(), 0);
+  if (!group_cols.empty()) {
+    std::vector<ColumnVector> input_keys, output_keys;
+    for (size_t k = 0; k < group_cols.size(); ++k) {
+      input_keys.push_back(input.data.column(group_cols[k]));
+      output_keys.push_back(out.data.column(k));
     }
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      const AggState& state = group->states[a];
-      ColumnVector& target = out.data.column(col++);
-      switch (aggregates[a].func) {
-        case AggFunc::kCountStar:
-        case AggFunc::kCount:
-          target.AppendInt64(state.count);
-          break;
-        case AggFunc::kSum:
-          if (!state.has_value) {
-            target.AppendNull();
-          } else if (aggregates[a].result_type == TypeId::kDouble) {
-            target.AppendDouble(state.sum);
-          } else {
-            target.AppendInt64(static_cast<int64_t>(state.sum));
-          }
-          break;
-        case AggFunc::kAvg:
-          if (!state.has_value) {
-            target.AppendNull();
-          } else {
-            target.AppendDouble(state.sum /
-                                static_cast<double>(state.count));
-          }
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          if (!state.has_value) {
-            target.AppendNull();
-          } else {
-            target.AppendValue(state.min_max);
-          }
-          break;
-        case AggFunc::kStddev:
-        case AggFunc::kVariance: {
-          if (state.count < 2) {
-            target.AppendNull();
-            break;
-          }
-          double n = static_cast<double>(state.count);
-          double mean = state.sum / n;
-          double variance =
-              std::max(0.0, (state.sum_sq - n * mean * mean) / (n - 1.0));
-          target.AppendDouble(aggregates[a].func == AggFunc::kVariance
-                                  ? variance
-                                  : std::sqrt(variance));
-          break;
-        }
-      }
-    }
-    if (capture) {
-      std::sort(group->lineage.begin(), group->lineage.end());
-      group->lineage.erase(
-          std::unique(group->lineage.begin(), group->lineage.end()),
-          group->lineage.end());
-      out.lineage.push_back(std::move(group->lineage));
-    }
+    AGORA_RETURN_IF_ERROR(GroupIds(input_keys, output_keys, &gids));
+  }
+  for (const TableLineage& t : input.lineage) {
+    std::vector<Piece> pieces;
+    for (size_t i = 0; i < gids.size(); ++i) pieces.push_back({gids[i], &t, i});
+    out.lineage.push_back(Assemble(t.table, out.num_rows(), pieces));
   }
   return out;
 }
@@ -285,10 +256,12 @@ Result<std::vector<LineageRef>> TraceRow(const AnnotatedRelation& relation,
     return Status::InvalidArgument(
         "relation has no lineage (capture was disabled)");
   }
-  if (table.empty()) return relation.lineage[row];
   std::vector<LineageRef> out;
-  for (const LineageRef& ref : relation.lineage[row]) {
-    if (ref.table == table) out.push_back(ref);
+  for (const TableLineage& t : relation.lineage) {
+    if (!table.empty() && t.table != table) continue;
+    for (size_t k = t.offsets[row]; k < t.offsets[row + 1]; ++k) {
+      out.push_back(LineageRef{t.table, t.rows[k]});
+    }
   }
   return out;
 }

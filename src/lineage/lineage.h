@@ -26,6 +26,14 @@ struct LineageRef {
   }
 };
 
+/// The rows of base table `table` behind each row i of a relation:
+/// rows[offsets[i] .. offsets[i + 1]), sorted and unique.
+struct TableLineage {
+  std::string table;
+  std::vector<size_t> offsets;
+  std::vector<int64_t> rows;
+};
+
 /// A relation annotated with why-provenance: for every data row, the set
 /// of base-table rows that contributed to it. Produced and consumed by
 /// the lineage-aware operators below; backward tracing an output row is
@@ -33,15 +41,17 @@ struct LineageRef {
 ///
 /// This mirrors the classic eager "perm/GProM-style" lineage capture the
 /// panel gestures at ("challenges like data provenance" as a database
-/// strength). Capture can be disabled (`capture=false` in the operators),
-/// which produces identical data with empty annotations — the E8
-/// benchmark measures exactly that delta.
+/// strength) in Smoke's form: the data runs through the engine's own
+/// operators and the lineage rides beside it as index arrays. Capture can
+/// be disabled (`capture=false` in the operators), which produces
+/// identical data with empty annotations — the E8 benchmark measures
+/// exactly that delta.
 struct AnnotatedRelation {
   Schema schema;
   Chunk data;
-  /// lineage[i] = contributing base rows of data row i (sorted, unique).
-  /// Empty when capture was disabled.
-  std::vector<std::vector<LineageRef>> lineage;
+  /// One entry per contributing base table, ordered by table name. Empty
+  /// when capture was disabled.
+  std::vector<TableLineage> lineage;
 
   size_t num_rows() const { return data.num_rows(); }
 };
@@ -54,22 +64,24 @@ Result<AnnotatedRelation> LineageScan(const Table& table,
                                       bool capture);
 
 /// Hash equi-join on `left_col` = `right_col` (column indexes into the
-/// respective schemas). Output lineage is the union of the two input
-/// rows' lineage sets.
+/// respective schemas, of the same type); NULL keys never match. Output
+/// rows come in left-row order, each left row's matches in right-row
+/// order. Output lineage is the union of the two input rows' lineage.
 Result<AnnotatedRelation> LineageJoin(const AnnotatedRelation& left,
                                       const AnnotatedRelation& right,
                                       size_t left_col, size_t right_col,
                                       bool capture);
 
 /// Hash aggregation: group by `group_cols`, computing `aggregates` (bound
-/// against the input schema). Output lineage of a group is the union of
-/// all member rows' lineage — the full why-provenance of the aggregate.
+/// against the input schema), groups in first-appearance order. Output
+/// lineage of a group is the union of all member rows' lineage — the
+/// full why-provenance of the aggregate.
 Result<AnnotatedRelation> LineageAggregate(
     const AnnotatedRelation& input, const std::vector<size_t>& group_cols,
     const std::vector<AggregateSpec>& aggregates, bool capture);
 
 /// Backward trace: the provenance of output row `row`, restricted to
-/// `table` (empty string = all tables).
+/// `table` (empty string = all tables), sorted and unique.
 Result<std::vector<LineageRef>> TraceRow(const AnnotatedRelation& relation,
                                          size_t row,
                                          const std::string& table = "");

@@ -433,7 +433,20 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExprPtr& parsed,
     case ParsedExprKind::kCase: {
       size_t pairs = (e.children.size() - (e.case_has_else ? 1 : 0)) / 2;
       std::vector<ExprPtr> conds, results;
+      // Every result, ELSE included, shares one type: an untyped NULL
+      // fits any, int/double mixes promote, anything else mismatches.
       TypeId result_type = TypeId::kInvalid;
+      auto unify = [&result_type](TypeId t) -> Status {
+        if (t == TypeId::kInvalid || t == result_type) return Status::OK();
+        TypeId common = result_type == TypeId::kInvalid
+                            ? t
+                            : CommonNumericType(result_type, t);
+        if (common == TypeId::kInvalid) {
+          return Status::TypeError("CASE branches have mismatched types");
+        }
+        result_type = common;
+        return Status::OK();
+      };
       for (size_t i = 0; i < pairs; ++i) {
         AGORA_ASSIGN_OR_RETURN(ExprPtr c,
                                BindExpr(e.children[2 * i], schema, agg));
@@ -442,16 +455,7 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExprPtr& parsed,
         }
         AGORA_ASSIGN_OR_RETURN(ExprPtr r,
                                BindExpr(e.children[2 * i + 1], schema, agg));
-        if (result_type == TypeId::kInvalid) {
-          result_type = r->result_type();
-        } else if (result_type != r->result_type()) {
-          // Promote int/double mixes; otherwise mismatch.
-          TypeId common = CommonNumericType(result_type, r->result_type());
-          if (common == TypeId::kInvalid) {
-            return Status::TypeError("CASE branches have mismatched types");
-          }
-          result_type = common;
-        }
+        AGORA_RETURN_IF_ERROR(unify(r->result_type()));
         conds.push_back(std::move(c));
         results.push_back(std::move(r));
       }
@@ -459,7 +463,10 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExprPtr& parsed,
       if (e.case_has_else) {
         AGORA_ASSIGN_OR_RETURN(else_result,
                                BindExpr(e.children.back(), schema, agg));
+        AGORA_RETURN_IF_ERROR(unify(else_result->result_type()));
       }
+      // Only untyped NULLs: BOOLEAN NULLs, as a bare NULL evaluates.
+      if (result_type == TypeId::kInvalid) result_type = TypeId::kBool;
       return ExprPtr(std::make_shared<CaseExpr>(
           std::move(conds), std::move(results), std::move(else_result),
           result_type));

@@ -67,6 +67,17 @@ std::string LogicalFilter::ToString() const {
   return "Filter(" + predicate_->ToString() + ")";
 }
 
+namespace {
+
+/// The type of the column `e` evaluates to: an untyped NULL literal
+/// evaluates as BOOLEAN NULLs (LiteralExpr::EvalBatch).
+TypeId ColumnType(const Expr& e) {
+  return e.result_type() == TypeId::kInvalid ? TypeId::kBool
+                                             : e.result_type();
+}
+
+}  // namespace
+
 LogicalProject::LogicalProject(LogicalOpPtr child, std::vector<ExprPtr> exprs,
                                std::vector<std::string> names)
     : LogicalOperator(LogicalOpKind::kProject, Schema()),
@@ -74,7 +85,7 @@ LogicalProject::LogicalProject(LogicalOpPtr child, std::vector<ExprPtr> exprs,
   std::vector<Field> fields;
   fields.reserve(exprs_.size());
   for (size_t i = 0; i < exprs_.size(); ++i) {
-    fields.push_back(Field{names[i], exprs_[i]->result_type(), true});
+    fields.push_back(Field{names[i], ColumnType(*exprs_[i]), true});
   }
   schema_ = Schema(std::move(fields));
   children_ = {std::move(child)};
@@ -178,7 +189,7 @@ LogicalAggregate::LogicalAggregate(LogicalOpPtr child,
   std::vector<Field> fields;
   for (size_t i = 0; i < group_by_.size(); ++i) {
     fields.push_back(
-        Field{group_names[i], group_by_[i]->result_type(), true});
+        Field{group_names[i], ColumnType(*group_by_[i]), true});
   }
   for (const AggregateSpec& agg : aggregates_) {
     fields.push_back(Field{agg.name, agg.result_type, true});

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -785,22 +786,68 @@ const char kLineNumberAgg[] =
     "SUM(l_extendedprice * (1 - l_discount)) "
     "FROM lineitem GROUP BY l_linenumber";
 
-class SpillAggTest : public ::testing::Test {
+/// One budget ladder of SpillAggTest: the spill partition count P and
+/// where the ladder starts, in tenths of the l_partkey query's peak (low
+/// enough to spill, high enough that P > 1 spills part of the groups
+/// first).
+struct AggLadder {
+  size_t partitions;
+  int64_t tenths;
+};
+
+// Also names the ctest cases (".../P8"): a printed value without spaces
+// keeps them readable in ctest's timing data, which schedules the slowest
+// first.
+void PrintTo(const AggLadder& ladder, std::ostream* os) {
+  *os << "P" << ladder.partitions;
+}
+
+class SpillAggTest : public ::testing::TestWithParam<AggLadder> {
  protected:
+  static constexpr size_t kHighCardinality = 2;  // index of kPartKeyAgg
+
+  /// Generates the databases, then runs each query unlimited at 4
+  /// threads (the reference, checked against 1 thread) and measures the
+  /// l_partkey query's peak, once for every ladder of the suite.
   static void SetUpTestSuite() {
     setenv("AGORA_THREADS", "4", 0);
+    references_ = new std::vector<QueryResult>();
     TpchOptions options;
     options.scale_factor = 0.05;
     ref_ = new Database();
     ASSERT_TRUE(GenerateTpch(options, &ref_->catalog()).ok());
     budgeted_ = new Database();
     ASSERT_TRUE(GenerateTpch(options, &budgeted_->catalog()).ok());
+    for (const std::string& sql : Queries()) {
+      ref_->set_execution_threads(4);
+      references_->push_back(Run(ref_, sql));
+      ASSERT_GT(references_->back().num_rows(), 3u) << sql;
+      ref_->set_execution_threads(1);
+      ExpectIdentical(references_->back(), Run(ref_, sql),
+                      sql + ": unlimited, 1 thread", true);
+    }
+    ref_->set_execution_threads(0);
+    auto lineitem = ref_->catalog().GetTable("lineitem");
+    ASSERT_TRUE(lineitem.ok());
+    ASSERT_GT((*lineitem)->num_rows(), 4 * kMorselRows);
+    budgeted_->set_memory_budget(0);
+    budgeted_->set_execution_threads(1);
+    peak_ = Run(budgeted_, Queries()[kHighCardinality])
+                .stats()
+                .mem_bytes_reserved_peak;
+    budgeted_->set_execution_threads(0);
   }
   static void TearDownTestSuite() {
+    delete references_;
     delete budgeted_;
     delete ref_;
+    references_ = nullptr;
     budgeted_ = nullptr;
     ref_ = nullptr;
+  }
+
+  static std::vector<std::string> Queries() {
+    return {TpchQ1(), kModSevenAgg, kPartKeyAgg, kLineNumberAgg};
   }
 
   static QueryResult Run(Database* db, const std::string& sql) {
@@ -811,88 +858,75 @@ class SpillAggTest : public ::testing::Test {
 
   static Database* ref_;
   static Database* budgeted_;
+  static std::vector<QueryResult>* references_;
+  static int64_t peak_;
 };
 
 Database* SpillAggTest::ref_ = nullptr;
 Database* SpillAggTest::budgeted_ = nullptr;
+std::vector<QueryResult>* SpillAggTest::references_ = nullptr;
+int64_t SpillAggTest::peak_ = 0;
 
-// Every query at P in {1, 2, 8} partitions and 1 or 4 threads: first
+// Every query at the ladder's P partitions and 1 or 4 threads: first
 // under 1 GiB, where nothing spills, then down a ladder of budgets from
 // a fraction of the l_partkey query's unlimited peak, 15% lower a step,
 // until every partition of that query spills; with P > 1 the ladder must
 // pass a budget that spills some of its partitions but not all. Every
 // run must succeed and match the unlimited 4-thread run cell for cell,
 // doubles bit for bit.
-TEST_F(SpillAggTest, BudgetedAggregatesMatchUnlimitedCellForCell) {
-  const std::string queries[] = {TpchQ1(), kModSevenAgg, kPartKeyAgg,
-                                 kLineNumberAgg};
-  constexpr size_t kHighCardinality = 2;
-  std::vector<QueryResult> references;
-  for (const std::string& sql : queries) {
-    ref_->set_execution_threads(4);
-    references.push_back(Run(ref_, sql));
-    ASSERT_GT(references.back().num_rows(), 3u) << sql;
-    ref_->set_execution_threads(1);
-    ExpectIdentical(references.back(), Run(ref_, sql),
-                    sql + ": unlimited, 1 thread", true);
-  }
-  auto lineitem = ref_->catalog().GetTable("lineitem");
-  ASSERT_TRUE(lineitem.ok());
-  ASSERT_GT((*lineitem)->num_rows(), 4 * kMorselRows);
-  budgeted_->set_memory_budget(0);
-  budgeted_->set_execution_threads(1);
-  const int64_t peak =
-      Run(budgeted_, queries[kHighCardinality]).stats().mem_bytes_reserved_peak;
-  ASSERT_GT(peak, 0);
-  // Where each ladder starts, in tenths of the peak: low enough to
-  // spill, high enough that P > 1 spills part of the groups first.
-  const std::pair<size_t, int64_t> ladders[] = {{1, 3}, {2, 3}, {8, 3}};
-  for (const auto& [partitions, tenths] : ladders) {
-    const int64_t all = static_cast<int64_t>(partitions);
-    for (int threads : {1, 4}) {
-      budgeted_->set_spill_partitions(partitions);
-      budgeted_->set_execution_threads(threads);
-      // Runs every query; returns how many partitions the l_partkey
-      // query spilled, or -1 when it failed.
-      auto check = [&](int64_t budget) -> int64_t {
-        budgeted_->set_memory_budget(budget);
-        int64_t spilled = -1;
-        for (size_t q = 0; q < std::size(queries); ++q) {
-          const std::string label =
-              queries[q] + " P=" + std::to_string(partitions) +
-              " T=" + std::to_string(threads) +
-              " budget=" + std::to_string(budget);
-          auto got = budgeted_->Execute(queries[q]);
-          EXPECT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-          if (!got.ok()) continue;
-          ExpectIdentical(references[q], *got, label, true);
-          if (budget == int64_t{1} << 30) {
-            EXPECT_EQ(got->stats().spill_partitions, 0) << label;
-          }
-          if (q == kHighCardinality) spilled = got->stats().spill_partitions;
+TEST_P(SpillAggTest, BudgetedAggregatesMatchUnlimitedCellForCell) {
+  const std::vector<std::string> queries = Queries();
+  ASSERT_EQ(references_->size(), queries.size());
+  ASSERT_GT(peak_, 0);
+  const auto [partitions, tenths] = GetParam();
+  const int64_t all = static_cast<int64_t>(partitions);
+  for (int threads : {1, 4}) {
+    budgeted_->set_spill_partitions(partitions);
+    budgeted_->set_execution_threads(threads);
+    // Runs every query; returns how many partitions the l_partkey
+    // query spilled, or -1 when it failed.
+    auto check = [&](int64_t budget) -> int64_t {
+      budgeted_->set_memory_budget(budget);
+      int64_t spilled = -1;
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const std::string label =
+            queries[q] + " P=" + std::to_string(partitions) +
+            " T=" + std::to_string(threads) +
+            " budget=" + std::to_string(budget);
+        auto got = budgeted_->Execute(queries[q]);
+        EXPECT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+        if (!got.ok()) continue;
+        ExpectIdentical((*references_)[q], *got, label, true);
+        if (budget == int64_t{1} << 30) {
+          EXPECT_EQ(got->stats().spill_partitions, 0) << label;
         }
-        return spilled;
-      };
-      check(int64_t{1} << 30);
-      bool some = false;
-      int64_t spilled = 0;
-      for (int64_t budget = peak * tenths / 10; budget > (16 << 10);
-           budget = budget * 85 / 100) {
-        spilled = check(budget);
-        some |= spilled > 0 && spilled < all;
-        if (spilled < 0 || spilled == all) break;
+        if (q == kHighCardinality) spilled = got->stats().spill_partitions;
       }
-      EXPECT_EQ(spilled, all) << "P=" << partitions << " T=" << threads
-                              << ": no budget spilled every partition";
-      EXPECT_EQ(some, partitions > 1)
-          << "P=" << partitions << " T=" << threads;
+      return spilled;
+    };
+    check(int64_t{1} << 30);
+    bool some = false;
+    int64_t spilled = 0;
+    for (int64_t budget = peak_ * tenths / 10; budget > (16 << 10);
+         budget = budget * 85 / 100) {
+      spilled = check(budget);
+      some |= spilled > 0 && spilled < all;
+      if (spilled < 0 || spilled == all) break;
     }
+    EXPECT_EQ(spilled, all) << "P=" << partitions << " T=" << threads
+                            << ": no budget spilled every partition";
+    EXPECT_EQ(some, partitions > 1)
+        << "P=" << partitions << " T=" << threads;
   }
   budgeted_->set_memory_budget(0);
   budgeted_->set_spill_partitions(8);
   budgeted_->set_execution_threads(0);
-  ref_->set_execution_threads(0);
 }
+
+// One instance per ladder, so ctest runs the three in parallel.
+INSTANTIATE_TEST_SUITE_P(Ladders, SpillAggTest,
+                         ::testing::Values(AggLadder{1, 3}, AggLadder{2, 3},
+                                           AggLadder{8, 3}));
 
 }  // namespace
 }  // namespace agora

@@ -354,6 +354,39 @@ TEST(VerifyIntegrationTest, RealQueriesPassWithVerificationOn) {
   ASSERT_TRUE(agg.ok()) << agg.status().ToString();
 }
 
+// An untyped NULL output column is BOOLEAN in the schema and in the
+// vector alike, so verification passes; a CASE's ELSE takes part in its
+// type, so an untyped NULL branch takes the ELSE's.
+TEST(VerifyIntegrationTest, UntypedNullColumnsAreBoolean) {
+  ScopedVerification verify(true);
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a BIGINT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1), (2), (NULL)").ok());
+  for (const char* sql : {"SELECT NULL FROM t",
+                          "SELECT CASE WHEN a = 1 THEN NULL END FROM t"}) {
+    auto result = db.Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    ASSERT_EQ(result->num_rows(), 3u) << sql;
+    EXPECT_EQ(result->schema().field(0).type, TypeId::kBool) << sql;
+    for (size_t r = 0; r < 3; ++r) {
+      EXPECT_TRUE(result->Get(r, 0).is_null()) << sql << " row " << r;
+    }
+  }
+  auto with_else =
+      db.Execute("SELECT CASE WHEN a = 1 THEN NULL ELSE 5 END FROM t");
+  ASSERT_TRUE(with_else.ok()) << with_else.status().ToString();
+  EXPECT_EQ(with_else->schema().field(0).type, TypeId::kInt64);
+  EXPECT_TRUE(with_else->Get(0, 0).is_null());
+  EXPECT_EQ(with_else->Get(1, 0).int64_value(), 5);
+  EXPECT_EQ(with_else->Get(2, 0).int64_value(), 5);
+  // Typed operations on an untyped NULL are still type errors.
+  EXPECT_EQ(db.Execute("SELECT 1 + NULL FROM t").status().code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(
+      db.Execute("SELECT a FROM t UNION SELECT NULL FROM t").status().code(),
+      StatusCode::kTypeError);
+}
+
 // -- Maintained derived state ---------------------------------------------
 
 /// A table with zone maps and an index on `id`, written through SQL.
