@@ -50,7 +50,6 @@ Database* GetConfiguredDb(int config) {
       break;
     case 1:  // no predicate pushdown
       options.optimizer.enable_predicate_pushdown = false;
-      options.optimizer.enable_zone_maps = false;  // depends on pushdown
       break;
     case 2:  // no join reordering
       options.optimizer.enable_join_reorder = false;
@@ -59,7 +58,6 @@ Database* GetConfiguredDb(int config) {
       options.optimizer.enable_projection_pruning = false;
       break;
     case 4:  // no zone maps
-      options.optimizer.enable_zone_maps = false;
       options.physical.enable_zone_maps = false;
       break;
     default:

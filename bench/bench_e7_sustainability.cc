@@ -46,7 +46,6 @@ Database* GetDbFor(bool zone_maps) {
   std::unique_ptr<Database>& slot = zone_maps ? zm_db : no_zm_db;
   if (slot == nullptr) {
     DatabaseOptions options;
-    options.optimizer.enable_zone_maps = zone_maps;
     options.physical.enable_zone_maps = zone_maps;
     slot = std::make_unique<Database>(options);
     Database* source = GetTpchDatabase(kSf);

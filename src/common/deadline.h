@@ -2,11 +2,11 @@
 #define AGORA_COMMON_DEADLINE_H_
 
 // Cooperative per-query interruption: a deadline plus a cancellation
-// flag, checked at chunk boundaries (the Open()/Next() wrappers and the
-// morsel sinks), never per row. The engine never preempts a query —
-// operators observe the control object between batches and unwind with
-// a DeadlineExceeded Status, leaving the Database fully usable for the
-// next statement. The HTTP front end (src/server/) is the main producer
+// flag, checked at chunk boundaries (the Open()/Next() wrappers and every
+// chunk of a morsel pipeline), never per row. The engine never preempts
+// a query — operators observe the control object between batches and
+// unwind with a DeadlineExceeded Status, leaving the Database fully
+// usable for the next statement. The HTTP front end (src/server/) is the main producer
 // of controls; embedded callers may pass one to Database::Execute too.
 
 #include <atomic>

@@ -102,7 +102,9 @@ Status DriveMorselPipeline(
   context->PrepareWorkerStats();
 
   // One task per worker; each loops claim → scan → transform → sink until
-  // the shared cursor runs dry. An atomic flag makes peers stop early when
+  // the shared cursor runs dry. Each chunk first polls the query's
+  // deadline and cancel flag, so a pipeline below a breaker (aggregate,
+  // Gather) stops there too. An atomic flag makes peers stop early when
   // any worker fails. With no pool (or one worker) TaskGroup runs the
   // single task inline on this thread — same code path, same results.
   std::atomic<bool> failed{false};
@@ -125,6 +127,7 @@ Status DriveMorselPipeline(
         st = source->ScanMorsel(
             morsel,
             [&](Chunk&& chunk) -> Status {
+              AGORA_RETURN_IF_ERROR(context->CheckControl("MorselPipeline"));
               scan_span.AddRows(static_cast<int64_t>(chunk.num_rows()));
               Chunk out;
               AGORA_RETURN_IF_ERROR(
@@ -182,8 +185,6 @@ Result<Chunk> ParallelCollectAll(PhysicalOperator* op, ExecContext* context) {
                             Chunk&& chunk) -> Status {
         AGORA_RETURN_IF_ERROR(
             context->CheckMemoryBudget("ParallelCollectAll"));
-        AGORA_RETURN_IF_ERROR(
-            context->CheckControl("ParallelCollectAll"));
         by_morsel[morsel.index].push_back(std::move(chunk));
         return Status::OK();
       }));

@@ -1,8 +1,6 @@
 #include "exec/physical_planner.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <optional>
 
 #include "common/thread_pool.h"
@@ -20,129 +18,24 @@ namespace agora {
 
 namespace {
 
-/// The point-set constraint of `col IN (literals)` on a numeric column:
-/// the sorted non-NULL literals. NOT IN, string lists and lists holding a
-/// NaN (which Value::Compare finds equal to everything) are not pruned.
-std::optional<ColumnRangeConstraint> InListPoints(
-    const InListExpr& in, const std::vector<size_t>& projection) {
-  if (in.negated() || in.child()->kind() != ExprKind::kColumnRef) {
-    return std::nullopt;
-  }
-  const auto* ref = static_cast<const ColumnRefExpr*>(in.child().get());
-  if (!IsNumeric(ref->result_type()) && ref->result_type() != TypeId::kBool) {
-    return std::nullopt;
-  }
-  ColumnRangeConstraint r;
-  r.column = projection.empty() ? ref->index() : projection[ref->index()];
-  for (const Value& v : in.values()) {
-    if (v.is_null()) continue;
-    if (v.type() == TypeId::kString || std::isnan(v.AsDouble())) {
-      return std::nullopt;
-    }
-    r.points.push_back(v.AsDouble());
-  }
-  if (r.points.empty()) return std::nullopt;
-  std::sort(r.points.begin(), r.points.end());
-  r.lo = r.points.front();
-  r.hi = r.points.back();
-  return r;
-}
-
-/// Extracts [lo, hi] range constraints over base-table columns from the
-/// conjuncts of `predicate` (bound against the scan's projected schema).
-/// `projection` maps projected index -> base column (empty = identity).
-std::vector<ColumnRangeConstraint> ExtractRanges(
-    const ExprPtr& predicate, const std::vector<size_t>& projection) {
-  std::vector<ColumnRangeConstraint> ranges;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const ExprPtr& conjunct : SplitConjuncts(predicate)) {
-    if (conjunct->kind() == ExprKind::kInList) {
-      const auto* in = static_cast<const InListExpr*>(conjunct.get());
-      std::optional<ColumnRangeConstraint> r = InListPoints(*in, projection);
-      if (r.has_value()) ranges.push_back(std::move(*r));
-      continue;
-    }
-    if (conjunct->kind() != ExprKind::kComparison) continue;
-    const auto* cmp = static_cast<const ComparisonExpr*>(conjunct.get());
-    const Expr* col_side = cmp->left().get();
-    const Expr* lit_side = cmp->right().get();
-    CompareOp op = cmp->op();
-    if (col_side->kind() != ExprKind::kColumnRef ||
-        lit_side->kind() != ExprKind::kLiteral) {
-      // Try the mirrored orientation.
-      col_side = cmp->right().get();
-      lit_side = cmp->left().get();
-      op = SwapCompareOp(op);
-      if (col_side->kind() != ExprKind::kColumnRef ||
-          lit_side->kind() != ExprKind::kLiteral) {
-        continue;
-      }
-    }
-    const auto* ref = static_cast<const ColumnRefExpr*>(col_side);
-    const auto* lit = static_cast<const LiteralExpr*>(lit_side);
-    if (lit->value().is_null()) continue;
-    if (!IsNumeric(ref->result_type()) &&
-        ref->result_type() != TypeId::kBool) {
-      continue;
-    }
-    if (lit->value().type() == TypeId::kString) continue;
-    double v = lit->value().AsDouble();
-    ColumnRangeConstraint r;
-    r.column = projection.empty() ? ref->index() : projection[ref->index()];
-    switch (op) {
-      case CompareOp::kEq:
-        r.lo = v;
-        r.hi = v;
-        break;
-      case CompareOp::kLt:
-      case CompareOp::kLe:
-        r.lo = -kInf;
-        r.hi = v;
-        break;
-      case CompareOp::kGt:
-      case CompareOp::kGe:
-        r.lo = v;
-        r.hi = kInf;
-        break;
-      case CompareOp::kNe:
-        continue;  // not a range
-    }
-    ranges.push_back(r);
-  }
-  return ranges;
-}
-
 /// Finds a `col = constant` equality conjunct usable by an existing hash
 /// index. Returns true and fills outputs when found.
 bool FindIndexableEquality(const ExprPtr& predicate, const Table& table,
                            const std::vector<size_t>& projection,
                            size_t* key_column, Value* key) {
   for (const ExprPtr& conjunct : SplitConjuncts(predicate)) {
-    if (conjunct->kind() != ExprKind::kComparison) continue;
-    const auto* cmp = static_cast<const ComparisonExpr*>(conjunct.get());
-    if (cmp->op() != CompareOp::kEq) continue;
-    const Expr* col_side = cmp->left().get();
-    const Expr* lit_side = cmp->right().get();
-    if (col_side->kind() != ExprKind::kColumnRef ||
-        lit_side->kind() != ExprKind::kLiteral) {
-      col_side = cmp->right().get();
-      lit_side = cmp->left().get();
-      if (col_side->kind() != ExprKind::kColumnRef ||
-          lit_side->kind() != ExprKind::kLiteral) {
-        continue;
-      }
+    std::optional<ColumnLiteral> m = MatchColumnLiteral(*conjunct);
+    if (!m.has_value() || m->op != CompareOp::kEq || m->literal->is_null()) {
+      continue;
     }
-    const auto* ref = static_cast<const ColumnRefExpr*>(col_side);
-    const auto* lit = static_cast<const LiteralExpr*>(lit_side);
-    if (lit->value().is_null()) continue;
-    size_t base_col =
-        projection.empty() ? ref->index() : projection[ref->index()];
+    const size_t ref = m->column->index();
+    const size_t base_col = projection.empty() ? ref : projection[ref];
     std::shared_ptr<const HashIndex> index = table.GetHashIndex(base_col);
     if (index == nullptr) continue;
     // The stored hash must match the probe hash: require identical types.
-    if (lit->value().type() != table.schema().field(base_col).type) continue;
+    if (m->literal->type() != table.schema().field(base_col).type) continue;
     *key_column = base_col;
-    *key = lit->value();
+    *key = *m->literal;
     return true;
   }
   return false;
@@ -357,16 +250,9 @@ class PlannerImpl {
             pred, emit_row_ids, std::move(schema), context_));
       }
     }
-    std::vector<ColumnRangeConstraint> ranges;
-    bool use_zone_maps = false;
-    if (options_.enable_zone_maps && scan.use_zone_maps() &&
-        pred != nullptr) {
-      ranges = ExtractRanges(pred, scan.projection());
-      use_zone_maps = !ranges.empty();
-    }
     return PhysicalOpPtr(std::make_unique<PhysicalScan>(
-        scan.table(), scan.projection(), pred, std::move(ranges),
-        use_zone_maps, emit_row_ids, std::move(schema), context_));
+        scan.table(), scan.projection(), pred, options_.enable_zone_maps,
+        emit_row_ids, std::move(schema), context_));
   }
 
  private:
@@ -507,7 +393,6 @@ Result<PhysicalOpPtr> CreateRowIdScan(std::shared_ptr<Table> table,
   ConfigureContext(context, options);
   LogicalScan scan(std::move(table), "");
   scan.set_pushed_predicate(std::move(predicate));
-  scan.set_use_zone_maps(scan.pushed_predicate() != nullptr);
   PlannerImpl planner(context, options);
   return planner.LowerScan(scan, /*emit_row_ids=*/true);
 }

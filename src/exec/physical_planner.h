@@ -12,8 +12,8 @@ namespace agora {
 struct PhysicalPlannerOptions {
   /// Use hash joins for equi-conditions (otherwise nested loops).
   bool enable_hash_join = true;
-  /// Use zone maps for block skipping when the scan has a pushed range
-  /// predicate.
+  /// The one zone-map switch: a scan skips the blocks whose zone maps
+  /// rule out its pushed predicate.
   bool enable_zone_maps = true;
   /// Use hash indexes for `col = constant` scans when one exists.
   bool enable_index_scan = true;

@@ -1,6 +1,7 @@
 #include "exec/scan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -51,28 +52,13 @@ Chunk RowIdChunk(const std::vector<uint32_t>& rows) {
   return chunk;
 }
 
-/// Folds a `column op literal` comparison (in either operand order) on a
-/// BIGINT or DATE column, whose literal is a non-NULL value of the
-/// column's type, into the inclusive range [*lo, *hi] of values it
-/// accepts; *lo > *hi when it accepts none. Returns false for any other
-/// conjunct (`<>`, a DOUBLE literal, a string, an expression).
-bool FoldRangeConjunct(const Expr& conjunct, size_t* column, int64_t* lo,
-                       int64_t* hi) {
-  if (conjunct.kind() != ExprKind::kComparison) return false;
-  const auto& cmp = static_cast<const ComparisonExpr&>(conjunct);
-  const Expr* col = cmp.left().get();
-  const Expr* lit = cmp.right().get();
-  CompareOp op = cmp.op();
-  if (col->kind() == ExprKind::kLiteral) {
-    std::swap(col, lit);
-    op = SwapCompareOp(op);
-  }
-  if (col->kind() != ExprKind::kColumnRef ||
-      lit->kind() != ExprKind::kLiteral) {
-    return false;
-  }
-  const TypeId type = col->result_type();
-  const Value& v = static_cast<const LiteralExpr*>(lit)->value();
+/// Folds `m` on a BIGINT or DATE column, whose literal is a non-NULL
+/// value of the column's type, into the inclusive range [*lo, *hi] of
+/// values it accepts; *lo > *hi when it accepts none. Returns false for
+/// any other comparison (`<>`, a DOUBLE literal, a string).
+bool FoldRange(const ColumnLiteral& m, int64_t* lo, int64_t* hi) {
+  const TypeId type = m.column->result_type();
+  const Value& v = *m.literal;
   if ((type != TypeId::kInt64 && type != TypeId::kDate) || v.is_null() ||
       v.type() != type) {
     return false;
@@ -82,7 +68,7 @@ bool FoldRangeConjunct(const Expr& conjunct, size_t* column, int64_t* lo,
   const int64_t c = v.int64_value();
   *lo = kMin;
   *hi = kMax;
-  switch (op) {
+  switch (m.op) {
     case CompareOp::kEq:
       *lo = c;
       *hi = c;
@@ -104,8 +90,12 @@ bool FoldRangeConjunct(const Expr& conjunct, size_t* column, int64_t* lo,
     case CompareOp::kNe:
       return false;
   }
-  *column = static_cast<const ColumnRefExpr*>(col)->index();
   return true;
+}
+
+/// True for the column types zone maps keep bounds of.
+bool ZoneMapped(TypeId type) {
+  return IsNumeric(type) || type == TypeId::kBool;
 }
 
 /// lo <= x <= lo + span as one unsigned compare (lo and span as uint64).
@@ -153,37 +143,41 @@ size_t CountInRange(const int64_t* x, const uint8_t* valid, size_t n,
 
 PhysicalScan::PhysicalScan(std::shared_ptr<Table> table,
                            std::vector<size_t> projection, ExprPtr predicate,
-                           std::vector<ColumnRangeConstraint> ranges,
-                           bool use_zone_maps, bool emit_row_ids,
-                           Schema schema, ExecContext* context)
+                           bool zone_maps, bool emit_row_ids, Schema schema,
+                           ExecContext* context)
     : PhysicalOperator(std::move(schema), context),
       table_(std::move(table)),
       projection_(std::move(projection)),
       predicate_(std::move(predicate)),
-      ranges_(std::move(ranges)),
-      use_zone_maps_(use_zone_maps),
       emit_row_ids_(emit_row_ids) {
-  PlanLeadingRange();
+  PlanPredicate(zone_maps);
 }
 
-void PhysicalScan::PlanLeadingRange() {
+void PhysicalScan::PlanPredicate(bool zone_maps) {
   rest_predicate_ = predicate_;
   if (predicate_ == nullptr) return;
   std::vector<ExprPtr> conjuncts = SplitConjuncts(predicate_);
-  size_t folded = 0;
+  size_t folded = 0;  // the leading conjuncts folded into the range
   IntRange range;
-  for (; folded < conjuncts.size(); ++folded) {
-    size_t column = 0;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    const std::optional<ColumnLiteral> m = MatchColumnLiteral(*conjuncts[i]);
+    if (zone_maps) {
+      std::optional<ColumnRangeConstraint> r = ZoneRange(*conjuncts[i], m);
+      if (r.has_value()) ranges_.push_back(std::move(*r));
+    }
+    // The leading range ends at the first conjunct that does not fold
+    // onto its column.
     int64_t lo = 0;
     int64_t hi = 0;
-    if (!FoldRangeConjunct(*conjuncts[folded], &column, &lo, &hi) ||
-        (folded > 0 && column != range_column_)) {
-      break;
+    if (folded < i || !m.has_value() || !FoldRange(*m, &lo, &hi) ||
+        (i > 0 && m->column->index() != range_column_)) {
+      continue;
     }
-    range_column_ = column;
+    range_column_ = m->column->index();
     range.lo = std::max(range.lo, lo);
     range.hi = std::min(range.hi, hi);
     range_prefixes_.push_back(range);
+    ++folded;
   }
   if (folded == 0) return;
   conjuncts.erase(conjuncts.begin(), conjuncts.begin() + folded);
@@ -193,6 +187,47 @@ void PhysicalScan::PlanLeadingRange() {
       conjuncts.empty()
           ? nullptr
           : std::make_shared<LogicalExpr>(LogicalOp::kAnd, std::move(conjuncts));
+}
+
+std::optional<PhysicalScan::ColumnRangeConstraint> PhysicalScan::ZoneRange(
+    const Expr& conjunct, const std::optional<ColumnLiteral>& m) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ColumnRangeConstraint r;
+  const ColumnRefExpr* ref = nullptr;
+  if (conjunct.kind() == ExprKind::kInList) {
+    // The sorted non-NULL literals. NOT IN, string lists and lists
+    // holding a NaN (which Value::Compare finds equal to everything) are
+    // not pruned.
+    const auto& in = static_cast<const InListExpr&>(conjunct);
+    if (in.negated() || in.child()->kind() != ExprKind::kColumnRef) {
+      return std::nullopt;
+    }
+    ref = static_cast<const ColumnRefExpr*>(in.child().get());
+    if (!ZoneMapped(ref->result_type())) return std::nullopt;
+    for (const Value& v : in.values()) {
+      if (v.is_null()) continue;
+      if (v.type() == TypeId::kString || std::isnan(v.AsDouble())) {
+        return std::nullopt;
+      }
+      r.points.push_back(v.AsDouble());
+    }
+    if (r.points.empty()) return std::nullopt;
+    std::sort(r.points.begin(), r.points.end());
+    r.lo = r.points.front();
+    r.hi = r.points.back();
+  } else {
+    if (!m.has_value() || !ZoneMapped(m->column->result_type()) ||
+        m->literal->is_null() || m->literal->type() == TypeId::kString ||
+        m->op == CompareOp::kNe) {
+      return std::nullopt;
+    }
+    ref = m->column;
+    const double v = m->literal->AsDouble();
+    r.lo = m->op == CompareOp::kLt || m->op == CompareOp::kLe ? -kInf : v;
+    r.hi = m->op == CompareOp::kGt || m->op == CompareOp::kGe ? kInf : v;
+  }
+  r.column = projection_.empty() ? ref->index() : projection_[ref->index()];
+  return r;
 }
 
 void PhysicalScan::AddJoinFilter(const JoinKeyFilter* filter,
@@ -205,13 +240,13 @@ Status PhysicalScan::OpenImpl() {
   cursor_ = ScanCursor{};
   cursor_.end = table_->num_rows();
   morsel_cursor_.store(0, std::memory_order_relaxed);
-  if (use_zone_maps_ && !table_->HasZoneMaps()) {
-    // Zone maps were requested by the planner but not built yet; build
-    // them now (idempotent, amortized across queries on static tables;
-    // concurrent scans building at once swap in identical sets).
+  if (!ranges_.empty() && !table_->HasZoneMaps()) {
+    // The predicate bounds a column but the zone maps are not built yet;
+    // build them now (idempotent, amortized across queries on static
+    // tables; concurrent scans building at once swap in identical sets).
     table_->BuildZoneMaps();
   }
-  zone_map_snapshot_ = use_zone_maps_ ? table_->zone_maps() : nullptr;
+  zone_map_snapshot_ = ranges_.empty() ? nullptr : table_->zone_maps();
   if (predicate_ != nullptr || !join_filters_.empty()) {
     scan_view_ = table_->GetChunk(0, table_->num_rows(), projection_);
   }
@@ -225,9 +260,7 @@ Status PhysicalScan::OpenImpl() {
 }
 
 bool PhysicalScan::BlockPruned(size_t start, ExecStats* stats) const {
-  if (!use_zone_maps_ || ranges_.empty() || zone_map_snapshot_ == nullptr) {
-    return false;
-  }
+  if (zone_map_snapshot_ == nullptr) return false;
   const size_t block = start / kChunkSize;
   for (const ColumnRangeConstraint& r : ranges_) {
     auto it = zone_map_snapshot_->find(r.column);

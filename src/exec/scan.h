@@ -5,11 +5,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "exec/hash_table.h"
 #include "exec/physical_op.h"
 #include "expr/expr.h"
+#include "expr/expr_rewrite.h"
 #include "storage/table.h"
 
 namespace agora {
@@ -29,19 +31,6 @@ struct Morsel {
   size_t index = 0;
 };
 
-/// A constraint on a base-table column derived from the pushed-down
-/// predicate at plan time, used for zone-map block skipping: a [lo, hi]
-/// range, or (from `col IN (...)`) a point set, where a block survives
-/// only if one of the points lies in its [min, max].
-struct ColumnRangeConstraint {
-  size_t column;  // base-table column index
-  double lo;
-  double hi;
-  /// The point set, ascending and NaN-free; when non-empty it replaces
-  /// [lo, hi].
-  std::vector<double> points;
-};
-
 /// Output of a scan run for UPDATE/DELETE: one INT64 column holding the
 /// base-table row ids of the matching rows, ascending.
 Schema RowIdSchema();
@@ -57,11 +46,18 @@ struct JoinFilter {
 
 /// Sequential scan over a base table in kChunkSize blocks.
 ///
-/// Optionally applies a pushed-down predicate during the scan and skips
-/// whole blocks whose zone maps prove no row can satisfy the range
-/// constraints (experiment E4: physical design changes plans, not queries).
-/// With `emit_row_ids`, it emits the row ids of the surviving rows
-/// (RowIdSchema) instead of gathering their columns.
+/// Optionally applies a pushed-down predicate during the scan and, with
+/// `zone_maps`, skips whole blocks whose zone maps prove no row can
+/// satisfy it (experiment E4: physical design changes plans, not
+/// queries). With `emit_row_ids`, it emits the row ids of the surviving
+/// rows (RowIdSchema) instead of gathering their columns.
+///
+/// The scan reads its predicate once, at construction (PlanPredicate):
+/// one pass over the conjuncts finds the leading range below, and, with
+/// `zone_maps`, the bound each conjunct puts on a column for block
+/// skipping: `col op literal` on a numeric or BOOLEAN column (not `<>`,
+/// NULL or string literals) and `col IN (...)` of numbers, as a point
+/// set. Conjuncts keep their order.
 ///
 /// The fused filter path (a pushed predicate or a join filter) builds a
 /// selection of absolute row ids per block over a zero-copy table view:
@@ -69,8 +65,8 @@ struct JoinFilter {
 ///    predicate on one BIGINT or DATE column, each literal of the
 ///    column's type, fold into one inclusive int64 range, tested in one
 ///    branch-free pass over the block's contiguous rows. The rest of the
-///    predicate refines that selection (RefineSelection); conjuncts keep
-///    their order, so a later one sees only the rows earlier ones kept.
+///    predicate refines that selection (RefineSelection), so a later
+///    conjunct sees only the rows earlier ones kept.
 ///  * Join filters (AddJoinFilter) refine it next: each tests its key
 ///    columns straight from the table through the selection
 ///    (JoinKeyFilter::Select: a key bitmap, or a Bloom filter over the
@@ -87,9 +83,8 @@ struct JoinFilter {
 class PhysicalScan : public PhysicalOperator {
  public:
   PhysicalScan(std::shared_ptr<Table> table, std::vector<size_t> projection,
-               ExprPtr predicate, std::vector<ColumnRangeConstraint> ranges,
-               bool use_zone_maps, bool emit_row_ids, Schema schema,
-               ExecContext* context);
+               ExprPtr predicate, bool zone_maps, bool emit_row_ids,
+               Schema schema, ExecContext* context);
 
   Status OpenImpl() override;
   Status NextImpl(Chunk* chunk, bool* done) override;
@@ -148,9 +143,26 @@ class PhysicalScan : public PhysicalOperator {
     int64_t hi = INT64_MAX;
   };
 
-  /// Splits the predicate into its leading range (range_column_,
-  /// range_prefixes_) and the rest (rest_predicate_).
-  void PlanLeadingRange();
+  /// A bound on a base-table column that zone maps test per block: a
+  /// [lo, hi] range, or (from `col IN (...)`) a point set, where a block
+  /// survives only if one of the points lies in its [min, max].
+  struct ColumnRangeConstraint {
+    size_t column;  // base-table column index
+    double lo;
+    double hi;
+    /// The point set, ascending and NaN-free; when non-empty it replaces
+    /// [lo, hi].
+    std::vector<double> points;
+  };
+
+  /// The one pass over the predicate's conjuncts: splits off the leading
+  /// range (range_column_, range_prefixes_) from the rest
+  /// (rest_predicate_) and, with `zone_maps`, collects ranges_.
+  void PlanPredicate(bool zone_maps);
+  /// The zone-map bound `conjunct` (matched as `m`, when it compares a
+  /// column with a literal) puts on a base-table column, if any.
+  std::optional<ColumnRangeConstraint> ZoneRange(
+      const Expr& conjunct, const std::optional<ColumnLiteral>& m) const;
   /// True when zone maps prove the block starting at `start` empty.
   bool BlockPruned(size_t start, ExecStats* stats) const;
   /// Sets cur->block_rows to the absolute ids of the rows of
@@ -172,8 +184,8 @@ class PhysicalScan : public PhysicalOperator {
   std::vector<IntRange> range_prefixes_;
   /// The predicate's conjuncts after the leading range (null if none).
   ExprPtr rest_predicate_;
-  std::vector<ColumnRangeConstraint> ranges_;  // base-table column indexes
-  bool use_zone_maps_;
+  /// Zone-map bounds of the predicate; empty without zone maps.
+  std::vector<ColumnRangeConstraint> ranges_;
   bool emit_row_ids_;
   /// Zone-map snapshot captured once in Open: every block of this scan
   /// prunes against one consistent set even if a concurrent query

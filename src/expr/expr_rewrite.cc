@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 namespace agora {
 
@@ -112,6 +113,24 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& e) {
   }
   out.push_back(e);
   return out;
+}
+
+std::optional<ColumnLiteral> MatchColumnLiteral(const Expr& e) {
+  if (e.kind() != ExprKind::kComparison) return std::nullopt;
+  const auto& cmp = static_cast<const ComparisonExpr&>(e);
+  const Expr* col = cmp.left().get();
+  const Expr* lit = cmp.right().get();
+  CompareOp op = cmp.op();
+  if (col->kind() == ExprKind::kLiteral) {
+    std::swap(col, lit);
+    op = SwapCompareOp(op);
+  }
+  if (col->kind() != ExprKind::kColumnRef ||
+      lit->kind() != ExprKind::kLiteral) {
+    return std::nullopt;
+  }
+  return ColumnLiteral{static_cast<const ColumnRefExpr*>(col), op,
+                       &static_cast<const LiteralExpr*>(lit)->value()};
 }
 
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "expr/expr.h"
@@ -17,6 +18,18 @@ ExprPtr RemapColumns(const ExprPtr& e, const std::function<size_t(size_t)>& fn);
 /// Flattens a tree of ANDs into its conjuncts. A non-AND expression is a
 /// single conjunct.
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& e);
+
+/// A comparison between a column reference and a literal, read with the
+/// column on the left: `5 > x` reads as `x < 5`.
+struct ColumnLiteral {
+  const ColumnRefExpr* column = nullptr;
+  CompareOp op = CompareOp::kEq;
+  const Value* literal = nullptr;  // owned by the matched expression
+};
+
+/// Matches `column op literal` in either operand order; nullopt for any
+/// other expression. Callers apply their own type rules.
+std::optional<ColumnLiteral> MatchColumnLiteral(const Expr& e);
 
 /// Rebuilds an AND tree from conjuncts. Empty input returns nullptr; a
 /// single conjunct is returned as-is.

@@ -28,8 +28,7 @@ Result<PhysicalOpPtr> ScanOf(Schema schema, Chunk data, bool positions,
   auto table = std::make_shared<Table>("lineage_input", schema);
   AGORA_RETURN_IF_ERROR(table->AppendChunk(data));
   return PhysicalOpPtr(std::make_unique<PhysicalScan>(
-      std::move(table), std::vector<size_t>{}, nullptr,
-      std::vector<ColumnRangeConstraint>{}, /*use_zone_maps=*/false,
+      std::move(table), std::vector<size_t>{}, nullptr, /*zone_maps=*/false,
       /*emit_row_ids=*/false, std::move(schema), context));
 }
 

@@ -14,46 +14,18 @@ constexpr double kDefaultRange = 1.0 / 3.0;
 constexpr double kDefaultLike = 0.1;
 constexpr double kDefaultOther = 0.25;
 
-/// Pulls out (column, literal, op) from a comparison conjunct, normalizing
-/// orientation; false if the shape does not match.
-bool MatchColumnLiteral(const ExprPtr& e, size_t* column, Value* literal,
-                        CompareOp* op) {
-  if (e->kind() != ExprKind::kComparison) return false;
-  const auto* cmp = static_cast<const ComparisonExpr*>(e.get());
-  const Expr* col_side = cmp->left().get();
-  const Expr* lit_side = cmp->right().get();
-  CompareOp o = cmp->op();
-  if (col_side->kind() != ExprKind::kColumnRef ||
-      lit_side->kind() != ExprKind::kLiteral) {
-    col_side = cmp->right().get();
-    lit_side = cmp->left().get();
-    o = SwapCompareOp(o);
-    if (col_side->kind() != ExprKind::kColumnRef ||
-        lit_side->kind() != ExprKind::kLiteral) {
-      return false;
-    }
-  }
-  *column = static_cast<const ColumnRefExpr*>(col_side)->index();
-  *literal = static_cast<const LiteralExpr*>(lit_side)->value();
-  *op = o;
-  return true;
-}
-
 }  // namespace
 
 double CardinalityEstimator::ConjunctSelectivity(
     const ExprPtr& conjunct, const ColumnStatsFn& stats_for_column) const {
   switch (conjunct->kind()) {
     case ExprKind::kComparison: {
-      size_t column;
-      Value literal;
-      CompareOp op;
-      if (!MatchColumnLiteral(conjunct, &column, &literal, &op)) {
-        return kDefaultOther;
-      }
+      std::optional<ColumnLiteral> m = MatchColumnLiteral(*conjunct);
+      if (!m.has_value()) return kDefaultOther;
       const ColumnStats* cs =
-          stats_for_column ? stats_for_column(column) : nullptr;
-      switch (op) {
+          stats_for_column ? stats_for_column(m->column->index()) : nullptr;
+      const Value& literal = *m->literal;
+      switch (m->op) {
         case CompareOp::kEq:
           if (cs != nullptr && cs->ndv > 0) {
             return 1.0 / static_cast<double>(cs->ndv);
@@ -72,7 +44,7 @@ double CardinalityEstimator::ConjunctSelectivity(
             double width = cs->max - cs->min;
             double frac_below =
                 std::clamp((v - cs->min) / width, 0.0, 1.0);
-            if (op == CompareOp::kLt || op == CompareOp::kLe) {
+            if (m->op == CompareOp::kLt || m->op == CompareOp::kLe) {
               return std::max(frac_below, 1e-4);
             }
             return std::max(1.0 - frac_below, 1e-4);

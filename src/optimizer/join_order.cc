@@ -528,12 +528,6 @@ Result<LogicalOpPtr> Optimizer::Optimize(LogicalOpPtr plan) {
       AGORA_RETURN_IF_ERROR(VerifyPlan(plan.get(), "after PruneColumns"));
     }
   }
-  if (options_.enable_zone_maps) {
-    FlagZoneMaps(plan);
-    if (verify) {
-      AGORA_RETURN_IF_ERROR(VerifyPlan(plan.get(), "after FlagZoneMaps"));
-    }
-  }
   return plan;
 }
 

@@ -14,8 +14,6 @@ struct OptimizerOptions {
   bool enable_predicate_pushdown = true;
   bool enable_join_reorder = true;
   bool enable_projection_pruning = true;
-  /// Flag scans with pushed range predicates as zone-map eligible.
-  bool enable_zone_maps = true;
   /// Resolve HybridStrategy::kAuto by comparing pre- vs post-filter cost
   /// estimates. When off, the legacy fixed selectivity threshold applies
   /// (E4 ablations). kAuto is always resolved either way.
@@ -33,7 +31,6 @@ struct OptimizerOptions {
     o.enable_predicate_pushdown = false;
     o.enable_join_reorder = false;
     o.enable_projection_pruning = false;
-    o.enable_zone_maps = false;
     o.enable_hybrid_cost_strategy = false;
     return o;
   }
@@ -44,7 +41,8 @@ struct OptimizerOptions {
 ///   2. predicate pushdown (through joins into scans; cross -> inner)
 ///   3. DP join reordering (DPsub up to 12 relations, greedy beyond)
 ///   4. projection pruning (column-level, down to scan projections)
-///   5. zone-map flagging on scans with pushed range predicates
+/// Whether a scan skips blocks by zone maps is the physical planner's
+/// choice (PhysicalPlannerOptions::enable_zone_maps), not a pass here.
 class Optimizer {
  public:
   explicit Optimizer(OptimizerOptions options = {})
@@ -82,9 +80,6 @@ LogicalOpPtr ReorderJoins(const LogicalOpPtr& node,
 
 /// Pass 4: narrows every operator to the columns its ancestors need.
 LogicalOpPtr PruneColumns(const LogicalOpPtr& root);
-
-/// Pass 5: marks scans whose pushed predicates can use zone maps.
-void FlagZoneMaps(const LogicalOpPtr& node);
 
 /// Pass 0 (always on): resolves HybridStrategy::kAuto on every
 /// LogicalScoreFusion — cost-based when enabled, legacy threshold rule

@@ -181,7 +181,6 @@ LogicalOpPtr PushDownPredicates(const LogicalOpPtr& node,
         }
       }
       scan->set_pushed_predicate(CombineConjuncts(std::move(all)));
-      scan->set_use_zone_maps(s.use_zone_maps());
       return scan;
     }
     default: {
@@ -199,15 +198,6 @@ LogicalOpPtr PushDownPredicates(const LogicalOpPtr& node,
       return rebuilt;
     }
   }
-}
-
-void FlagZoneMaps(const LogicalOpPtr& node) {
-  if (node->kind() == LogicalOpKind::kScan) {
-    auto& scan = static_cast<LogicalScan&>(*node);
-    if (scan.pushed_predicate() != nullptr) scan.set_use_zone_maps(true);
-    return;
-  }
-  for (const auto& child : node->children()) FlagZoneMaps(child);
 }
 
 namespace {
@@ -263,7 +253,6 @@ PruneResult PruneScan(const LogicalScan& scan, const Required& required) {
     rebuilt->set_pushed_predicate(
         RemapByMapping(scan.pushed_predicate(), mapping));
   }
-  rebuilt->set_use_zone_maps(scan.use_zone_maps());
   return {std::move(rebuilt), std::move(mapping)};
 }
 

@@ -58,7 +58,6 @@ std::string LogicalScan::ToString() const {
   }
   if (pushed_predicate_ != nullptr) {
     out += ", filter=" + pushed_predicate_->ToString();
-    if (use_zone_maps_) out += " [zonemap]";
   }
   return out + ")";
 }

@@ -73,11 +73,6 @@ class LogicalScan : public LogicalOperator {
   const ExprPtr& pushed_predicate() const { return pushed_predicate_; }
   void set_pushed_predicate(ExprPtr p) { pushed_predicate_ = std::move(p); }
 
-  /// Whether the executor may use zone maps to skip blocks (set by the
-  /// physical planner when a usable zone map exists).
-  bool use_zone_maps() const { return use_zone_maps_; }
-  void set_use_zone_maps(bool v) { use_zone_maps_ = v; }
-
   /// Column indexes of the base table to emit (empty = all). When set, the
   /// scan's schema is the projected subset.
   const std::vector<size_t>& projection() const { return projection_; }
@@ -89,7 +84,6 @@ class LogicalScan : public LogicalOperator {
   std::shared_ptr<Table> table_;
   std::string alias_;
   ExprPtr pushed_predicate_;
-  bool use_zone_maps_ = false;
   std::vector<size_t> projection_;
 };
 

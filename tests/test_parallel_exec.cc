@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "engine/database.h"
 #include "tpch/tpch.h"
@@ -184,6 +187,103 @@ TEST_F(ParallelExecTest, SmallTableStaysEligibleInvariant) {
   ExpectThreadInvariant(
       "small-table",
       "SELECT n_regionkey, COUNT(*) FROM nation GROUP BY n_regionkey");
+}
+
+// -- Deadlines and cancellation inside morsel pipelines ---------------------
+
+/// A table whose high-cardinality GROUP BY runs a parallel aggregate for
+/// a few hundred milliseconds: long enough that a query stopping at its
+/// deadline and one running its whole pipeline first cannot be confused.
+class MorselControlTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kRows = 2000000;
+  static constexpr const char* kAggregate =
+      "SELECT k, COUNT(*), SUM(v) FROM big GROUP BY k";
+
+  static void SetUpTestSuite() {
+    setenv("AGORA_THREADS", "4", 0);
+    db_ = new Database();
+    ColumnVector k(TypeId::kInt64);
+    ColumnVector v(TypeId::kInt64);
+    for (int64_t i = 0; i < kRows; ++i) {
+      k.AppendInt64((i * 7919) % 400000);
+      v.AppendInt64(i);
+    }
+    Chunk chunk;
+    chunk.AddColumn(std::move(k));
+    chunk.AddColumn(std::move(v));
+    auto table = std::make_shared<Table>(
+        "big", Schema({Field{"k", TypeId::kInt64, false},
+                       Field{"v", TypeId::kInt64, false}}));
+    ASSERT_TRUE(table->AppendChunk(chunk).ok());
+    ASSERT_TRUE(db_->catalog().RegisterTable(table).ok());
+    // The unbounded run time: the faster of two runs.
+    for (int run = 0; run < 2; ++run) {
+      Status status;
+      const double ms = TimedRun(kAggregate, nullptr, &status);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      unbounded_ms_ = run == 0 ? ms : std::min(unbounded_ms_, ms);
+    }
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  /// Runs `sql` under `control` (may be null) and returns its wall time
+  /// in milliseconds; `*status` is the statement's status.
+  static double TimedRun(const char* sql, const QueryControl* control,
+                         Status* status) {
+    const auto start = std::chrono::steady_clock::now();
+    auto result = db_->Execute(sql, control);
+    const auto end = std::chrono::steady_clock::now();
+    *status = result.status();
+    return std::chrono::duration<double, std::milli>(end - start).count();
+  }
+
+  static Database* db_;
+  static double unbounded_ms_;
+};
+
+Database* MorselControlTest::db_ = nullptr;
+double MorselControlTest::unbounded_ms_ = 0;
+
+TEST_F(MorselControlTest, AggregateStopsAtItsDeadline) {
+  // The best of three, so one descheduled run does not decide.
+  double best = unbounded_ms_;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    QueryControl control;
+    control.set_timeout(std::chrono::milliseconds(2));
+    Status status;
+    best = std::min(best, TimedRun(kAggregate, &control, &status));
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+        << status.ToString();
+  }
+  EXPECT_LT(best, unbounded_ms_ / 4)
+      << "the aggregate ran its pipeline past the deadline (unbounded "
+      << unbounded_ms_ << " ms)";
+}
+
+TEST_F(MorselControlTest, AggregateStopsWhenCancelled) {
+  double best = unbounded_ms_;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    QueryControl control;
+    std::thread canceller([&control] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      control.RequestCancel();
+    });
+    Status status;
+    const double ms = TimedRun(kAggregate, &control, &status);
+    canceller.join();
+    best = std::min(best, ms);
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+        << status.ToString();
+    EXPECT_NE(status.message().find("cancelled"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_LT(best, unbounded_ms_ / 4)
+      << "the aggregate ran its pipeline past the cancel request (unbounded "
+      << unbounded_ms_ << " ms)";
 }
 
 }  // namespace

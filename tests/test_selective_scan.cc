@@ -2,9 +2,9 @@
 // over a block's contiguous rows, and output chunks that gather the
 // survivors of consecutive blocks. Every predicate must return exactly
 // the rows a row-at-a-time model keeps, in table order, on the serial
-// pull path, on morsels at 1 and 4 threads, without zone maps and under
-// a memory budget; counters must read as if each comparison had run on
-// its own. Runs under `ctest -L parallel`.
+// pull path, on morsels at 1 and 4 threads, without zone maps, under a
+// memory budget and with a hash index on x; counters must read as if
+// each comparison had run on its own. Runs under `ctest -L parallel`.
 
 #include <gtest/gtest.h>
 
@@ -105,7 +105,9 @@ class SelectiveScanTest : public ::testing::Test {
     dbs_[2] = new Database(no_zone_maps);
     dbs_[3] = new Database();
     dbs_[3]->set_memory_budget(int64_t{1} << 30);  // never reached
+    dbs_[4] = new Database();  // `x = literal` runs as an IndexScan
     for (Database* db : dbs_) Load(db, *model_);
+    ASSERT_TRUE(dbs_[4]->Execute("CREATE INDEX tx ON t (x)").ok());
   }
   static void TearDownTestSuite() {
     for (Database*& db : dbs_) {
@@ -143,7 +145,8 @@ class SelectiveScanTest : public ::testing::Test {
       if (keep(row)) want.push_back(row.id);
     }
     const std::string sql = "SELECT id FROM t WHERE " + where;
-    const char* names[] = {"serial", "zone maps", "no zone maps", "budget"};
+    const char* names[] = {"serial", "zone maps", "no zone maps", "budget",
+                           "index"};
     for (size_t c = 0; c < std::size(dbs_); ++c) {
       for (int threads : {1, 4}) {
         auto result = RunAt(dbs_[c], threads, sql);
@@ -155,12 +158,19 @@ class SelectiveScanTest : public ::testing::Test {
     }
   }
 
+  /// The counters of `SELECT id FROM t WHERE <where>` at one thread.
+  static ExecStats StatsOf(Database* db, const std::string& where) {
+    auto result = RunAt(db, 1, "SELECT id FROM t WHERE " + where);
+    EXPECT_TRUE(result.ok()) << where << ": " << result.status().ToString();
+    return result.ok() ? result->stats() : ExecStats{};
+  }
+
   static std::vector<ModelRow>* model_;
-  static Database* dbs_[4];
+  static Database* dbs_[5];
 };
 
 std::vector<ModelRow>* SelectiveScanTest::model_ = nullptr;
-Database* SelectiveScanTest::dbs_[4] = {};
+Database* SelectiveScanTest::dbs_[5] = {};
 
 bool In(const std::optional<int64_t>& v, int64_t lo, int64_t hi) {
   return v.has_value() && *v >= lo && *v <= hi;
@@ -212,6 +222,56 @@ TEST_F(SelectiveScanTest, DateAgainstDateLiterals) {
              [](const ModelRow& r) {
                return In(r.d, kFirstDay + 2990, kFirstDay + 2994);
              });
+}
+
+TEST_F(SelectiveScanTest, InLists) {
+  auto is = [](const std::optional<int64_t>& v, int64_t a, int64_t b) {
+    return v.has_value() && (*v == a || *v == b);
+  };
+  // Zone maps test the non-NULL members; the NULL one matches nothing.
+  ExpectRows("x IN (20000, NULL, -3)",
+             [&](const ModelRow& r) { return is(r.x, 20000, -3); });
+  // A DOUBLE member bounds the point set but equals no BIGINT.
+  ExpectRows("x IN (20000, 2.5)",
+             [&](const ModelRow& r) { return is(r.x, 20000, 20000); });
+  ExpectRows("x NOT IN (20000, -3)", [&](const ModelRow& r) {
+    return r.x.has_value() && !is(r.x, 20000, -3);
+  });
+  ExpectRows("x NOT IN (20000, NULL)",
+             [](const ModelRow&) { return false; });
+  ExpectRows("d IN (" + Day(5) + ", " + Day(2999) + ")",
+             [&](const ModelRow& r) {
+               return is(r.d, kFirstDay + 5, kFirstDay + 2999);
+             });
+  // Blocks 10-14 hold x = 20000 only; every other block spans BIGINT.
+  EXPECT_EQ(StatsOf(dbs_[1], "x IN (-3, NULL)").blocks_skipped, 5);
+  EXPECT_EQ(StatsOf(dbs_[1], "x IN (-3, 2.5)").blocks_skipped, 5);
+  EXPECT_EQ(StatsOf(dbs_[1], "x NOT IN (20000)").blocks_skipped, 0);
+  EXPECT_GT(StatsOf(dbs_[1], "d IN (" + Day(5) + ")").blocks_skipped, 0);
+  EXPECT_EQ(StatsOf(dbs_[2], "x IN (-3, NULL)").blocks_skipped, 0);
+}
+
+TEST_F(SelectiveScanTest, MirroredOperands) {
+  ExpectRows("-3 <= x", [](const ModelRow& r) { return In(r.x, -3, kMax); });
+  ExpectRows("20000 = x",
+             [](const ModelRow& r) { return In(r.x, 20000, 20000); });
+  ExpectRows("10 > x AND -10 < x",
+             [](const ModelRow& r) { return In(r.x, -9, 9); });
+  ExpectRows(Day(2990) + " < d",
+             [](const ModelRow& r) { return In(r.d, kFirstDay + 2991, kMax); });
+  EXPECT_EQ(StatsOf(dbs_[1], "-3 = x").blocks_skipped, 5);
+  EXPECT_EQ(StatsOf(dbs_[1], "19999 >= x").blocks_skipped, 5);
+  // The index answers `20000 = x` without reading a block.
+  const ExecStats indexed = StatsOf(dbs_[4], "20000 = x");
+  EXPECT_GT(indexed.probe_calls, 0);
+  EXPECT_EQ(indexed.blocks_read, 0);
+}
+
+TEST_F(SelectiveScanTest, ComparisonWithNullKeepsNothing) {
+  auto none = [](const ModelRow&) { return false; };
+  ExpectRows("x = NULL", none);
+  ExpectRows("NULL < x", none);
+  ExpectRows("x = NULL AND y <= 40", none);
 }
 
 TEST_F(SelectiveScanTest, DoubleLiteralKeepsTheGeneralKernel) {
@@ -360,8 +420,7 @@ class ScanChunkTest : public ::testing::Test {
     Schema schema = row_ids ? RowIdSchema() : table_->schema();
     return std::make_unique<PhysicalScan>(table_, std::vector<size_t>{},
                                           std::move(predicate),
-                                          std::vector<ColumnRangeConstraint>{},
-                                          /*use_zone_maps=*/false, row_ids,
+                                          /*zone_maps=*/false, row_ids,
                                           schema, context);
   }
 
