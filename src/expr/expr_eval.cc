@@ -31,8 +31,11 @@
 //    BOOLEAN vector (Expr::EvalFilter), and RefineSelection compacts the
 //    selection by it in place. Other predicates (strings, dictionary
 //    columns, IN lists) are read off their BOOLEAN vector; a dictionary
-//    column is still compared once per entry, then mapped through the
-//    codes.
+//    column is compared once per entry, then mapped through the codes.
+//    A scan runs its `col op 'literal'` and `col [NOT] IN (...)`
+//    conjuncts over a dictionary column without this vector: it runs the
+//    conjunct once over the entries into a mask over the codes and tests
+//    each row's code (PhysicalScan, exec/scan.h).
 //  * BIGINT overflow fails with OutOfRange, but only on rows the context
 //    marks live (EvalContext::live), so a CASE branch that a row does not
 //    take never fails on that row.

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <utility>
 
 namespace agora {
@@ -77,6 +79,25 @@ ExprPtr Rebuild(const ExprPtr& e,
   return e;
 }
 
+/// True when `e` cannot fail on any row: a comparison of column
+/// references and literals on the same side of the string/number divide
+/// (the kernel rejects a mix), or IN over a column.
+bool CannotFail(const Expr& e) {
+  auto leaf = [](const ExprPtr& x) {
+    return x->kind() == ExprKind::kColumnRef ||
+           x->kind() == ExprKind::kLiteral;
+  };
+  if (e.kind() == ExprKind::kComparison) {
+    const auto& cmp = static_cast<const ComparisonExpr&>(e);
+    return leaf(cmp.left()) && leaf(cmp.right()) &&
+           (cmp.left()->result_type() == TypeId::kString) ==
+               (cmp.right()->result_type() == TypeId::kString);
+  }
+  return e.kind() == ExprKind::kInList &&
+         static_cast<const InListExpr&>(e).child()->kind() ==
+             ExprKind::kColumnRef;
+}
+
 }  // namespace
 
 ExprPtr RemapColumns(const ExprPtr& e,
@@ -131,6 +152,67 @@ std::optional<ColumnLiteral> MatchColumnLiteral(const Expr& e) {
   }
   return ColumnLiteral{static_cast<const ColumnRefExpr*>(col), op,
                        &static_cast<const LiteralExpr*>(lit)->value()};
+}
+
+bool FoldRange(const ColumnLiteral& m, int64_t* lo, int64_t* hi) {
+  const TypeId type = m.column->result_type();
+  const Value& v = *m.literal;
+  if ((type != TypeId::kInt64 && type != TypeId::kDate) || v.is_null() ||
+      v.type() != type) {
+    return false;
+  }
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t c = v.int64_value();
+  *lo = kMin;
+  *hi = kMax;
+  switch (m.op) {
+    case CompareOp::kEq:
+      *lo = c;
+      *hi = c;
+      break;
+    case CompareOp::kLt:
+      if (c == kMin) std::swap(*lo, *hi);  // nothing is below INT64_MIN
+      else *hi = c - 1;
+      break;
+    case CompareOp::kLe:
+      *hi = c;
+      break;
+    case CompareOp::kGt:
+      if (c == kMax) std::swap(*lo, *hi);  // nothing is above INT64_MAX
+      else *lo = c + 1;
+      break;
+    case CompareOp::kGe:
+      *lo = c;
+      break;
+    case CompareOp::kNe:
+      return false;
+  }
+  return true;
+}
+
+std::vector<ExprPtr> OrderScanConjuncts(std::vector<ExprPtr> conjuncts) {
+  std::vector<ExprPtr> range;
+  std::vector<ExprPtr> rest;
+  const ColumnRefExpr* column = nullptr;  // the range's column
+  size_t i = 0;
+  for (; i < conjuncts.size() && CannotFail(*conjuncts[i]); ++i) {
+    const std::optional<ColumnLiteral> m = MatchColumnLiteral(*conjuncts[i]);
+    int64_t lo = 0;
+    int64_t hi = 0;
+    if (m.has_value() && FoldRange(*m, &lo, &hi) &&
+        (column == nullptr || m->column->index() == column->index())) {
+      column = m->column;
+      range.push_back(std::move(conjuncts[i]));
+    } else {
+      rest.push_back(std::move(conjuncts[i]));
+    }
+  }
+  range.insert(range.end(), std::make_move_iterator(rest.begin()),
+               std::make_move_iterator(rest.end()));
+  range.insert(range.end(), std::make_move_iterator(conjuncts.begin() + i),
+               std::make_move_iterator(conjuncts.end()));
+  return range;
 }
 
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {

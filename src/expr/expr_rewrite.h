@@ -2,6 +2,7 @@
 #define AGORA_EXPR_EXPR_REWRITE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -30,6 +31,22 @@ struct ColumnLiteral {
 /// Matches `column op literal` in either operand order; nullopt for any
 /// other expression. Callers apply their own type rules.
 std::optional<ColumnLiteral> MatchColumnLiteral(const Expr& e);
+
+/// Folds `m` on a BIGINT or DATE column, whose literal is a non-NULL
+/// value of the column's type, into the inclusive range [*lo, *hi] of
+/// values it accepts; *lo > *hi when it accepts none. Returns false for
+/// any other comparison (`<>`, a DOUBLE literal, a string).
+bool FoldRange(const ColumnLiteral& m, int64_t* lo, int64_t* hi);
+
+/// The order a scan runs its conjuncts in. The conjuncts that fold
+/// (FoldRange) onto the column of the first one that folds move to the
+/// front, in their SQL order, so they become one range; the others keep
+/// their SQL order. A conjunct moves only past conjuncts that cannot
+/// fail: comparisons between column references and literals, and IN over
+/// a column. Nothing moves past one that can (arithmetic that can
+/// overflow, a cast), so the rows that reach it, and whether the query
+/// fails, do not change.
+std::vector<ExprPtr> OrderScanConjuncts(std::vector<ExprPtr> conjuncts);
 
 /// Rebuilds an AND tree from conjuncts. Empty input returns nullptr; a
 /// single conjunct is returned as-is.

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "expr/expr_rewrite.h"
+
 namespace agora {
 
 std::string LogicalOperator::TreeString(int indent) const {
@@ -57,7 +59,12 @@ std::string LogicalScan::ToString() const {
     out += "]";
   }
   if (pushed_predicate_ != nullptr) {
-    out += ", filter=" + pushed_predicate_->ToString();
+    // The order the scan runs the conjuncts in (OrderScanConjuncts).
+    const std::vector<ExprPtr> written = SplitConjuncts(pushed_predicate_);
+    const std::vector<ExprPtr> order = OrderScanConjuncts(written);
+    out += ", filter=" + (order == written ? pushed_predicate_
+                                           : CombineConjuncts(order))
+                             ->ToString();
   }
   return out + ")";
 }

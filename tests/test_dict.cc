@@ -5,8 +5,9 @@
 // columns with NULLs: comparisons, IN, LIKE, the hash and equality
 // kernels, CompareRows, gathers and appends, GroupKeyTable and the JSON
 // writer. The table-level tests cover the flat fallback past
-// kMaxDictionaryEntries, UPDATE/DELETE on encoded columns, and the seven
-// TPC-H queries against flat copies of the same tables.
+// kMaxDictionaryEntries, UPDATE/DELETE on encoded columns, the scan's
+// dictionary code tests and the seven TPC-H queries against flat copies
+// of the same tables.
 
 #include <gtest/gtest.h>
 
@@ -504,6 +505,109 @@ std::shared_ptr<Table> FlatCopy(const Table& src) {
     EXPECT_FALSE(out->column(c).is_dictionary()) << src.name() << "." << c;
   }
   return out;
+}
+
+/// The scan's code tests: `s op 'literal'` and `s [NOT] IN (...)` over an
+/// encoded column run as a mask over its codes; over the flat copy (a
+/// column decoded past kMaxDictionaryEntries) they take the general
+/// kernel. Rows, bytes and counters must agree, at 1 and 4 threads.
+class DictScanTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    setenv("AGORA_THREADS", "4", 0);
+    encoded_ = new Database();
+    ASSERT_TRUE(
+        encoded_->Execute("CREATE TABLE e (id BIGINT, s VARCHAR)").ok());
+    ASSERT_TRUE(
+        encoded_->Execute("CREATE TABLE empty (id BIGINT, s VARCHAR)").ok());
+    auto table = encoded_->catalog().GetTable("e");
+    ASSERT_TRUE(table.ok());
+    // 70,000 rows (two morsels) over 37 words; every 11th row NULL.
+    for (int64_t i = 0; i < 70000; ++i) {
+      ASSERT_TRUE((*table)
+                      ->AppendRow({Value::Int64(i),
+                                   i % 11 == 0
+                                       ? Value::Null(TypeId::kString)
+                                       : Value::String(Word(i % 37))})
+                      .ok());
+    }
+    ASSERT_TRUE((*table)->column(1).is_dictionary());
+    flat_ = new Database();
+    for (const char* name : {"e", "empty"}) {
+      auto src = encoded_->catalog().GetTable(name);
+      ASSERT_TRUE(src.ok());
+      ASSERT_TRUE(flat_->catalog().RegisterTable(FlatCopy(**src)).ok());
+    }
+  }
+  static void TearDownTestSuite() {
+    delete encoded_;
+    delete flat_;
+    encoded_ = flat_ = nullptr;
+  }
+
+  static Database* encoded_;
+  static Database* flat_;
+};
+
+Database* DictScanTest::encoded_ = nullptr;
+Database* DictScanTest::flat_ = nullptr;
+
+TEST_F(DictScanTest, CodeTestsMatchTheFlatColumn) {
+  // Word(3), Word(10), ... carry escapes; 'w6' is a plain entry.
+  const std::string cases[] = {
+      "s = 'w6'",
+      "s <> 'w6'",
+      "s < 'w6'",
+      "s >= 'w5'",
+      "'w12' > s",
+      "s IN ('w1', 'w4')",
+      "s NOT IN ('w1', 'w4')",
+      "s IN ('w1', NULL)",
+      "s NOT IN ('w1', NULL)",
+      "s = 'absent'",
+      "s <> 'absent'",
+      "s IN ('absent', 'w2')",
+      "s NOT IN ('absent')",
+      // A code test after the range, between general conjuncts, twice.
+      "s = 'w2' AND id < 30000",
+      "s IN ('w1', 'w2', 'w9') AND id % 3 = 0 AND s <> 'w1'",
+      "id BETWEEN 1000 AND 50000 AND s >= 'w2' AND s < 'w6'",
+      "s = 'w6' AND s <> 'w6'",
+      "s = 'w2' OR s = 'w5'",
+  };
+  for (const std::string& where : cases) {
+    for (const char* table : {"e", "empty"}) {
+      const std::string sql = "SELECT id, s FROM " + std::string(table) +
+                              " WHERE " + where;
+      for (int threads : {1, 4}) {
+        encoded_->set_execution_threads(threads);
+        flat_->set_execution_threads(threads);
+        auto got = encoded_->Execute(sql);
+        auto want = flat_->Execute(sql);
+        encoded_->set_execution_threads(0);
+        flat_->set_execution_threads(0);
+        ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+        const std::string label = sql + " [" + std::to_string(threads) + "]";
+        // Compared whole, not through EXPECT_EQ: a mismatch of two
+        // 70,000-row documents is reported by its row counts.
+        EXPECT_TRUE(QueryHandler::SerializeResultJson(*got) ==
+                    QueryHandler::SerializeResultJson(*want))
+            << label << ": " << got->num_rows() << " rows, want "
+            << want->num_rows();
+        EXPECT_EQ(got->stats().expr_rows_evaluated,
+                  want->stats().expr_rows_evaluated)
+            << label;
+        EXPECT_EQ(got->stats().sel_vector_hits, want->stats().sel_vector_hits)
+            << label;
+        if (std::string(table) == "e" && where != "s = 'absent'" &&
+            where != "s = 'w6' AND s <> 'w6'" &&
+            where != "s NOT IN ('w1', NULL)") {
+          EXPECT_GT(got->num_rows(), 0u) << label;
+        }
+      }
+    }
+  }
 }
 
 class DictTpchTest : public ::testing::Test {

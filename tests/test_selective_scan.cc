@@ -4,7 +4,10 @@
 // the rows a row-at-a-time model keeps, in table order, on the serial
 // pull path, on morsels at 1 and 4 threads, without zone maps, under a
 // memory budget and with a hash index on x; counters must read as if
-// each comparison had run on its own. Runs under `ctest -L parallel`.
+// each comparison had run on its own, in the order the scan runs them
+// (the range's conjuncts first, moved only past conjuncts that cannot
+// fail). Comparisons with NaN keep what their projection accepts. Runs
+// under `ctest -L parallel`.
 
 #include <gtest/gtest.h>
 
@@ -345,6 +348,93 @@ TEST_F(SelectiveScanTest, CountersReadAsIfEachComparisonRanAlone) {
   EXPECT_EQ(static_cast<int64_t>(result->num_rows()), kept[0] + kept[1]);
 }
 
+TEST_F(SelectiveScanTest, RangeMovesFirstPastConjunctsThatCannotFail) {
+  ExpectRows("y <> 50 AND x BETWEEN -2000 AND 3000", [](const ModelRow& r) {
+    return In(r.y, kMin, kMax) && *r.y != 50 && In(r.x, -2000, 3000);
+  });
+  ExpectRows("x <> 7 AND y <= 40 AND d IN (" + Day(5) + ") AND y >= 10",
+             [&](const ModelRow& r) {
+               return In(r.x, kMin, kMax) && *r.x != 7 && In(r.y, 10, 40) &&
+                      In(r.d, kFirstDay + 5, kFirstDay + 5);
+             });
+  // Only the first folding column leads; x's bounds stay behind y's.
+  ExpectRows("y < 30 AND x BETWEEN -2000 AND 3000", [](const ModelRow& r) {
+    return In(r.y, kMin, 29) && In(r.x, -2000, 3000);
+  });
+}
+
+TEST_F(SelectiveScanTest, ReorderedConjunctsCountInTheirRunOrder) {
+  // `y <> 50 AND x BETWEEN lo AND hi` runs as x >= lo, x <= hi, y <> 50;
+  // `y < 30 AND x BETWEEN lo AND hi` folds y < 30, the first conjunct
+  // that folds, and runs x >= lo, x <= hi after it. Each conjunct is one
+  // batch under a selection per block, over the rows the ones before it
+  // kept, at every thread count.
+  const int64_t lo = -2000;
+  const int64_t hi = 3000;
+  int64_t x_lo = 0;
+  int64_t x_both = 0;
+  int64_t y_lt = 0;
+  int64_t y_lt_x_lo = 0;
+  for (const ModelRow& r : *model_) {
+    x_lo += In(r.x, lo, kMax) ? 1 : 0;
+    x_both += In(r.x, lo, hi) ? 1 : 0;
+    y_lt += In(r.y, kMin, 29) ? 1 : 0;
+    y_lt_x_lo += In(r.y, kMin, 29) && In(r.x, lo, kMax) ? 1 : 0;
+  }
+  const std::string between =
+      " AND x BETWEEN " + std::to_string(lo) + " AND " + std::to_string(hi);
+  const std::pair<std::string, int64_t> cases[] = {
+      {"y <> 50" + between, kRows + x_lo + x_both},
+      {"y < 30" + between, kRows + y_lt + y_lt_x_lo}};
+  const int64_t blocks = (kRows + kChunkSize - 1) / kChunkSize;
+  for (const auto& [where, evaluated] : cases) {
+    for (int threads : {1, 4}) {
+      auto result = RunAt(dbs_[2], threads, "SELECT id FROM t WHERE " + where);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->stats().expr_rows_evaluated, evaluated)
+          << where << " " << threads;
+      EXPECT_EQ(result->stats().sel_vector_hits, 3 * blocks)
+          << where << " " << threads;
+    }
+  }
+}
+
+TEST_F(SelectiveScanTest, RangeNeverMovesPastAConjunctThatCanFail) {
+  // Written after the range, the product sees only rows whose product
+  // fits (OverflowAfterTheRangeFailsOnlyOnKeptRows). Written before it,
+  // it sees every row and overflows: the range does not move past it.
+  const std::string sql =
+      "SELECT id FROM t WHERE v * 100000000000000 < 0 AND x BETWEEN 19999 "
+      "AND 20001";
+  for (Database* db : dbs_) {
+    for (int threads : {1, 4}) {
+      auto result = RunAt(db, threads, sql);
+      ASSERT_FALSE(result.ok()) << threads;
+      EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+          << result.status().ToString();
+    }
+  }
+}
+
+TEST_F(SelectiveScanTest, ExplainPrintsTheRunOrder) {
+  // x's bounds move past y <> 50 but not past the product; x < 0 stays
+  // behind the product.
+  auto plan = dbs_[1]->Explain(
+      "SELECT id FROM t WHERE y <> 50 AND x BETWEEN 1 AND 2 AND v * 2 > 0 "
+      "AND x < 0");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("filter=((t.x >= 1) AND (t.x <= 2) AND (t.y <> 50) "
+                       "AND ((t.v * 2) > 0) AND (t.x < 0))"),
+            std::string::npos)
+      << *plan;
+  // A predicate already in run order prints as written.
+  plan = dbs_[1]->Explain("SELECT id FROM t WHERE x >= 1 AND y <> 50");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("filter=((t.x >= 1) AND (t.y <> 50))"),
+            std::string::npos)
+      << *plan;
+}
+
 TEST_F(SelectiveScanTest, AggregatesOverTheScanAreByteIdentical) {
   // The BIGINT and DATE keys take direct-indexed group ids in memory and
   // the hash path under the budget. Float sums make the accumulation
@@ -392,6 +482,42 @@ TEST_F(SelectiveScanTest, AggregatesOverTheScanAreByteIdentical) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+/// A comparison with a NaN literal keeps in WHERE exactly the rows whose
+/// projected comparison is TRUE, with and without zone maps: a NaN bound
+/// prunes no block. (The comparison's own NaN semantics are the
+/// evaluator's, whatever they are.)
+TEST(ScanNanTest, NanLiteralKeepsTheRowsItsComparisonAccepts) {
+  for (bool zone_maps : {true, false}) {
+    DatabaseOptions options;
+    options.physical.enable_zone_maps = zone_maps;
+    Database db(options);
+    ASSERT_TRUE(db.Execute("CREATE TABLE n (x DOUBLE)").ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO n VALUES (1.0), "
+                           "(CAST('nan' AS DOUBLE)), (2.0)")
+                    .ok());
+    const std::string nan = "CAST('nan' AS DOUBLE)";
+    for (const char* op : {"=", "<>", "<", "<=", ">", ">="}) {
+      // A second, finite bound makes the scan build zone maps.
+      for (const std::string& where :
+           {"x " + std::string(op) + " " + nan,
+            nan + " " + std::string(op) + " x",
+            "x > -1000.0 AND x " + std::string(op) + " " + nan}) {
+        auto projected = db.Execute("SELECT " + where + " FROM n");
+        ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+        int64_t want = 0;
+        for (size_t r = 0; r < projected->num_rows(); ++r) {
+          const Value v = projected->Get(r, 0);
+          want += !v.is_null() && v.bool_value() ? 1 : 0;
+        }
+        auto counted = db.Execute("SELECT COUNT(*) FROM n WHERE " + where);
+        ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+        EXPECT_EQ(counted->Get(0, 0).int64_value(), want)
+            << where << (zone_maps ? " [zone maps]" : " [no zone maps]");
       }
     }
   }
