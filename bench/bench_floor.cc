@@ -9,8 +9,8 @@
 // and Q14 at SF 0.05 ride along as the two scan-dominated TPC-H queries.
 // join_filter joins events to the accounts of one branch, so the events
 // scan carries the join's pushed key filter from a selective build side.
-// kind_eq and kind_in count events by their dictionary-encoded kind, a
-// test the scan runs over the column's codes.
+// kind_eq and kind_in count events by their dictionary-encoded kind,
+// tested once per dictionary entry and then per row by code.
 //
 // For each statement the binary prints and writes to BENCH_floor.json
 // the median latency, ns per base-table row and the scan-side counters
@@ -260,7 +260,8 @@ void CheckAnswers(FloorData* data) {
            "totals of " + kind + " events of accounts " + lo + ".." + hi);
   }
 
-  // The dictionary code tests (kKinds[2] is 'fee', kKinds[3] 'interest').
+  // The string conjuncts over the encoded kind (kKinds[2] is 'fee',
+  // kKinds[3] 'interest').
   QueryResult fees = MustExecute(db, kKindEqSql);
   Expect(fees.num_rows() == 1 &&
              fees.data().column(0).GetInt64(0) == data->kind_rows[2],

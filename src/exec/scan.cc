@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -99,83 +98,6 @@ size_t CountInRange(const int64_t* x, const uint8_t* valid, size_t n,
   return k;
 }
 
-/// The column a dictionary code test reads for `conjunct`: `col op
-/// 'literal'` or `col [NOT] IN (...)` over a STRING column; null for any
-/// other conjunct. Decided on the bound expression alone, before any
-/// evaluation (binding counts rows).
-const ColumnRefExpr* CodeTestColumn(const Expr& conjunct) {
-  const Expr* column = nullptr;
-  if (conjunct.kind() == ExprKind::kInList) {
-    column = static_cast<const InListExpr&>(conjunct).child().get();
-  } else if (std::optional<ColumnLiteral> m = MatchColumnLiteral(conjunct);
-             m.has_value() && m->literal->type() == TypeId::kString) {
-    column = m->column;
-  }
-  if (column == nullptr || column->kind() != ExprKind::kColumnRef ||
-      column->result_type() != TypeId::kString) {
-    return nullptr;
-  }
-  return static_cast<const ColumnRefExpr*>(column);
-}
-
-/// Sets `*mask` to one byte per code of `dict` (at least one): 1 where
-/// `entry_test`, run over a one-column chunk of the entries, is TRUE.
-Status BuildCodeMask(const Expr& entry_test, const Dictionary& dict,
-                     std::vector<uint8_t>* mask) {
-  ColumnVector entries(TypeId::kString);
-  for (const std::string& entry : dict.entries()) entries.AppendString(entry);
-  Chunk chunk;
-  chunk.AddColumn(std::move(entries));
-  ColumnVector result;
-  AGORA_RETURN_IF_ERROR(entry_test.Evaluate(chunk, &result));
-  mask->assign(std::max<size_t>(dict.size(), 1), 0);
-  for (size_t code = 0; code < dict.size(); ++code) {
-    (*mask)[code] = !result.IsNull(code) && result.GetBool(code) ? 1 : 0;
-  }
-  return Status::OK();
-}
-
-/// Writes the rows of `col` that are valid and whose code `mask` holds to
-/// `out`, ascending, and returns how many: of in[0, n), or of the block
-/// [base, base + n) when `in` is null. One branch-free pass; `out` may be
-/// `in`. A NULL row reads code 0, whatever its payload; when no row in
-/// the span is NULL, the pass reads no validity.
-size_t SelectByCode(const ColumnVector& col, const uint8_t* mask,
-                    uint32_t base, const uint32_t* in, size_t n,
-                    uint32_t* out) {
-  if (n == 0) return 0;
-  const uint32_t* codes = col.codes_data();
-  const uint8_t* valid = col.validity_data();
-  const uint32_t first = in == nullptr ? base : in[0];
-  const uint32_t last = in == nullptr ? base + static_cast<uint32_t>(n - 1)
-                                      : in[n - 1];
-  const bool nulls =
-      std::memchr(valid + first, 0, last - first + 1) != nullptr;
-  auto select = [&](auto row_of, auto keeps) {
-    size_t k = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = row_of(i);
-      out[k] = r;
-      k += keeps(r);
-    }
-    return k;
-  };
-  auto by_code = [&](auto row_of) {
-    if (!nulls) {
-      return select(row_of,
-                    [&](uint32_t r) -> size_t { return mask[codes[r]]; });
-    }
-    return select(row_of, [&](uint32_t r) -> size_t {
-      return valid[r] & mask[codes[r] & (0u - valid[r])];
-    });
-  };
-  if (in == nullptr) {
-    return by_code(
-        [base](size_t i) { return base + static_cast<uint32_t>(i); });
-  }
-  return by_code([in](size_t i) { return in[i]; });
-}
-
 }  // namespace
 
 PhysicalScan::PhysicalScan(std::shared_ptr<Table> table,
@@ -191,10 +113,10 @@ PhysicalScan::PhysicalScan(std::shared_ptr<Table> table,
 }
 
 void PhysicalScan::PlanPredicate(bool zone_maps) {
+  rest_predicate_ = predicate_;
   if (predicate_ == nullptr) return;
-  const std::vector<ExprPtr> conjuncts =
-      OrderScanConjuncts(SplitConjuncts(predicate_));
-  size_t folded = 0;  // the leading conjuncts folded into the range
+  ScanOrder order = OrderScanConjuncts(SplitConjuncts(predicate_));
+  std::vector<ExprPtr>& conjuncts = order.conjuncts;
   IntRange range;
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     const std::optional<ColumnLiteral> m = MatchColumnLiteral(*conjuncts[i]);
@@ -202,50 +124,23 @@ void PhysicalScan::PlanPredicate(bool zone_maps) {
       std::optional<ColumnRangeConstraint> r = ZoneRange(*conjuncts[i], m);
       if (r.has_value()) ranges_.push_back(std::move(*r));
     }
-    // The leading range ends at the first conjunct that does not fold
-    // onto its column.
+    if (i >= order.range) continue;
     int64_t lo = 0;
     int64_t hi = 0;
-    if (folded < i || !m.has_value() || !FoldRange(*m, &lo, &hi) ||
-        (i > 0 && m->column->index() != range_column_)) {
-      continue;
-    }
+    FoldRange(*m, &lo, &hi);  // the order put only folding conjuncts here
     range_column_ = m->column->index();
     range.lo = std::max(range.lo, lo);
     range.hi = std::min(range.hi, hi);
     range_prefixes_.push_back(range);
-    ++folded;
   }
-  if (folded == 0 &&
-      std::none_of(conjuncts.begin(), conjuncts.end(), [](const ExprPtr& c) {
-        return CodeTestColumn(*c) != nullptr;
-      })) {
-    steps_.push_back(FilterStep{predicate_, SIZE_MAX, nullptr});
-    return;
-  }
-  // Each code test is a step of its own; the conjuncts between them stay
-  // ANDs, so a non-BOOLEAN conjunct fails as the operand of a logical
-  // expression, exactly as inside the whole one.
-  std::vector<ExprPtr> run;
-  auto end_run = [&] {
-    if (run.empty()) return;
-    steps_.push_back(FilterStep{
-        std::make_shared<LogicalExpr>(LogicalOp::kAnd, std::move(run)),
-        SIZE_MAX, nullptr});
-    run.clear();
-  };
-  for (size_t i = folded; i < conjuncts.size(); ++i) {
-    const ColumnRefExpr* column = CodeTestColumn(*conjuncts[i]);
-    if (column == nullptr) {
-      run.push_back(conjuncts[i]);
-      continue;
-    }
-    end_run();
-    steps_.push_back(FilterStep{
-        conjuncts[i], column->index(),
-        RemapColumns(conjuncts[i], [](size_t) { return size_t{0}; })});
-  }
-  end_run();
+  if (order.range == 0) return;  // nothing moved: the predicate as written
+  conjuncts.erase(conjuncts.begin(), conjuncts.begin() + order.range);
+  // The rest stays an AND, so a non-BOOLEAN conjunct fails as the
+  // operand of a logical expression, exactly as inside the whole one.
+  rest_predicate_ =
+      conjuncts.empty()
+          ? nullptr
+          : std::make_shared<LogicalExpr>(LogicalOp::kAnd, std::move(conjuncts));
 }
 
 std::optional<PhysicalScan::ColumnRangeConstraint> PhysicalScan::ZoneRange(
@@ -310,15 +205,6 @@ Status PhysicalScan::OpenImpl() {
   if (predicate_ != nullptr || !join_filters_.empty()) {
     scan_view_ = table_->GetChunk(0, table_->num_rows(), projection_);
   }
-  code_masks_.assign(steps_.size(), {});
-  for (size_t s = 0; s < steps_.size(); ++s) {
-    const FilterStep& step = steps_[s];
-    if (step.entry_test == nullptr) continue;
-    const ColumnVector& col = scan_view_.column(step.code_column);
-    if (!col.is_dictionary()) continue;  // flat: the general kernel
-    AGORA_RETURN_IF_ERROR(
-        BuildCodeMask(*step.entry_test, col.dictionary(), &code_masks_[s]));
-  }
   join_filter_keys_.clear();
   for (const JoinFilter& filter : join_filters_) {
     std::vector<ColumnVector> keys;
@@ -352,25 +238,9 @@ Status PhysicalScan::FilterBlock(size_t start, size_t n, ScanCursor* cur,
   const auto base = static_cast<uint32_t>(start);
   // While no predicate has run, the selection is the whole block and the
   // first join filter reads it in place.
-  const bool whole = predicate_ == nullptr;
-  const size_t view_rows = scan_view_.num_rows();
-  // Code tests are counted as the conjunct's kernel would count its one
-  // batch under a selection.
-  auto code_test = [&](size_t s, const uint32_t* in, size_t m) {
-    stats->expr_rows_evaluated += static_cast<int64_t>(m);
-    stats->sel_vector_hits += m < view_rows ? 1 : 0;
-    rows.resize(SelectByCode(scan_view_.column(steps_[s].code_column),
-                             code_masks_[s].data(), base, in, m,
-                             rows.data()));
-  };
-  size_t first_step = 0;
+  const bool whole = range_column_ == SIZE_MAX && rest_predicate_ == nullptr;
   if (range_column_ == SIZE_MAX) {
-    if (!steps_.empty() && !code_masks_[0].empty()) {
-      code_test(0, nullptr, n);  // reads the block's rows in place
-      first_step = 1;
-    } else if (!whole) {
-      std::iota(rows.begin(), rows.end(), base);
-    }
+    if (!whole) std::iota(rows.begin(), rows.end(), base);
   } else {
     // The leading range reads the block's rows in place. It counts what
     // its comparisons would count one by one: each evaluates, under a
@@ -390,6 +260,7 @@ Status PhysicalScan::FilterBlock(size_t start, size_t n, ScanCursor* cur,
       kept_by_first = CountInRange(x, valid, n, first.lo, first.hi);
     }
     rows.resize(kept);
+    const size_t view_rows = scan_view_.num_rows();
     for (size_t j = 0; j < range_prefixes_.size(); ++j) {
       size_t before = n;
       if (j == 1) {
@@ -402,16 +273,12 @@ Status PhysicalScan::FilterBlock(size_t start, size_t n, ScanCursor* cur,
       stats->sel_vector_hits += before < view_rows ? 1 : 0;
     }
   }
-  for (size_t s = first_step; s < steps_.size(); ++s) {
-    if (!code_masks_[s].empty()) {
-      code_test(s, rows.data(), rows.size());
-      continue;
-    }
+  if (rest_predicate_ != nullptr) {
     Selection sel;
     sel.all = false;
     sel.rows.swap(rows);
     ExprCounters counters;
-    Status st = RefineSelection(*steps_[s].expr, scan_view_, &sel, &counters);
+    Status st = RefineSelection(*rest_predicate_, scan_view_, &sel, &counters);
     rows.swap(sel.rows);
     AGORA_RETURN_IF_ERROR(st);
     stats->expr_rows_evaluated += counters.rows_evaluated;

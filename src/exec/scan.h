@@ -56,29 +56,24 @@ struct JoinFilter {
 /// one pass over the conjuncts fixes the order they run in
 /// (OrderScanConjuncts: the conjuncts that fold onto one BIGINT or DATE
 /// column move to the front, past conjuncts that cannot fail only; the
-/// rest keep their SQL order; EXPLAIN prints this order), finds the
-/// leading range and the dictionary code tests below, and, with
-/// `zone_maps`, the bound each conjunct puts on a column for block
-/// skipping: `col op literal` on a numeric or BOOLEAN column (not `<>`,
-/// NULL, NaN or string literals) and `col IN (...)` of numbers, as a
-/// point set. The order is part of the plan, so counters read as if each
-/// conjunct ran alone in that order and agree at every thread count.
+/// rest keep their SQL order; EXPLAIN prints this order), splits off the
+/// leading range below, and, with `zone_maps`, finds the bound each
+/// conjunct puts on a column for block skipping: `col op literal` on a
+/// numeric or BOOLEAN column (not `<>`, NULL, NaN or string literals) and
+/// `col IN (...)` of numbers, as a point set. The order is part of the
+/// plan, so counters read as if each conjunct ran alone in that order and
+/// agree at every thread count.
 ///
 /// The fused filter path (a pushed predicate or a join filter) builds a
 /// selection of absolute row ids per block over a zero-copy table view:
 ///  * Leading range. The `col op literal` comparisons at the front of the
 ///    order on one BIGINT or DATE column, each literal of the column's
 ///    type, fold into one inclusive int64 range, tested in one
-///    branch-free pass over the block's contiguous rows. The other
-///    conjuncts refine that selection in order, so a conjunct sees only
-///    the rows earlier ones kept: through RefineSelection, or
-///  * by dictionary code. A conjunct `col op 'literal'` or `col [NOT] IN
-///    (...)` over a STRING column that is in dictionary form when the
-///    scan opens runs once over the dictionary's entries, with its own
-///    kernel, into a byte mask over the codes (OpenImpl); per block it is
-///    one branch-free pass over the selection that keeps a valid row when
-///    the mask holds its code. A column in flat form (decoded past
-///    kMaxDictionaryEntries) takes the general kernel.
+///    branch-free pass over the block's contiguous rows. The rest of the
+///    predicate refines that selection (RefineSelection), so a later
+///    conjunct sees only the rows earlier ones kept. A string comparison
+///    or IN list over a dictionary column runs there once per entry and
+///    keeps each row by its code (expr/expr_eval.cc).
 ///  * Join filters (AddJoinFilter) refine it next: each tests its key
 ///    columns straight from the table through the selection
 ///    (JoinKeyFilter::Select: a key bitmap, or a Bloom filter over the
@@ -167,21 +162,9 @@ class PhysicalScan : public PhysicalOperator {
     std::vector<double> points;
   };
 
-  /// A run of the predicate's conjuncts after the leading range: an AND
-  /// refined through RefineSelection, or one conjunct that may run as a
-  /// dictionary code test.
-  struct FilterStep {
-    ExprPtr expr;
-    /// For a code test candidate, the scan_view_ column it reads and
-    /// `expr` over a one-column chunk of that column's dictionary entries;
-    /// SIZE_MAX and null otherwise.
-    size_t code_column = SIZE_MAX;
-    ExprPtr entry_test;
-  };
-
   /// The one pass over the predicate's conjuncts: orders them, splits off
-  /// the leading range (range_column_, range_prefixes_) from the steps
-  /// after it (steps_) and, with `zone_maps`, collects ranges_.
+  /// the leading range (range_column_, range_prefixes_) from the rest
+  /// (rest_predicate_) and, with `zone_maps`, collects ranges_.
   void PlanPredicate(bool zone_maps);
   /// The zone-map bound `conjunct` (matched as `m`, when it compares a
   /// column with a literal) puts on a base-table column, if any.
@@ -206,12 +189,9 @@ class PhysicalScan : public PhysicalOperator {
   /// the rows passing conjuncts 0..j, and the last is the whole range.
   size_t range_column_ = SIZE_MAX;
   std::vector<IntRange> range_prefixes_;
-  /// The predicate after the leading range, in the order it runs.
-  std::vector<FilterStep> steps_;
-  /// Per step, its mask over the codes of its column's dictionary (one
-  /// byte per code, at least one), built in Open; empty when the step
-  /// runs its expression.
-  std::vector<std::vector<uint8_t>> code_masks_;
+  /// The predicate's conjuncts after the leading range, in the order they
+  /// run (null if none).
+  ExprPtr rest_predicate_;
   /// Zone-map bounds of the predicate; empty without zone maps.
   std::vector<ColumnRangeConstraint> ranges_;
   bool emit_row_ids_;

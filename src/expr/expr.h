@@ -369,6 +369,8 @@ class InListExpr : public Expr {
   const Candidates& candidates() const { return candidates_; }
 
   Status EvalBatch(const EvalContext& ctx, ColumnVector* out) const override;
+  Result<bool> EvalFilter(const EvalContext& ctx,
+                          uint8_t* keep) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_shared<InListExpr>(child_->Clone(), values_, negated_);

@@ -27,15 +27,16 @@
 //    batch it is one memset, otherwise one AND of the operands' validity
 //    bytes, followed by a pass that zeroes the payload of NULL rows so
 //    they carry payload 0 exactly like AppendNull would.
-//  * As a filter, a numeric comparison writes a keep-mask instead of a
-//    BOOLEAN vector (Expr::EvalFilter), and RefineSelection compacts the
-//    selection by it in place. Other predicates (strings, dictionary
-//    columns, IN lists) are read off their BOOLEAN vector; a dictionary
-//    column is compared once per entry, then mapped through the codes.
-//    A scan runs its `col op 'literal'` and `col [NOT] IN (...)`
-//    conjuncts over a dictionary column without this vector: it runs the
-//    conjunct once over the entries into a mask over the codes and tests
-//    each row's code (PhysicalScan, exec/scan.h).
+//  * As a filter, a comparison or a string IN list writes a keep-mask
+//    instead of a BOOLEAN vector (Expr::EvalFilter), and RefineSelection
+//    compacts the selection by it in place; other predicates are read
+//    off their BOOLEAN vector.
+//  * A string predicate on a dictionary column (compared with a
+//    constant, IN, LIKE) runs once per entry when the batch has at least
+//    as many rows as the dictionary has entries, and the answers are
+//    mapped through the rows' codes: as a filter, one branch-free byte
+//    lookup per row. Smaller batches, and columns decoded to flat form
+//    past kMaxDictionaryEntries, compare row by row.
 //  * BIGINT overflow fails with OutOfRange, but only on rows the context
 //    marks live (EvalContext::live), so a CASE branch that a row does not
 //    take never fails on that row.
@@ -473,15 +474,39 @@ struct StrReader {
   }
 };
 
+/// Where a string kernel writes its answers over n rows: BOOLEAN
+/// validity and payload (ov, ob), or, as a filter, `keep` alone: 1 where
+/// the answer is TRUE, 0 where it is FALSE or NULL.
+struct BoolOut {
+  uint8_t* ov = nullptr;
+  int64_t* ob = nullptr;
+  uint8_t* keep = nullptr;
+};
+
+/// Runs `kernel(n, ov, ob)` into `out`: straight into (ov, ob), or, as a
+/// filter, into scratch arrays that then fold into `keep`.
+template <typename Kernel>
+void WriteRows(size_t n, const BoolOut& out, const Kernel& kernel) {
+  if (out.keep == nullptr) {
+    kernel(n, out.ov, out.ob);
+    return;
+  }
+  std::vector<uint8_t> ov(n);
+  std::vector<int64_t> ob(n);
+  kernel(n, ov.data(), ob.data());
+  for (size_t i = 0; i < n; ++i) out.keep[i] = ov[i] & (ob[i] != 0 ? 1 : 0);
+}
+
 /// Dictionary path of a string predicate. When `op` is a dictionary
 /// column and the batch has at least as many rows as the dictionary has
 /// entries, runs `entry_kernel(entries, k, ov, ob)` once over the k
 /// entries (a StrReader with every entry valid) and maps the answers
-/// over the rows' codes; a NULL row stays NULL. Returns false, writing
-/// nothing, when the per-row kernel should run instead.
+/// over the rows' codes into `out`; a NULL row stays NULL (keeps 0).
+/// Returns false, writing nothing, when the per-row kernel should run
+/// instead.
 template <typename EntryKernel>
-bool EvalOverDictionary(const Operand& op, size_t n, uint8_t* ov,
-                        int64_t* ob, const EntryKernel& entry_kernel) {
+bool EvalOverDictionary(const Operand& op, size_t n, const BoolOut& out,
+                        const EntryKernel& entry_kernel) {
   if (op.constant || !op.vec->is_dictionary()) return false;
   const Dictionary& dict = op.vec->dictionary();
   const size_t k = dict.size();
@@ -494,12 +519,32 @@ bool EvalOverDictionary(const Operand& op, size_t n, uint8_t* ov,
   entry_kernel(entries, k, entry_ov.data(), entry_ob.data());
   const uint8_t* validity = op.vec->validity_data();
   const uint32_t* codes = op.vec->codes_data();
+  if (out.keep != nullptr) {
+    // One byte per code, then one branch-free lookup per row; a NULL
+    // row reads code 0, whatever its payload, and keeps 0.
+    std::vector<uint8_t> entry_keep(k + 1);
+    for (size_t c = 0; c <= k; ++c) {
+      entry_keep[c] = entry_ov[c] & (entry_ob[c] != 0 ? 1 : 0);
+    }
+    auto lookup = [&](auto row_of) {
+      for (size_t i = 0; i < n; ++i) {
+        const size_t p = row_of(i);
+        out.keep[i] = validity[p] & entry_keep[codes[p] & (0u - validity[p])];
+      }
+    };
+    if (op.sel != nullptr) {
+      lookup([&](size_t i) -> size_t { return op.sel[i]; });
+    } else {
+      lookup([](size_t i) { return i; });
+    }
+    return true;
+  }
   for (size_t i = 0; i < n; ++i) {
     const size_t p = op.Row(i);
     const bool valid = validity[p] != 0;
     const uint32_t code = valid ? codes[p] : 0;
-    ov[i] = valid ? entry_ov[code] : 0;
-    ob[i] = valid ? entry_ob[code] : 0;
+    out.ov[i] = valid ? entry_ov[code] : 0;
+    out.ob[i] = valid ? entry_ob[code] : 0;
   }
   return true;
 }
@@ -560,9 +605,9 @@ Status BindCompare(const ComparisonExpr& e, const EvalContext& ctx,
 /// String comparison kernel over k rows (k = 1 for two constants): a
 /// dictionary column against a constant compares each entry once.
 void CompareStrKernel(CompareOp op, const Operand& l, const Operand& r,
-                      size_t k, uint8_t* ov, int64_t* ob) {
+                      size_t k, const BoolOut& out) {
   if (r.constant &&
-      EvalOverDictionary(l, k, ov, ob,
+      EvalOverDictionary(l, k, out,
                          [&](const StrReader& entries, size_t m,
                              uint8_t* eov, int64_t* eob) {
                            CompareStrRows(op, entries, StrReader(r), m, eov,
@@ -571,7 +616,7 @@ void CompareStrKernel(CompareOp op, const Operand& l, const Operand& r,
     return;
   }
   if (l.constant &&
-      EvalOverDictionary(r, k, ov, ob,
+      EvalOverDictionary(r, k, out,
                          [&](const StrReader& entries, size_t m,
                              uint8_t* eov, int64_t* eob) {
                            CompareStrRows(op, StrReader(l), entries, m, eov,
@@ -579,7 +624,9 @@ void CompareStrKernel(CompareOp op, const Operand& l, const Operand& r,
                          })) {
     return;
   }
-  CompareStrRows(op, StrReader(l), StrReader(r), k, ov, ob);
+  WriteRows(k, out, [&](size_t m, uint8_t* ov, int64_t* ob) {
+    CompareStrRows(op, StrReader(l), StrReader(r), m, ov, ob);
+  });
 }
 
 /// Comparison kernel over k rows (k = 1 for two constants) into BOOLEAN
@@ -587,7 +634,7 @@ void CompareStrKernel(CompareOp op, const Operand& l, const Operand& r,
 void CompareKernel(CompareOp op, const Operand& l, const Operand& r,
                    size_t k, uint8_t* ov, int64_t* ob) {
   if (l.type == TypeId::kString) {
-    CompareStrKernel(op, l, r, k, ov, ob);
+    CompareStrKernel(op, l, r, k, BoolOut{ov, ob, nullptr});
     return;
   }
   std::vector<uint8_t> res(k);
@@ -599,6 +646,34 @@ void CompareKernel(CompareOp op, const Operand& l, const Operand& r,
   }
 }
 
+/// String IN-list kernel over k rows of `c` (see InListKernel): a
+/// dictionary column tests each entry once.
+void InListStrKernel(const InListExpr& e, const Operand& c, size_t k,
+                     const BoolOut& out) {
+  const InListExpr::Candidates& cand = e.candidates();
+  const bool negated = e.negated();
+  auto str_kernel = [&](const StrReader& s, size_t m, uint8_t* sov,
+                        int64_t* sob) {
+    for (size_t i = 0; i < m; ++i) {
+      if (s.Null(i)) {
+        sov[i] = 0;
+        sob[i] = 0;
+        continue;
+      }
+      const bool hit = std::find(cand.strings.begin(), cand.strings.end(),
+                                 s.Get(i)) != cand.strings.end();
+      const bool valid = hit || !cand.has_null;
+      sov[i] = valid ? 1 : 0;
+      sob[i] = (valid && hit != negated) ? 1 : 0;
+    }
+  };
+  if (!EvalOverDictionary(c, k, out, str_kernel)) {
+    WriteRows(k, out, [&](size_t m, uint8_t* ov, int64_t* ob) {
+      str_kernel(StrReader(c), m, ov, ob);
+    });
+  }
+}
+
 /// IN-list kernel over k rows of `c` with Value::Compare semantics: a
 /// match yields !negated; no match yields NULL when the list holds a
 /// NULL, else `negated`; a NULL row yields NULL.
@@ -607,24 +682,7 @@ void InListKernel(const InListExpr& e, const Operand& c, size_t k,
   const InListExpr::Candidates& cand = e.candidates();
   const bool negated = e.negated();
   if (c.type == TypeId::kString) {
-    auto str_kernel = [&](const StrReader& s, size_t m, uint8_t* sov,
-                          int64_t* sob) {
-      for (size_t i = 0; i < m; ++i) {
-        if (s.Null(i)) {
-          sov[i] = 0;
-          sob[i] = 0;
-          continue;
-        }
-        const bool hit = std::find(cand.strings.begin(), cand.strings.end(),
-                                   s.Get(i)) != cand.strings.end();
-        const bool valid = hit || !cand.has_null;
-        sov[i] = valid ? 1 : 0;
-        sob[i] = (valid && hit != negated) ? 1 : 0;
-      }
-    };
-    if (!EvalOverDictionary(c, k, ov, ob, str_kernel)) {
-      str_kernel(StrReader(c), k, ov, ob);
-    }
+    InListStrKernel(e, c, k, BoolOut{ov, ob, nullptr});
     return;
   }
   // Numbers: hits over every row's payload (a NULL row reads 0), then
@@ -716,20 +774,15 @@ Status ComparisonExpr::EvalBatch(const EvalContext& ctx,
 
 Result<bool> ComparisonExpr::EvalFilter(const EvalContext& ctx,
                                         uint8_t* keep) const {
-  // Strings take EvalBatch (decided before binding, which counts).
-  if (left_->result_type() == TypeId::kString ||
-      right_->result_type() == TypeId::kString) {
-    return false;
-  }
   Operand l, r;
   AGORA_RETURN_IF_ERROR(BindCompare(*this, ctx, &l, &r));
+  const size_t n = ctx.NumRows();
   if (l.type == TypeId::kString) {
-    return Status::Internal("string operand in a numeric comparison: " +
-                            ToString());
+    CompareStrKernel(op_, l, r, n, BoolOut{nullptr, nullptr, keep});
+    return true;
   }
   // Numbers: the compare writes the mask directly, and NULL rows are
   // masked out only when the batch has any.
-  const size_t n = ctx.NumRows();
   CompareNumRows(op_, l, r, n, keep);
   std::vector<uint8_t> valid(n);
   if (CombineValidity(l, r, n, valid.data())) {
@@ -938,7 +991,9 @@ Status LikeExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
     }
   };
   EvalBoolKernel(c.constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
-    if (!EvalOverDictionary(c, k, ov, ob, like)) like(StrReader(c), k, ov, ob);
+    if (!EvalOverDictionary(c, k, BoolOut{ov, ob, nullptr}, like)) {
+      like(StrReader(c), k, ov, ob);
+    }
   });
   return Status::OK();
 }
@@ -974,6 +1029,22 @@ Status InListExpr::EvalBatch(const EvalContext& ctx,
     InListKernel(*this, c, k, ov, ob);
   });
   return Status::OK();
+}
+
+Result<bool> InListExpr::EvalFilter(const EvalContext& ctx,
+                                    uint8_t* keep) const {
+  // Numbers take EvalBatch (decided before binding, which counts).
+  if (child_->result_type() != TypeId::kString) return false;
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
+  const size_t n = ctx.NumRows();
+  CountBatch(ctx, n);
+  if (c.type != TypeId::kString) {
+    return Status::Internal("non-string operand in a string IN list: " +
+                            ToString());
+  }
+  InListStrKernel(*this, c, n, BoolOut{nullptr, nullptr, keep});
+  return true;
 }
 
 Status CastExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {

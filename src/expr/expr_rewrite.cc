@@ -191,8 +191,8 @@ bool FoldRange(const ColumnLiteral& m, int64_t* lo, int64_t* hi) {
   return true;
 }
 
-std::vector<ExprPtr> OrderScanConjuncts(std::vector<ExprPtr> conjuncts) {
-  std::vector<ExprPtr> range;
+ScanOrder OrderScanConjuncts(std::vector<ExprPtr> conjuncts) {
+  ScanOrder order;
   std::vector<ExprPtr> rest;
   const ColumnRefExpr* column = nullptr;  // the range's column
   size_t i = 0;
@@ -203,16 +203,18 @@ std::vector<ExprPtr> OrderScanConjuncts(std::vector<ExprPtr> conjuncts) {
     if (m.has_value() && FoldRange(*m, &lo, &hi) &&
         (column == nullptr || m->column->index() == column->index())) {
       column = m->column;
-      range.push_back(std::move(conjuncts[i]));
+      order.conjuncts.push_back(std::move(conjuncts[i]));
     } else {
       rest.push_back(std::move(conjuncts[i]));
     }
   }
-  range.insert(range.end(), std::make_move_iterator(rest.begin()),
-               std::make_move_iterator(rest.end()));
-  range.insert(range.end(), std::make_move_iterator(conjuncts.begin() + i),
-               std::make_move_iterator(conjuncts.end()));
-  return range;
+  order.range = order.conjuncts.size();
+  std::vector<ExprPtr>& out = order.conjuncts;
+  out.insert(out.end(), std::make_move_iterator(rest.begin()),
+             std::make_move_iterator(rest.end()));
+  out.insert(out.end(), std::make_move_iterator(conjuncts.begin() + i),
+             std::make_move_iterator(conjuncts.end()));
+  return order;
 }
 
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {

@@ -38,15 +38,21 @@ std::optional<ColumnLiteral> MatchColumnLiteral(const Expr& e);
 /// any other comparison (`<>`, a DOUBLE literal, a string).
 bool FoldRange(const ColumnLiteral& m, int64_t* lo, int64_t* hi);
 
-/// The order a scan runs its conjuncts in. The conjuncts that fold
-/// (FoldRange) onto the column of the first one that folds move to the
-/// front, in their SQL order, so they become one range; the others keep
-/// their SQL order. A conjunct moves only past conjuncts that cannot
-/// fail: comparisons between column references and literals, and IN over
-/// a column. Nothing moves past one that can (arithmetic that can
-/// overflow, a cast), so the rows that reach it, and whether the query
-/// fails, do not change.
-std::vector<ExprPtr> OrderScanConjuncts(std::vector<ExprPtr> conjuncts);
+/// The order a scan runs its conjuncts in, and how many of them, at the
+/// front, fold into its leading range.
+struct ScanOrder {
+  std::vector<ExprPtr> conjuncts;
+  size_t range = 0;
+};
+
+/// The conjuncts that fold (FoldRange) onto the column of the first one
+/// that folds move to the front, in their SQL order, so they become one
+/// range; the others keep their SQL order. A conjunct moves only past
+/// conjuncts that cannot fail: comparisons between column references and
+/// literals, and IN over a column. Nothing moves past one that can
+/// (arithmetic that can overflow, a cast), so the rows that reach it, and
+/// whether the query fails, do not change.
+ScanOrder OrderScanConjuncts(std::vector<ExprPtr> conjuncts);
 
 /// Rebuilds an AND tree from conjuncts. Empty input returns nullptr; a
 /// single conjunct is returned as-is.

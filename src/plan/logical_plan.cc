@@ -61,7 +61,7 @@ std::string LogicalScan::ToString() const {
   if (pushed_predicate_ != nullptr) {
     // The order the scan runs the conjuncts in (OrderScanConjuncts).
     const std::vector<ExprPtr> written = SplitConjuncts(pushed_predicate_);
-    const std::vector<ExprPtr> order = OrderScanConjuncts(written);
+    const std::vector<ExprPtr> order = OrderScanConjuncts(written).conjuncts;
     out += ", filter=" + (order == written ? pushed_predicate_
                                            : CombineConjuncts(order))
                              ->ToString();

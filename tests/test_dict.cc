@@ -5,9 +5,9 @@
 // columns with NULLs: comparisons, IN, LIKE, the hash and equality
 // kernels, CompareRows, gathers and appends, GroupKeyTable and the JSON
 // writer. The table-level tests cover the flat fallback past
-// kMaxDictionaryEntries, UPDATE/DELETE on encoded columns, the scan's
-// dictionary code tests and the seven TPC-H queries against flat copies
-// of the same tables.
+// kMaxDictionaryEntries, UPDATE/DELETE on encoded columns, string
+// conjuncts of a scan's predicate, and the seven TPC-H queries against
+// flat copies of the same tables.
 
 #include <gtest/gtest.h>
 
@@ -126,11 +126,19 @@ void ExpectPredicatesMatchFlat(const ColumnVector& s, const ColumnVector& t,
                    label + " " + p->ToString());
     ExpectSameRows(Eval(p, encoded, &sel), Eval(p, flat, &sel),
                    label + " sel " + p->ToString());
-    Selection got, want;
-    ASSERT_TRUE(RefineSelection(*p, encoded, &got, nullptr).ok());
-    ASSERT_TRUE(RefineSelection(*p, flat, &want, nullptr).ok());
-    EXPECT_EQ(got.all, want.all) << label << " " << p->ToString();
-    EXPECT_EQ(got.rows, want.rows) << label << " " << p->ToString();
+    // The filter form (EvalFilter's keep-mask), over all rows and under
+    // the selection.
+    for (bool all : {true, false}) {
+      Selection got, want;
+      if (!all) {
+        got.all = want.all = false;
+        got.rows = want.rows = sel;
+      }
+      ASSERT_TRUE(RefineSelection(*p, encoded, &got, nullptr).ok());
+      ASSERT_TRUE(RefineSelection(*p, flat, &want, nullptr).ok());
+      EXPECT_EQ(got.all, want.all) << label << " " << p->ToString();
+      EXPECT_EQ(got.rows, want.rows) << label << " " << p->ToString();
+    }
   }
 }
 
@@ -507,10 +515,11 @@ std::shared_ptr<Table> FlatCopy(const Table& src) {
   return out;
 }
 
-/// The scan's code tests: `s op 'literal'` and `s [NOT] IN (...)` over an
-/// encoded column run as a mask over its codes; over the flat copy (a
-/// column decoded past kMaxDictionaryEntries) they take the general
-/// kernel. Rows, bytes and counters must agree, at 1 and 4 threads.
+/// A scan's `s op 'literal'` and `s [NOT] IN (...)` conjuncts: over an
+/// encoded column they run once per entry and keep rows by code; over
+/// the flat copy (a column decoded past kMaxDictionaryEntries) they
+/// compare row by row. Rows, bytes and counters must agree, at 1 and 4
+/// threads.
 class DictScanTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -552,7 +561,7 @@ class DictScanTest : public ::testing::Test {
 Database* DictScanTest::encoded_ = nullptr;
 Database* DictScanTest::flat_ = nullptr;
 
-TEST_F(DictScanTest, CodeTestsMatchTheFlatColumn) {
+TEST_F(DictScanTest, StringConjunctsMatchTheFlatColumn) {
   // Word(3), Word(10), ... carry escapes; 'w6' is a plain entry.
   const std::string cases[] = {
       "s = 'w6'",
@@ -568,12 +577,14 @@ TEST_F(DictScanTest, CodeTestsMatchTheFlatColumn) {
       "s <> 'absent'",
       "s IN ('absent', 'w2')",
       "s NOT IN ('absent')",
-      // A code test after the range, between general conjuncts, twice.
+      // After the range, between other conjuncts, twice.
       "s = 'w2' AND id < 30000",
       "s IN ('w1', 'w2', 'w9') AND id % 3 = 0 AND s <> 'w1'",
       "id BETWEEN 1000 AND 50000 AND s >= 'w2' AND s < 'w6'",
       "s = 'w6' AND s <> 'w6'",
       "s = 'w2' OR s = 'w5'",
+      // Fewer rows reach the test than the dictionary has entries.
+      "id BETWEEN 5 AND 20 AND s IN ('w6', 'w7')",
   };
   for (const std::string& where : cases) {
     for (const char* table : {"e", "empty"}) {
