@@ -177,6 +177,23 @@ HashKernelStats CollectHashStats(Database* db, const std::string& sql,
   return h;
 }
 
+/// Median wall time, in ms, of three GenerateTpch runs at `sf`, each
+/// into a fresh database (the load, not the cached sweep database).
+double GenerateMs(double sf) {
+  std::vector<double> ms;
+  for (int i = 0; i < 3; ++i) {
+    Database db;
+    TpchOptions options;
+    options.scale_factor = sf;
+    Timer timer;
+    Status s = GenerateTpch(options, &db.catalog());
+    ms.push_back(timer.ElapsedSeconds() * 1000.0);
+    AGORA_CHECK(s.ok()) << s.ToString();
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[1];
+}
+
 /// Runs the query × scale × thread sweep and writes BENCH_e1.json.
 void WriteScalingJson(const std::vector<int>& thread_counts,
                       const std::vector<double>& scales,
@@ -193,6 +210,14 @@ void WriteScalingJson(const std::vector<int>& thread_counts,
                ThreadPool::Global()->size());
   std::fprintf(out, "  \"mem_budget_bytes\": %lld,\n",
                static_cast<long long>(g_mem_budget));
+  std::fprintf(out, "  \"generation\": [");
+  for (size_t i = 0; i < scales.size(); ++i) {
+    const double ms = GenerateMs(scales[i]);
+    std::printf("[E1] generate SF %g: %.1f ms (median of 3)\n", scales[i], ms);
+    std::fprintf(out, "%s{\"scale_factor\": %g, \"generate_ms\": %.1f}",
+                 i == 0 ? "" : ", ", scales[i], ms);
+  }
+  std::fprintf(out, "],\n");
   std::fprintf(out, "  \"results\": [\n");
   bool first = true;
   for (double sf : scales) {

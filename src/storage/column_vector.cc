@@ -107,8 +107,7 @@ ColumnVector::Rep::Rep(const Rep& other, size_t begin, size_t count)
   Recharge();
 }
 
-void ColumnVector::Rep::Recharge() {
-  if (charge.tracker() == nullptr) return;
+void ColumnVector::Rep::RechargeTracked() {
   size_t now = validity.capacity() + ints.capacity() * sizeof(int64_t) +
                doubles.capacity() * sizeof(double) +
                codes.capacity() * sizeof(uint32_t) + string_bytes;
@@ -156,7 +155,7 @@ void ColumnVector::Rep::PushString(std::string_view s) {
   string_bytes += StrCost(strings.back());
 }
 
-ColumnVector::Rep* ColumnVector::EnsureUnique() {
+ColumnVector::Rep* ColumnVector::MakeUnique() {
   if (constant_) {
     FlattenConstant();  // builds a Rep of its own
   } else if (!rep_) {
@@ -300,86 +299,123 @@ void ColumnVector::ResizeForOverwrite(size_t n) {
   rep->Recharge();
 }
 
-void ColumnVector::AppendNull() {
-  Rep* rep = EnsureUnique();
-  rep->validity.push_back(0);
+void ColumnVector::CellWriter::Null() {
+  rep_->validity.push_back(0);
   switch (type_) {
     case TypeId::kBool:
     case TypeId::kInt64:
     case TypeId::kDate:
-      rep->ints.push_back(0);
+      rep_->ints.push_back(0);
       break;
     case TypeId::kDouble:
-      rep->doubles.push_back(0.0);
+      rep_->doubles.push_back(0.0);
       break;
     case TypeId::kString:
-      if (rep->dict) {
-        rep->codes.push_back(0);
+      if (rep_->dict) {
+        rep_->codes.push_back(0);
       } else {
-        rep->strings.emplace_back();
-        rep->string_bytes += StrCost(rep->strings.back());
+        rep_->strings.emplace_back();
+        rep_->string_bytes += StrCost(rep_->strings.back());
       }
       break;
     case TypeId::kInvalid:
       break;
   }
-  rep->Recharge();
 }
 
-void ColumnVector::AppendInt64(int64_t v) {
-  AGORA_DCHECK(type_ == TypeId::kInt64 || type_ == TypeId::kDate ||
-               type_ == TypeId::kBool);
-  Rep* rep = EnsureUnique();
-  rep->validity.push_back(1);
-  rep->ints.push_back(v);
-  rep->Recharge();
-}
-
-void ColumnVector::AppendDouble(double v) {
-  AGORA_DCHECK(type_ == TypeId::kDouble);
-  Rep* rep = EnsureUnique();
-  rep->validity.push_back(1);
-  rep->doubles.push_back(v);
-  rep->Recharge();
-}
-
-void ColumnVector::AppendString(std::string v) {
-  AGORA_DCHECK(type_ == TypeId::kString);
-  Rep* rep = EnsureUnique();
-  rep->validity.push_back(1);
-  if (rep->dict) {
-    rep->PushString(v);
-  } else {
-    rep->strings.push_back(std::move(v));
-    rep->string_bytes += StrCost(rep->strings.back());
+void ColumnVector::CellWriter::String(std::string&& s) {
+  if (rep_->dict) {
+    String(std::string_view(s));
+    return;
   }
-  rep->Recharge();
+  rep_->validity.push_back(1);
+  rep_->strings.push_back(std::move(s));
+  rep_->string_bytes += StrCost(rep_->strings.back());
 }
 
-void ColumnVector::AppendValue(const Value& v) {
+void ColumnVector::CellWriter::Boxed(const Value& v) {
   if (v.is_null()) {
-    AppendNull();
+    Null();
     return;
   }
   switch (type_) {
     case TypeId::kBool:
-      AppendBool(v.bool_value());
+      Int64(v.bool_value() ? 1 : 0);
       break;
     case TypeId::kInt64:
     case TypeId::kDate:
-      AppendInt64(v.int64_value());
+      Int64(v.int64_value());
       break;
     case TypeId::kDouble:
-      AppendDouble(v.type() == TypeId::kDouble ? v.double_value()
-                                               : v.AsDouble());
+      Double(v.type() == TypeId::kDouble ? v.double_value() : v.AsDouble());
       break;
     case TypeId::kString:
-      AppendString(v.string_value());
+      String(std::string_view(v.string_value()));
       break;
     case TypeId::kInvalid:
       AGORA_CHECK(false) << "append to invalid-typed column";
   }
 }
+
+void ColumnVector::CellWriter::Truncate(size_t rows) {
+  AGORA_DCHECK(rows <= rep_->validity.size());
+  // Entries the dropped rows added would stay in the dictionary, so the
+  // kept rows go flat; a later Restart brings the dictionary form back.
+  if (rep_->dict) rep_->Decode();
+  rep_->validity.resize(rows);
+  switch (type_) {
+    case TypeId::kBool:
+    case TypeId::kInt64:
+    case TypeId::kDate:
+      rep_->ints.resize(rows);
+      break;
+    case TypeId::kDouble:
+      rep_->doubles.resize(rows);
+      break;
+    case TypeId::kString:
+      for (size_t r = rows; r < rep_->strings.size(); ++r) {
+        rep_->string_bytes -= StrCost(rep_->strings[r]);
+      }
+      rep_->strings.resize(rows);
+      break;
+    case TypeId::kInvalid:
+      break;
+  }
+  rep_->Recharge();
+}
+
+void ColumnVector::CellWriter::Restart(bool dictionary) {
+  rep_->validity.clear();
+  rep_->ints.clear();
+  rep_->doubles.clear();
+  rep_->strings.clear();
+  rep_->codes.clear();
+  rep_->string_bytes = 0;
+  if (type_ == TypeId::kString) {
+    rep_->dict = dictionary ? std::make_shared<Dictionary>() : nullptr;
+  }
+  rep_->Recharge();
+}
+
+void ColumnVector::AppendNull() { CellWriter(this).Null(); }
+
+void ColumnVector::AppendInt64(int64_t v) {
+  AGORA_DCHECK(type_ == TypeId::kInt64 || type_ == TypeId::kDate ||
+               type_ == TypeId::kBool);
+  CellWriter(this).Int64(v);
+}
+
+void ColumnVector::AppendDouble(double v) {
+  AGORA_DCHECK(type_ == TypeId::kDouble);
+  CellWriter(this).Double(v);
+}
+
+void ColumnVector::AppendString(std::string v) {
+  AGORA_DCHECK(type_ == TypeId::kString);
+  CellWriter(this).String(std::move(v));
+}
+
+void ColumnVector::AppendValue(const Value& v) { CellWriter(this).Boxed(v); }
 
 void ColumnVector::AppendFrom(const ColumnVector& other, size_t row) {
   AGORA_DCHECK(type_ == other.type_);

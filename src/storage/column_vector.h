@@ -161,6 +161,9 @@ class ColumnVector {
   void ResizeForOverwrite(size_t n);
 
   // -- Appends ---------------------------------------------------------
+  /// Typed single-cell appends for the load paths (defined below).
+  class CellWriter;
+
   void AppendNull();
   void AppendInt64(int64_t v);    // kBool/kInt64/kDate
   void AppendDouble(double v);    // kDouble
@@ -327,8 +330,11 @@ class ColumnVector {
     Rep& operator=(const Rep&) = delete;
 
     /// Refreshes `charge` to the current payload size when it drifted
-    /// more than the charge granularity.
-    void Recharge();
+    /// more than the charge granularity; untracked Reps skip it inline.
+    void Recharge() {
+      if (charge.tracker() != nullptr) RechargeTracked();
+    }
+    void RechargeTracked();
 
     /// String of physical row `p` in either string form.
     const std::string& Str(size_t p) const {
@@ -363,8 +369,16 @@ class ColumnVector {
   /// Clones the rep when shared (a view clones only its own rows),
   /// creates it when absent, and expands the constant form — after this
   /// call mutation is safe and the vector is no view. A dictionary stays
-  /// shared until Rep::Intern needs to add to it.
-  Rep* EnsureUnique();
+  /// shared until Rep::Intern needs to add to it. Inline for the common
+  /// case, a buffer this vector already owns (per-cell appends).
+  Rep* EnsureUnique() {
+    if (rep_ != nullptr && !constant_ && !view_ && rep_.use_count() == 1) {
+      return rep_.get();
+    }
+    return MakeUnique();
+  }
+  /// EnsureUnique's slow path.
+  Rep* MakeUnique();
 
   /// Appends `n` kString rows of `src`: physical row `base + row_of(i)`,
   /// or NULL where row_of returns UINT32_MAX. Moves codes when both sides
@@ -380,6 +394,62 @@ class ColumnVector {
   bool view_ = false;
   size_t offset_ = 0;        // first physical row; nonzero only in a view
   size_t logical_size_ = 0;  // meaningful only when constant_ or view_
+};
+
+/// Appends single cells to one vector, typed by the caller: the one cell
+/// writer of the load paths. TableAppender keeps one per column of its
+/// chunk buffers for the whole load, Table::AppendRow makes one per cell,
+/// and AppendNull/AppendInt64/AppendDouble/AppendString/AppendValue are
+/// one-cell uses of it. The constructor makes the vector's buffer its own
+/// once (EnsureUnique), so a cell costs one push per buffer; the memory
+/// charge is refreshed when the writer dies and on Truncate/Restart. A
+/// writer stays valid while nothing else copies, slices or appends to the
+/// vector. Callers check types: Int64 serves kBool/kInt64/kDate.
+class ColumnVector::CellWriter {
+ public:
+  explicit CellWriter(ColumnVector* col)
+      : type_(col->type_), rep_(col->EnsureUnique()) {}
+  CellWriter(CellWriter&& other) noexcept
+      : type_(other.type_), rep_(other.rep_) {
+    other.rep_ = nullptr;
+  }
+  CellWriter(const CellWriter&) = delete;
+  CellWriter& operator=(const CellWriter&) = delete;
+  ~CellWriter() {
+    if (rep_ != nullptr) rep_->Recharge();
+  }
+
+  void Null();
+  void Int64(int64_t v) {
+    rep_->validity.push_back(1);
+    rep_->ints.push_back(v);
+  }
+  void Double(double v) {
+    rep_->validity.push_back(1);
+    rep_->doubles.push_back(v);
+  }
+  /// Interns `s` in the dictionary form, decoding first when it is full.
+  void String(std::string_view s) {
+    rep_->validity.push_back(1);
+    rep_->PushString(s);
+  }
+  /// As above; the flat form takes the string over instead of copying it.
+  void String(std::string&& s);
+  /// Appends a boxed value of the vector's type (an integer into a
+  /// DOUBLE vector widens), or NULL.
+  void Boxed(const Value& v);
+
+  /// Keeps the first `rows` rows and drops the rest, keeping the
+  /// buffers' capacity; a dictionary vector is decoded first.
+  void Truncate(size_t rows);
+  /// Drops every row, keeping the buffers' capacity. A string vector
+  /// starts over in the dictionary form over a fresh dictionary when
+  /// `dictionary`, flat otherwise.
+  void Restart(bool dictionary);
+
+ private:
+  TypeId type_;
+  Rep* rep_;
 };
 
 }  // namespace agora

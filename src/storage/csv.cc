@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/string_util.h"
+#include "storage/table_appender.h"
 
 namespace agora {
 
@@ -42,25 +43,34 @@ std::vector<std::string> SplitCsvLine(const std::string& line, char delim) {
   return fields;
 }
 
-Result<Value> ParseField(const std::string& raw, TypeId type,
-                         const CsvOptions& options) {
-  if (raw == options.null_literal && type != TypeId::kString) {
-    return Value::Null(type);
+/// Appends one non-string field, parsed as `type`; the null literal
+/// appends NULL.
+Status AppendField(const std::string& raw, TypeId type,
+                   const CsvOptions& options, TableAppender* rows) {
+  if (raw == options.null_literal) {
+    rows->Null();
+    return Status::OK();
   }
-  switch (type) {
-    case TypeId::kString:
-      return Value::String(raw);
-    case TypeId::kBool: {
-      std::string low = ToLower(raw);
-      if (low == "true" || low == "t" || low == "1") return Value::Bool(true);
-      if (low == "false" || low == "f" || low == "0") {
-        return Value::Bool(false);
-      }
+  if (type == TypeId::kBool) {
+    std::string low = ToLower(raw);
+    if (low == "true" || low == "t" || low == "1") {
+      rows->Bool(true);
+    } else if (low == "false" || low == "f" || low == "0") {
+      rows->Bool(false);
+    } else {
       return Status::TypeError("cannot parse '" + raw + "' as BOOLEAN");
     }
-    default:
-      return Value::String(raw).CastTo(type);
+    return Status::OK();
   }
+  AGORA_ASSIGN_OR_RETURN(Value value, Value::String(raw).CastTo(type));
+  if (type == TypeId::kDouble) {
+    rows->Double(value.double_value());
+  } else if (type == TypeId::kDate) {
+    rows->Date(value.int64_value());
+  } else {
+    rows->Int64(value.int64_value());
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -70,10 +80,10 @@ Result<std::shared_ptr<Table>> ReadCsv(std::istream& in,
                                        const Schema& schema,
                                        const CsvOptions& options) {
   auto table = std::make_shared<Table>(table_name, schema);
+  TableAppender rows(table.get());
   std::string line;
   size_t line_no = 0;
   if (options.has_header && std::getline(in, line)) ++line_no;
-  std::vector<Value> row(schema.num_fields());
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -85,16 +95,20 @@ Result<std::shared_ptr<Table>> ReadCsv(std::istream& in,
                              " fields, got " + std::to_string(fields.size()));
     }
     for (size_t c = 0; c < fields.size(); ++c) {
-      auto value = ParseField(fields[c], schema.field(c).type, options);
-      if (!value.ok()) {
-        return Status::IoError("line " + std::to_string(line_no) + ", column " +
-                               schema.field(c).name + ": " +
-                               value.status().message());
+      const TypeId type = schema.field(c).type;
+      if (type == TypeId::kString) {
+        rows.String(std::move(fields[c]));
+        continue;
       }
-      row[c] = std::move(*value);
+      Status parsed = AppendField(fields[c], type, options, &rows);
+      if (!parsed.ok()) {
+        return Status::IoError("line " + std::to_string(line_no) + ", column " +
+                               schema.field(c).name + ": " + parsed.message());
+      }
     }
-    AGORA_RETURN_IF_ERROR(table->AppendRow(row));
+    AGORA_RETURN_IF_ERROR(rows.EndRow());
   }
+  AGORA_RETURN_IF_ERROR(rows.Finish());
   return table;
 }
 

@@ -47,19 +47,18 @@ Status Table::AppendRow(const std::vector<Value>& row) {
         "row has " + std::to_string(row.size()) + " values, table '" + name_ +
         "' has " + std::to_string(columns_.size()) + " columns");
   }
+  // Coerce first, so a value that cannot be cast fails before any column
+  // grows; the row is copied only when some value needs it.
+  std::vector<Value> cast;
   for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_null()) {
-      columns_[i].AppendNull();
-      continue;
-    }
-    TypeId want = schema_.field(i).type;
-    if (row[i].type() == want) {
-      columns_[i].AppendValue(row[i]);
-    } else {
-      auto cast = row[i].CastTo(want);
-      if (!cast.ok()) return cast.status();
-      columns_[i].AppendValue(*cast);
-    }
+    const TypeId want = schema_.field(i).type;
+    if (row[i].is_null() || row[i].type() == want) continue;
+    if (cast.empty()) cast = row;
+    AGORA_ASSIGN_OR_RETURN(cast[i], row[i].CastTo(want));
+  }
+  const std::vector<Value>& cells = cast.empty() ? row : cast;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    ColumnVector::CellWriter(&columns_[i]).Boxed(cells[i]);
   }
   ++num_rows_;
   MaintainAfterAppend(num_rows_ - 1);
@@ -87,6 +86,10 @@ Status Table::AppendChunk(const Chunk& chunk) {
   num_rows_ += rows;
   MaintainAfterAppend(num_rows_ - rows);
   return Status::OK();
+}
+
+void Table::Reserve(size_t more_rows) {
+  for (ColumnVector& col : columns_) col.Reserve(num_rows_ + more_rows);
 }
 
 Status Table::RetainRows(const std::vector<uint32_t>& keep) {

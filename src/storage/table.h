@@ -115,7 +115,7 @@ class HashIndex {
 /// recomputes only the blocks it touched and moves the updated rows'
 /// index entries, and RetainRows rebuilds both. On a table without zone
 /// maps or indexes this costs one lock round trip per append, so bulk
-/// loads stay cheap.
+/// loads stay cheap. Bulk loads append a chunk at a time (TableAppender).
 ///
 /// Concurrency: concurrent readers (GetChunk/GetRow/
 /// GetHashIndex/zone_maps) are safe with each other and with
@@ -146,11 +146,18 @@ class Table {
 
   const ColumnVector& column(size_t i) const { return columns_[i]; }
 
-  /// Appends one row (coercing values to the column types).
+  /// Appends one row (coercing values to the column types); a value
+  /// that cannot be coerced fails the row before any column grows. Each
+  /// cell goes through ColumnVector::CellWriter, the appender's writer.
   Status AppendRow(const std::vector<Value>& row);
 
   /// Appends all rows of `chunk` (column types must match the schema).
   Status AppendChunk(const Chunk& chunk);
+
+  /// Makes room in every column for `more_rows` rows past the current
+  /// ones, so a load of known size appends without regrowing (and so
+  /// recopying) its columns.
+  void Reserve(size_t more_rows);
 
   /// Keeps only the rows listed in `keep` (ascending row ids); everything
   /// else is deleted. Rebuilds zone maps and indexes that exist.

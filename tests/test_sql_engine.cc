@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 
 #include "engine/database.h"
 
@@ -427,6 +428,32 @@ TEST_F(SqlEngineTest, CopyRoundTrip) {
   QueryResult check = Exec("SELECT COUNT(*), SUM(age) FROM users2");
   EXPECT_EQ(check.Get(0, 0).int64_value(), 5);
   EXPECT_EQ(check.Get(0, 1).int64_value(), 153);
+  std::remove(path.c_str());
+}
+
+TEST_F(SqlEngineTest, CopyFromBadLineLeavesTableUnchanged) {
+  // The bad line lies past the first kChunkSize rows, so the CSV reader
+  // has already committed a chunk into its staging table when it fails;
+  // the target must still see none of the file.
+  std::string path = ::testing::TempDir() + "/agora_copy_bad_line.csv";
+  {
+    std::ofstream out(path);
+    out << "id,name,age,city\n";
+    for (int i = 0; i < 3000; ++i) {
+      out << 10 + i << ",u" << i << "," << (i == 2500 ? "old" : "40")
+          << ",nyc\n";
+    }
+  }
+  Status s = ExecError("COPY users FROM '" + path + "'");
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  // Line 1 is the header, so data row 2500 is line 2502.
+  EXPECT_NE(s.message().find("line 2502"), std::string::npos) << s.message();
+  QueryResult check =
+      Exec("SELECT COUNT(*), SUM(id), SUM(age), MAX(name) FROM users");
+  EXPECT_EQ(check.Get(0, 0).int64_value(), 5);
+  EXPECT_EQ(check.Get(0, 1).int64_value(), 15);
+  EXPECT_EQ(check.Get(0, 2).int64_value(), 153);
+  EXPECT_EQ(check.Get(0, 3).string_value(), "erin");
   std::remove(path.c_str());
 }
 

@@ -1,13 +1,17 @@
 // Tests for columnar storage: ColumnVector, Chunk, Table (zone maps,
-// indexes, sorted copies), Catalog and CSV import/export.
+// indexes, sorted copies), TableAppender, Catalog and CSV import/export.
+// The TableAppenderDictTest suite, which loads string columns, also
+// carries the "dict" label.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "storage/catalog.h"
 #include "storage/csv.h"
 #include "storage/table.h"
+#include "storage/table_appender.h"
 
 namespace agora {
 namespace {
@@ -149,6 +153,13 @@ TEST_F(TableTest, RowTypeCoercionAndErrors) {
   EXPECT_DOUBLE_EQ(table_->column(2).GetDouble(5000), 3.0);
   // Wrong arity fails.
   EXPECT_FALSE(table_->AppendRow({Value::Int64(1)}).ok());
+  // A value that cannot be cast fails the row before any column grows.
+  EXPECT_FALSE(table_->AppendRow({Value::Int64(1), Value::String("y"),
+                                  Value::String("not a number")}).ok());
+  EXPECT_EQ(table_->num_rows(), 5001u);
+  for (size_t c = 0; c < table_->num_columns(); ++c) {
+    EXPECT_EQ(table_->column(c).size(), 5001u) << "column " << c;
+  }
 }
 
 TEST_F(TableTest, ZoneMapsBoundBlocks) {
@@ -247,6 +258,208 @@ TEST_F(TableTest, SortedCopyPreservesRowsChangesOrder) {
     sum_sorted += sorted->column(0).GetInt64(r);
   }
   EXPECT_EQ(sum_orig, sum_sorted);
+}
+
+// -- TableAppender ---------------------------------------------------------
+
+Schema AllTypesSchema() {
+  return Schema({{"i", TypeId::kInt64, true},
+                 {"d", TypeId::kDouble, true},
+                 {"day", TypeId::kDate, true},
+                 {"b", TypeId::kBool, true},
+                 {"s", TypeId::kString, true}});
+}
+
+/// Row `i` of the all-types test data; every column has NULLs.
+std::vector<Value> AllTypesRow(int64_t i) {
+  return {i % 11 == 0 ? Value::Null(TypeId::kInt64) : Value::Int64(i * 7),
+          i % 13 == 0 ? Value::Null(TypeId::kDouble) : Value::Double(i * 0.25),
+          i % 5 == 0 ? Value::Null(TypeId::kDate) : Value::Date(10000 + i),
+          i % 3 == 0 ? Value::Null(TypeId::kBool) : Value::Bool(i % 2 == 0),
+          i % 17 == 0 ? Value::Null(TypeId::kString)
+                      : Value::String("v" + std::to_string(i % 37))};
+}
+
+/// Appends AllTypesRow(i) through the appender's typed calls.
+Status AppendAllTypesRow(int64_t i, TableAppender* rows) {
+  const std::vector<Value> row = AllTypesRow(i);
+  row[0].is_null() ? rows->Null() : rows->Int64(row[0].int64_value());
+  row[1].is_null() ? rows->Null() : rows->Double(row[1].double_value());
+  row[2].is_null() ? rows->Null() : rows->Date(row[2].int64_value());
+  row[3].is_null() ? rows->Null() : rows->Bool(row[3].bool_value());
+  row[4].is_null() ? rows->Null() : rows->String(row[4].string_value());
+  return rows->EndRow();
+}
+
+/// Same rows, and in each string column the same form, dictionary and
+/// codes.
+void ExpectSameTable(const Table& got, const Table& want) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const ColumnVector& g = got.column(c);
+    const ColumnVector& w = want.column(c);
+    ASSERT_EQ(g.is_dictionary(), w.is_dictionary()) << "column " << c;
+    if (w.is_dictionary()) {
+      EXPECT_EQ(g.dictionary().entries(), w.dictionary().entries());
+    }
+    for (size_t r = 0; r < want.num_rows(); ++r) {
+      ASSERT_EQ(g.IsNull(r), w.IsNull(r)) << "column " << c << " row " << r;
+      if (w.IsNull(r)) continue;
+      ASSERT_EQ(g.GetValue(r), w.GetValue(r)) << "column " << c << " row " << r;
+      if (w.is_dictionary()) {
+        ASSERT_EQ(g.codes_data()[r], w.codes_data()[r]) << "row " << r;
+      }
+    }
+    EXPECT_TRUE(g.CheckConsistency().ok()) << "column " << c;
+  }
+}
+
+TEST(TableAppenderDictTest, BuildsTheTableAppendRowBuilds) {
+  // Two full chunks and a partial one.
+  const int64_t n = 2 * kChunkSize + 100;
+  Table by_row("t", AllTypesSchema());
+  Table by_chunk("t", AllTypesSchema());
+  TableAppender rows(&by_chunk);
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(by_row.AppendRow(AllTypesRow(i)).ok());
+    ASSERT_TRUE(AppendAllTypesRow(i, &rows).ok());
+  }
+  ASSERT_TRUE(rows.Finish().ok());
+  ExpectSameTable(by_chunk, by_row);
+  EXPECT_TRUE(by_chunk.column(4).is_dictionary());
+}
+
+TEST(TableAppenderDictTest, CapCrossedMidChunkDecodesAtTheSameRow) {
+  // kMaxDictionaryEntries distinct strings fill the first two chunks;
+  // repeats follow, then the first value past the cap lands at row
+  // `cap_row`, in the middle of the third chunk.
+  const size_t cap_row = kMaxDictionaryEntries + 700;
+  auto cell = [](size_t i) {
+    if (i < kMaxDictionaryEntries) return "w" + std::to_string(i);
+    return "w" + std::to_string(i == kMaxDictionaryEntries + 700 ? i : i % 9);
+  };
+  for (size_t n : {cap_row, cap_row + 1, cap_row + 900}) {
+    Table by_row("t", Schema({{"s", TypeId::kString, true}}));
+    Table by_chunk("t", Schema({{"s", TypeId::kString, true}}));
+    TableAppender rows(&by_chunk);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(by_row.AppendRow({Value::String(cell(i))}).ok());
+      rows.String(cell(i));
+      ASSERT_TRUE(rows.EndRow().ok());
+    }
+    ASSERT_TRUE(rows.Finish().ok());
+    // Dictionary form, full, up to the row before the cap; flat from it.
+    EXPECT_EQ(by_chunk.column(0).is_dictionary(), n == cap_row) << n;
+    ExpectSameTable(by_chunk, by_row);
+  }
+}
+
+TEST(TableAppenderDictTest, DroppedRowLeavesNoDictionaryEntry) {
+  // The chunk interns into a dictionary of its own; the string of a row
+  // dropped for its arity must not reach the table's dictionary, in the
+  // first chunk (which an empty column takes over whole) or a later one.
+  const Schema schema({{"s", TypeId::kString, true},
+                       {"i", TypeId::kInt64, true}});
+  Table by_row("t", schema);
+  Table by_chunk("t", schema);
+  TableAppender rows(&by_chunk);
+  for (int64_t i = 0; i < 2 * static_cast<int64_t>(kChunkSize) + 50; ++i) {
+    const std::string s = "k" + std::to_string(i % 5);
+    if (i % 1000 == 7) {
+      rows.String("dropped" + std::to_string(i));
+      EXPECT_EQ(rows.EndRow().code(), StatusCode::kInvalidArgument);
+    }
+    ASSERT_TRUE(by_row.AppendRow({Value::String(s), Value::Int64(i)}).ok());
+    rows.String(s);
+    rows.Int64(i);
+    ASSERT_TRUE(rows.EndRow().ok());
+  }
+  ASSERT_TRUE(rows.Finish().ok());
+  EXPECT_EQ(by_chunk.column(0).dictionary().size(), 5u);
+  ExpectSameTable(by_chunk, by_row);
+}
+
+TEST(TableAppenderTest, KeepsZoneMapsAndIndexesAtEveryCommit) {
+  Table table("t", Schema({{"k", TypeId::kInt64, false},
+                           {"x", TypeId::kDouble, true}}));
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(table.AppendRow({Value::Int64(i), Value::Double(i)}).ok());
+  }
+  table.BuildZoneMaps();
+  ASSERT_TRUE(table.BuildHashIndex("t_k", 0).ok());
+  TableAppender rows(&table);
+  size_t committed = table.num_rows();
+  int commits = 0;
+  for (int64_t i = 100; i < 100 + 2 * static_cast<int64_t>(kChunkSize) + 10;
+       ++i) {
+    rows.Int64(i * 3);
+    if (i % 7 == 0) {
+      rows.Null();
+    } else {
+      rows.Double(-0.5 * static_cast<double>(i));
+    }
+    ASSERT_TRUE(rows.EndRow().ok());
+    if (table.num_rows() == committed) continue;
+    // A commit adds exactly one chunk.
+    EXPECT_EQ(table.num_rows(), committed + kChunkSize);
+    committed = table.num_rows();
+    ++commits;
+    ASSERT_TRUE(table.VerifyDerived().ok()) << table.VerifyDerived().ToString();
+  }
+  EXPECT_EQ(commits, 2);
+  ASSERT_TRUE(rows.Finish().ok());
+  ASSERT_EQ(table.num_rows(), 100 + 2 * kChunkSize + 10);
+  ASSERT_TRUE(table.VerifyDerived().ok()) << table.VerifyDerived().ToString();
+  // A row of the final, partial commit is found through the index.
+  const ColumnVector& k = table.column(0);
+  const size_t last = table.num_rows() - 1;
+  EXPECT_EQ(table.GetHashIndex(0)->Probe(k.HashRow(last)),
+            std::vector<int64_t>{static_cast<int64_t>(last)});
+}
+
+TEST(TableAppenderTest, BadRowsAreDroppedAndReported) {
+  Table table("t", Schema({{"a", TypeId::kInt64, false},
+                           {"b", TypeId::kDouble, true}}));
+  TableAppender rows(&table);
+  rows.Int64(1);
+  rows.Double(1.5);
+  ASSERT_TRUE(rows.EndRow().ok());
+  rows.Int64(2);  // one cell short
+  EXPECT_EQ(rows.EndRow().code(), StatusCode::kInvalidArgument);
+  rows.Int64(3);
+  rows.Double(2.5);
+  rows.Int64(4);  // one cell too many
+  EXPECT_EQ(rows.EndRow().code(), StatusCode::kInvalidArgument);
+  rows.Double(5.0);  // a DOUBLE into the BIGINT column
+  rows.Double(5.5);
+  EXPECT_EQ(rows.EndRow().code(), StatusCode::kTypeError);
+  EXPECT_EQ(table.num_rows(), 0u);
+  rows.Int64(6);
+  rows.Null();
+  ASSERT_TRUE(rows.EndRow().ok());
+  rows.Int64(7);  // left without EndRow
+  EXPECT_EQ(rows.Finish().code(), StatusCode::kInvalidArgument);
+  // Only the two good rows arrive, with no cell of the bad ones.
+  ASSERT_EQ(table.num_rows(), 2u);
+  EXPECT_EQ(table.GetRow(0), (std::vector<Value>{Value::Int64(1),
+                                                 Value::Double(1.5)}));
+  EXPECT_EQ(table.column(0).GetInt64(1), 6);
+  EXPECT_TRUE(table.column(1).IsNull(1));
+  EXPECT_TRUE(table.column(0).CheckConsistency().ok());
+  EXPECT_TRUE(table.column(1).CheckConsistency().ok());
+}
+
+TEST(TableAppenderTest, FinishWithoutPendingRowsIsANoOp) {
+  Table table("t", Schema({{"a", TypeId::kInt64, false}}));
+  ASSERT_TRUE(table.AppendRow({Value::Int64(1)}).ok());
+  TableAppender rows(&table);
+  ASSERT_TRUE(rows.Finish().ok());
+  EXPECT_EQ(table.num_rows(), 1u);
+  rows.Int64(2);
+  ASSERT_TRUE(rows.EndRow().ok());
+  ASSERT_TRUE(rows.Finish().ok());
+  ASSERT_TRUE(rows.Finish().ok());
+  EXPECT_EQ(table.num_rows(), 2u);
 }
 
 TEST(CatalogTest, CreateGetDrop) {

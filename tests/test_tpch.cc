@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/hash.h"
 #include "engine/database.h"
 #include "tpch/tpch.h"
 
@@ -188,6 +193,64 @@ TEST_F(TpchTest, GeneratorIsDeterministic) {
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_DOUBLE_EQ(r1->Get(0, 0).double_value(),
                    r2->Get(0, 0).double_value());
+}
+
+// One generated table's pinned shape: its row count, one hash over every
+// cell, and for each string column whether it is dictionary-encoded and
+// how many entries its dictionary holds (0 for a flat column).
+struct TableFingerprint {
+  const char* table;
+  size_t rows;
+  uint64_t cells_hash;
+  std::vector<std::pair<bool, size_t>> string_columns;
+};
+
+TEST_F(TpchTest, GeneratedTablesMatchPinnedFingerprint) {
+  // Pins the generator's output cell for cell across builds and
+  // compilers: ColumnVector::HashRow (common/hash.h) does not depend on
+  // the standard library, so a change in any value, in the order of the
+  // RNG draws or in a column's dictionary form or codes fails here. The
+  // hash folds in each dictionary's entries in code order, which with the
+  // values fixes every row's code.
+  const std::vector<TableFingerprint> want = {
+      {"region", 5, 0x3f74e59d8764b184ULL, {{true, 5}, {true, 5}}},
+      {"nation", 25, 0xa842308f8e134756ULL, {{true, 25}, {true, 25}}},
+      {"supplier", 100, 0x8a89254cf1332e03ULL, {{true, 100}, {true, 100}}},
+      {"customer", 1500, 0xeeb04b3f7463f92cULL,
+       {{true, 1500}, {true, 5}, {true, 1500}}},
+      {"part", 2000, 0xdda442b20c983023ULL,
+       {{true, 2000}, {true, 5}, {true, 25}, {true, 12}}},
+      {"partsupp", 8000, 0x1b17767daa2b8640ULL, {}},
+      {"orders", 15000, 0x89125db3f850f68eULL, {{true, 3}, {true, 5}}},
+      {"lineitem", 60492, 0xaf023f94766f8d29ULL,
+       {{true, 3}, {true, 2}, {true, 7}}},
+  };
+  Database db;
+  TpchOptions options;
+  options.scale_factor = 0.01;
+  ASSERT_TRUE(GenerateTpch(options, &db.catalog()).ok());
+  for (const TableFingerprint& w : want) {
+    auto table = db.catalog().GetTable(w.table);
+    ASSERT_TRUE(table.ok()) << w.table;
+    ASSERT_EQ((*table)->num_rows(), w.rows) << w.table;
+    uint64_t cells_hash = 0;
+    std::vector<std::pair<bool, size_t>> string_columns;
+    for (size_t c = 0; c < (*table)->num_columns(); ++c) {
+      const ColumnVector& col = (*table)->column(c);
+      for (size_t r = 0; r < w.rows; ++r) {
+        cells_hash = HashCombine(cells_hash, col.HashRow(r));
+      }
+      if (col.type() != TypeId::kString) continue;
+      const size_t entries = col.is_dictionary() ? col.dictionary().size() : 0;
+      for (size_t code = 0; code < entries; ++code) {
+        cells_hash = HashCombine(cells_hash, col.dictionary().hashes()[code]);
+      }
+      string_columns.emplace_back(col.is_dictionary(), entries);
+    }
+    EXPECT_EQ(cells_hash, w.cells_hash)
+        << w.table << " hashes to 0x" << std::hex << cells_hash;
+    EXPECT_EQ(string_columns, w.string_columns) << w.table;
+  }
 }
 
 TEST_F(TpchTest, Q5PlanUsesHashJoinsNotCrossProducts) {
